@@ -15,7 +15,6 @@ from . import constructions as cons
 from . import generators as gen
 from . import graph as gr
 from . import solver
-from .colouring import EdgeColouring
 from .document import GraphDocument, document_from_graph, emit, export_dot, parse
 from .errors import (
     AttemptsExhausted,

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameter, SpreadTooSmall
 from .graph import Graph
 
@@ -137,18 +135,24 @@ class HadamardMatrix:
         return tuple(row[j] for row in self.entries)
 
     def is_orthogonal(self) -> bool:
-        m = np.array(self.entries, dtype=np.int64)
-        return bool(np.array_equal(m.T @ m, self.order * np.eye(self.order, dtype=np.int64)))
+        cols = [self.column(j) for j in range(self.order)]
+        return all(
+            sum(x * y for x, y in zip(cols[i], cols[j])) == (self.order if i == j else 0)
+            for i in range(self.order)
+            for j in range(self.order)
+        )
 
 
 def sylvester_hadamard(t: int) -> HadamardMatrix:
-    """H_1 = (1); H_{2^t} doubles by the [[H, H], [H, -H]] block recursion."""
+    """H_1 = (1) doubled t times by the [[H, H], [H, -H]] block recursion,
+    whose entry (i, j) is (-1)^popcount(i & j)."""
     if t < 0:
         raise InvalidParameter("t must be non-negative")
-    m = np.array([[1]], dtype=np.int64)
-    for _ in range(t):
-        m = np.block([[m, m], [m, -m]])
-    return HadamardMatrix(1 << t, tuple(tuple(int(x) for x in row) for row in m))
+    order = 1 << t
+    return HadamardMatrix(order, tuple(
+        tuple(-1 if (i & j).bit_count() & 1 else 1 for j in range(order))
+        for i in range(order)
+    ))
 
 
 def hamming_distance(u: int, v: int) -> int:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import BudgetExceeded, InvalidParameter, NotTwoConnected
 
 DEFAULT_BUDGET = 10_000_000
+INF = float("inf")
 
 
 class Budget:
@@ -128,22 +129,40 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def _connected_after_removal(g: Graph, removed: frozenset) -> bool:
-    rest = [v for v in range(g.n) if v not in removed]
-    if not rest:
-        return True
-    seen = set(removed)
-    seen.add(rest[0])
-    queue = deque([rest[0]])
-    count = 1
+def _bfs_distances(g: Graph, source: int) -> list:
+    dist = [INF] * g.n
+    dist[source] = 0
+    queue = deque([source])
     while queue:
         v = queue.popleft()
         for w, _ in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                count += 1
+            if dist[w] is INF or dist[w] > dist[v] + 1:
+                dist[w] = dist[v] + 1
                 queue.append(w)
-    return count == len(rest)
+    return dist
+
+
+def _bipartition(g: Graph):
+    """(smaller class, larger class) of a connected bipartite graph with at
+    least two vertices, else None."""
+    if g.n < 2:
+        return None
+    side = [None] * g.n
+    side[0] = 0
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w, _ in g.adjacency[v]:
+            if side[w] is None:
+                side[w] = 1 - side[v]
+                queue.append(w)
+            elif side[w] == side[v]:
+                return None
+    if None in side:
+        return None
+    a = [v for v in range(g.n) if side[v] == 0]
+    b = [v for v in range(g.n) if side[v] == 1]
+    return (a, b) if len(a) <= len(b) else (b, a)
 
 
 def _max_vertex_disjoint_paths_at_least(g: Graph, s: int, t: int, k: int) -> bool:
@@ -151,13 +170,15 @@ def _max_vertex_disjoint_paths_at_least(g: Graph, s: int, t: int, k: int) -> boo
 
     Unit-capacity max flow on the vertex-split digraph, stopped at k.
     """
-    # node 2v = v_in, 2v+1 = v_out
-    succ = {}
+    # node 2v = v_in, 2v+1 = v_out; res[a][b] is the residual capacity of a -> b.
+    # Paths start at s_out and end at t_in, so no path uses the s or t split arc.
+    res = [{} for _ in range(2 * g.n)]
     for v in range(g.n):
-        cap = 10**9 if v in (s, t) else 1
-        succ[(2 * v, 2 * v + 1)] = cap
+        res[2 * v][2 * v + 1] = 1
+        res[2 * v + 1][2 * v] = 0
         for w, _ in g.adjacency[v]:
-            succ[(2 * v + 1, 2 * w)] = 1
+            res[2 * v + 1][2 * w] = 1
+            res[2 * w][2 * v + 1] = 0
     flow = 0
     while flow < k:
         # BFS augmenting path from s_out to t_in
@@ -165,24 +186,28 @@ def _max_vertex_disjoint_paths_at_least(g: Graph, s: int, t: int, k: int) -> boo
         queue = deque([2 * s + 1])
         while queue and 2 * t not in parent:
             x = queue.popleft()
-            for (a, b), c in succ.items():
-                if a == x and c > 0 and b not in parent:
-                    parent[b] = (a, b)
-                    queue.append(b)
+            for y, c in res[x].items():
+                if c > 0 and y not in parent:
+                    parent[y] = x
+                    queue.append(y)
         if 2 * t not in parent:
             return False
-        x = 2 * t
-        while parent[x] is not None:
-            a, b = parent[x]
-            succ[(a, b)] -= 1
-            succ[(b, a)] = succ.get((b, a), 0) + 1
-            x = a
+        y = 2 * t
+        while parent[y] is not None:
+            x = parent[y]
+            res[x][y] -= 1
+            res[y][x] += 1
+            y = x
         flow += 1
     return True
 
 
 def is_k_connected(g: Graph, k: int) -> bool:
-    """True iff |V| > k and no vertex set of size <= k-1 disconnects g."""
+    """True iff |V| > k and no vertex set of size <= k-1 disconnects g.
+
+    k = 2 is read off the block decomposition (no cut vertex); larger k
+    counts disjoint paths between every non-adjacent pair (Menger).
+    """
     if k < 1:
         raise InvalidParameter("k must be positive")
     if g.n <= k:
@@ -191,13 +216,8 @@ def is_k_connected(g: Graph, k: int) -> bool:
         return False
     if k == 1:
         return True
-    if g.n <= 20:
-        for size in range(1, k):
-            for cut in itertools.combinations(range(g.n), size):
-                if not _connected_after_removal(g, frozenset(cut)):
-                    return False
-        return True
-    # larger graphs: disjoint-path counting over non-adjacent pairs
+    if k == 2:
+        return not block_decomposition(g).cut_vertices
     for s in range(g.n):
         for t in range(s + 1, g.n):
             if g.has_edge(s, t):
@@ -334,37 +354,6 @@ class EarDecomposition:
         return frozenset(ids)
 
 
-def _shortest_cycle_through_vertex(g: Graph, v0: int) -> tuple[int, ...]:
-    """Lexicographically least shortest cycle through v0 (iterative deepening)."""
-    for length in range(3, g.n + 1):
-        found = _lex_cycle_of_length(g, v0, length)
-        if found is not None:
-            return found
-    raise InvalidParameter(f"no cycle through vertex {v0}")
-
-
-def _lex_cycle_of_length(g: Graph, v0: int, length: int):
-    path = [v0]
-    on_path = {v0}
-
-    def extend():
-        if len(path) == length:
-            return g.has_edge(path[-1], v0)
-        for w, _ in g.adjacency[path[-1]]:
-            if w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            if extend():
-                return True
-            on_path.discard(path.pop())
-        return False
-
-    if extend():
-        return tuple(path)
-    return None
-
-
 def ear_decomposition(g: Graph) -> EarDecomposition:
     """Cycle-plus-ears build of a 2-connected graph.
 
@@ -374,7 +363,8 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
     """
     if not is_k_connected(g, 2):
         raise NotTwoConnected("ear decomposition needs a 2-connected graph")
-    cycle = _shortest_cycle_through_vertex(g, 0)
+    # ear_decomposition takes no budget: count against a limit no search reaches
+    cycle, _ = _anchored_cycle(g, [0], Budget(1 << 63), range(3, g.n + 1))
     covered_v = set(cycle)
     covered_e = set()
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
@@ -525,13 +515,8 @@ def _hamilton_prune(adj, unvisited, current, start) -> bool:
     return True
 
 
-def find_hamilton_cycle(g: Graph, budget=None):
-    """First Hamilton cycle in deterministic DFS order, or None."""
-    if g.n < 3 or not is_connected(g):
-        return None
-    if any(g.degree(v) < 2 for v in range(g.n)):
-        return None
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+def _hamilton_cycles(g: Graph, b: Budget):
+    """Hamilton cycles rooted at vertex 0 in DFS order, each once per direction."""
     adj = g.adjacency
     path = [0]
     unvisited = set(range(1, g.n))
@@ -540,23 +525,34 @@ def find_hamilton_cycle(g: Graph, budget=None):
         b.spend()
         v = path[-1]
         if not unvisited:
-            return g.has_edge(v, 0)
+            if g.has_edge(v, 0):
+                yield tuple(path)
+            return
         if not _hamilton_prune(adj, unvisited, v, 0):
-            return False
+            return
         for w, _ in adj[v]:
             if w not in unvisited:
                 continue
             unvisited.discard(w)
             path.append(w)
-            if extend():
-                return True
+            yield from extend()
             path.pop()
             unvisited.add(w)
-        return False
 
-    if extend():
-        return tuple(path)
-    return None
+    return extend()
+
+
+def find_hamilton_cycle(g: Graph, budget=None):
+    """First Hamilton cycle in deterministic DFS order, or None.
+
+    That cycle is lexicographically least, so path[1] < path[-1] holds.
+    """
+    if g.n < 3 or not is_connected(g):
+        return None
+    if any(g.degree(v) < 2 for v in range(g.n)):
+        return None
+    b = budget if isinstance(budget, Budget) else Budget(budget)
+    return next(_hamilton_cycles(g, b), None)
 
 
 def enumerate_hamilton_cycles(g: Graph, budget=None):
@@ -564,31 +560,7 @@ def enumerate_hamilton_cycles(g: Graph, budget=None):
     if g.n < 3:
         return []
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    adj = g.adjacency
-    path = [0]
-    unvisited = set(range(1, g.n))
-    out = []
-
-    def extend():
-        b.spend()
-        v = path[-1]
-        if not unvisited:
-            if g.has_edge(v, 0) and path[1] < path[-1]:
-                out.append(tuple(path))
-            return
-        if not _hamilton_prune(adj, unvisited, v, 0):
-            return
-        for w, _ in adj[v]:
-            if w not in unvisited:
-                continue
-            unvisited.discard(w)
-            path.append(w)
-            extend()
-            path.pop()
-            unvisited.add(w)
-
-    extend()
-    return out
+    return [cyc for cyc in _hamilton_cycles(g, b) if cyc[1] < cyc[-1]]
 
 
 def circumference(g: Graph, budget=None) -> int:
@@ -662,39 +634,83 @@ def is_hypohamiltonian(g: Graph, budget=None) -> bool:
 # Cycles through prescribed vertices, F_k membership
 
 
+def _anchored_cycle(g: Graph, s, b: Budget, limits, colour_of=None, dist=None):
+    """First simple cycle through every vertex of the sorted list s, as
+    (vertices, edge ids), or None.
+
+    The DFS anchors at s[0] and takes neighbours in ascending order, so the
+    first cycle found is deterministic. Each limit in ``limits`` is tried in
+    turn, and a branch is cut once its path length plus a distance lower
+    bound on closing the cycle through the missing vertices exceeds the
+    limit. With ``colour_of`` the cycle must also be rainbow. ``dist`` maps
+    each vertex of s to its BFS distance row; rows are computed when it is
+    not given.
+    """
+    anchor = s[0]
+    if dist is None:
+        dist = {v: _bfs_distances(g, v) for v in s}
+    dist_anchor = dist[anchor]
+    adj = g.adjacency
+    path = [anchor]
+    on_path = {anchor}
+    used_cols = set()
+    edge_ids = []
+
+    def lower_bound(v, missing):
+        lb = dist_anchor[v]
+        for m in missing:
+            need = dist[m][v] + dist_anchor[m]
+            if need > lb:
+                lb = need
+        return lb
+
+    def extend(missing, limit):
+        b.spend()
+        v = path[-1]
+        if not missing and len(path) >= 3 and g.has_edge(v, anchor):
+            eid = g.edge_id(v, anchor)
+            if colour_of is None or colour_of[eid] not in used_cols:
+                edge_ids.append(eid)
+                return True
+        if len(path) - 1 + lower_bound(v, missing) > limit:
+            return False
+        for w, eid in adj[v]:
+            if w in on_path:
+                continue
+            if colour_of is not None:
+                col = colour_of[eid]
+                if col in used_cols:
+                    continue
+                used_cols.add(col)
+            path.append(w)
+            on_path.add(w)
+            edge_ids.append(eid)
+            took = w in missing
+            if took:
+                missing.discard(w)
+            if extend(missing, limit):
+                return True
+            if took:
+                missing.add(w)
+            if colour_of is not None:
+                used_cols.discard(col)
+            edge_ids.pop()
+            on_path.discard(path.pop())
+        return False
+
+    for limit in limits:
+        if extend(set(s[1:]), limit):
+            return tuple(path), tuple(edge_ids)
+    return None
+
+
 def cycle_through_exists(g: Graph, s, budget=None) -> bool:
     """Exact: is there a simple cycle containing every vertex of s?"""
     s = sorted(set(s))
     if not s:
         raise InvalidParameter("need at least one vertex")
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    anchor = s[0]
-    needed = set(s[1:])
-    adj = g.adjacency
-    path = [anchor]
-    on_path = {anchor}
-
-    def extend(missing):
-        b.spend()
-        v = path[-1]
-        if not missing and len(path) >= 3 and g.has_edge(v, anchor):
-            return True
-        for w, _ in adj[v]:
-            if w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            took = w in missing
-            if took:
-                missing.discard(w)
-            if extend(missing):
-                return True
-            if took:
-                missing.add(w)
-            on_path.discard(path.pop())
-        return False
-
-    return extend(set(needed))
+    return _anchored_cycle(g, s, b, (g.n,)) is not None
 
 
 def in_family_Fk(g: Graph, k: int, budget=None) -> bool:

@@ -8,16 +8,21 @@ order, so the first witness found is deterministic.
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .colouring import CycleWitness, EdgeColouring, TreeWitness, WalkWitness
 from .errors import InvalidParameter, NotInFamily
-from .graph import Budget, Graph, in_family_Fk, is_connected
-
-INF = float("inf")
+from .graph import (
+    INF,
+    Budget,
+    Graph,
+    _anchored_cycle,
+    _bfs_distances,
+    _bipartition,
+    in_family_Fk,
+    is_connected,
+)
 
 
 def colex_subsets(n: int, k: int, universe=None):
@@ -36,84 +41,18 @@ def colex_subsets(n: int, k: int, universe=None):
         yield tuple(items[i] for i in idx)
 
 
-def _bfs_distances(g: Graph, source: int) -> list:
-    dist = [INF] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w, _ in g.adjacency[v]:
-            if dist[w] is INF or dist[w] > dist[v] + 1:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # Rainbow cycles
 
 
 def rainbow_cycle_through(c: EdgeColouring, s, budget=None):
     """First rainbow simple cycle containing every vertex of s, else None."""
-    g = c.graph
     s = sorted(set(s))
     if not s:
         raise InvalidParameter("need at least one vertex")
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    anchor = s[0]
-    r = c.r
-    dist_anchor = _bfs_distances(g, anchor)
-    dist_to = {v: _bfs_distances(g, v) for v in s[1:]}
-    adj = g.adjacency
-    colour_of = c.colour_of
-    path = [anchor]
-    on_path = {anchor}
-    used_cols = set()
-    edge_ids = []
-
-    def lower_bound(v, missing):
-        lb = dist_anchor[v]
-        for m in missing:
-            need = dist_to[m][v] + dist_anchor[m]
-            if need > lb:
-                lb = need
-        return lb
-
-    def extend(missing):
-        b.spend()
-        v = path[-1]
-        if not missing and len(path) >= 3 and g.has_edge(v, anchor):
-            eid = g.edge_id(v, anchor)
-            if colour_of[eid] not in used_cols:
-                edge_ids.append(eid)
-                return True
-        if len(path) + lower_bound(v, missing) > r + 1:
-            return False  # even the cheapest completion exceeds the palette
-        for w, eid in adj[v]:
-            if w in on_path:
-                continue
-            col = colour_of[eid]
-            if col in used_cols:
-                continue
-            path.append(w)
-            on_path.add(w)
-            used_cols.add(col)
-            edge_ids.append(eid)
-            took = w in missing
-            if took:
-                missing.discard(w)
-            if extend(missing):
-                return True
-            if took:
-                missing.add(w)
-            edge_ids.pop()
-            used_cols.discard(col)
-            on_path.discard(path.pop())
-        return False
-
-    if extend(set(s[1:])):
-        return CycleWitness(tuple(path), tuple(edge_ids))
-    return None
+    found = _anchored_cycle(c.graph, s, b, (c.r,), c.colour_of)
+    return None if found is None else CycleWitness(*found)
 
 
 def min_cycle_length_through(g: Graph, s, budget=None, cap=None):
@@ -129,55 +68,18 @@ def min_cycle_length_through(g: Graph, s, budget=None, cap=None):
         raise InvalidParameter("need at least one vertex")
     b = budget if isinstance(budget, Budget) else Budget(budget)
     anchor = s[0]
-    dist_anchor = _bfs_distances(g, anchor)
-    dist_to = {v: _bfs_distances(g, v) for v in s[1:]}
-    if any(dist_to[v][anchor] is INF for v in s[1:]):
+    dist = {v: _bfs_distances(g, v) for v in s}
+    if any(dist[v][anchor] is INF for v in s[1:]):
         return None
-    adj = g.adjacency
     lb0 = 3
     for v in s[1:]:
-        lb0 = max(lb0, 2 * int(dist_to[v][anchor]))
+        lb0 = max(lb0, 2 * int(dist[v][anchor]))
         for w in s[1:]:
-            if w > v and dist_to[w][v] is not INF:
-                lb0 = max(lb0, 2 * int(dist_to[w][v]))
+            if w > v and dist[w][v] is not INF:
+                lb0 = max(lb0, 2 * int(dist[w][v]))
     top = g.n if cap is None else min(cap, g.n)
-    path = [anchor]
-    on_path = {anchor}
-
-    def lower_bound(v, missing):
-        lb = dist_anchor[v]
-        for m in missing:
-            need = dist_to[m][v] + dist_anchor[m]
-            if need > lb:
-                lb = need
-        return lb
-
-    def extend(missing, limit):
-        b.spend()
-        v = path[-1]
-        if not missing and len(path) >= 3 and g.has_edge(v, anchor):
-            return True
-        if len(path) - 1 + lower_bound(v, missing) > limit:
-            return False
-        for w, _ in adj[v]:
-            if w in on_path:
-                continue
-            path.append(w)
-            on_path.add(w)
-            took = w in missing
-            if took:
-                missing.discard(w)
-            if extend(missing, limit):
-                return True
-            if took:
-                missing.add(w)
-            on_path.discard(path.pop())
-        return False
-
-    for limit in range(lb0, top + 1):
-        if extend(set(s[1:]), limit):
-            return len(path)
-    return None
+    found = _anchored_cycle(g, s, b, range(lb0, top + 1), dist=dist)
+    return None if found is None else len(found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +227,6 @@ def verify_k_rainbow_index_colouring(c: EdgeColouring, k: int, budget=None) -> V
 # Pigeonhole collisions in complete bipartite graphs
 
 
-def _bipartition_of_complete_bipartite(g: Graph):
-    if g.n < 2 or not is_connected(g):
-        raise InvalidParameter("not a complete bipartite graph")
-    side = [None] * g.n
-    side[0] = 0
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, _ in g.adjacency[v]:
-            if side[w] is None:
-                side[w] = 1 - side[v]
-                queue.append(w)
-            elif side[w] == side[v]:
-                raise InvalidParameter("not bipartite")
-    a = [v for v in range(g.n) if side[v] == 0]
-    bcl = [v for v in range(g.n) if side[v] == 1]
-    if g.e != len(a) * len(bcl):
-        raise InvalidParameter("bipartite but not complete")
-    if len(a) <= len(bcl):
-        return a, bcl
-    return bcl, a
-
-
 def colour_class_collision(c: EdgeColouring, k: int, mode: str = "auto"):
     """k vertices of the large class with identical incident colour signatures.
 
@@ -357,7 +236,14 @@ def colour_class_collision(c: EdgeColouring, k: int, mode: str = "auto"):
     any cycle through the k vertices must repeat a colour.
     """
     g = c.graph
-    small, large = _bipartition_of_complete_bipartite(g)
+    if g.n < 2 or not is_connected(g):
+        raise InvalidParameter("not a complete bipartite graph")
+    classes = _bipartition(g)
+    if classes is None:
+        raise InvalidParameter("not bipartite")
+    small, large = classes
+    if g.e != len(small) * len(large):
+        raise InvalidParameter("bipartite but not complete")
     if mode == "auto":
         mode = "palette" if 2 * k > len(small) else "vector"
     if mode not in ("vector", "palette"):

@@ -9,15 +9,15 @@ partition number S(e, r).
 
 from __future__ import annotations
 
-import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .colouring import EdgeColouring
 from .errors import BudgetExceeded, InvalidParameter, NotInFamily, ScopeExceeded
 from .graph import (
     Budget,
     Graph,
+    _bipartition,
     cycle_vertices_to_edge_ids,
     enumerate_simple_cycles,
     find_hamilton_cycle,
@@ -37,15 +37,21 @@ MAX_SOLVER_SUBSETS = 100_000
 
 @dataclass(frozen=True)
 class Certificate:
-    """Machine-checkable lower-bound evidence; each kind re-checks independently."""
+    """Lower-bound evidence as the solver found it; the library does not re-check it.
 
-    kind: str  # distance_bound | colour_collision | obstruction_pair | exhaustion
+    distance_bound: ``subset`` lies on no cycle shorter than ``length``, so a
+    rainbow cycle through it needs at least that many colours.
+    exhaustion: every one of the ``candidates`` canonical ``r``-colourings
+    was refuted by the search.
+    """
+
+    kind: str  # distance_bound | exhaustion
     payload: dict
 
 
 @dataclass(frozen=True)
 class CrxResult:
-    kind: str  # exact | interval | unknown
+    kind: str  # exact | interval
     lower: int
     upper: int
     witness: EdgeColouring | None = None
@@ -314,37 +320,13 @@ def _detect_family(g: Graph):
 
         if g.edges == wheel(n - 1).edges:
             return ("wheel", n - 1)
-    side = _try_bipartition(g)
-    if side is not None:
-        m, nn = side
-        return ("complete_bipartite", (m, nn))
+    side = _bipartition(g)
+    if side is not None and g.e == len(side[0]) * len(side[1]):
+        return ("complete_bipartite", (len(side[0]), len(side[1])))
     parts = _try_multipartite(g)
     if parts is not None:
         return ("complete_multipartite", parts)
     return None
-
-
-def _try_bipartition(g: Graph):
-    from collections import deque
-
-    if g.n < 2 or not is_connected(g):
-        return None
-    side = [None] * g.n
-    side[0] = 0
-    q = deque([0])
-    while q:
-        v = q.popleft()
-        for w, _ in g.adjacency[v]:
-            if side[w] is None:
-                side[w] = 1 - side[v]
-                q.append(w)
-            elif side[w] == side[v]:
-                return None
-    a = side.count(0)
-    bcnt = g.n - a
-    if g.e != a * bcnt:
-        return None
-    return (min(a, bcnt), max(a, bcnt))
 
 
 def _try_multipartite(g: Graph):

@@ -131,6 +131,28 @@ class TestHadamard:
         h = gen.sylvester_hadamard(3)
         assert all(x == 1 for x in h.entries[0])
 
+    def test_order_eight_matches_block_recursion(self):
+        m = [[1]]
+        for _ in range(3):
+            m = [row + row for row in m] + [row + [-x for x in row] for row in m]
+        assert gen.sylvester_hadamard(3).entries == tuple(tuple(row) for row in m)
+
+
+def test_cli_import_does_not_load_numpy():
+    import os
+    import subprocess
+    import sys
+
+    import rainbowcycles
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowcycles.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, rainbowcycles.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
+
 
 class TestSpreadVertices:
     def test_4_64(self):

@@ -68,8 +68,18 @@ class TestConnectivity:
             for k in range(1, 4):
                 assert is_k_connected(g, k) == brute_is_k_connected(g, k), (name, k)
 
+    def test_2_connected_agrees_with_brute_force_beyond_20_vertices(self):
+        rng = random.Random(11)
+        answers = []
+        for n in range(21, 31):
+            for extra in (0, n // 4, n // 2, n, 2 * n):
+                g = random_connected_graph(rng, n, extra)
+                answers.append(is_k_connected(g, 2))
+                assert answers[-1] == brute_is_k_connected(g, 2), (n, extra)
+        assert True in answers and False in answers
+
     def test_large_graph_path_counting_route(self):
-        q5 = gen.hypercube(5)  # 32 > 20 vertices: Menger route
+        q5 = gen.hypercube(5)  # k >= 3: Menger route
         assert is_k_connected(q5, 5)
         assert not is_k_connected(q5, 6)
 

@@ -98,6 +98,19 @@ class TestMinCycleLength:
             assert w is not None
             assert min_cycle_length_through(c.graph, pair) <= len(w.vertices)
 
+    def test_matches_brute_shortest_cycle(self, corpus):
+        from conftest import brute_all_cycles
+
+        for name, g in corpus:
+            if g.n > 8:
+                continue
+            cycles = brute_all_cycles(g)
+            for k in (1, 2, 3):
+                for s in itertools.combinations(range(g.n), k):
+                    lengths = [len(e) for verts, e in cycles if set(s) <= verts]
+                    expected = min(lengths) if lengths else None
+                    assert min_cycle_length_through(g, s) == expected, (name, s)
+
 
 class TestVerify:
     def test_cube_33_certified(self):
@@ -216,8 +229,12 @@ class TestColourClassCollision:
         assert colour_class_collision(c, 4, mode="vector") is None
 
     def test_rejects_non_bipartite(self):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter, match="^not bipartite$"):
             colour_class_collision(rainbow_colouring(gen.complete(4)), 2)
+        with pytest.raises(InvalidParameter, match="^bipartite but not complete$"):
+            colour_class_collision(rainbow_colouring(gen.cycle(6)), 2)
+        with pytest.raises(InvalidParameter, match="^not a complete bipartite graph$"):
+            colour_class_collision(rainbow_colouring(Graph(4, ((0, 1), (2, 3)))), 2)
 
 
 class TestSubdividedWalks:
