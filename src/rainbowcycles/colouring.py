@@ -7,9 +7,10 @@ uniformly at construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InvalidParameter
-from .graph import Graph
+from .graph import Graph, _coloured_adjacency
 
 
 @dataclass(frozen=True)
@@ -38,6 +39,12 @@ class EdgeColouring:
                 raise InvalidParameter(
                     "declared colours unused; pass unused_ok=True if intended"
                 )
+
+    @cached_property
+    def adjacency(self):
+        """adjacency[v] = ((neighbour, edge_id, colour), ...) in ascending
+        neighbour order."""
+        return _coloured_adjacency(self.graph, self.colour_of)
 
     def used_colours(self) -> frozenset:
         return frozenset(self.colour_of)

@@ -75,6 +75,17 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def _own_colour_adjacency(self):
+        """Adjacency as (neighbour, edge_id, colour) triples with each edge
+        its own colour: the uncoloured input of the search kernels."""
+        return _coloured_adjacency(self, range(self.e))
+
+    @cached_property
+    def _distance_rows(self) -> list:
+        """BFS distance rows by source, each filled on first use."""
+        return [None] * self.n
+
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {uv: eid for eid, uv in enumerate(self.edges)}
 
@@ -130,16 +141,34 @@ def is_connected(g: Graph) -> bool:
 
 
 def _bfs_distances(g: Graph, source: int) -> list:
-    dist = [INF] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for w, _ in g.adjacency[v]:
-            if dist[w] is INF or dist[w] > dist[v] + 1:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    """Distances from source (INF where unreachable). The row is computed
+    once per graph and shared by every caller, which must not modify it."""
+    rows = g._distance_rows
+    dist = rows[source]
+    if dist is None:
+        dist = rows[source] = [INF] * g.n
+        dist[source] = 0
+        queue = deque([source])
+        while queue:
+            v = queue.popleft()
+            for w, _ in g.adjacency[v]:
+                if dist[w] is INF:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
     return dist
+
+
+def _coloured_adjacency(g: Graph, colour_of):
+    """adj[v] = ((neighbour, edge_id, colour), ...) in ascending neighbour order."""
+    return tuple(tuple((w, eid, colour_of[eid]) for w, eid in nbrs) for nbrs in g.adjacency)
+
+
+def _kernel_adjacency(g: Graph, colouring):
+    """(coloured adjacency, number of colours) that a search kernel reads:
+    the EdgeColouring's, or without one each edge as its own colour."""
+    if colouring is None:
+        return g._own_colour_adjacency, g.e
+    return colouring.adjacency, colouring.r
 
 
 def _bipartition(g: Graph):
@@ -634,7 +663,7 @@ def is_hypohamiltonian(g: Graph, budget=None) -> bool:
 # Cycles through prescribed vertices, F_k membership
 
 
-def _anchored_cycle(g: Graph, s, b: Budget, limits, colour_of=None, dist=None):
+def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     """First simple cycle through every vertex of the sorted list s, as
     (vertices, edge ids), or None.
 
@@ -642,66 +671,80 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colour_of=None, dist=None):
     first cycle found is deterministic. Each limit in ``limits`` is tried in
     turn, and a branch is cut once its path length plus a distance lower
     bound on closing the cycle through the missing vertices exceeds the
-    limit. With ``colour_of`` the cycle must also be rainbow. ``dist`` maps
-    each vertex of s to its BFS distance row; rows are computed when it is
-    not given.
+    limit. One node is one DFS state entered: the anchor alone at the start
+    of a limit, or a path extended by one vertex. A state that the bound
+    cuts at once still counts.
+
+    With an EdgeColouring ``colouring`` the cycle must also be rainbow.
+    Without one, each edge is its own colour. That cuts nothing, because a
+    simple cycle never repeats an edge, so both cases run the same loop.
     """
+    adj, palette = _kernel_adjacency(g, colouring)
     anchor = s[0]
-    if dist is None:
-        dist = {v: _bfs_distances(g, v) for v in s}
-    dist_anchor = dist[anchor]
-    adj = g.adjacency
-    path = [anchor]
-    on_path = {anchor}
-    used_cols = set()
-    edge_ids = []
+    dist_anchor = _bfs_distances(g, anchor)
+    # (vertex, its distance row, its distance to the anchor) for each of s[1:]
+    rest = [(m, _bfs_distances(g, m), dist_anchor[m]) for m in s[1:]]
+    in_rest = bytearray(g.n)
+    for m in s[1:]:
+        in_rest[m] = 1
+    on_path = bytearray(g.n)
+    on_path[anchor] = 1
+    used = bytearray(palette)
+    closing = [None] * g.n  # closing[v] = (edge id, colour) of the edge v-anchor
+    for w, eid, col in adj[anchor]:
+        closing[w] = (eid, col)
+    found = []  # (vertex, edge id) from the closing edge back to the anchor
+    left = b.limit - b.used  # nodes still allowed; Budget.used is set on exit
 
-    def lower_bound(v, missing):
-        lb = dist_anchor[v]
-        for m in missing:
-            need = dist[m][v] + dist_anchor[m]
-            if need > lb:
-                lb = need
-        return lb
-
-    def extend(missing, limit):
-        b.spend()
-        v = path[-1]
-        if not missing and len(path) >= 3 and g.has_edge(v, anchor):
-            eid = g.edge_id(v, anchor)
-            if colour_of is None or colour_of[eid] not in used_cols:
-                edge_ids.append(eid)
-                return True
-        if len(path) - 1 + lower_bound(v, missing) > limit:
-            return False
-        for w, eid in adj[v]:
-            if w in on_path:
+    def extend(v, depth, missing):
+        """Enter each child of the path that ends at v and has depth edges;
+        missing holds the entries of rest whose vertex is not on the path."""
+        nonlocal left
+        depth += 1
+        for w, eid, col in adj[v]:
+            if on_path[w] or used[col]:
                 continue
-            if colour_of is not None:
-                col = colour_of[eid]
-                if col in used_cols:
-                    continue
-                used_cols.add(col)
-            path.append(w)
-            on_path.add(w)
-            edge_ids.append(eid)
-            took = w in missing
-            if took:
-                missing.discard(w)
-            if extend(missing, limit):
-                return True
-            if took:
-                missing.add(w)
-            if colour_of is not None:
-                used_cols.discard(col)
-            edge_ids.pop()
-            on_path.discard(path.pop())
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(b.limit)
+            # the child's node: close the cycle, cut it by the bound, or go on;
+            # w and col are marked only while the DFS is below the child
+            if in_rest[w]:
+                missing_w = [t for t in missing if t[0] != w]
+            else:
+                missing_w = missing
+            if not missing_w and depth >= 2:
+                close = closing[w]
+                if close is not None and close[1] != col and not used[close[1]]:
+                    found.append((anchor, close[0]))
+                    found.append((w, eid))
+                    return True
+            lb = dist_anchor[w]
+            for m, row, dm in missing_w:
+                if row[w] + dm > lb:
+                    lb = row[w] + dm
+            if depth + lb <= limit:
+                on_path[w] = used[col] = 1
+                if extend(w, depth, missing_w):
+                    found.append((w, eid))
+                    return True
+                on_path[w] = used[col] = 0
         return False
 
-    for limit in limits:
-        if extend(set(s[1:]), limit):
-            return tuple(path), tuple(edge_ids)
-    return None
+    # the anchor alone: it cannot close a cycle, and its bound is the
+    # longest detour to a vertex of rest and back
+    root_lb = max((2 * dm for _, _, dm in rest), default=0)
+    try:
+        for limit in limits:
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(b.limit)
+            if root_lb <= limit and extend(anchor, 0, rest):
+                found.reverse()
+                return (anchor,) + tuple(w for w, _ in found[:-1]), tuple(e for _, e in found)
+        return None
+    finally:
+        b.used = b.limit - left
 
 
 def cycle_through_exists(g: Graph, s, budget=None) -> bool:
@@ -719,6 +762,7 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     k = 1 and k = 2 use the structural characterisations (2-connected blocks,
     2-connectivity); k >= 3 falls back to checking every k-subset, which is
     exponential -- a cheap Hamiltonicity shortcut covers the common case.
+    The shortcut's nodes, at most 2 M of them, count against ``budget`` too.
     """
     if k < 1:
         raise InvalidParameter("k must be positive")
@@ -736,11 +780,15 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     if k == 2:
         return True
     b = budget if isinstance(budget, Budget) else Budget(budget)
+    # the shortcut may give up after 2 M nodes; what it spends is charged to b
+    shortcut = Budget(min(b.limit - b.used, 2_000_000))
     try:
-        if find_hamilton_cycle(g, Budget(min(b.limit, 2_000_000))) is not None:
-            return True
+        hamiltonian = find_hamilton_cycle(g, shortcut) is not None
     except BudgetExceeded:
-        pass
+        hamiltonian = False
+    b.spend(shortcut.used)
+    if hamiltonian:
+        return True
     for s in itertools.combinations(range(g.n), k):
         if not cycle_through_exists(g, s, b):
             return False

@@ -12,7 +12,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .colouring import CycleWitness, EdgeColouring, TreeWitness, WalkWitness
-from .errors import InvalidParameter, NotInFamily
+from .errors import BudgetExceeded, InvalidParameter, NotInFamily
 from .graph import (
     INF,
     Budget,
@@ -20,6 +20,7 @@ from .graph import (
     _anchored_cycle,
     _bfs_distances,
     _bipartition,
+    _kernel_adjacency,
     in_family_Fk,
     is_connected,
 )
@@ -51,7 +52,7 @@ def rainbow_cycle_through(c: EdgeColouring, s, budget=None):
     if not s:
         raise InvalidParameter("need at least one vertex")
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    found = _anchored_cycle(c.graph, s, b, (c.r,), c.colour_of)
+    found = _anchored_cycle(c.graph, s, b, (c.r,), c)
     return None if found is None else CycleWitness(*found)
 
 
@@ -78,7 +79,7 @@ def min_cycle_length_through(g: Graph, s, budget=None, cap=None):
             if w > v and dist[w][v] is not INF:
                 lb0 = max(lb0, 2 * int(dist[w][v]))
     top = g.n if cap is None else min(cap, g.n)
-    found = _anchored_cycle(g, s, b, range(lb0, top + 1), dist=dist)
+    found = _anchored_cycle(g, s, b, range(lb0, top + 1))
     return None if found is None else len(found[0])
 
 
@@ -284,6 +285,14 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     Iterative deepening on the total walk length keeps the backtracking from
     wandering: each level is a complete search over walks of that total
     length, and the distance-based level bounds make the exhaustion exact.
+    One node is one DFS state entered: a path started at its anchor, or a
+    path extended by one vertex. A state that the distance bound cuts at
+    once still counts.
+
+    Without a colouring each edge is its own colour, which cuts nothing, so
+    both cases run the same loop. A path never repeats an edge, and two paths
+    never share one: every edge of a path of length >= 2 has an internal
+    endpoint, and an internal vertex is neither an anchor nor on another path.
     """
     s = tuple(s)
     if not s:
@@ -303,18 +312,20 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     if not segments:
         return WalkWitness(s, tuple(paths))
 
-    dist_to = {}
-    sorted_adj = {}
+    adj, palette = _kernel_adjacency(g, colouring)
+    # per target: its distance row, and each vertex's (neighbour, edge id,
+    # colour) triples ordered by (distance to the target, neighbour); the
+    # sort is stable and adj lists neighbours in ascending order
+    toward = {}
     for _, _, bv in segments:
-        if bv not in dist_to:
-            dist_to[bv] = _bfs_distances(g, bv)
-            sorted_adj[bv] = tuple(
-                tuple(sorted(g.adjacency[v], key=lambda t: (dist_to[bv][t[0]], t[0])))
-                for v in range(g.n)
+        if bv not in toward:
+            dist = _bfs_distances(g, bv)
+            toward[bv] = dist, tuple(
+                tuple(sorted(nbrs, key=lambda t: dist[t[0]])) for nbrs in adj
             )
     seg_lb = []
     for _, a, bv in segments:
-        d = dist_to[bv][a]
+        d = toward[bv][0][a]
         if d is INF:
             return None
         seg_lb.append(max(2, int(d)))
@@ -322,64 +333,77 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     for i in range(len(segments) - 1, -1, -1):
         rest_lb[i] = rest_lb[i + 1] + seg_lb[i]
 
-    colour_of = colouring.colour_of if colouring is not None else None
     vertex_cap = (g.n - len(anchor_set)) + len(segments)
-    cap = vertex_cap if colouring is None else min(vertex_cap, colouring.r)
+    cap = vertex_cap if colouring is None else min(vertex_cap, palette)
     if rest_lb[0] > cap:
         return None
-    blocked = set(anchor_set)
-    used_cols = set()
+    marks = bytearray(g.n)  # the anchors and the internal vertices of the paths
+    for v in anchor_set:
+        marks[v] = 1
+    used = bytearray(palette)
+    left = b.limit - b.used  # nodes still allowed; Budget.used is set on exit
 
-    def solve(seg_idx, edges_left):
-        if seg_idx == len(segments):
-            return True
-        i, a, target = segments[seg_idx]
-        dist = dist_to[target]
-        nbrs = sorted_adj[target]
-        path = [a]
+    def path_search(j, enter_next):
+        """Entry to the DFS of segment j: enter(edges_left) is True once this
+        path and, through enter_next, all later ones are found."""
+        i, a, target = segments[j]
+        dist, nbrs = toward[target]
+        rest = rest_lb[j + 1]
+        trail = []  # on success: the target, then the internal vertices backwards
 
-        def step():
-            b.spend()
-            v = path[-1]
-            done = len(path) - 1
-            room = edges_left - rest_lb[seg_idx + 1] - done
-            # room = edges this segment may still use at the current level
-            if max(dist[v], 2 - done) > room:
-                return False
-            for w, eid in nbrs[v]:
-                col = colour_of[eid] if colour_of is not None else None
-                if col is not None and col in used_cols:
+        def step(v, done, room):
+            # room = edges this path may still use at the current level
+            nonlocal left
+            for w, eid, col in nbrs[v]:
+                if used[col]:
                     continue
-                if w == target:
-                    if done < 1:  # non-trivial paths need length >= 2
-                        continue
-                    paths[i] = tuple(path) + (w,)
-                    if col is not None:
-                        used_cols.add(col)
-                    inner = path[1:]
-                    blocked.update(inner)
-                    if solve(seg_idx + 1, edges_left - done - 1):
-                        return True
-                    blocked.difference_update(inner)
-                    if col is not None:
-                        used_cols.discard(col)
-                    paths[i] = None
+                if marks[w]:
+                    # the target is an anchor, so it is marked too; a
+                    # non-trivial path needs length >= 2
+                    if w == target and done:
+                        used[col] = 1
+                        if enter_next(room + rest - 1):
+                            trail.append(w)
+                            return True
+                        used[col] = 0
                     continue
-                if w in blocked or w in path:
+                # the child's node, cut when max(dist[w], 1 - done) > room - 1;
+                # 1 - done > room - 1 cannot hold, as this node has 2 - done <= room
+                left -= 1
+                if left < 0:
+                    raise BudgetExceeded(b.limit)
+                if dist[w] >= room:
                     continue
-                path.append(w)
-                if col is not None:
-                    used_cols.add(col)
-                if step():
+                marks[w] = used[col] = 1
+                if step(w, done + 1, room - 1):
+                    trail.append(w)
                     return True
-                if col is not None:
-                    used_cols.discard(col)
-                path.pop()
+                marks[w] = used[col] = 0
             return False
 
-        return step()
+        def enter(edges_left):
+            nonlocal left
+            left -= 1
+            if left < 0:
+                raise BudgetExceeded(b.limit)
+            room = edges_left - rest
+            if max(dist[a], 2) > room or not step(a, 0, room):
+                return False
+            paths[i] = (a,) + tuple(reversed(trail))
+            return True
 
-    for level in range(rest_lb[0], cap + 1):
-        if solve(0, level):
-            return WalkWitness(s, tuple(paths))
-    return None
+        return enter
+
+    def closed(edges_left):  # entered after the last path: the walk is complete
+        return True
+
+    enter = closed
+    for j in range(len(segments) - 1, -1, -1):
+        enter = path_search(j, enter)
+    try:
+        for level in range(rest_lb[0], cap + 1):
+            if enter(level):
+                return WalkWitness(s, tuple(paths))
+        return None
+    finally:
+        b.used = b.limit - left

@@ -147,3 +147,48 @@ def brute_has_rainbow_cycle_through(colouring, s) -> bool:
         if ss <= verts and len({colouring.colour_of[e] for e in eids}) == len(eids):
             return True
     return False
+
+
+def brute_subdivided_closed_walk_exists(g: Graph, s, colouring=None) -> bool:
+    """Definitional check for an S-subdivided closed walk through the ordered
+    tuple s: every simple path of length >= 2 between each pair of distinct
+    consecutive anchors is listed, and one path per pair is chosen so that no
+    internal vertex is an anchor or internal to another path, no edge repeats
+    and, with a colouring, no colour repeats."""
+    s = tuple(s)
+    anchors = set(s)
+    pairs = [(s[i], s[(i + 1) % len(s)]) for i in range(len(s))]
+    pairs = [(a, b) for a, b in pairs if a != b]
+
+    def simple_paths(a, b):
+        out = []
+        stack = [(a, (a,))]
+        while stack:
+            v, path = stack.pop()
+            for w, _ in g.adjacency[v]:
+                if w == b and len(path) >= 2:
+                    out.append(path + (w,))
+                elif w not in anchors and w not in path:
+                    stack.append((w, path + (w,)))
+        return out
+
+    options = []
+    for a, b in pairs:
+        paths = []
+        for path in simple_paths(a, b):
+            eids = [g.edge_id(x, y) for x, y in zip(path, path[1:])]
+            labels = eids if colouring is None else [colouring.colour_of[e] for e in eids]
+            if len(set(labels)) == len(labels):
+                paths.append((frozenset(path[1:-1]), frozenset(labels)))
+        options.append(paths)
+
+    def choose(i, inner, labels):
+        if i == len(options):
+            return True
+        return any(
+            choose(i + 1, inner | p_inner, labels | p_labels)
+            for p_inner, p_labels in options[i]
+            if not inner & p_inner and not labels & p_labels
+        )
+
+    return choose(0, frozenset(), frozenset())

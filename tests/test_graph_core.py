@@ -275,6 +275,19 @@ class TestFamilyMembership:
     def test_k_above_order(self):
         assert not in_family_Fk(gen.complete(4), 5)
 
+    def test_hamilton_shortcut_counts_against_the_budget(self):
+        # Petersen is not Hamiltonian, so at k = 3 the shortcut fails and
+        # every 3-subset is checked; both searches spend the caller's budget
+        g = gen.petersen()
+        shortcut, subsets = Budget(), Budget()
+        assert find_hamilton_cycle(g, shortcut) is None
+        assert all(cycle_through_exists(g, s, subsets)
+                   for s in itertools.combinations(range(g.n), 3))
+        assert (shortcut.used, subsets.used) == (142, 1189)
+        b = Budget()
+        assert in_family_Fk(g, 3, b)
+        assert b.used == 142 + 1189
+
     def test_monotone_in_k(self, corpus):
         for name, g in corpus:
             for k in range(2, min(g.n, 5) + 1):

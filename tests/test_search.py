@@ -3,7 +3,11 @@ import random
 
 import pytest
 
-from conftest import brute_has_rainbow_cycle_through
+from conftest import (
+    brute_has_rainbow_cycle_through,
+    brute_subdivided_closed_walk_exists,
+    random_connected_graph,
+)
 from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
 from rainbowcycles.colouring import (
@@ -14,7 +18,7 @@ from rainbowcycles.colouring import (
     rainbow_colouring,
 )
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily
-from rainbowcycles.graph import Graph
+from rainbowcycles.graph import Budget, Graph
 from rainbowcycles.search import (
     colex_subsets,
     colour_class_collision,
@@ -275,7 +279,115 @@ class TestSubdividedWalks:
         assert check_walk_witness(c.graph, w, c, require_rainbow=True)
 
 
+class TestGoldenNodeCounts:
+    """Node counts and witnesses of fixed calls. A change that only makes a
+    node cheaper must leave every one of them as it is."""
+
+    @pytest.fixture(scope="class")
+    def cube_k3(self):
+        return cons.colour_cube_recursive(6, 4, 3)
+
+    @pytest.mark.parametrize("s, nodes, paths", [
+        ((41, 41, 41, 42), 4, ((41,), (41,), (41, 40, 42), (42, 43, 41))),
+        ((38, 45, 10, 32), 1012,
+         ((38, 39, 37, 45), (45, 13, 9, 11, 10), (10, 2, 0, 32), (32, 36, 38))),
+    ])
+    def test_coloured_q6_walk(self, cube_k3, s, nodes, paths):
+        b = Budget(50_000)
+        w = find_subdivided_closed_walk(cube_k3.graph, s, colouring=cube_k3, budget=b)
+        assert (b.used, w.paths) == (nodes, paths)
+
+    def test_coloured_q6_walk_budget_out(self, cube_k3):
+        b = Budget(50_000)
+        with pytest.raises(BudgetExceeded):
+            find_subdivided_closed_walk(cube_k3.graph, (0, 15, 5, 33), colouring=cube_k3,
+                                        budget=b)
+        assert b.used == 50_001
+
+    def test_uncoloured_q6_walk(self):
+        b = Budget(50_000)
+        w = find_subdivided_closed_walk(gen.hypercube(6), (0, 15, 5, 33), budget=b)
+        assert b.used == 10
+        assert w.paths == ((0, 1, 3, 7, 15), (15, 13, 5), (5, 37, 33), (33, 32, 0))
+
+    def test_walks_over_several_levels(self):
+        # odd cycles put the distance bound to work on every level tried
+        b = Budget()
+        w = find_subdivided_closed_walk(gen.petersen(), (0, 2, 4, 6), budget=b)
+        assert b.used == 21
+        assert w.paths == ((0, 1, 2), (2, 3, 4), (4, 9, 6), (6, 8, 5, 0))
+        c = cons.colour_wheel(9, 3, verify=False)
+        b = Budget()
+        w = find_subdivided_closed_walk(c.graph, (1, 4, 7), colouring=c, budget=b)
+        assert b.used == 87
+        assert w.paths == ((1, 2, 3, 4), (4, 9, 7), (7, 8, 0, 1))
+        b = Budget()
+        assert find_subdivided_closed_walk(c.graph, (0, 3, 6, 8), colouring=c, budget=b) is None
+        assert b.used == 11
+
+    def test_wheel_verify_and_cycles(self):
+        c = cons.colour_wheel(10, 3, verify=False)
+        b = Budget()
+        report = verify_k_rainbow_cycle_colouring(c, 3, b)
+        assert (report.subsets_checked, report.search_nodes, b.used) == (165, 2769, 2769)
+        b = Budget()
+        w = rainbow_cycle_through(c, (0, 4, 7), b)
+        assert b.used == 11
+        assert w.vertices == (0, 1, 2, 3, 4, 10, 7, 8, 9)
+        assert w.edge_ids == (0, 3, 5, 7, 10, 16, 15, 17, 1)
+
+    def test_far_pair_cut_at_the_anchor(self):
+        # a cycle through antipodes of Q_4 needs 8 edges, more than 5 colours
+        q = gen.hypercube(4)
+        b = Budget()
+        assert rainbow_cycle_through(EdgeColouring(q, tuple(i % 5 for i in range(q.e)), 5),
+                                     (0, 15), b) is None
+        assert b.used == 1
+
+    def test_colex_bipartite_cycle(self):
+        c = cons.colour_bipartite(3, 38, 2, verify=False)
+        b = Budget()
+        w = rainbow_cycle_through(c, (36, 40), b)
+        assert b.used == 12_763
+        assert w.vertices == (36, 0, 40, 1, 6, 2)
+        assert w.edge_ids == (33, 37, 75, 41, 79, 109)
+
+    @pytest.mark.parametrize("g, s, length, nodes", [
+        (gen.hypercube(5), (0, 5, 26), 10, 218),
+        (gen.wheel(10), (1, 4, 8), 8, 265),
+    ])
+    def test_min_cycle_length(self, g, s, length, nodes):
+        b = Budget()
+        assert min_cycle_length_through(g, s, b) == length
+        assert b.used == nodes
+
+
 class TestOracleAgreement:
+    def test_walk_search_matches_brute(self):
+        rng = random.Random(2024)
+        graphs = [gen.hypercube(3), gen.cycle(6), gen.complete(4), gen.complete_bipartite(3, 3)]
+        graphs += [random_connected_graph(rng, rng.randrange(5, 9), rng.randrange(3, 10))
+                   for _ in range(6)]
+        # (coloured, walk exists) -> calls with at least two distinct anchors
+        outcomes = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
+        for g in graphs:
+            for _ in range(60):
+                s = tuple(rng.randrange(g.n) for _ in range(rng.randrange(1, 5)))
+                r = rng.randrange(max(2, g.e // 2), g.e + 1)
+                random_colouring = EdgeColouring(
+                    g, tuple(rng.randrange(r) for _ in range(g.e)), r, unused_ok=True
+                )
+                for c in (None, random_colouring):
+                    w = find_subdivided_closed_walk(g, s, colouring=c)
+                    exists = brute_subdivided_closed_walk_exists(g, s, c)
+                    assert (w is not None) == exists, (g.edges, s, c)
+                    if len(set(s)) > 1:
+                        outcomes[c is not None, exists] += 1
+                    if w is not None:
+                        assert w.anchors == s
+                        assert check_walk_witness(g, w, c, require_rainbow=c is not None)
+        assert min(outcomes.values()) >= 50, outcomes
+
     def test_rainbow_cycle_search_matches_naive(self, corpus):
         rng = random.Random(99)
         for name, g in corpus:
