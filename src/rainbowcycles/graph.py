@@ -745,6 +745,7 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
         return None
     finally:
         b.used = b.limit - left
+        del extend  # it refers to itself through its cell; free the search state now
 
 
 def cycle_through_exists(g: Graph, s, budget=None) -> bool:

@@ -342,6 +342,7 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
         marks[v] = 1
     used = bytearray(palette)
     left = b.limit - b.used  # nodes still allowed; Budget.used is set on exit
+    cuts = []  # each step refers to itself through its cell; these free them on exit
 
     def path_search(j, enter_next):
         """Entry to the DFS of segment j: enter(edges_left) is True once this
@@ -392,6 +393,11 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
             paths[i] = (a,) + tuple(reversed(trail))
             return True
 
+        def cut():
+            nonlocal step
+            step = None
+
+        cuts.append(cut)
         return enter
 
     def closed(edges_left):  # entered after the last path: the walk is complete
@@ -407,3 +413,5 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
         return None
     finally:
         b.used = b.limit - left
+        for cut in cuts:
+            cut()

@@ -9,10 +9,11 @@ partition number S(e, r).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
-from .colouring import EdgeColouring
+from .colouring import EdgeColouring, rainbow_colouring
 from .errors import BudgetExceeded, InvalidParameter, NotInFamily, ScopeExceeded
 from .graph import (
     Budget,
@@ -25,11 +26,7 @@ from .graph import (
     in_family_Fk,
     is_connected,
 )
-from .search import (
-    colex_subsets,
-    min_cycle_length_through,
-    rainbow_tree_through,
-)
+from .search import colex_subsets, min_cycle_length_through
 
 MAX_SOLVER_EDGES = 16
 MAX_SOLVER_SUBSETS = 100_000
@@ -39,8 +36,9 @@ MAX_SOLVER_SUBSETS = 100_000
 class Certificate:
     """Lower-bound evidence as the solver found it; the library does not re-check it.
 
-    distance_bound: ``subset`` lies on no cycle shorter than ``length``, so a
-    rainbow cycle through it needs at least that many colours.
+    distance_bound: every structure covering ``subset`` has at least
+    ``length`` edges (for crx the shortest cycle through it, for rx the
+    smallest tree containing it), so a rainbow one needs that many colours.
     exhaustion: every one of the ``candidates`` canonical ``r``-colourings
     was refuted by the search.
     """
@@ -72,8 +70,7 @@ def stirling2(n: int, k: int) -> int:
     for i in range(1, n + 1):
         new = [0] * (k + 1)
         for j in range(1, min(i, k) + 1):
-            new[j] = j * row[j] + (row[j - 1] if j - 1 <= i - 1 else 0)
-        new[0] = 1 if i == 0 else 0
+            new[j] = j * row[j] + row[j - 1]
         row = new
     return row[k]
 
@@ -97,8 +94,6 @@ def canonical_colourings(e: int, r: int):
 
 
 def _guard_scope(g: Graph, k: int, force: bool):
-    import math
-
     if not force:
         if g.e > MAX_SOLVER_EDGES:
             raise ScopeExceeded(
@@ -110,103 +105,137 @@ def _guard_scope(g: Graph, k: int, force: bool):
             )
 
 
-def _cycles_by_subset(g: Graph, k: int, budget):
-    """All simple cycles, and for each colex k-subset the cycles covering it."""
-    cycles = enumerate_simple_cycles(g, budget)
-    cycle_edges = [cycle_vertices_to_edge_ids(g, c) for c in cycles]
-    cycle_verts = [set(c) for c in cycles]
-    subsets = list(colex_subsets(g.n, k))
-    covering = []
-    for s in subsets:
-        ss = set(s)
-        covering.append([i for i, cv in enumerate(cycle_verts) if ss <= cv])
-    return subsets, cycle_edges, covering
-
-
 def crx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
-    """Exact k-rainbow cycle index by canonical enumeration.
-
-    For each candidate colour count r (starting at the distance lower bound)
-    the surjective canonical r-colourings are walked depth-first; a partial
-    colouring is abandoned only when some k-subset already has every covering
-    cycle spoiled by a repeated colour, which is valid for all completions.
-    The first feasible colouring found is the canonically least witness.
-    """
+    """Exact k-rainbow cycle index by canonical enumeration (see _exact); the
+    structures that must be rainbow are the simple cycles."""
     if not in_family_Fk(g, k):
         raise NotInFamily(k)
     _guard_scope(g, k, force)
     b = budget if isinstance(budget, Budget) else Budget(budget)
     try:
-        subsets, cycle_edges, covering = _cycles_by_subset(g, k, b)
+        cycles = [(cycle_vertices_to_edge_ids(g, c), frozenset(), frozenset(c))
+                  for c in enumerate_simple_cycles(g, b)]
     except BudgetExceeded:
         return CrxResult("interval", max(k, girth(g) or 3), g.e, None, ())
-    dist_bound = max(min(len(cycle_edges[ci]) for ci in cov) for cov in covering)
-    bound_set = subsets[
-        max(range(len(subsets)), key=lambda i: min(len(cycle_edges[ci]) for ci in covering[i]))
-    ]
-    evidence = [
-        Certificate(
-            "distance_bound",
-            {"subset": bound_set, "length": dist_bound,
-             "covers_r_below": dist_bound},
-        )
-    ]
-    r0 = max(k, dist_bound)
-    m = g.e
-    edge_cycles = [[] for _ in range(m)]  # cycle indices through each edge
-    for ci, eids in enumerate(cycle_edges):
-        for eid in eids:
-            edge_cycles[eid].append(ci)
-    subsets_of_cycle = [[] for _ in cycle_edges]
-    for si, cov in enumerate(covering):
-        for ci in cov:
-            subsets_of_cycle[ci].append(si)
+    return _exact(g, k, b, cycles)
 
-    for r in range(r0, m + 1):
+
+def rx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
+    """Exact k-rainbow index by canonical enumeration (see _exact); rx_1 = 0.
+
+    The structures that must be rainbow are the subtrees with at most k
+    leaves, each covering the k-subsets that hold its leaves: pruning the
+    leaves outside S from a rainbow tree through S leaves one of them. A
+    budget spent while listing them gives the interval [max(1, k - 1), e].
+    """
+    if not is_connected(g):
+        raise InvalidParameter("rx needs a connected graph")
+    if not 1 <= k <= g.n:
+        raise InvalidParameter(f"k must lie in 1..{g.n}")
+    if k == 1:
+        return CrxResult("exact", 0, 0, None, ())
+    _guard_scope(g, k, force)
+    b = budget if isinstance(budget, Budget) else Budget(budget)
+    adj, trees = g.adjacency, []
+    try:
+        for root in range(g.n):
+            frontier = [(eid, x) for x, eid in adj[root] if x > root]
+            _grow_subtrees(adj, root, k, b, {root}, (), frontier, trees)
+    except BudgetExceeded:
+        return CrxResult("interval", max(1, k - 1), g.e, None, ())
+    return _exact(g, k, b, trees)
+
+
+def _grow_subtrees(adj, root, k, b, verts, eids, frontier, out):
+    """Append to out, as (edge ids, leaves, vertices), each subtree with an
+    edge and at most k leaves that has least vertex root and extends the tree
+    (verts, eids) by (edge id, new vertex) pairs of frontier. The first pair
+    is excluded, then included, so each subtree is reached once. One call is
+    one budget node."""
+    b.spend()
+    if frontier:
+        (eid, w), rest = frontier[0], frontier[1:]
+        _grow_subtrees(adj, root, k, b, verts, eids, rest, out)
+        grown = [f for f in rest if f[1] != w]
+        grown += [(e2, x) for x, e2 in adj[w] if x > root and x not in verts]
+        _grow_subtrees(adj, root, k, b, verts | {w}, eids + (eid,), grown, out)
+    elif eids:
+        ends = [v for v in verts if sum(e2 in eids for _, e2 in adj[v]) == 1]
+        if len(ends) <= k:
+            out.append((eids, frozenset(ends), frozenset(verts)))
+
+
+def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
+    """The least r admitting a canonical r-colouring in which every k-subset
+    S is covered by a rainbow structure, with evidence for each smaller r.
+
+    A structure (edge ids, must, vertices) covers S iff must <= S <= vertices.
+    r starts at the distance bound: the largest, over S, of the fewest edges
+    of a structure covering S. For each r the surjective canonical
+    r-colourings are walked depth-first; a partial colouring is abandoned
+    only when some S already has every covering structure spoiled by a
+    repeated colour, which holds for all completions. The first feasible
+    colouring found is the canonically least witness.
+    """
+    subsets_of = [[] for _ in structures]  # the k-subsets each structure covers
+    cover_counts = []  # per k-subset: the number of structures covering it
+    bound, bound_set = 0, None
+    for ti, s in enumerate(colex_subsets(g.n, k)):
+        ss = set(s)
+        cover = [si for si, (_, must, verts) in enumerate(structures) if must <= ss <= verts]
+        for si in cover:
+            subsets_of[si].append(ti)
+        cover_counts.append(len(cover))
+        size = min(len(structures[si][0]) for si in cover)
+        if size > bound:
+            bound, bound_set = size, s
+    evidence = [Certificate("distance_bound", {"subset": bound_set, "length": bound,
+                                               "covers_r_below": bound})]
+    through = [[] for _ in range(g.e)]  # the structures through each edge
+    for si, (eids, _, _) in enumerate(structures):
+        for eid in eids:
+            through[eid].append(si)
+    for r in range(bound, g.e + 1):
         try:
-            witness = _search_r(g, r, b, cycle_edges, covering, edge_cycles,
-                                subsets_of_cycle)
+            witness = _search_r(g, r, b, through, subsets_of, cover_counts)
         except BudgetExceeded:
-            return CrxResult("interval", r, m, None, tuple(evidence))
+            return CrxResult("interval", r, g.e, None, tuple(evidence))
         if witness is not None:
             return CrxResult("exact", r, r, witness, tuple(evidence))
-        evidence.append(
-            Certificate("exhaustion", {"r": r, "candidates": stirling2(m, r)})
-        )
-    raise InvalidParameter("no feasible colouring found; graph should be in F_k")
+        evidence.append(Certificate("exhaustion", {"r": r, "candidates": stirling2(g.e, r)}))
+    raise InvalidParameter(f"no feasible colouring with up to {g.e} colours")
 
 
-def _search_r(g, r, b, cycle_edges, covering, edge_cycles, subsets_of_cycle):
+def _search_r(g, r, b, through, subsets_of, cover_counts):
     """First feasible canonical r-colouring, else None (complete refutation)."""
     m = g.e
-    n_cycles = len(cycle_edges)
-    cycle_cols = [dict() for _ in range(n_cycles)]  # colour -> count on coloured edges
-    cycle_dead = [False] * n_cycles
-    alive = [len(cov) for cov in covering]
+    cols = [dict() for _ in subsets_of]  # per structure: colour -> count on coloured edges
+    dead = [False] * len(subsets_of)
+    alive = list(cover_counts)
     colour = [0] * m
 
     def assign(eid, c, killed):
         # keep the update total even when a subset dies, so unassign is exact
         ok = True
-        for ci in edge_cycles[eid]:
-            counts = cycle_cols[ci]
+        for si in through[eid]:
+            counts = cols[si]
             counts[c] = counts.get(c, 0) + 1
-            if counts[c] == 2 and not cycle_dead[ci]:
-                cycle_dead[ci] = True
-                killed.append(ci)
-                for si in subsets_of_cycle[ci]:
-                    alive[si] -= 1
-                    if alive[si] == 0:
+            if counts[c] == 2 and not dead[si]:
+                dead[si] = True
+                killed.append(si)
+                for ti in subsets_of[si]:
+                    alive[ti] -= 1
+                    if alive[ti] == 0:
                         ok = False
         return ok
 
     def unassign(eid, c, killed):
-        for ci in killed:
-            cycle_dead[ci] = False
-            for si in subsets_of_cycle[ci]:
-                alive[si] += 1
-        for ci in edge_cycles[eid]:
-            counts = cycle_cols[ci]
+        for si in killed:
+            dead[si] = False
+            for ti in subsets_of[si]:
+                alive[ti] += 1
+        for si in through[eid]:
+            counts = cols[si]
             counts[c] -= 1
             if not counts[c]:
                 del counts[c]
@@ -228,41 +257,11 @@ def _search_r(g, r, b, cycle_edges, covering, edge_cycles, subsets_of_cycle):
             unassign(i, c, killed)
         return None
 
-    found = rec(0, 0)
-    if found is None:
-        return None
-    return EdgeColouring(g, found, r)
-
-
-def rx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
-    """Exact k-rainbow index by the same canonical enumeration, with
-    feasibility decided by rainbow-tree search; rx_1 = 0 by convention."""
-    if not is_connected(g):
-        raise InvalidParameter("rx needs a connected graph")
-    if k < 1:
-        raise InvalidParameter("k must be positive")
-    if k == 1:
-        return CrxResult("exact", 0, 0, None, ())
-    _guard_scope(g, k, force)
-    b = budget if isinstance(budget, Budget) else Budget(budget)
-    m = g.e
-    subsets = list(colex_subsets(g.n, k))
-    evidence = []
-    for r in range(1, m + 1):
-        feasible = None
-        try:
-            for cand in canonical_colourings(m, r):
-                b.spend()
-                c = EdgeColouring(g, cand, r)
-                if all(rainbow_tree_through(c, s, b) is not None for s in subsets):
-                    feasible = c
-                    break
-        except BudgetExceeded:
-            return CrxResult("interval", r, m, None, tuple(evidence))
-        if feasible is not None:
-            return CrxResult("exact", r, r, feasible, tuple(evidence))
-        evidence.append(Certificate("exhaustion", {"r": r, "candidates": stirling2(m, r)}))
-    raise InvalidParameter("even the rainbow colouring failed; graph not connected?")
+    try:
+        found = rec(0, 0)
+    finally:
+        del rec  # it refers to itself through its cell; free the search state now
+    return None if found is None else EdgeColouring(g, found, r)
 
 
 def crx_lower_bound_distance(g: Graph, k: int, budget=None,
@@ -270,8 +269,6 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None,
     """Best shortest-cycle lower bound: max of min_cycle_length_through over
     all k-subsets when their count is within budget, else a seeded sample.
     A partial maximisation is still a valid lower bound."""
-    import math
-
     if not in_family_Fk(g, k):
         raise NotInFamily(k)
     b = budget if isinstance(budget, Budget) else Budget(budget)
@@ -364,8 +361,6 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, attempts):
     if fam is not None:
         kind, param = fam
         if kind == "cycle":
-            from .colouring import rainbow_colouring
-
             return param, rainbow_colouring(g)
         if kind == "complete":
             if k <= 2:
@@ -406,11 +401,7 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, attempts):
         colour_of = [0] * g.e
         for i, (a, bv) in enumerate(zip(ham, ham[1:] + ham[:1])):
             colour_of[g.edge_id(a, bv)] = i
-        from .colouring import EdgeColouring as EC
-
-        return g.n, EC(g, tuple(colour_of), g.n, unused_ok=False)
-    from .colouring import rainbow_colouring
-
+        return g.n, EdgeColouring(g, tuple(colour_of), g.n, unused_ok=False)
     return g.e, rainbow_colouring(g)
 
 

@@ -192,3 +192,51 @@ def brute_subdivided_closed_walk_exists(g: Graph, s, colouring=None) -> bool:
         )
 
     return choose(0, frozenset(), frozenset())
+
+
+def brute_subtrees(g: Graph):
+    """(vertex set, edge ids) of every subtree with at least one edge, found
+    by checking every edge subset of at most n - 1 edges."""
+    def find(root, v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    trees = []
+    for size in range(1, g.n):
+        for eids in itertools.combinations(range(g.e), size):
+            root = list(range(g.n))  # union-find over the chosen edges
+            acyclic = True
+            for e in eids:
+                a, b = (find(root, v) for v in g.edges[e])
+                acyclic = acyclic and a != b
+                root[a] = b
+            verts = frozenset(v for e in eids for v in g.edges[e])
+            if acyclic and len(verts) == size + 1:  # so the forest is one tree
+                trees.append((verts, eids))
+    return trees
+
+
+def brute_rainbow_index(g: Graph, k: int):
+    """rx_k by definition for k >= 2, as (value, colours of the first feasible
+    colouring). Colourings are taken as restricted-growth strings with exactly
+    r values, r = 1, 2, ..., each in lexicographic order. A colouring is
+    feasible when every k-subset lies in a rainbow tree from brute_subtrees."""
+    trees = brute_subtrees(g)
+    options = [[eids for verts, eids in trees if set(s) <= verts]
+               for s in itertools.combinations(range(g.n), k)]
+
+    def strings(prefix, top, r):
+        if len(prefix) == g.e:
+            if top == r - 1:
+                yield prefix
+            return
+        for c in range(min(top + 2, r)):
+            yield from strings(prefix + (c,), max(top, c), r)
+
+    for r in range(1, g.e + 1):
+        for colours in strings((), -1, r):
+            if all(any(len({colours[e] for e in eids}) == len(eids) for eids in opts)
+                   for opts in options):
+                return r, colours
+    raise AssertionError("a connected graph is always rainbow connected")

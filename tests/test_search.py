@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -18,7 +19,7 @@ from rainbowcycles.colouring import (
     rainbow_colouring,
 )
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily
-from rainbowcycles.graph import Budget, Graph
+from rainbowcycles.graph import Budget, Graph, cycle_through_exists
 from rainbowcycles.search import (
     colex_subsets,
     colour_class_collision,
@@ -277,6 +278,29 @@ class TestSubdividedWalks:
         w = find_subdivided_closed_walk(c.graph, (0, 3, 5), colouring=c)
         assert w is not None
         assert check_walk_witness(c.graph, w, c, require_rainbow=True)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    """The recursive closures of the cycle kernel and the walk search are
+    unlinked on exit, so a call's state is freed without the cyclic collector."""
+    q4 = gen.hypercube(4)
+    c = cons.colour_cube(4, 2)
+    calls = [
+        lambda: cycle_through_exists(q4, (0, 5, 10)),
+        lambda: rainbow_cycle_through(c, (0, 15)),
+        lambda: min_cycle_length_through(q4, (0, 15)),
+        lambda: find_subdivided_closed_walk(q4, (0, 5, 10, 3)),
+        lambda: find_subdivided_closed_walk(q4, (0, 5, 10, 3), colouring=rainbow_colouring(q4)),
+        lambda: find_subdivided_closed_walk(q4, (0, 1, 0, 1, 0, 1)),  # absent
+    ]
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGoldenNodeCounts:

@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
-from conftest import theta
+from conftest import brute_rainbow_index, brute_subtrees, random_connected_graph, theta
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
-from rainbowcycles.errors import BudgetExceeded, NotInFamily, ScopeExceeded
-from rainbowcycles.graph import Graph
+from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily, ScopeExceeded
+from rainbowcycles.graph import Budget, Graph
 from rainbowcycles.search import verify_k_rainbow_cycle_colouring, verify_k_rainbow_index_colouring
 
 
@@ -80,14 +81,19 @@ class TestCrxExact:
         assert res.witness.colour_of == (0, 1, 2, 3)
 
     def test_evidence_covers_every_smaller_r(self):
-        res = solver.crx_exact(gen.complete_bipartite(2, 3), 2)
-        covered = set()
-        for cert in res.evidence:
-            if cert.kind == "distance_bound":
-                covered.update(range(1, cert.payload["length"]))
-            elif cert.kind == "exhaustion":
-                covered.add(cert.payload["r"])
-        assert covered >= set(range(1, res.value))
+        # rx runs through the same driver and gives the same kinds of evidence
+        for solve, g, k in [(solver.crx_exact, gen.complete_bipartite(2, 3), 2),
+                            (solver.rx_exact, gen.cycle(5), 3),
+                            (solver.rx_exact, gen.hypercube(3), 2),
+                            (solver.rx_exact, gen.complete_bipartite(2, 5), 2)]:
+            res = solve(g, k)
+            covered = set()
+            for cert in res.evidence:
+                if cert.kind == "distance_bound":
+                    covered.update(range(1, cert.payload["length"]))
+                elif cert.kind == "exhaustion":
+                    covered.add(cert.payload["r"])
+            assert covered >= set(range(1, res.value))
 
     def test_monotone_in_k(self):
         for g in (gen.complete(4), gen.wheel(4), gen.hypercube(3)):
@@ -117,6 +123,15 @@ class TestCrxExact:
         res = solver.crx_exact(gen.wheel(4), 2, budget=5)
         assert res.kind == "interval"
         assert res.lower <= 4 <= res.upper
+        for g, k, value in [(gen.cycle(5), 3, 3), (gen.hypercube(3), 2, 3)]:
+            # out of budget while listing the subtrees
+            res = solver.rx_exact(g, k, budget=5)
+            assert (res.kind, res.lower, res.upper) == ("interval", k - 1, g.e)
+            # out of budget at the last node of the colouring search
+            spent = Budget()
+            solver.rx_exact(g, k, spent)
+            res = solver.rx_exact(g, k, budget=spent.used - 1)
+            assert (res.kind, res.lower, res.upper) == ("interval", value, g.e)
 
 
 class TestRxExact:
@@ -139,6 +154,44 @@ class TestRxExact:
         assert solver.crx_exact(gen.complete(4), 1).value - solver.rx_exact(gen.complete(4), 1).value == 3
         assert solver.crx_exact(gen.complete(4), 2).value - solver.rx_exact(gen.complete(4), 2).value == 2
         assert solver.crx_exact(gen.cycle(5), 3).value - solver.rx_exact(gen.cycle(5), 3).value == 2
+
+    def test_k_above_n_is_rejected(self):
+        with pytest.raises(InvalidParameter):
+            solver.rx_exact(gen.cycle(4), 5)
+
+    def test_lists_every_subtree_once(self):
+        for g in (gen.hypercube(3), gen.complete(5), theta(2, 3, 4)):
+            for k in (2, 3, 4):
+                listed = []
+                for root in range(g.n):
+                    frontier = [(eid, x) for x, eid in g.adjacency[root] if x > root]
+                    solver._grow_subtrees(g.adjacency, root, k, Budget(), {root}, (), frontier,
+                                          listed)
+                expected = []
+                for verts, eids in brute_subtrees(g):
+                    ends = {v for v in verts if sum(v in g.edges[e] for e in eids) == 1}
+                    if len(ends) <= k:
+                        expected.append((eids, ends, verts))
+                got = [(tuple(sorted(eids)), ends, verts) for eids, ends, verts in listed]
+                assert sorted(got, key=repr) == sorted(expected, key=repr)
+
+    def test_matches_brute_oracle(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randint(3, 7)
+            g = random_connected_graph(rng, n, rng.randint(0, min(8, n * (n - 1) // 2) - (n - 1)))
+            for k in range(2, n + 1):
+                res = solver.rx_exact(g, k)
+                assert (res.value, res.witness.colour_of) == brute_rainbow_index(g, k), (g, k)
+
+    def test_golden_q3(self):
+        # witness recorded from the colouring-by-colouring search this solver
+        # replaced; that search spent 3,166,422 nodes
+        b = Budget()
+        res = solver.rx_exact(gen.hypercube(3), 3, b)
+        assert res.value == 3
+        assert res.witness.colour_of == (0, 1, 2, 1, 2, 0, 2, 2, 0, 1, 1, 0)
+        assert b.used <= 31_664
 
     def test_crx_always_exceeds_rx(self):
         for g, k in [(gen.complete(4), 2), (gen.cycle(5), 3), (gen.cycle(5), 4),
