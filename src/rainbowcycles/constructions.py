@@ -34,12 +34,13 @@ from .generators import (
 )
 from .graph import (
     Graph,
+    _bfs_path,
+    _is_cycle_graph,
     block_decomposition,
     ear_decomposition,
     enumerate_simple_cycles,
     in_family_Fk,
     induced_subgraph,
-    is_connected,
     is_k_connected,
     is_minimally_2_connected,
 )
@@ -536,33 +537,6 @@ def recursive_cube_walk(n: int, block: int, s, colouring: EdgeColouring | None =
 # Colour-saving constructions behind the crx = e(G) classifications
 
 
-def _is_single_cycle(g: Graph) -> bool:
-    return g.n >= 3 and g.e == g.n and is_connected(g) and all(
-        g.degree(v) == 2 for v in range(g.n)
-    )
-
-
-def _graph_without_edges(g: Graph, edge_ids) -> Graph:
-    return Graph(g.n, tuple(e for i, e in enumerate(g.edges) if i not in edge_ids))
-
-
-def _shortest_path_vertices(g: Graph, a: int, b: int):
-    prev = {a: None}
-    frontier = [a]
-    while frontier and b not in prev:
-        nxt = []
-        for v in frontier:
-            for w, _ in g.adjacency[v]:
-                if w not in prev:
-                    prev[w] = v
-                    nxt.append(w)
-        frontier = nxt
-    path = [b]
-    while prev[path[-1]] is not None:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
 def colour_save_one_crx1(g: Graph, verify: bool = True, budget=None) -> EdgeColouring:
     """Rainbow cycle colouring of a non-cycle F_1 graph with e(G)-1 colours.
 
@@ -570,7 +544,7 @@ def colour_save_one_crx1(g: Graph, verify: bool = True, budget=None) -> EdgeColo
     reuses a colour from outside the ear and its return path. Otherwise all
     blocks are rainbow and the first two blocks share one colour.
     """
-    if _is_single_cycle(g):
+    if _is_cycle_graph(g):
         raise IsCycle("a lone cycle needs all e(G) colours")
     if not in_family_Fk(g, 1):
         raise NotInFamily(1)
@@ -580,8 +554,8 @@ def colour_save_one_crx1(g: Graph, verify: bool = True, budget=None) -> EdgeColo
         last = ears.ears[-1]
         ear_edges = {g.edge_id(a, b) for a, b in zip(last, last[1:])}
         e0 = min(ear_edges)
-        before = _graph_without_edges(g, ear_edges)
-        ret = _shortest_path_vertices(before, last[0], last[-1])
+        before = Graph(g.n, tuple(uv for i, uv in enumerate(g.edges) if i not in ear_edges))
+        ret = _bfs_path(before, last[0], {last[-1]})
         off_limits = ear_edges | {g.edge_id(a, b) for a, b in zip(ret, ret[1:])}
         colour_of = [0] * m
         nxt = 0
@@ -711,7 +685,7 @@ def minimal_2conn_obstruction(g: Graph, e: int, e2: int) -> tuple[int, int]:
 
 def _obstruction_candidates(g: Graph, e: int, e2: int):
     x, y = g.edges[e]
-    g1 = _graph_without_edges(g, {e})
+    g1 = g.without_edge(e)
     chain, cuts = _linear_block_chain(g1)
     eid2 = g1.edge_index[g.edges[e2]]
     li = next(i for i, b in enumerate(chain) if eid2 in b.edge_ids)

@@ -82,7 +82,8 @@ class Graph:
 
     @cached_property
     def _distance_rows(self) -> list:
-        """BFS distance rows by source, each filled on first use."""
+        """BFS distance rows by source, each filled on first use by
+        _bfs_distances; its readers must not modify a row."""
         return [None] * self.n
 
     @cached_property
@@ -124,25 +125,14 @@ def delete_vertex(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = bytearray(g.n)
-    seen[0] = 1
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w, _ in g.adjacency[v]:
-            if not seen[w]:
-                seen[w] = 1
-                count += 1
-                queue.append(w)
-    return count == g.n
+    return g.n > 0 and INF not in _bfs_distances(g, 0)
 
 
 def _bfs_distances(g: Graph, source: int) -> list:
     """Distances from source (INF where unreachable). The row is computed
-    once per graph and shared by every caller, which must not modify it."""
+    once per graph and shared by every caller, which must not modify it:
+    the search kernels, min_cycle_length_through, and through the row of
+    vertex 0, is_connected and _bipartition."""
     rows = g._distance_rows
     dist = rows[source]
     if dist is None:
@@ -173,25 +163,49 @@ def _kernel_adjacency(g: Graph, colouring):
 
 def _bipartition(g: Graph):
     """(smaller class, larger class) of a connected bipartite graph with at
-    least two vertices, else None."""
+    least two vertices, else None. The classes are the distance parities
+    from vertex 0; the graph is bipartite iff no edge joins equal parities."""
     if g.n < 2:
         return None
-    side = [None] * g.n
-    side[0] = 0
-    queue = deque([0])
+    dist = _bfs_distances(g, 0)
+    if INF in dist or any(dist[u] % 2 == dist[v] % 2 for u, v in g.edges):
+        return None
+    a = [v for v in range(g.n) if dist[v] % 2 == 0]
+    b = [v for v in range(g.n) if dist[v] % 2 == 1]
+    return (a, b) if len(a) <= len(b) else (b, a)
+
+
+def _bfs_path(g: Graph, start: int, ends, blocked=()):
+    """Vertex tuple of the first-parent path from start to the first vertex
+    of ends that a BFS reaches, or None if it reaches none.
+
+    The BFS takes neighbours in ascending order and never expands a vertex
+    of blocked (or of ends). In that order each vertex's first parent lies
+    on its lex-least shortest path, so the path returned is the lex-least
+    shortest path to ends whose interior avoids blocked.
+    """
+    parent = {start: None}
+    queue = deque([start])
     while queue:
         v = queue.popleft()
         for w, _ in g.adjacency[v]:
-            if side[w] is None:
-                side[w] = 1 - side[v]
+            if w in parent:
+                continue
+            parent[w] = v
+            if w in ends:
+                path = [w]
+                while parent[path[-1]] is not None:
+                    path.append(parent[path[-1]])
+                return tuple(reversed(path))
+            if w not in blocked:
                 queue.append(w)
-            elif side[w] == side[v]:
-                return None
-    if None in side:
-        return None
-    a = [v for v in range(g.n) if side[v] == 0]
-    b = [v for v in range(g.n) if side[v] == 1]
-    return (a, b) if len(a) <= len(b) else (b, a)
+    return None
+
+
+def _is_cycle_graph(g: Graph) -> bool:
+    """True iff g is one cycle: connected, at least 3 vertices, all of degree 2."""
+    return (g.n >= 3 and g.e == g.n and is_connected(g)
+            and all(g.degree(v) == 2 for v in range(g.n)))
 
 
 def _max_vertex_disjoint_paths_at_least(g: Graph, s: int, t: int, k: int) -> bool:
@@ -411,7 +425,7 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
             ear = (min(a, b), max(a, b))
         else:
             u, x = (a, b) if a in covered_v else (b, a)
-            tail = _lex_shortest_path_to_set(g, x, covered_v, forbidden_target=u)
+            tail = _bfs_path(g, x, covered_v - {u}, covered_v)
             ear = (u,) + tail
         ears.append(ear)
         covered_v.update(ear)
@@ -420,86 +434,44 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
     return EarDecomposition(cycle, tuple(ears))
 
 
-def _lex_shortest_path_to_set(g: Graph, start: int, targets: set, forbidden_target: int):
-    """Lex-least shortest path from start to targets-{forbidden}, internally outside targets."""
-    dist = {start: 0}
-    queue = deque([start])
-    best_len = None
-    while queue:
-        v = queue.popleft()
-        if best_len is not None and dist[v] + 1 > best_len:
-            break
-        for w, _ in g.adjacency[v]:
-            if w in targets:
-                if w != forbidden_target and best_len is None:
-                    best_len = dist[v] + 1
-                continue
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    if best_len is None:
-        raise NotTwoConnected("no return path for ear; graph not 2-connected")
-
-    # depth-limited lex-least reconstruction
-    path = [start]
-    on_path = {start}
-
-    def extend():
-        v = path[-1]
-        depth = len(path) - 1
-        if depth == best_len - 1:
-            for w, _ in g.adjacency[v]:
-                if w in targets and w != forbidden_target:
-                    path.append(w)
-                    return True
-            return False
-        for w, _ in g.adjacency[v]:
-            if w in targets or w in on_path:
-                continue
-            if dist.get(w, 10**9) > depth + 1:
-                continue
-            path.append(w)
-            on_path.add(w)
-            if extend():
-                return True
-            on_path.discard(path.pop())
-        return False
-
-    assert extend()
-    return tuple(path)
-
-
 # ---------------------------------------------------------------------------
 # Cycles: enumeration, girth, circumference, Hamiltonicity
+
+
+def _rooted_cycles(g: Graph, b: Budget):
+    """Every simple cycle once per direction, as a vertex tuple that starts
+    at its least vertex, in DFS order with neighbours ascending. One budget
+    node is charged per path entered, the root alone included."""
+    adj = g.adjacency
+    on_path = bytearray(g.n)
+    for root in range(g.n):
+        b.spend()
+        path = [root]
+        on_path[root] = 1
+        stack = [iter(adj[root])]  # per path vertex: its neighbours not yet tried
+        while stack:
+            for w, _ in stack[-1]:
+                if w <= root:
+                    if w == root and len(path) >= 3:
+                        yield tuple(path)
+                    continue
+                if on_path[w]:
+                    continue
+                b.spend()
+                path.append(w)
+                on_path[w] = 1
+                stack.append(iter(adj[w]))
+                break
+            else:
+                stack.pop()
+                on_path[path.pop()] = 0
 
 
 def enumerate_simple_cycles(g: Graph, budget=None):
     """All simple cycles, each once: rooted at its minimum vertex, direction
     fixed by second-vertex < last-vertex. Returns vertex tuples."""
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    cycles = []
-    adj = g.adjacency
-    for root in range(g.n):
-        path = [root]
-        on_path = {root}
-
-        def extend():
-            b.spend()
-            v = path[-1]
-            for w, _ in adj[v]:
-                if w <= root:
-                    if w == root and len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append(tuple(path))
-                    continue
-                if w in on_path:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                extend()
-                on_path.discard(path.pop())
-
-        extend()
-    return cycles
+    return [c for c in _rooted_cycles(g, b) if c[1] < c[-1]]
 
 
 def cycle_vertices_to_edge_ids(g: Graph, cycle) -> tuple[int, ...]:
@@ -545,30 +517,31 @@ def _hamilton_prune(adj, unvisited, current, start) -> bool:
 
 
 def _hamilton_cycles(g: Graph, b: Budget):
-    """Hamilton cycles rooted at vertex 0 in DFS order, each once per direction."""
+    """Hamilton cycles rooted at vertex 0 in DFS order, each once per direction.
+    One budget node is charged per path entered, the root alone included."""
     adj = g.adjacency
     path = [0]
     unvisited = set(range(1, g.n))
-
-    def extend():
-        b.spend()
-        v = path[-1]
-        if not unvisited:
-            if g.has_edge(v, 0):
-                yield tuple(path)
-            return
-        if not _hamilton_prune(adj, unvisited, v, 0):
-            return
-        for w, _ in adj[v]:
+    b.spend()
+    stack = [iter(adj[0])] if _hamilton_prune(adj, unvisited, 0, 0) else []
+    while stack:
+        for w, _ in stack[-1]:
             if w not in unvisited:
                 continue
+            b.spend()
             unvisited.discard(w)
             path.append(w)
-            yield from extend()
-            path.pop()
-            unvisited.add(w)
-
-    return extend()
+            if not unvisited:
+                if g.has_edge(w, 0):
+                    yield tuple(path)
+            elif _hamilton_prune(adj, unvisited, w, 0):
+                stack.append(iter(adj[w]))
+                break
+            unvisited.add(path.pop())
+        else:
+            stack.pop()
+            if stack:
+                unvisited.add(path.pop())
 
 
 def find_hamilton_cycle(g: Graph, budget=None):
@@ -597,29 +570,7 @@ def circumference(g: Graph, budget=None) -> int:
     b = budget if isinstance(budget, Budget) else Budget(budget)
     if find_hamilton_cycle(g, b) is not None:
         return g.n
-    best = 0
-    adj = g.adjacency
-    for root in range(g.n):
-        path = [root]
-        on_path = {root}
-
-        def extend():
-            nonlocal best
-            b.spend()
-            v = path[-1]
-            for w, _ in adj[v]:
-                if w == root and len(path) >= 3:
-                    if len(path) > best:
-                        best = len(path)
-                if w <= root or w in on_path:
-                    continue
-                path.append(w)
-                on_path.add(w)
-                extend()
-                on_path.discard(path.pop())
-
-        extend()
-    return best
+    return max((len(c) for c in _rooted_cycles(g, b)), default=0)
 
 
 @dataclass(frozen=True)

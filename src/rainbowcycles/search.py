@@ -26,20 +26,24 @@ from .graph import (
 )
 
 
-def colex_subsets(n: int, k: int, universe=None):
-    """All k-subsets of range(n) (or of ``universe``) in colexicographic order."""
-    items = list(range(n)) if universe is None else list(universe)
+def colex_subsets(n: int, k: int):
+    """All k-subsets of range(n) in colexicographic order, as sorted tuples.
 
-    def rec(m, k):
-        if k == 0:
-            yield ()
+    Each one follows from the last by the colex successor: raise the lowest
+    element that can rise by one, then reset the elements below it to 0, 1, ...
+    """
+    if k > n:
+        return
+    c = list(range(k))
+    while True:
+        yield tuple(c)
+        i = 0
+        while i + 1 < k and c[i] + 1 == c[i + 1]:
+            i += 1
+        if k == 0 or c[i] + 1 == n:
             return
-        for top in range(k - 1, m):
-            for rest in rec(top, k - 1):
-                yield rest + (top,)
-
-    for idx in rec(len(items), k):
-        yield tuple(items[i] for i in idx)
+        c[i] += 1
+        c[:i] = range(i)
 
 
 # ---------------------------------------------------------------------------
@@ -128,13 +132,16 @@ def rainbow_tree_through(c: EdgeColouring, s, budget=None):
         dead.add(key)
         return False
 
-    if grow(frozenset({start}), frozenset()):
-        verts = set()
-        for eid in edges_taken:
-            verts.update(g.edges[eid])
-        verts.add(start)
-        return TreeWitness(tuple(edges_taken), frozenset(verts))
-    return None
+    try:
+        if not grow(frozenset({start}), frozenset()):
+            return None
+    finally:
+        del grow  # it refers to itself through its cell; free the search state now
+    verts = set()
+    for eid in edges_taken:
+        verts.update(g.edges[eid])
+    verts.add(start)
+    return TreeWitness(tuple(edges_taken), frozenset(verts))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .graph import (
     Budget,
     Graph,
     _bipartition,
+    _is_cycle_graph,
     cycle_vertices_to_edge_ids,
     enumerate_simple_cycles,
     find_hamilton_cycle,
@@ -207,38 +208,44 @@ def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
 
 
 def _search_r(g, r, b, through, subsets_of, cover_counts):
-    """First feasible canonical r-colouring, else None (complete refutation)."""
+    """First feasible canonical r-colouring, else None (complete refutation).
+
+    seen[si] is the bitmask of the colours on the coloured edges of the live
+    structure si. An edge whose colour is already in it kills si; a dead
+    structure is left untouched until the edge that killed it is uncoloured.
+    """
     m = g.e
-    cols = [dict() for _ in subsets_of]  # per structure: colour -> count on coloured edges
+    seen = [0] * len(subsets_of)
     dead = [False] * len(subsets_of)
     alive = list(cover_counts)
     colour = [0] * m
 
-    def assign(eid, c, killed):
-        # keep the update total even when a subset dies, so unassign is exact
+    def assign(eid, bit, killed):
+        # visit every structure even once a subset has died: unassign clears
+        # the bit of each structure that is still live
         ok = True
         for si in through[eid]:
-            counts = cols[si]
-            counts[c] = counts.get(c, 0) + 1
-            if counts[c] == 2 and not dead[si]:
+            if dead[si]:
+                continue
+            if seen[si] & bit:
                 dead[si] = True
                 killed.append(si)
                 for ti in subsets_of[si]:
                     alive[ti] -= 1
                     if alive[ti] == 0:
                         ok = False
+            else:
+                seen[si] |= bit
         return ok
 
-    def unassign(eid, c, killed):
+    def unassign(eid, bit, killed):
+        for si in through[eid]:
+            if not dead[si]:
+                seen[si] ^= bit
         for si in killed:
             dead[si] = False
             for ti in subsets_of[si]:
                 alive[ti] += 1
-        for si in through[eid]:
-            counts = cols[si]
-            counts[c] -= 1
-            if not counts[c]:
-                del counts[c]
 
     def rec(i, used):
         b.spend()
@@ -249,12 +256,11 @@ def _search_r(g, r, b, through, subsets_of, cover_counts):
         for c in range(min(used + 1, r)):
             colour[i] = c
             killed = []
-            ok = assign(i, c, killed)
-            if ok:
+            if assign(i, 1 << c, killed):
                 res = rec(i + 1, used + (1 if c == used else 0))
                 if res is not None:
                     return res
-            unassign(i, c, killed)
+            unassign(i, 1 << c, killed)
         return None
 
     try:
@@ -304,7 +310,7 @@ def _detect_family(g: Graph):
     n = g.n
     if n >= 3 and g.e == n * (n - 1) // 2:
         return ("complete", n)
-    if n >= 3 and g.e == n and all(g.degree(v) == 2 for v in range(n)) and is_connected(g):
+    if _is_cycle_graph(g):
         return ("cycle", n)
     if (n & (n - 1)) == 0 and n >= 4:
         dim = n.bit_length() - 1

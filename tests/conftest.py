@@ -140,6 +140,26 @@ def brute_all_cycles(g: Graph):
     return cycles
 
 
+def brute_lex_shortest_path(g: Graph, start: int, ends, blocked=()):
+    """The shortest, then lexicographically least, simple path from start to
+    a vertex of ends whose interior avoids ends and blocked, as a vertex
+    tuple, or None; found by listing every such path."""
+    best = None
+    stack = [(start,)]
+    while stack:
+        path = stack.pop()
+        for w, _ in g.adjacency[path[-1]]:
+            if w in path:
+                continue
+            if w in ends:
+                found = path + (w,)
+                if best is None or (len(found), found) < (len(best), best):
+                    best = found
+            elif w not in blocked:
+                stack.append(path + (w,))
+    return best
+
+
 def brute_has_rainbow_cycle_through(colouring, s) -> bool:
     g = colouring.graph
     ss = set(s)

@@ -247,6 +247,20 @@ class TestSaveOne:
         with pytest.raises(MinimallyTwoConnected):
             cons.colour_save_one_crx2(gen.complete_bipartite(2, 3))
 
+    @pytest.mark.parametrize("name, colours", [
+        ("K4", (0, 1, 2, 3, 4, 0)),
+        ("K33", (0, 1, 2, 3, 4, 5, 6, 7, 1)),
+        ("W5", (0, 1, 2, 3, 4, 5, 6, 7, 0, 8)),
+        ("Q3", (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0)),
+        ("theta234", (0, 1, 1, 2, 3, 4, 5, 6, 7)),
+        ("two-triangles", (0, 1, 2, 0, 3, 4)),
+        ("rand4", (0, 1, 2, 3, 4, 5, 6, 7, 0, 8, 9, 10)),
+    ])
+    def test_golden_colourings(self, corpus, name, colours):
+        # the reused colour depends on the last ear and its shortest return path
+        c = cons.colour_save_one_crx1(dict(corpus)[name])
+        assert (c.colour_of, c.r) == (colours, max(colours) + 1)
+
     def test_exactly_one_colour_repeats(self):
         for c in (
             cons.colour_save_one_crx1(gen.complete(4), verify=False),

@@ -4,12 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_is_k_connected, random_connected_graph, theta, two_triangles
+from conftest import (
+    brute_is_k_connected,
+    brute_lex_shortest_path,
+    random_connected_graph,
+    theta,
+    two_triangles,
+)
 from rainbowcycles import generators as gen
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotTwoConnected
 from rainbowcycles.graph import (
     Budget,
     Graph,
+    _bfs_path,
+    _bipartition,
+    _is_cycle_graph,
     block_decomposition,
     circumference,
     cycle_through_exists,
@@ -77,6 +86,20 @@ class TestConnectivity:
                 answers.append(is_k_connected(g, 2))
                 assert answers[-1] == brute_is_k_connected(g, 2), (n, extra)
         assert True in answers and False in answers
+
+    def test_cycle_graph_predicate(self):
+        assert all(_is_cycle_graph(gen.cycle(n)) for n in (3, 4, 7))
+        assert not _is_cycle_graph(Graph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))))
+        assert not _is_cycle_graph(Graph(4, ((0, 1), (1, 2), (2, 3))))
+        assert not _is_cycle_graph(gen.complete(4))
+        assert not _is_cycle_graph(Graph(2, ((0, 1),)))
+
+    def test_bipartition_is_the_distance_parity(self):
+        assert _bipartition(gen.hypercube(3)) == ([0, 3, 5, 6], [1, 2, 4, 7])
+        assert _bipartition(gen.complete_bipartite(2, 3)) == ([0, 1], [2, 3, 4])
+        assert _bipartition(gen.cycle(5)) is None
+        assert _bipartition(Graph(4, ((0, 1), (2, 3)))) is None
+        assert _bipartition(Graph(1, ())) is None
 
     def test_large_graph_path_counting_route(self):
         q5 = gen.hypercube(5)  # k >= 3: Menger route
@@ -201,6 +224,47 @@ class TestEarDecomposition:
         ed = ear_decomposition(gen.complete(4))
         assert ed.initial_cycle == (0, 1, 2)
 
+    @pytest.mark.parametrize("g, cycle, ears", [
+        (gen.wheel(5), (0, 1, 5), ((0, 4, 5), (1, 2, 5), (2, 3, 4), (3, 5))),
+        (gen.petersen(), (0, 1, 2, 3, 4),
+         ((0, 5, 7, 2), (1, 6, 8, 3), (4, 9, 6), (5, 8), (7, 9))),
+    ])
+    def test_golden_ears(self, g, cycle, ears):
+        ed = ear_decomposition(g)
+        assert (ed.initial_cycle, ed.ears) == (cycle, ears)
+
+
+class TestBfsPath:
+    def test_matches_brute_lex_shortest_path(self, corpus):
+        rng = random.Random(11)
+        found = 0
+        for name, g in corpus:
+            for start in range(g.n):
+                others = [v for v in range(g.n) if v != start]
+                for _ in range(3):
+                    ends = set(rng.sample(others, rng.randint(1, len(others))))
+                    blocked = set(rng.sample(others, rng.randint(1, len(others))))
+                    for bl in ((), blocked, blocked | ends):
+                        path = _bfs_path(g, start, ends, bl)
+                        assert path == brute_lex_shortest_path(g, start, ends, bl), (
+                            name, start, ends, bl)
+                        found += path is not None
+        assert found > 1000
+
+    def test_ear_return_paths(self, corpus):
+        # the call ear_decomposition makes: from a new vertex x back to the
+        # covered set, avoiding the vertex u it left from
+        for name, g in corpus:
+            if not is_k_connected(g, 2):
+                continue
+            ed = ear_decomposition(g)
+            covered = set(ed.initial_cycle)
+            for ear in ed.ears:
+                if len(ear) > 2:
+                    ends = covered - {ear[0]}
+                    assert ear[1:] == brute_lex_shortest_path(g, ear[1], ends, covered), name
+                covered.update(ear)
+
 
 class TestInvariants:
     def test_q3(self):
@@ -231,6 +295,23 @@ class TestInvariants:
         with pytest.raises(BudgetExceeded) as exc:
             graph_invariants(gen.petersen(), budget=10)
         assert exc.value.partial == {"girth": 5}
+
+    @pytest.mark.parametrize("g, count, nodes", [
+        (gen.petersen(), 57, 459), (gen.complete(7), 1172, 2372), (gen.wheel(9), 73, 787),
+    ])
+    def test_cycle_enumeration_golden_nodes(self, g, count, nodes):
+        b = Budget()
+        assert len(enumerate_simple_cycles(g, b)) == count
+        assert b.used == nodes
+        short = Budget(nodes - 1)
+        with pytest.raises(BudgetExceeded):
+            enumerate_simple_cycles(g, short)
+        assert short.used == nodes
+
+    def test_circumference_golden_nodes(self):
+        b = Budget()
+        assert circumference(gen.petersen(), b) == 9
+        assert b.used == 601
 
     def test_brute_cycle_oracle(self):
         from conftest import brute_all_cycles

@@ -11,6 +11,7 @@ from conftest import (
 )
 from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
+from rainbowcycles import solver
 from rainbowcycles.colouring import (
     EdgeColouring,
     check_cycle_witness,
@@ -19,7 +20,14 @@ from rainbowcycles.colouring import (
     rainbow_colouring,
 )
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily
-from rainbowcycles.graph import Budget, Graph, cycle_through_exists
+from rainbowcycles.graph import (
+    Budget,
+    Graph,
+    circumference,
+    cycle_through_exists,
+    ear_decomposition,
+    find_hamilton_cycle,
+)
 from rainbowcycles.search import (
     colex_subsets,
     colour_class_collision,
@@ -281,10 +289,12 @@ class TestSubdividedWalks:
 
 
 def test_searches_leave_no_cyclic_garbage():
-    """The recursive closures of the cycle kernel and the walk search are
-    unlinked on exit, so a call's state is freed without the cyclic collector."""
+    """The recursive closures of the searches are unlinked on exit, and the
+    other searches run on explicit stacks, so a call's state is freed
+    without the cyclic collector."""
     q4 = gen.hypercube(4)
     c = cons.colour_cube(4, 2)
+    c3 = cons.colour_cube(3, 2)
     calls = [
         lambda: cycle_through_exists(q4, (0, 5, 10)),
         lambda: rainbow_cycle_through(c, (0, 15)),
@@ -292,6 +302,12 @@ def test_searches_leave_no_cyclic_garbage():
         lambda: find_subdivided_closed_walk(q4, (0, 5, 10, 3)),
         lambda: find_subdivided_closed_walk(q4, (0, 5, 10, 3), colouring=rainbow_colouring(q4)),
         lambda: find_subdivided_closed_walk(q4, (0, 1, 0, 1, 0, 1)),  # absent
+        lambda: solver.crx_exact(gen.wheel(4), 2),
+        lambda: solver.rx_exact(gen.cycle(5), 3),
+        lambda: rainbow_tree_through(c3, (0, 3, 5, 6)),
+        lambda: find_hamilton_cycle(gen.petersen()),
+        lambda: ear_decomposition(gen.wheel(5)),
+        lambda: circumference(gen.petersen()),
     ]
     for call in calls:
         gc.collect()

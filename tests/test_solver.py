@@ -119,6 +119,16 @@ class TestCrxExact:
         with pytest.raises(ScopeExceeded):
             solver.crx_exact(gen.hypercube(4), 2)
 
+    @pytest.mark.parametrize("index, g, k, value, colours, nodes", [
+        ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 833),
+        ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 1579),
+        ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 1233),
+    ])
+    def test_golden_node_counts(self, index, g, k, value, colours, nodes):
+        b = Budget()
+        res = getattr(solver, index + "_exact")(g, k, b)
+        assert (res.value, res.witness.colour_of, b.used) == (value, colours, nodes)
+
     def test_budget_yields_interval(self):
         res = solver.crx_exact(gen.wheel(4), 2, budget=5)
         assert res.kind == "interval"
