@@ -117,7 +117,7 @@ def crx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
         cycles = [(cycle_vertices_to_edge_ids(g, c), frozenset(), frozenset(c))
                   for c in enumerate_simple_cycles(g, b)]
     except BudgetExceeded:
-        return CrxResult("interval", max(k, girth(g) or 3), g.e, None, ())
+        return _budget_out(g, k, max(k, girth(g) or 3))
     return _exact(g, k, b, cycles)
 
 
@@ -143,7 +143,7 @@ def rx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
             frontier = [(eid, x) for x, eid in adj[root] if x > root]
             _grow_subtrees(adj, root, k, b, {root}, (), frontier, trees)
     except BudgetExceeded:
-        return CrxResult("interval", max(1, k - 1), g.e, None, ())
+        return _budget_out(g, k, max(1, k - 1))
     return _exact(g, k, b, trees)
 
 
@@ -177,34 +177,61 @@ def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
     only when some S already has every covering structure spoiled by a
     repeated colour, which holds for all completions. The first feasible
     colouring found is the canonically least witness.
+
+    The pass for r sees only the structures with at most r edges, a prefix
+    of the table sorted by edge count that grows with r. This is exact: a
+    structure with more than r edges is never rainbow in an r-colouring, so
+    dropping it changes no colouring's feasibility. The walk order is the
+    same and only subtrees without a feasible completion are cut, so the
+    witness and every refuted r are the same as over the full table. From
+    the distance bound on, every S keeps a covering structure.
     """
+    structures = sorted(structures, key=lambda st: len(st[0]))
     subsets_of = [[] for _ in structures]  # the k-subsets each structure covers
-    cover_counts = []  # per k-subset: the number of structures covering it
     bound, bound_set = 0, None
     for ti, s in enumerate(colex_subsets(g.n, k)):
         ss = set(s)
         cover = [si for si, (_, must, verts) in enumerate(structures) if must <= ss <= verts]
         for si in cover:
             subsets_of[si].append(ti)
-        cover_counts.append(len(cover))
-        size = min(len(structures[si][0]) for si in cover)
+        size = len(structures[cover[0]][0])  # the table is sorted by edge count
         if size > bound:
             bound, bound_set = size, s
     evidence = [Certificate("distance_bound", {"subset": bound_set, "length": bound,
                                                "covers_r_below": bound})]
-    through = [[] for _ in range(g.e)]  # the structures through each edge
-    for si, (eids, _, _) in enumerate(structures):
-        for eid in eids:
-            through[eid].append(si)
+    through = [[] for _ in range(g.e)]  # the kept structures through each edge
+    cover_counts = [0] * math.comb(g.n, k)  # per k-subset: the kept structures covering it
+    kept = 0
     for r in range(bound, g.e + 1):
+        while kept < len(structures) and len(structures[kept][0]) <= r:
+            for eid in structures[kept][0]:
+                through[eid].append(kept)
+            for ti in subsets_of[kept]:
+                cover_counts[ti] += 1
+            kept += 1
         try:
-            witness = _search_r(g, r, b, through, subsets_of, cover_counts)
+            witness = _search_r(g, r, b, through, subsets_of[:kept], cover_counts)
         except BudgetExceeded:
-            return CrxResult("interval", r, g.e, None, tuple(evidence))
+            return _budget_out(g, k, r, tuple(evidence))
         if witness is not None:
             return CrxResult("exact", r, r, witness, tuple(evidence))
         evidence.append(Certificate("exhaustion", {"r": r, "candidates": stirling2(g.e, r)}))
     raise InvalidParameter(f"no feasible colouring with up to {g.e} colours")
+
+
+def _budget_out(g: Graph, k: int, lower: int, evidence=None) -> CrxResult:
+    """The interval [lower, e] left by a budget-out, with the evidence for
+    every r below lower. When lower == e the value is e, and the rainbow
+    colouring, the only canonical e-colouring, is the canonically least
+    witness. Without evidence, lower is then the fewest edges of a structure
+    covering any k-subset (lower == e holds only for a cycle, and for rx a
+    tree at k = n), so one distance bound covers every r below."""
+    if lower < g.e:
+        return CrxResult("interval", lower, g.e, None, evidence or ())
+    if evidence is None:
+        evidence = (Certificate("distance_bound", {"subset": tuple(range(k)), "length": lower,
+                                                   "covers_r_below": lower}),)
+    return CrxResult("exact", lower, lower, rainbow_colouring(g), evidence)
 
 
 def _search_r(g, r, b, through, subsets_of, cover_counts):

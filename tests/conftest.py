@@ -121,10 +121,20 @@ def brute_is_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
+_ALL_CYCLES = {}  # (n, edges) -> brute_all_cycles(g); the tests reuse a few graphs often
+
+
 def brute_all_cycles(g: Graph):
     """Every simple cycle, as a (vertex set, edge id set) pair, by checking
-    all rotations of all vertex subsets -- slow but independent."""
-    cycles = []
+    all rotations of all vertex subsets -- slow but independent. Cached per
+    graph."""
+    key = (g.n, g.edges)
+    if key not in _ALL_CYCLES:
+        _ALL_CYCLES[key] = tuple(_list_all_cycles(g))
+    return _ALL_CYCLES[key]
+
+
+def _list_all_cycles(g: Graph):
     for size in range(3, g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
             rest = subset[1:]
@@ -136,8 +146,7 @@ def brute_all_cycles(g: Graph):
                     eids = frozenset(
                         g.edge_id(cyc[i], cyc[(i + 1) % size]) for i in range(size)
                     )
-                    cycles.append((frozenset(cyc), eids))
-    return cycles
+                    yield frozenset(cyc), eids
 
 
 def brute_lex_shortest_path(g: Graph, start: int, ends, blocked=()):
@@ -237,14 +246,14 @@ def brute_subtrees(g: Graph):
     return trees
 
 
-def brute_rainbow_index(g: Graph, k: int):
-    """rx_k by definition for k >= 2, as (value, colours of the first feasible
-    colouring). Colourings are taken as restricted-growth strings with exactly
-    r values, r = 1, 2, ..., each in lexicographic order. A colouring is
-    feasible when every k-subset lies in a rainbow tree from brute_subtrees."""
-    trees = brute_subtrees(g)
-    options = [[eids for verts, eids in trees if set(s) <= verts]
+def _brute_least_colouring(g: Graph, k: int, structures):
+    """(value, colours of the first feasible colouring) for the index whose
+    k-subsets must each lie in a rainbow structure, given as (vertex set, edge
+    ids) pairs. Colourings are taken as restricted-growth strings with exactly
+    r values, r = 1, 2, ..., each in lexicographic order."""
+    options = [[eids for verts, eids in structures if set(s) <= verts]
                for s in itertools.combinations(range(g.n), k)]
+    assert all(options), "some k-subset lies in no structure"
 
     def strings(prefix, top, r):
         if len(prefix) == g.e:
@@ -259,4 +268,16 @@ def brute_rainbow_index(g: Graph, k: int):
             if all(any(len({colours[e] for e in eids}) == len(eids) for eids in opts)
                    for opts in options):
                 return r, colours
-    raise AssertionError("a connected graph is always rainbow connected")
+    raise AssertionError("the rainbow colouring makes every structure rainbow")
+
+
+def brute_rainbow_index(g: Graph, k: int):
+    """rx_k by definition for k >= 2: every k-subset lies in a rainbow tree
+    from brute_subtrees."""
+    return _brute_least_colouring(g, k, brute_subtrees(g))
+
+
+def brute_cycle_index(g: Graph, k: int):
+    """crx_k by definition for g in F_k: every k-subset lies on a rainbow
+    cycle from brute_all_cycles."""
+    return _brute_least_colouring(g, k, brute_all_cycles(g))

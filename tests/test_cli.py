@@ -90,6 +90,15 @@ class TestPipelines:
         assert rep["result"]["value"] == 5
         assert rep["result"]["witness"]["r"] == 5
 
+    def test_solve_budget_out_at_e_is_solved(self, monkeypatch, capsys):
+        # the cycle list runs out of budget, but the bounds [5, 5] meet
+        _, doc_text, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
+        code, report, _ = run_cli(
+            ["solve", "--k", "1", "--budget", "3"], doc_text, monkeypatch, capsys)
+        assert code == 0
+        rep = json.loads(report)["result"]
+        assert (rep["kind"], rep["value"], rep["witness"]["colours"]) == ("exact", 5, [0, 1, 2, 3, 4])
+
     def test_analyze_petersen(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "petersen"], "", monkeypatch, capsys)
         code, report, _ = run_cli(["analyze"], doc_text, monkeypatch, capsys)

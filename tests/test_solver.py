@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from conftest import brute_rainbow_index, brute_subtrees, random_connected_graph, theta
+from conftest import (brute_cycle_index, brute_rainbow_index, brute_subtrees,
+                      random_connected_graph, theta)
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily, ScopeExceeded
-from rainbowcycles.graph import Budget, Graph
+from rainbowcycles.graph import Budget, Graph, in_family_Fk
 from rainbowcycles.search import verify_k_rainbow_cycle_colouring, verify_k_rainbow_index_colouring
 
 
@@ -28,6 +29,17 @@ def naive_partition_count(n, k):
         return total
 
     return rec(0, [])
+
+
+def covered_r(res):
+    """The r that the evidence of res refutes."""
+    covered = set()
+    for cert in res.evidence:
+        if cert.kind == "distance_bound":
+            covered.update(range(1, cert.payload["length"]))
+        elif cert.kind == "exhaustion":
+            covered.add(cert.payload["r"])
+    return covered
 
 
 class TestEnumeration:
@@ -87,13 +99,7 @@ class TestCrxExact:
                             (solver.rx_exact, gen.hypercube(3), 2),
                             (solver.rx_exact, gen.complete_bipartite(2, 5), 2)]:
             res = solve(g, k)
-            covered = set()
-            for cert in res.evidence:
-                if cert.kind == "distance_bound":
-                    covered.update(range(1, cert.payload["length"]))
-                elif cert.kind == "exhaustion":
-                    covered.add(cert.payload["r"])
-            assert covered >= set(range(1, res.value))
+            assert covered_r(res) >= set(range(1, res.value))
 
     def test_monotone_in_k(self):
         for g in (gen.complete(4), gen.wheel(4), gen.hypercube(3)):
@@ -120,14 +126,58 @@ class TestCrxExact:
             solver.crx_exact(gen.hypercube(4), 2)
 
     @pytest.mark.parametrize("index, g, k, value, colours, nodes", [
-        ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 833),
-        ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 1579),
-        ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 1233),
+        ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 135),
+        ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 171),
+        ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 1196),
     ])
     def test_golden_node_counts(self, index, g, k, value, colours, nodes):
         b = Budget()
         res = getattr(solver, index + "_exact")(g, k, b)
         assert (res.value, res.witness.colour_of, b.used) == (value, colours, nodes)
+
+    def test_long_structures_are_dropped(self):
+        # without dropping the structures with more than r edges, W_9 at k = 2
+        # runs out of this budget with the interval [6, 18], and rx_5(Q_3)
+        # takes 9,006 nodes
+        b = Budget(2_000)
+        res = solver.crx_exact(gen.wheel(9), 2, b, force=True)
+        assert (res.kind, res.value, b.used) == ("exact", 7, 878)
+        assert verify_k_rainbow_cycle_colouring(res.witness, 2).certified
+        b = Budget()
+        res = solver.rx_exact(gen.hypercube(3), 5, b)
+        assert (res.kind, res.value, b.used) == ("exact", 5, 2_733)
+        assert verify_k_rainbow_index_colouring(res.witness, 5).certified
+
+    def test_matches_brute_oracle(self):
+        rng = random.Random(11)
+        graphs = set()
+        while len(graphs) < 30:
+            n = rng.randint(4, 6)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(n, min(8, len(pairs)))))))
+            if g.edges in graphs or not in_family_Fk(g, 1):
+                continue
+            graphs.add(g.edges)
+            for k in (1, 2, 3):
+                if in_family_Fk(g, k):
+                    res = solver.crx_exact(g, k)
+                    assert (res.value, res.witness.colour_of) == brute_cycle_index(g, k), (g, k)
+
+    def test_budget_out_at_e_is_exact(self):
+        # the only canonical e-colouring is the rainbow one
+        path = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        spent = Budget()
+        solver.crx_exact(theta(2, 2, 3), 2, spent)  # minimally 2-connected: crx_2 = e
+        for solve, g, k, budget in [(solver.crx_exact, gen.cycle(5), 1, 3),  # listing cycles
+                                    (solver.rx_exact, path, 4, 2),  # listing subtrees
+                                    (solver.crx_exact, theta(2, 2, 3), 2, spent.used - 1)]:
+            res = solve(g, k, budget=budget)
+            assert (res.kind, res.value) == ("exact", g.e)
+            assert res.witness.colour_of == tuple(range(g.e))
+            verify = (verify_k_rainbow_index_colouring if solve is solver.rx_exact
+                      else verify_k_rainbow_cycle_colouring)
+            assert verify(res.witness, k).certified
+            assert covered_r(res) >= set(range(1, res.value))
 
     def test_budget_yields_interval(self):
         res = solver.crx_exact(gen.wheel(4), 2, budget=5)
