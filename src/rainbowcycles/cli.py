@@ -181,8 +181,7 @@ def cmd_verify(args) -> int:
     if c is None:
         raise InvalidParameter("document carries no colouring to verify")
     if args.index == "crx":
-        report = verify_k_rainbow_cycle_colouring(c, args.k, budget=args.budget,
-                                                  workers=args.workers)
+        report = verify_k_rainbow_cycle_colouring(c, args.k, budget=args.budget)
     else:
         report = verify_k_rainbow_index_colouring(c, args.k, budget=args.budget)
     _report(args, {
@@ -293,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--index", choices=("crx", "rx"), default="crx")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: verification runs in this process")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("solve", help="compute crx/rx exactly or as an interval")

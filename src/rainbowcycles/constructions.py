@@ -52,13 +52,15 @@ from .search import (
 
 
 def _certify(c: EdgeColouring, k: int, expected_colours: int | None, label: str,
-             verify: bool = True, budget=None) -> EdgeColouring:
+             verify: bool = True, budget=None, verifier=None) -> EdgeColouring:
+    """Check the colour count, then self-verify with ``verifier`` (default
+    verify_k_rainbow_cycle_colouring, looked up when called)."""
     if expected_colours is not None and c.r != expected_colours:
         raise ConstructionRejected(
             f"{label}: produced {c.r} colours, theorem says {expected_colours}"
         )
     if verify:
-        report = verify_k_rainbow_cycle_colouring(c, k, budget)
+        report = (verifier or verify_k_rainbow_cycle_colouring)(c, k, budget)
         if not report.certified:
             raise ConstructionRejected(
                 f"{label}: self-verification found bad {k}-set {report.bad_set}",
@@ -223,7 +225,7 @@ def colour_complete_2rainbow(n: int, verify: bool = True, budget=None) -> EdgeCo
 
 def _random_until_certified(g: Graph, k: int, r: int, seed, max_attempts: int,
                             budget, label: str) -> EdgeColouring:
-    if not in_family_Fk(g, k):
+    if not in_family_Fk(g, k, budget):
         raise NotInFamily(k)
     rng = random.Random(seed)
     for _ in range(max_attempts):
@@ -623,14 +625,8 @@ def colour_join_rxk(k: int, t: int, verify: bool = True, budget=None) -> EdgeCol
     for i in range(c):
         colour_of[g.edge_id(p + i, p + (i + 1) % c)] = k * k - 2
     out = EdgeColouring(g, tuple(colour_of), k * k - 1)
-    if verify:
-        report = verify_k_rainbow_index_colouring(out, k, budget)
-        if not report.certified:
-            raise ConstructionRejected(
-                f"colour_join_rxk(k={k}, t={t}): bad set {report.bad_set}",
-                bad_set=report.bad_set,
-            )
-    return out
+    return _certify(out, k, None, f"colour_join_rxk(k={k}, t={t})", verify, budget,
+                    verify_k_rainbow_index_colouring)
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@
 Every search here is complete: it returns a witness iff one exists, or raises
 BudgetExceeded when the node budget runs out. Cycle searches anchor at the
 lowest-id vertex of the requested set and explore neighbours in ascending
-order, so the first witness found is deterministic.
+order, so the first witness found is deterministic. Verification runs in one
+process: one colex pass over the k-subsets, on the caller's budget.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .colouring import CycleWitness, EdgeColouring, TreeWitness, WalkWitness
@@ -60,13 +60,11 @@ def rainbow_cycle_through(c: EdgeColouring, s, budget=None):
     return None if found is None else CycleWitness(*found)
 
 
-def min_cycle_length_through(g: Graph, s, budget=None, cap=None):
+def min_cycle_length_through(g: Graph, s, budget=None):
     """Exact minimum length of a simple cycle containing s, or None if none.
 
     Iterative deepening: level L is a complete search over cycles of length
     at most L, so the first level that yields a cycle is the exact minimum.
-    With ``cap`` the search stops early and returns None when the minimum
-    provably exceeds it.
     """
     s = sorted(set(s))
     if not s:
@@ -82,8 +80,7 @@ def min_cycle_length_through(g: Graph, s, budget=None, cap=None):
         for w in s[1:]:
             if w > v and dist[w][v] is not INF:
                 lb0 = max(lb0, 2 * int(dist[w][v]))
-    top = g.n if cap is None else min(cap, g.n)
-    found = _anchored_cycle(g, s, b, range(lb0, top + 1))
+    found = _anchored_cycle(g, s, b, range(lb0, g.n + 1))
     return None if found is None else len(found[0])
 
 
@@ -160,75 +157,39 @@ class VerificationReport:
         return self.status == "certified"
 
 
-def _cycle_chunk_worker(args):
-    n, edges, colours, r, subsets = args
-    c = EdgeColouring(Graph(n, edges), colours, r, unused_ok=True)
-    bad = None
-    nodes = 0
-    for s in subsets:
-        b = Budget()
-        if rainbow_cycle_through(c, s, b) is None:
-            bad = s
-            nodes += b.used
-            break
-        nodes += b.used
-    return bad, nodes
-
-
-def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
-                                     workers: int = 1,
-                                     check_family: bool = True) -> VerificationReport:
-    """Check that every k-subset of vertices lies on a rainbow cycle.
-
-    Subsets are visited in colex order and the first counterexample reported
-    is the colex-least one, in sequential and parallel mode alike. Callers
-    that re-verify the same graph can skip the F_k precheck.
-    """
-    g = c.graph
-    if check_family and not in_family_Fk(g, k):
-        raise NotInFamily(k)
-    b = budget if isinstance(budget, Budget) else Budget(budget)
-    if workers > 1:
-        return _verify_parallel(c, k, workers)
+def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, through) -> VerificationReport:
+    """The one verification loop: search each k-subset in colex order with
+    through(c, s, b) and stop at the first that has no witness, so the
+    counterexample is the colex-least one. subsets_checked counts the subsets
+    visited and search_nodes is b.used."""
     checked = 0
-    for s in colex_subsets(g.n, k):
+    for s in colex_subsets(c.graph.n, k):
         checked += 1
-        if rainbow_cycle_through(c, s, b) is None:
+        if through(c, s, b) is None:
             return VerificationReport("counterexample", s, checked, b.used)
     return VerificationReport("certified", None, checked, b.used)
 
 
-def _verify_parallel(c: EdgeColouring, k: int, workers: int) -> VerificationReport:
-    g = c.graph
-    subsets = list(colex_subsets(g.n, k))
-    chunk = max(1, len(subsets) // (workers * 8))
-    chunks = [subsets[i : i + chunk] for i in range(0, len(subsets), chunk)]
-    payload = [(g.n, g.edges, c.colour_of, c.r, ch) for ch in chunks]
-    nodes = 0
-    checked = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # chunks are scanned in colex order, so the first hit is colex-least
-        for ch, (bad, used) in zip(chunks, pool.map(_cycle_chunk_worker, payload)):
-            nodes += used
-            if bad is not None:
-                checked += ch.index(bad) + 1
-                return VerificationReport("counterexample", bad, checked, nodes)
-            checked += len(ch)
-    return VerificationReport("certified", None, checked, nodes)
+def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
+                                     check_family: bool = True) -> VerificationReport:
+    """Check that every k-subset of vertices lies on a rainbow cycle.
+
+    A counterexample is the colex-least one (see _verify_each_subset). The
+    F_k precheck spends from the same budget as the subset loop; callers
+    that re-verify the same graph can skip it.
+    """
+    b = budget if isinstance(budget, Budget) else Budget(budget)
+    if check_family and not in_family_Fk(c.graph, k, b):
+        raise NotInFamily(k)
+    return _verify_each_subset(c, k, b, rainbow_cycle_through)
 
 
 def verify_k_rainbow_index_colouring(c: EdgeColouring, k: int, budget=None) -> VerificationReport:
     """Check that every k-subset of vertices is connected by a rainbow tree."""
-    g = c.graph
-    if not is_connected(g):
+    if not is_connected(c.graph):
         raise InvalidParameter("rainbow index needs a connected graph")
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    checked = 0
-    for s in colex_subsets(g.n, k):
-        checked += 1
-        if rainbow_tree_through(c, s, b) is None:
-            return VerificationReport("counterexample", s, checked, b.used)
-    return VerificationReport("certified", None, checked, b.used)
+    return _verify_each_subset(c, k, b, rainbow_tree_through)
 
 
 # ---------------------------------------------------------------------------

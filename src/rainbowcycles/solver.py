@@ -109,10 +109,10 @@ def _guard_scope(g: Graph, k: int, force: bool):
 def crx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
     """Exact k-rainbow cycle index by canonical enumeration (see _exact); the
     structures that must be rainbow are the simple cycles."""
-    if not in_family_Fk(g, k):
+    b = budget if isinstance(budget, Budget) else Budget(budget)
+    if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
     _guard_scope(g, k, force)
-    b = budget if isinstance(budget, Budget) else Budget(budget)
     try:
         cycles = [(cycle_vertices_to_edge_ids(g, c), frozenset(), frozenset(c))
                   for c in enumerate_simple_cycles(g, b)]
@@ -302,9 +302,9 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None,
     """Best shortest-cycle lower bound: max of min_cycle_length_through over
     all k-subsets when their count is within budget, else a seeded sample.
     A partial maximisation is still a valid lower bound."""
-    if not in_family_Fk(g, k):
-        raise NotInFamily(k)
     b = budget if isinstance(budget, Budget) else Budget(budget)
+    if not in_family_Fk(g, k, b):
+        raise NotInFamily(k)
     total = math.comb(g.n, k)
     if total <= max_exhaustive:
         pool = colex_subsets(g.n, k)
@@ -316,8 +316,6 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None,
     best, best_set = 0, None
     try:
         for s in pool:
-            if best and min_cycle_length_through(g, s, b, cap=best) is not None:
-                continue  # cannot beat the current bound
             length = min_cycle_length_through(g, s, b)
             if length is not None and length > best:
                 best, best_set = length, s
@@ -440,9 +438,8 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, attempts):
 
 def crx_interval(g: Graph, k: int, budget=None, seed=0, attempts: int = 200) -> CrxResult:
     """Bound crx_k without enumeration: best certificate lower bound versus
-    best applicable constructor upper bound; exact when they meet."""
-    if not in_family_Fk(g, k):
-        raise NotInFamily(k)
+    best applicable constructor upper bound; exact when they meet. The
+    distance bound runs the F_k precheck."""
     b = budget if isinstance(budget, Budget) else Budget(budget)
     dist, cert = crx_lower_bound_distance(g, k, b)
     lower = max(k, dist, girth(g) or 3)

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -21,6 +24,20 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "optional" in item.keywords:
             item.add_marker(skip)
+
+
+def loaded_by_cli_import(module: str) -> bool:
+    """Is ``module`` in sys.modules after ``import rainbowcycles.cli`` in a
+    fresh interpreter?"""
+    import rainbowcycles
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowcycles.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = f"import sys, rainbowcycles.cli; print({module!r} in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout.strip() == "True"
 
 
 def theta(a: int, b: int, c: int) -> Graph:

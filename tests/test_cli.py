@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+from conftest import loaded_by_cli_import
+from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
 from rainbowcycles.cli import main
 from rainbowcycles.colouring import EdgeColouring, rainbow_colouring
@@ -116,6 +118,18 @@ class TestPipelines:
         assert code == 1
         assert json.loads(report)["status"] == "counterexample"
 
+    @pytest.mark.parametrize("colouring, code", [
+        (lambda g: EdgeColouring(g, tuple(i % 3 for i in range(g.e)), 3), 1),
+        (lambda g: cons.colour_wheel(6, 2, verify=False), 0),
+    ], ids=["w6-counterexample", "w6-certified"])
+    def test_verify_workers_flag_changes_nothing(self, colouring, code, monkeypatch, capsys):
+        g = gen.wheel(6)
+        doc_text = emit(document_from_graph(g, colouring(g)))
+        one = run_cli(["verify", "--k", "2"], doc_text, monkeypatch, capsys)
+        two = run_cli(["verify", "--k", "2", "--workers", "2"], doc_text, monkeypatch, capsys)
+        assert one[0] == code
+        assert one[:2] == two[:2]
+
     def test_unsupported_regime_exit_2(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(
             ["gen", "complete-bipartite", "m=4", "n=10"], "", monkeypatch, capsys)
@@ -187,3 +201,8 @@ class TestPipelines:
         code, _, err = run_cli(
             ["colour", "wheel", "--k", "1"], doc_text, monkeypatch, capsys)
         assert code == 2 and "wheel" in err
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    # verification runs in one process
+    assert not loaded_by_cli_import("multiprocessing")

@@ -3,6 +3,7 @@ from collections import deque
 
 import pytest
 
+from conftest import loaded_by_cli_import
 from rainbowcycles import generators as gen
 from rainbowcycles.errors import InvalidParameter, SpreadTooSmall
 from rainbowcycles.graph import girth, is_connected
@@ -139,19 +140,7 @@ class TestHadamard:
 
 
 def test_cli_import_does_not_load_numpy():
-    import os
-    import subprocess
-    import sys
-
-    import rainbowcycles
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowcycles.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, rainbowcycles.cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert not loaded_by_cli_import("numpy")
 
 
 class TestSpreadVertices:

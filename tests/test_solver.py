@@ -127,7 +127,8 @@ class TestCrxExact:
 
     @pytest.mark.parametrize("index, g, k, value, colours, nodes", [
         ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 135),
-        ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 171),
+        # K_5 at k = 3 includes 5 nodes of the F_3 precheck's Hamilton shortcut
+        ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 176),
         ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 1196),
     ])
     def test_golden_node_counts(self, index, g, k, value, colours, nodes):
@@ -275,6 +276,12 @@ class TestLowerBoundDistance:
     def test_complete_pair_is_girth(self):
         bound, _ = solver.crx_lower_bound_distance(gen.complete(6), 2)
         assert bound == 3
+
+    def test_golden_w12_triples(self):
+        # one search per subset, 70,837 nodes, after the 13 of the F_3 precheck
+        b = Budget()
+        bound, cert = solver.crx_lower_bound_distance(gen.wheel(12), 3, b)
+        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 70_850)
 
 
 class TestInterval:
