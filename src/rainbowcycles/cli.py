@@ -191,6 +191,7 @@ def cmd_verify(args) -> int:
         "status": report.status,
         "bad_set": report.bad_set,
         "subsets_checked": report.subsets_checked,
+        "subsets_searched": report.subsets_searched,
         "search_nodes": report.search_nodes,
         "colours": c.r,
     })

@@ -6,11 +6,12 @@ uniformly at construction time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidParameter
-from .graph import Graph, _coloured_adjacency
+from .graph import Graph, _coloured_adjacency, _vertex_mask, colex_subsets
 
 
 @dataclass(frozen=True)
@@ -45,6 +46,12 @@ class EdgeColouring:
         """adjacency[v] = ((neighbour, edge_id, colour), ...) in ascending
         neighbour order."""
         return _coloured_adjacency(self.graph, self.colour_of)
+
+    @cached_property
+    def _toward_rows(self) -> list:
+        """Coloured adjacency ordered toward each target, filled on first use
+        by graph._neighbours_toward; its readers must not modify a row."""
+        return [None] * self.graph.n
 
     def used_colours(self) -> frozenset:
         return frozenset(self.colour_of)
@@ -88,6 +95,46 @@ class WalkWitness:
     paths: tuple[tuple[int, ...], ...]
 
 
+@dataclass(frozen=True)
+class Cover:
+    """The witnesses of a verification pass: index[i] is the position in
+    witnesses of the rainbow cycle (or tree) that holds the i-th k-subset
+    in colex order. Each witness is listed once; check_cover re-checks the
+    whole cover without a search."""
+
+    witnesses: tuple
+    index: tuple[int, ...]
+
+
+def check_cover(c: EdgeColouring, k: int, cover: Cover) -> bool:
+    """True iff cover proves that every k-subset of vertices lies on a
+    rainbow cycle of c (a cover of CycleWitness objects) or is joined by a
+    rainbow tree of c (a cover of TreeWitness objects).
+
+    Each witness is re-checked with check_cycle_witness or check_tree_witness,
+    and each subset against the vertex bitmask of its witness; a cover that
+    mixes the two kinds, or does not index every k-subset, fails.
+    """
+    if k < 1:
+        raise InvalidParameter("k must be positive")
+    g = c.graph
+    kinds = {type(w) for w in cover.witnesses}
+    if len(kinds) > 1 or not kinds <= {CycleWitness, TreeWitness}:
+        return False
+    masks = []
+    for w in cover.witnesses:
+        check = check_cycle_witness if type(w) is CycleWitness else check_tree_witness
+        if not check(g, w, c, require_rainbow=True):
+            return False
+        masks.append(_vertex_mask(w.vertices))
+    if len(cover.index) != math.comb(g.n, k):
+        return False
+    for s, i in zip(colex_subsets(g.n, k), cover.index):
+        if not 0 <= i < len(masks) or _vertex_mask(s) & ~masks[i]:
+            return False
+    return True
+
+
 def check_cycle_witness(g: Graph, w: CycleWitness, colouring: EdgeColouring | None = None,
                         require_rainbow: bool = False, containing=()) -> bool:
     """Re-validate a cycle witness against graph, colouring and required set."""
@@ -110,9 +157,13 @@ def check_cycle_witness(g: Graph, w: CycleWitness, colouring: EdgeColouring | No
 
 def check_tree_witness(g: Graph, w: TreeWitness, colouring: EdgeColouring | None = None,
                        require_rainbow: bool = False, containing=()) -> bool:
-    """Acyclic, connected, spans the requested vertices, rainbow if claimed."""
+    """Acyclic, connected, spans the requested vertices, rainbow if claimed.
+    A tree without edges is one vertex of g."""
     eids = list(w.edge_ids)
-    if len(set(eids)) != len(eids):
+    if not eids:
+        return (len(w.vertices) == 1 and all(0 <= v < g.n for v in w.vertices)
+                and set(containing) <= set(w.vertices))
+    if len(set(eids)) != len(eids) or not all(0 <= eid < g.e for eid in eids):
         return False
     verts = set()
     for eid in eids:
@@ -121,8 +172,6 @@ def check_tree_witness(g: Graph, w: TreeWitness, colouring: EdgeColouring | None
         return False
     if not set(containing) <= verts:
         return False
-    if not eids:
-        return len(containing) <= 1 and len(verts) <= 1
     if len(verts) != len(eids) + 1:
         return False  # wrong vertex/edge count for a tree
     # connected?

@@ -8,7 +8,6 @@ BudgetExceeded; there is no silent approximation.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -87,6 +86,12 @@ class Graph:
         return [None] * self.n
 
     @cached_property
+    def _toward_rows(self) -> list:
+        """Uncoloured adjacency ordered toward each target, filled on first
+        use by _neighbours_toward; its readers must not modify a row."""
+        return [None] * self.n
+
+    @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         return {uv: eid for eid, uv in enumerate(self.edges)}
 
@@ -159,6 +164,22 @@ def _kernel_adjacency(g: Graph, colouring):
     if colouring is None:
         return g._own_colour_adjacency, g.e
     return colouring.adjacency, colouring.r
+
+
+def _neighbours_toward(g: Graph, colouring, target: int):
+    """Each vertex's (neighbour, edge id, colour) triples of the kernel
+    adjacency, ordered by (distance to target, neighbour): the sort is stable
+    and the adjacency lists neighbours in ascending order. Sorted once per
+    target and kept by the graph, or by the colouring when there is one."""
+    rows = g._toward_rows if colouring is None else colouring._toward_rows
+    row = rows[target]
+    if row is None:
+        adj, _ = _kernel_adjacency(g, colouring)
+        dist = _bfs_distances(g, target)
+        row = rows[target] = tuple(
+            tuple(sorted(nbrs, key=lambda t: dist[t[0]])) for nbrs in adj
+        )
+    return row
 
 
 def _bipartition(g: Graph):
@@ -611,6 +632,76 @@ def is_hypohamiltonian(g: Graph, budget=None) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# k-subsets in colex order, and the witnesses that cover them
+
+
+def colex_subsets(n: int, k: int):
+    """All k-subsets of range(n) in colexicographic order, as sorted tuples.
+
+    Each one follows from the last by the colex successor: raise the lowest
+    element that can rise by one, then reset the elements below it to 0, 1, ...
+    """
+    if k > n:
+        return
+    c = list(range(k))
+    while True:
+        yield tuple(c)
+        i = 0
+        while i + 1 < k and c[i] + 1 == c[i + 1]:
+            i += 1
+        if k == 0 or c[i] + 1 == n:
+            return
+        c[i] += 1
+        c[:i] = range(i)
+
+
+class _WitnessCover:
+    """The witnesses found so far by a pass over vertex subsets, with the
+    vertex bitmask of each. A witness (a cycle or a tree) that holds every
+    vertex of S serves S too, so a subset inside a kept witness needs no
+    search of its own.
+
+    covering(s) scans only the witnesses through the largest vertex of s,
+    newest first: in colex order consecutive subsets share their largest
+    vertices, so the newest witness through it is the likeliest to hold s.
+    """
+
+    __slots__ = ("witnesses", "masks", "through")
+
+    def __init__(self, n: int):
+        self.witnesses = []
+        self.masks = []
+        self.through = [[] for _ in range(n)]  # per vertex: indices of the witnesses on it
+
+    def covering(self, s) -> int:
+        """Index of a kept witness whose vertices include the non-empty
+        sorted tuple s, else -1."""
+        mask = _vertex_mask(s)
+        masks = self.masks
+        for i in reversed(self.through[s[-1]]):
+            if not mask & ~masks[i]:
+                return i
+        return -1
+
+    def add(self, witness, vertices) -> int:
+        """Keep witness, whose vertex set is vertices; returns its index."""
+        i = len(self.witnesses)
+        for v in vertices:
+            self.through[v].append(i)
+        self.witnesses.append(witness)
+        self.masks.append(_vertex_mask(vertices))
+        return i
+
+
+def _vertex_mask(vertices) -> int:
+    """The bitmask with bit v set for each vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+# ---------------------------------------------------------------------------
 # Cycles through prescribed vertices, F_k membership
 
 
@@ -715,6 +806,8 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     2-connectivity); k >= 3 falls back to checking every k-subset, which is
     exponential -- a cheap Hamiltonicity shortcut covers the common case.
     The shortcut's nodes, at most 2 M of them, count against ``budget`` too.
+    The subsets are visited in colex order, and one inside a cycle already
+    found for an earlier subset needs no search.
     """
     if k < 1:
         raise InvalidParameter("k must be positive")
@@ -741,7 +834,11 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     b.spend(shortcut.used)
     if hamiltonian:
         return True
-    for s in itertools.combinations(range(g.n), k):
-        if not cycle_through_exists(g, s, b):
-            return False
+    cover = _WitnessCover(g.n)
+    for s in colex_subsets(g.n, k):
+        if cover.covering(s) < 0:
+            found = _anchored_cycle(g, s, b, (g.n,))
+            if found is None:
+                return False
+            cover.add(None, found[0])
     return True

@@ -4,14 +4,15 @@ Every search here is complete: it returns a witness iff one exists, or raises
 BudgetExceeded when the node budget runs out. Cycle searches anchor at the
 lowest-id vertex of the requested set and explore neighbours in ascending
 order, so the first witness found is deterministic. Verification runs in one
-process: one colex pass over the k-subsets, on the caller's budget.
+process: one colex pass over the k-subsets, on the caller's budget, that
+searches only the subsets no witness found so far already covers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .colouring import CycleWitness, EdgeColouring, TreeWitness, WalkWitness
+from .colouring import Cover, CycleWitness, EdgeColouring, TreeWitness, WalkWitness
 from .errors import BudgetExceeded, InvalidParameter, NotInFamily
 from .graph import (
     INF,
@@ -21,29 +22,12 @@ from .graph import (
     _bfs_distances,
     _bipartition,
     _kernel_adjacency,
+    _neighbours_toward,
+    _WitnessCover,
+    colex_subsets,
     in_family_Fk,
     is_connected,
 )
-
-
-def colex_subsets(n: int, k: int):
-    """All k-subsets of range(n) in colexicographic order, as sorted tuples.
-
-    Each one follows from the last by the colex successor: raise the lowest
-    element that can rise by one, then reset the elements below it to 0, 1, ...
-    """
-    if k > n:
-        return
-    c = list(range(k))
-    while True:
-        yield tuple(c)
-        i = 0
-        while i + 1 < k and c[i] + 1 == c[i + 1]:
-            i += 1
-        if k == 0 or c[i] + 1 == n:
-            return
-        c[i] += 1
-        c[:i] = range(i)
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +54,13 @@ def min_cycle_length_through(g: Graph, s, budget=None):
     if not s:
         raise InvalidParameter("need at least one vertex")
     b = budget if isinstance(budget, Budget) else Budget(budget)
+    cycle = _shortest_cycle_through(g, s, b)
+    return None if cycle is None else len(cycle)
+
+
+def _shortest_cycle_through(g: Graph, s, b: Budget):
+    """The vertex tuple of the first shortest simple cycle through every
+    vertex of the non-empty sorted sequence s, or None if there is none."""
     anchor = s[0]
     dist = {v: _bfs_distances(g, v) for v in s}
     if any(dist[v][anchor] is INF for v in s[1:]):
@@ -81,7 +72,7 @@ def min_cycle_length_through(g: Graph, s, budget=None):
             if w > v and dist[w][v] is not INF:
                 lb0 = max(lb0, 2 * int(dist[w][v]))
     found = _anchored_cycle(g, s, b, range(lb0, g.n + 1))
-    return None if found is None else len(found[0])
+    return None if found is None else found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -151,37 +142,67 @@ class VerificationReport:
     bad_set: tuple | None
     subsets_checked: int
     search_nodes: int
+    cover: Cover  # the witnesses of the subsets before bad_set, or of all of them
 
     @property
     def certified(self) -> bool:
         return self.status == "certified"
 
+    @property
+    def subsets_searched(self) -> int:
+        """Subsets that no earlier witness covered: each search found a new
+        witness, except the last one of a counterexample."""
+        return len(self.cover.witnesses) + (not self.certified)
+
 
 def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, through) -> VerificationReport:
-    """The one verification loop: search each k-subset in colex order with
-    through(c, s, b) and stop at the first that has no witness, so the
-    counterexample is the colex-least one. subsets_checked counts the subsets
-    visited and search_nodes is b.used."""
-    checked = 0
+    """The one verification loop: visit each k-subset in colex order and stop
+    at the first that has no witness, so the counterexample is the
+    colex-least one. A subset inside a witness already found is covered by
+    it; any other is searched with through(c, s, b), and the witness found
+    is kept. subsets_checked counts the subsets visited, and search_nodes is
+    b.used: covered subsets spend no nodes."""
+    if k < 1:
+        raise InvalidParameter("need at least one vertex")
+    kept = _WitnessCover(c.graph.n)
+    index = []  # per subset visited and covered: the index of its witness
+    bad = None
     for s in colex_subsets(c.graph.n, k):
-        checked += 1
-        if through(c, s, b) is None:
-            return VerificationReport("counterexample", s, checked, b.used)
-    return VerificationReport("certified", None, checked, b.used)
+        i = kept.covering(s)
+        if i < 0:
+            w = through(c, s, b)
+            if w is None:
+                bad = s
+                break
+            i = kept.add(w, w.vertices)
+        index.append(i)
+    cover = Cover(tuple(kept.witnesses), tuple(index))
+    if bad is None:
+        return VerificationReport("certified", None, len(index), b.used, cover)
+    return VerificationReport("counterexample", bad, len(index) + 1, b.used, cover)
 
 
 def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
                                      check_family: bool = True) -> VerificationReport:
     """Check that every k-subset of vertices lies on a rainbow cycle.
 
-    A counterexample is the colex-least one (see _verify_each_subset). The
-    F_k precheck spends from the same budget as the subset loop; callers
-    that re-verify the same graph can skip it.
+    A counterexample is the colex-least one (see _verify_each_subset). A
+    graph outside F_k raises NotInFamily. F_k lies inside F_2 for k <= n,
+    and F_2 is decided without a search, so that part runs first. A
+    certified colouring puts every k-subset on a cycle, which proves F_k
+    membership, so the search for k >= 3 runs only after a counterexample,
+    on the same budget. Callers that know the graph is in F_k can skip both.
     """
+    g = c.graph
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    if check_family and not in_family_Fk(c.graph, k, b):
+    if check_family and (k > g.n or not in_family_Fk(g, min(k, 2))):
         raise NotInFamily(k)
-    return _verify_each_subset(c, k, b, rainbow_cycle_through)
+    report = _verify_each_subset(c, k, b, rainbow_cycle_through)
+    if check_family and k >= 3 and not report.certified:
+        if not in_family_Fk(g, k, b):
+            raise NotInFamily(k)
+        report = replace(report, search_nodes=b.used)
+    return report
 
 
 def verify_k_rainbow_index_colouring(c: EdgeColouring, k: int, budget=None) -> VerificationReport:
@@ -280,17 +301,10 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     if not segments:
         return WalkWitness(s, tuple(paths))
 
-    adj, palette = _kernel_adjacency(g, colouring)
-    # per target: its distance row, and each vertex's (neighbour, edge id,
-    # colour) triples ordered by (distance to the target, neighbour); the
-    # sort is stable and adj lists neighbours in ascending order
-    toward = {}
-    for _, _, bv in segments:
-        if bv not in toward:
-            dist = _bfs_distances(g, bv)
-            toward[bv] = dist, tuple(
-                tuple(sorted(nbrs, key=lambda t: dist[t[0]])) for nbrs in adj
-            )
+    palette = _kernel_adjacency(g, colouring)[1]
+    # per target: its distance row, and the adjacency ordered toward it
+    toward = {bv: (_bfs_distances(g, bv), _neighbours_toward(g, colouring, bv))
+              for _, _, bv in segments}
     seg_lb = []
     for _, a, bv in segments:
         d = toward[bv][0][a]

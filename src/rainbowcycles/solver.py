@@ -20,6 +20,8 @@ from .graph import (
     Graph,
     _bipartition,
     _is_cycle_graph,
+    _WitnessCover,
+    colex_subsets,
     cycle_vertices_to_edge_ids,
     enumerate_simple_cycles,
     find_hamilton_cycle,
@@ -27,7 +29,7 @@ from .graph import (
     in_family_Fk,
     is_connected,
 )
-from .search import colex_subsets, min_cycle_length_through
+from .search import _shortest_cycle_through
 
 MAX_SOLVER_EDGES = 16
 MAX_SOLVER_SUBSETS = 100_000
@@ -301,7 +303,11 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None,
                              max_exhaustive: int = 20_000) -> tuple[int, Certificate]:
     """Best shortest-cycle lower bound: max of min_cycle_length_through over
     all k-subsets when their count is within budget, else a seeded sample.
-    A partial maximisation is still a valid lower bound."""
+    A partial maximisation is still a valid lower bound.
+
+    Each shortest cycle found is kept. Its length is at most the best bound
+    from then on, so a later subset inside it has a cycle no longer than the
+    bound and needs no search: the bound and its subset do not change."""
     b = budget if isinstance(budget, Budget) else Budget(budget)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
@@ -314,11 +320,16 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None,
         pool = (tuple(sorted(rng.sample(range(g.n), k))) for _ in range(2000))
         mode = "sampled"
     best, best_set = 0, None
+    kept = _WitnessCover(g.n)
     try:
         for s in pool:
-            length = min_cycle_length_through(g, s, b)
-            if length is not None and length > best:
-                best, best_set = length, s
+            if kept.covering(s) >= 0:
+                continue
+            cycle = _shortest_cycle_through(g, s, b)
+            if cycle is not None:
+                kept.add(None, cycle)
+                if len(cycle) > best:
+                    best, best_set = len(cycle), s
     except BudgetExceeded:
         mode += "-partial"  # a partial maximisation is still a lower bound
     return best, Certificate(
@@ -426,8 +437,12 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, attempts):
                     return 2 * k, c
                 except soft:
                     pass
-    # fallback: a rainbow Hamilton cycle when one exists, else rainbow all
-    ham = find_hamilton_cycle(g, Budget(2_000_000)) if g.n >= 3 else None
+    # fallback: a rainbow Hamilton cycle when one is found within the
+    # budget, else rainbow all, which is always a valid upper bound
+    try:
+        ham = find_hamilton_cycle(g, budget)
+    except BudgetExceeded:
+        ham = None
     if ham is not None and k <= g.n:
         colour_of = [0] * g.e
         for i, (a, bv) in enumerate(zip(ham, ham[1:] + ham[:1])):

@@ -82,6 +82,8 @@ class TestPipelines:
         assert code == 0
         rep = json.loads(report)
         assert rep["status"] == "certified" and rep["colours"] == 5
+        # the first three witnesses hold all 15 pairs of W_5
+        assert (rep["subsets_checked"], rep["subsets_searched"]) == (15, 3)
 
     def test_solve_cycle_exact(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)

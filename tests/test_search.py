@@ -1,19 +1,27 @@
 import gc
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    brute_all_cycles,
     brute_has_rainbow_cycle_through,
     brute_subdivided_closed_walk_exists,
+    brute_subtrees,
     random_connected_graph,
 )
 from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
 from rainbowcycles.colouring import (
+    Cover,
+    CycleWitness,
     EdgeColouring,
+    check_cover,
     check_cycle_witness,
     check_tree_witness,
     check_walk_witness,
@@ -356,8 +364,10 @@ class TestGoldenNodeCounts:
         c = cons.colour_wheel(10, 3, verify=False)
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, 3, b)
-        # 11 of the nodes are the F_k precheck's Hamilton shortcut
-        assert (report.subsets_checked, report.search_nodes, b.used) == (165, 2780, 2780)
+        # four cycles cover all 165 triples; a certified colouring needs no
+        # F_3 search, so no Hamilton shortcut runs
+        assert (report.subsets_checked, report.search_nodes, b.used) == (165, 151, 151)
+        assert report.subsets_searched == 4
         b = Budget()
         w = rainbow_cycle_through(c, (0, 4, 7), b)
         assert b.used == 11
@@ -365,14 +375,34 @@ class TestGoldenNodeCounts:
         assert w.edge_ids == (0, 3, 5, 7, 10, 16, 15, 17, 1)
 
     def test_precheck_spends_the_callers_budget(self):
-        # Petersen is not Hamiltonian, so its F_3 precheck searches the
-        # triples: 1,331 nodes before the 1,263 of the subset loop
+        # a certified colouring proves F_3 membership: no precheck search
         c = rainbow_colouring(gen.petersen())
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, 3, b)
-        assert (report.subsets_checked, report.search_nodes, b.used) == (120, 2594, 2594)
+        assert (report.subsets_checked, report.search_nodes, b.used) == (120, 71, 71)
+        assert verify_k_rainbow_cycle_colouring(c, 3, check_family=False).search_nodes == 71
+        # after a counterexample the F_3 search runs on the same budget: Petersen
+        # is not Hamiltonian, so it is the 142-node shortcut and 63 triple nodes
+        c = EdgeColouring(gen.petersen(), tuple(i % 7 for i in range(15)), 7)
+        plain = verify_k_rainbow_cycle_colouring(c, 3, check_family=False)
         b = Budget()
-        assert verify_k_rainbow_cycle_colouring(c, 3, b, check_family=False).search_nodes == 1263
+        report = verify_k_rainbow_cycle_colouring(c, 3, b)
+        assert report.status == plain.status == "counterexample"
+        assert report.bad_set == plain.bad_set
+        assert report.search_nodes == b.used == plain.search_nodes + 142 + 63
+
+    @pytest.mark.parametrize("colour, k, searched, nodes", [
+        (lambda: cons.colour_wheel(14, 5, verify=False), 5, 6, 287),
+        (lambda: cons.colour_cube(5, 3, verify=False), 3, 540, 101_921),
+    ], ids=["wheel-14-5", "cube-5-3"])
+    def test_covered_subsets_need_no_search(self, colour, k, searched, nodes):
+        # one search per subset spent 47,646 and 561,949 nodes
+        c = colour()
+        b = Budget()
+        report = verify_k_rainbow_cycle_colouring(c, k, b)
+        assert report.certified and report.subsets_checked == math.comb(c.graph.n, k)
+        assert (report.subsets_searched, report.search_nodes, b.used) == (searched, nodes, nodes)
+        assert check_cover(c, k, report.cover)
 
     def test_far_pair_cut_at_the_anchor(self):
         # a cycle through antipodes of Q_4 needs 8 edges, more than 5 colours
@@ -440,3 +470,120 @@ class TestOracleAgreement:
                 s = tuple(sorted(rng.sample(range(g.n), min(k, g.n))))
                 got = rainbow_cycle_through(c, s) is not None
                 assert got == brute_has_rainbow_cycle_through(c, s), (name, s)
+
+
+@st.composite
+def coloured_graphs(draw, max_n=7, max_extra=8):
+    """A small connected graph, a random spanning tree plus extra edges, with
+    a colouring that may leave colours unused: either uniform over r colours,
+    or the rainbow colouring with a few edges recoloured, which certifies
+    more often."""
+    n = draw(st.integers(3, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [p for p in itertools.combinations(range(n), 2) if p not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=max_extra, unique=True)))
+    g = Graph(n, tuple(edges))
+    if draw(st.booleans()):
+        r = draw(st.integers(1, g.e))
+        colours = draw(st.lists(st.integers(0, r - 1), min_size=g.e, max_size=g.e))
+    else:
+        r, colours = g.e, list(range(g.e))
+        for _ in range(draw(st.integers(0, 3))):
+            colours[draw(st.integers(0, g.e - 1))] = draw(st.integers(0, g.e - 1))
+    return EdgeColouring(g, tuple(colours), r, unused_ok=True)
+
+
+def _oracle_verdict(c, k, structures):
+    """(status, bad set) by definition: the first k-subset in colex order,
+    sorted here by reversed tuple, that lies in no rainbow structure from
+    structures, given as (vertex set, edge ids) pairs."""
+    subsets = sorted(itertools.combinations(range(c.graph.n), k), key=lambda s: s[::-1])
+    for s in subsets:
+        if not any(set(s) <= verts and len({c.colour_of[e] for e in eids}) == len(eids)
+                   for verts, eids in structures):
+            return "counterexample", s
+    return "certified", None
+
+
+class TestCover:
+    @settings(max_examples=150, deadline=None)
+    @given(coloured_graphs(), st.integers(1, 3))
+    def test_cycle_verify_matches_brute(self, c, k):
+        report = verify_k_rainbow_cycle_colouring(c, k, check_family=False)
+        cycles = brute_all_cycles(c.graph)
+        assert (report.status, report.bad_set) == _oracle_verdict(c, k, cycles)
+        if report.certified:
+            assert check_cover(c, k, report.cover)
+        in_family = all(any(set(s) <= verts for verts, _ in cycles)
+                        for s in itertools.combinations(range(c.graph.n), k))
+        if in_family:
+            checked = verify_k_rainbow_cycle_colouring(c, k)
+            assert (checked.status, checked.bad_set, checked.cover) == (
+                report.status, report.bad_set, report.cover)
+        else:
+            with pytest.raises(NotInFamily):
+                verify_k_rainbow_cycle_colouring(c, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(coloured_graphs(max_n=6, max_extra=4), st.integers(2, 3))
+    def test_tree_verify_matches_brute(self, c, k):
+        report = verify_k_rainbow_index_colouring(c, k)
+        assert (report.status, report.bad_set) == _oracle_verdict(c, k, brute_subtrees(c.graph))
+        if report.certified:
+            assert check_cover(c, k, report.cover)
+
+    def test_report_lists_each_witness_once(self):
+        c = cons.colour_cube(4, 2, verify=False)
+        report = verify_k_rainbow_cycle_colouring(c, 2)
+        ws = report.cover.witnesses
+        assert len({frozenset(w.vertices) for w in ws}) == len(ws) == report.subsets_searched
+        assert sorted(set(report.cover.index)) == list(range(len(ws)))
+        assert all(isinstance(w, CycleWitness) for w in ws)
+
+    def test_rx_and_k1_covers(self):
+        c = cons.colour_join_rxk(2, 3, verify=False)
+        report = verify_k_rainbow_index_colouring(c, 2)
+        assert report.certified and check_cover(c, 2, report.cover)
+        # single vertices are joined by the one-vertex tree
+        report = verify_k_rainbow_index_colouring(c, 1)
+        assert report.certified and check_cover(c, 1, report.cover)
+        assert not check_cover(c, 2, report.cover)
+
+    def test_counterexample_cover_is_partial(self):
+        g = gen.wheel(5)
+        c = EdgeColouring(g, (0,) * (g.e - 1) + (1,), 2)
+        report = verify_k_rainbow_cycle_colouring(c, 2)
+        assert report.status == "counterexample"
+        assert len(report.cover.index) == report.subsets_checked - 1
+        assert report.subsets_searched == len(report.cover.witnesses) + 1
+        assert not check_cover(c, 2, report.cover)
+
+    @pytest.fixture(scope="class")
+    def certified(self):
+        c = cons.colour_wheel(8, 3, verify=False)
+        report = verify_k_rainbow_cycle_colouring(c, 3)
+        assert report.certified and check_cover(c, 3, report.cover)
+        return c, report.cover
+
+    def test_flipped_colour_fails(self, certified):
+        c, cover = certified
+        # recolour an edge of a witness with the colour of its neighbour on it
+        w = cover.witnesses[0]
+        colours = list(c.colour_of)
+        colours[w.edge_ids[0]] = colours[w.edge_ids[1]]
+        flipped = EdgeColouring(c.graph, tuple(colours), c.r, unused_ok=True)
+        assert not check_cover(flipped, 3, cover)
+
+    def test_wrong_subset_index_fails(self, certified):
+        c, cover = certified
+        subsets = list(colex_subsets(c.graph.n, 3))
+        # point a subset at a witness that misses one of its vertices
+        for i, s in enumerate(subsets):
+            wrong = next((j for j, w in enumerate(cover.witnesses)
+                          if not set(s) <= set(w.vertices)), None)
+            if wrong is not None:
+                break
+        index = cover.index[:i] + (wrong,) + cover.index[i + 1:]
+        assert not check_cover(c, 3, Cover(cover.witnesses, index))
+        assert not check_cover(c, 3, Cover(cover.witnesses, cover.index[:-1]))
+        assert not check_cover(c, 3, Cover(cover.witnesses, cover.index[:-1] + (len(cover.witnesses),)))

@@ -8,8 +8,10 @@ from conftest import (brute_cycle_index, brute_rainbow_index, brute_subtrees,
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily, ScopeExceeded
-from rainbowcycles.graph import Budget, Graph, in_family_Fk
-from rainbowcycles.search import verify_k_rainbow_cycle_colouring, verify_k_rainbow_index_colouring
+from rainbowcycles.colouring import rainbow_colouring
+from rainbowcycles.graph import Budget, Graph, find_hamilton_cycle, in_family_Fk
+from rainbowcycles.search import (min_cycle_length_through, verify_k_rainbow_cycle_colouring,
+                                  verify_k_rainbow_index_colouring)
 
 
 def naive_partition_count(n, k):
@@ -265,8 +267,6 @@ class TestLowerBoundDistance:
         bound, cert = solver.crx_lower_bound_distance(gen.hypercube(4), 2)
         assert bound == 8
         assert cert.kind == "distance_bound"
-        from rainbowcycles.search import min_cycle_length_through
-
         assert min_cycle_length_through(gen.hypercube(4), cert.payload["subset"]) == 8
 
     def test_join_triple(self):
@@ -278,13 +278,55 @@ class TestLowerBoundDistance:
         assert bound == 3
 
     def test_golden_w12_triples(self):
-        # one search per subset, 70,837 nodes, after the 13 of the F_3 precheck
+        # 11,208 search nodes after the 13 of the F_3 precheck; a triple
+        # inside a shortest cycle already found is not searched (one search
+        # per triple spent 70,837)
         b = Budget()
         bound, cert = solver.crx_lower_bound_distance(gen.wheel(12), 3, b)
-        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 70_850)
+        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 11_221)
+
+    @pytest.mark.parametrize("g, k", [
+        (gen.wheel(9), 2), (gen.wheel(9), 3), (gen.wheel(10), 3), (gen.hypercube(4), 2),
+        (gen.complete(8), 3), (gen.complete_multipartite((3, 3, 3)), 2),
+        (gen.path_cycle_join(3, 3), 3),
+    ])
+    def test_same_bound_as_one_search_per_subset(self, g, k):
+        best, best_set = 0, None
+        for s in itertools.combinations(range(g.n), k):
+            length = min_cycle_length_through(g, s)
+            # colex order: a tie goes to the subset whose reversed tuple is least
+            if length > best or (length == best and s[::-1] < best_set[::-1]):
+                best, best_set = length, s
+        bound, cert = solver.crx_lower_bound_distance(g, k)
+        assert (bound, cert.payload["subset"]) == (best, best_set)
 
 
 class TestInterval:
+    def test_hamilton_fallback_spends_the_callers_budget(self):
+        # Petersen has no named family, so the upper bound falls back to a
+        # Hamilton search, 142 nodes (it has no Hamilton cycle), charged to b
+        g = gen.petersen()
+        bound_only, ham = Budget(5000), Budget()
+        solver.crx_lower_bound_distance(g, 2, bound_only)
+        assert find_hamilton_cycle(g, ham) is None and ham.used == 142
+        b = Budget(5000)
+        res = solver.crx_interval(g, 2, b)
+        assert b.used == bound_only.used + 142
+        assert (res.lower, res.upper, res.witness.r) == (5, 15, 15)
+
+    def test_hamilton_fallback_budget_out_is_rainbow(self):
+        # the Hamilton search runs out of the caller's budget: the rainbow
+        # colouring is still a valid upper bound
+        g = gen.path_cycle_join(3, 3)
+        bound_only, ham = Budget(), Budget()
+        solver.crx_lower_bound_distance(g, 2, bound_only)
+        assert find_hamilton_cycle(g, ham) is not None
+        full = solver.crx_interval(g, 2)
+        assert full.upper == g.n
+        b = Budget(bound_only.used + ham.used - 1)
+        res = solver.crx_interval(g, 2, b)
+        assert (res.lower, res.upper, res.witness) == (full.lower, g.e, rainbow_colouring(g))
+
     def test_w9_k2(self):
         res = solver.crx_interval(gen.wheel(9), 2)
         assert (res.lower, res.upper) == (6, 7)
