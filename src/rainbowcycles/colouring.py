@@ -7,7 +7,7 @@ uniformly at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidParameter
@@ -21,12 +21,17 @@ class EdgeColouring:
     Constructors emit surjective colourings; a colouring that legitimately
     leaves declared colours unused (e.g. a raw random sample) must say so
     via ``unused_ok``.
+
+    ``witnesses`` holds the rainbow cycles (or trees) of a self-verified
+    colouring's cover. They are a hint, not part of the colouring: equality
+    ignores them, and verification re-checks each one before using it.
     """
 
     graph: Graph
     colour_of: tuple[int, ...]
     r: int
     unused_ok: bool = False
+    witnesses: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.colour_of) != self.graph.e:

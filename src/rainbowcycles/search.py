@@ -5,14 +5,24 @@ BudgetExceeded when the node budget runs out. Cycle searches anchor at the
 lowest-id vertex of the requested set and explore neighbours in ascending
 order, so the first witness found is deterministic. Verification runs in one
 process: one colex pass over the k-subsets, on the caller's budget, that
-searches only the subsets no witness found so far already covers.
+searches only the subsets no kept witness already covers. The kept witnesses
+start as those the colouring carries from a self-verification, each re-checked
+first, and grow by every witness the pass finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .colouring import Cover, CycleWitness, EdgeColouring, TreeWitness, WalkWitness
+from .colouring import (
+    Cover,
+    CycleWitness,
+    EdgeColouring,
+    TreeWitness,
+    WalkWitness,
+    check_cycle_witness,
+    check_tree_witness,
+)
 from .errors import BudgetExceeded, InvalidParameter, NotInFamily
 from .graph import (
     INF,
@@ -141,6 +151,7 @@ class VerificationReport:
     status: str  # "certified" | "counterexample"
     bad_set: tuple | None
     subsets_checked: int
+    subsets_searched: int  # the subsets no kept witness covered
     search_nodes: int
     cover: Cover  # the witnesses of the subsets before bad_set, or of all of them
 
@@ -148,28 +159,39 @@ class VerificationReport:
     def certified(self) -> bool:
         return self.status == "certified"
 
-    @property
-    def subsets_searched(self) -> int:
-        """Subsets that no earlier witness covered: each search found a new
-        witness, except the last one of a counterexample."""
-        return len(self.cover.witnesses) + (not self.certified)
 
-
-def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, through) -> VerificationReport:
+def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind) -> VerificationReport:
     """The one verification loop: visit each k-subset in colex order and stop
-    at the first that has no witness, so the counterexample is the
-    colex-least one. A subset inside a witness already found is covered by
-    it; any other is searched with through(c, s, b), and the witness found
-    is kept. subsets_checked counts the subsets visited, and search_nodes is
-    b.used: covered subsets spend no nodes."""
+    at the first that has no witness of type kind (CycleWitness or
+    TreeWitness), so the counterexample is the colex-least one. A subset
+    inside a kept witness is covered by it; any other is searched with
+    rainbow_cycle_through or rainbow_tree_through, and the witness found is
+    kept.
+
+    The kept witnesses start as those of type kind that c carries
+    (EdgeColouring.witnesses) and pass check_cycle_witness or
+    check_tree_witness as rainbow structures of c; the others are dropped. A
+    kept witness is a rainbow structure either way, so the seeds change which
+    subsets are searched, but not the status, bad_set or subsets_checked.
+    subsets_searched counts the searches, and search_nodes is b.used:
+    covered subsets spend no nodes."""
     if k < 1:
         raise InvalidParameter("need at least one vertex")
+    if kind is CycleWitness:
+        through, check = rainbow_cycle_through, check_cycle_witness
+    else:
+        through, check = rainbow_tree_through, check_tree_witness
     kept = _WitnessCover(c.graph.n)
+    for w in c.witnesses:
+        if type(w) is kind and check(c.graph, w, c, require_rainbow=True):
+            kept.add(w, w.vertices)
     index = []  # per subset visited and covered: the index of its witness
+    searched = 0
     bad = None
     for s in colex_subsets(c.graph.n, k):
         i = kept.covering(s)
         if i < 0:
+            searched += 1
             w = through(c, s, b)
             if w is None:
                 bad = s
@@ -178,8 +200,8 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, through) -> Verific
         index.append(i)
     cover = Cover(tuple(kept.witnesses), tuple(index))
     if bad is None:
-        return VerificationReport("certified", None, len(index), b.used, cover)
-    return VerificationReport("counterexample", bad, len(index) + 1, b.used, cover)
+        return VerificationReport("certified", None, len(index), searched, b.used, cover)
+    return VerificationReport("counterexample", bad, len(index) + 1, searched, b.used, cover)
 
 
 def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
@@ -197,7 +219,7 @@ def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
     b = budget if isinstance(budget, Budget) else Budget(budget)
     if check_family and (k > g.n or not in_family_Fk(g, min(k, 2))):
         raise NotInFamily(k)
-    report = _verify_each_subset(c, k, b, rainbow_cycle_through)
+    report = _verify_each_subset(c, k, b, CycleWitness)
     if check_family and k >= 3 and not report.certified:
         if not in_family_Fk(g, k, b):
             raise NotInFamily(k)
@@ -210,7 +232,7 @@ def verify_k_rainbow_index_colouring(c: EdgeColouring, k: int, budget=None) -> V
     if not is_connected(c.graph):
         raise InvalidParameter("rainbow index needs a connected graph")
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    return _verify_each_subset(c, k, b, rainbow_tree_through)
+    return _verify_each_subset(c, k, b, TreeWitness)
 
 
 # ---------------------------------------------------------------------------

@@ -392,51 +392,37 @@ def _try_multipartite(g: Graph):
 def _upper_bound_construction(g: Graph, k: int, budget, seed, attempts):
     """Best applicable constructor upper bound; returns (r, witness or None).
 
-    Samplers may fail and unsupported regimes fall through to the Hamilton or
-    rainbow fallback; a ConstructionRejected (transcription error) propagates.
+    Samplers may fail, unsupported regimes raise, and a self-verification may
+    run out of the budget: each falls through to the Hamilton or rainbow
+    fallback. A ConstructionRejected (transcription error) propagates.
     """
     from . import constructions as cons
     from .errors import AttemptsExhausted, RegimeUnsupported
 
-    soft = (AttemptsExhausted, RegimeUnsupported, InvalidParameter)
+    soft = (AttemptsExhausted, RegimeUnsupported, InvalidParameter, BudgetExceeded)
     fam = _detect_family(g)
-    if fam is not None:
-        kind, param = fam
-        if kind == "cycle":
-            return param, rainbow_colouring(g)
-        if kind == "complete":
-            if k <= 2:
-                return 3, cons.colour_complete_2rainbow(param, budget=budget)
-            try:
-                c = cons.colour_complete_random(param, k, seed, attempts, budget)
-                return 2 * k - 1, c
-            except soft:
-                pass
-        elif kind == "wheel":
-            try:
+    try:
+        if fam is not None:
+            kind, param = fam
+            if kind == "cycle":
+                return param, rainbow_colouring(g)
+            if kind == "complete":
+                if k <= 2:
+                    return 3, cons.colour_complete_2rainbow(param, budget=budget)
+                return 2 * k - 1, cons.colour_complete_random(param, k, seed, attempts, budget)
+            if kind == "wheel":
                 return None, cons.colour_wheel(param, k, budget=budget)
-            except soft:
-                pass
-        elif kind == "hypercube":
-            if k in (1, 2, 3) or k >= 1 << (param - 1):
+            if kind == "hypercube" and (k in (1, 2, 3) or k >= 1 << (param - 1)):
                 return None, cons.colour_cube(param, k, budget=budget)
-        elif kind == "complete_bipartite":
-            m, nn = param
-            try:
-                return None, cons.colour_bipartite(m, nn, k, budget=budget)
-            except soft:
-                pass
-        elif kind == "complete_multipartite":
-            if k == 1:
+            if kind == "complete_bipartite":
+                return None, cons.colour_bipartite(*param, k, budget=budget)
+            if kind == "complete_multipartite" and k == 1:
                 return 3, cons.colour_multipartite_blowup(param, budget=budget)
-            if len(set(param)) == 1:
-                try:
-                    c = cons.colour_balanced_multipartite_random(
-                        len(param), param[0], k, seed, attempts, budget
-                    )
-                    return 2 * k, c
-                except soft:
-                    pass
+            if kind == "complete_multipartite" and len(set(param)) == 1:
+                return 2 * k, cons.colour_balanced_multipartite_random(
+                    len(param), param[0], k, seed, attempts, budget)
+    except soft:
+        pass
     # fallback: a rainbow Hamilton cycle when one is found within the
     # budget, else rainbow all, which is always a valid upper bound
     try:

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -7,10 +8,19 @@ from conftest import loaded_by_cli_import
 from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
 from rainbowcycles.cli import main
-from rainbowcycles.colouring import EdgeColouring, rainbow_colouring
+from rainbowcycles.colouring import (
+    CycleWitness,
+    EdgeColouring,
+    TreeWitness,
+    check_cover,
+    check_cycle_witness,
+    check_tree_witness,
+    rainbow_colouring,
+)
 from rainbowcycles.document import document_from_graph, emit, export_dot, parse
 from rainbowcycles.errors import InvalidParameter
 from rainbowcycles.graph import Graph
+from rainbowcycles.search import verify_k_rainbow_cycle_colouring, verify_k_rainbow_index_colouring
 
 
 def run_cli(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -50,6 +60,33 @@ class TestDocument:
         assert c.colour_of[g.edge_id(0, 1)] == 6
         assert c.colour_of[g.edge_id(0, 2)] == 7
 
+    def test_round_trip_with_witnesses(self):
+        for c in (cons.colour_wheel(6, 2), cons.colour_join_rxk(2, 3)):
+            assert c.witnesses
+            doc = document_from_graph(c.graph, c)
+            back = parse(emit(doc))
+            assert back == doc and back.witnesses == c.witnesses
+            # witnesses are no part of the colouring's identity
+            assert back.colouring() == replace(c, witnesses=(), unused_ok=True)
+            assert back.colouring().witnesses == c.witnesses
+
+    def test_witnesses_survive_foreign_edge_order(self):
+        # a cycle is a vertex sequence, a tree a list of vertex pairs
+        text = json.dumps({
+            "n": 3,
+            "edges": [[1, 2], [0, 1], [0, 2]],
+            "colouring": {"colours": [5, 6, 7], "r": 8, "witnesses": {
+                "cycles": ["2 1 0"], "trees": ["2-1 0-2", "1", "0-3"]}},
+        })
+        g = Graph(3, ((0, 1), (0, 2), (1, 2)))
+        assert parse(text).witnesses == (
+            CycleWitness((2, 1, 0), (2, 0, 1)),
+            TreeWitness((2, 1), frozenset({0, 1, 2})),
+            TreeWitness((), frozenset({1})),
+        )  # "0-3" names no edge of g and is dropped
+        assert all(check_cycle_witness(g, w) for w in parse(text).witnesses[:1])
+        assert all(check_tree_witness(g, w) for w in parse(text).witnesses[1:])
+
     def test_schema_violations(self):
         with pytest.raises(InvalidParameter):
             parse("not json")
@@ -60,6 +97,12 @@ class TestDocument:
         with pytest.raises(InvalidParameter):
             parse(json.dumps({"n": 2, "edges": [[0, 1]],
                               "colouring": {"colours": [0, 0], "r": 1}}))
+        for bad in ([], {"paths": []}, {"cycles": "0 1 2"}, {"cycles": [[0, 1, 2]]},
+                    {"cycles": ["0 x 2"]}, {"trees": ["0-1-"]}):
+            with pytest.raises(InvalidParameter):
+                parse(json.dumps({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+                                  "colouring": {"colours": [0, 1, 2], "r": 3,
+                                                "witnesses": bad}}))
 
     def test_export_dot_mentions_colours(self):
         g = gen.cycle(3)
@@ -69,21 +112,39 @@ class TestDocument:
         assert 'label="2"' in dot
 
 
+def _wheel_pipeline(colour_flags, monkeypatch, capsys):
+    """gen wheel n=5 | colour wheel --k 2 [flags] | verify --k 2: the coloured
+    document and the verify report."""
+    code, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
+    assert code == 0
+    code, coloured, _ = run_cli(
+        ["colour", "wheel", "--k", "2"] + colour_flags, doc_text, monkeypatch, capsys)
+    assert code == 0
+    payload = json.loads(coloured)
+    assert payload["colouring"]["r"] == 5
+    code, report, _ = run_cli(["verify", "--k", "2"], coloured, monkeypatch, capsys)
+    assert code == 0
+    rep = json.loads(report)
+    assert rep["status"] == "certified" and rep["colours"] == 5
+    return payload, rep
+
+
 class TestPipelines:
     def test_gen_colour_verify_certified(self, monkeypatch, capsys):
-        code, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
-        assert code == 0
-        code, coloured, _ = run_cli(
-            ["colour", "wheel", "--k", "2"], doc_text, monkeypatch, capsys)
-        assert code == 0
-        payload = json.loads(coloured)
-        assert payload["colouring"]["r"] == 5
-        code, report, _ = run_cli(["verify", "--k", "2"], coloured, monkeypatch, capsys)
-        assert code == 0
-        rep = json.loads(report)
-        assert rep["status"] == "certified" and rep["colours"] == 5
-        # the first three witnesses hold all 15 pairs of W_5
+        # colour's self-verification writes its three witnesses, which hold
+        # all 15 pairs of W_5; verify re-checks them and searches nothing
+        payload, rep = _wheel_pipeline([], monkeypatch, capsys)
+        assert len(payload["colouring"]["witnesses"]["cycles"]) == 3
+        assert (rep["subsets_checked"], rep["subsets_searched"]) == (15, 0)
+        assert rep["search_nodes"] == 0
+
+    def test_gen_colour_no_verify_then_verify(self, monkeypatch, capsys):
+        # without self-verification the document carries no witnesses, and
+        # verify finds the same three itself
+        payload, rep = _wheel_pipeline(["--no-verify"], monkeypatch, capsys)
+        assert "witnesses" not in payload["colouring"]
         assert (rep["subsets_checked"], rep["subsets_searched"]) == (15, 3)
+        assert rep["search_nodes"] > 0
 
     def test_solve_cycle_exact(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
@@ -203,6 +264,132 @@ class TestPipelines:
         code, _, err = run_cli(
             ["colour", "wheel", "--k", "1"], doc_text, monkeypatch, capsys)
         assert code == 2 and "wheel" in err
+
+
+def _mutated(text, mutate):
+    """The document text after mutate(payload) edits its JSON payload."""
+    payload = json.loads(text)
+    mutate(payload)
+    return json.dumps(payload)
+
+
+def _same_verdict_as_bare(text, k, index="crx"):
+    """Verify the document as it is and with its witnesses removed: the
+    status, bad set and subsets checked must agree, and every witness the
+    seeded report rests on must pass its re-check. Returns both reports."""
+    verify = verify_k_rainbow_cycle_colouring if index == "crx" else verify_k_rainbow_index_colouring
+    c = parse(text).colouring()
+    seeded = verify(c, k)
+    bare = verify(replace(c, witnesses=()), k)
+    assert (seeded.status, seeded.bad_set, seeded.subsets_checked) == (
+        bare.status, bare.bad_set, bare.subsets_checked)
+    check = check_cycle_witness if index == "crx" else check_tree_witness
+    assert all(check(c.graph, w, c, require_rainbow=True) for w in seeded.cover.witnesses)
+    if seeded.certified:
+        assert check_cover(c, k, seeded.cover)
+    return seeded, bare
+
+
+class TestSeededVerify:
+    """verify seeds its cover with the witnesses a document carries, after
+    re-checking each; a mutated witness is dropped, never trusted."""
+
+    @pytest.fixture(scope="class")
+    def wheel_doc(self):
+        c = cons.colour_wheel(8, 3)
+        text = emit(document_from_graph(c.graph, c))
+        assert json.loads(text)["colouring"]["witnesses"]["cycles"] == [
+            "0 1 2 3 4 8 7", "0 1 2 8 5 6 7", "0 7 6 5 4 3 8", "1 2 3 4 5 6 8"]
+        return c, text
+
+    def test_intact_witnesses_cover_everything(self, wheel_doc):
+        _, text = wheel_doc
+        seeded, bare = _same_verdict_as_bare(text, 3)
+        assert seeded.certified and (seeded.subsets_searched, seeded.search_nodes) == (0, 0)
+        assert bare.subsets_searched == 4
+
+    def test_flipped_colour_on_a_witness(self, wheel_doc):
+        # edge 0-1 of the first witness takes the colour of its next edge 1-2:
+        # that witness is no longer rainbow, and {0, 1, 2} inside it has no
+        # rainbow cycle at all
+        c, text = wheel_doc
+        g = c.graph
+
+        def flip(payload):
+            colours = payload["colouring"]["colours"]
+            colours[g.edge_id(0, 1)] = colours[g.edge_id(1, 2)]
+        seeded, _ = _same_verdict_as_bare(_mutated(text, flip), 3)
+        assert (seeded.status, seeded.bad_set) == ("counterexample", (0, 1, 2))
+
+    @pytest.mark.parametrize("cycle", [
+        "0 1 2 1",           # every step an edge, but vertex 1 twice
+        "0 1 2 3 4 8",       # a cycle of W_8 that repeats a colour
+        "0 2 4 6",           # steps that are not edges
+        "0 1",               # too short
+        "0 1 2 3 4 8 99",    # a vertex the graph does not have
+    ])
+    def test_sequence_that_is_not_a_witness(self, wheel_doc, cycle):
+        c, text = wheel_doc
+
+        def replace_all(payload):
+            payload["colouring"]["witnesses"]["cycles"] = [cycle]
+        seeded, bare = _same_verdict_as_bare(_mutated(text, replace_all), 3)
+        assert seeded.certified and seeded.subsets_searched == bare.subsets_searched
+
+    def test_non_rainbow_cycle_covering_a_counterexample(self):
+        # W_5 with every edge but one in colour 0 has no rainbow cycle; the
+        # rim cycle holds the colex-least bad pair but is not rainbow
+        g = gen.wheel(5)
+        c = EdgeColouring(g, (0,) * (g.e - 1) + (1,), 2)
+        text = emit(document_from_graph(g, c))
+
+        def add_rim(payload):
+            payload["colouring"]["witnesses"] = {"cycles": ["0 1 2 3 4", "0 1 5", "0 1 2 3 4 5"]}
+        seeded, _ = _same_verdict_as_bare(_mutated(text, add_rim), 2)
+        assert (seeded.status, seeded.bad_set, seeded.cover.witnesses) == (
+            "counterexample", (0, 1), ())
+
+    def test_cycles_found_for_another_k(self, wheel_doc):
+        # the witnesses of a k = 2 pass are rainbow cycles of the same
+        # colouring, so they serve k = 3 as well; those of another
+        # colouring's pass are re-checked against this one
+        c, text = wheel_doc
+        pair_pass = verify_k_rainbow_cycle_colouring(replace(c, witnesses=()), 2)
+        other = cons.colour_wheel(8, 2)
+        for ws, reused in ((pair_pass.cover.witnesses, True), (other.witnesses, False)):
+            def swap(payload):
+                payload["colouring"]["witnesses"] = {
+                    "cycles": [" ".join(map(str, w.vertices)) for w in ws]}
+            seeded, bare = _same_verdict_as_bare(_mutated(text, swap), 3)
+            assert seeded.certified
+            assert (seeded.subsets_searched < bare.subsets_searched) == reused
+
+    def test_trees_for_the_rainbow_index(self):
+        c = cons.colour_join_rxk(2, 3)
+        g = c.graph
+        text = emit(document_from_graph(g, c))
+        trees = json.loads(text)["colouring"]["witnesses"]["trees"]
+        assert trees[:2] == ["0-1", "0-1 0-2"]
+        seeded, bare = _same_verdict_as_bare(text, 2, "rx")
+        assert seeded.certified and (seeded.subsets_searched, bare.subsets_searched) == (
+            0, len(trees))
+
+        def flip(payload):
+            # the tree 0-1 0-2 is no longer rainbow
+            colours = payload["colouring"]["colours"]
+            colours[g.edge_id(0, 1)] = colours[g.edge_id(0, 2)]
+
+        def swap(witnesses):
+            return lambda payload: payload["colouring"].update(witnesses=witnesses)
+        for mutate in (flip,
+                       swap({"trees": ["0-1 1-2 0-2"]}),  # a triangle, not a tree
+                       swap({"trees": ["0-1 0-2 0-1"]}),  # an edge twice
+                       swap({"trees": ["0-1 3"]}),        # a vertex off the tree's edges
+                       swap({"cycles": ["0 1 2"]})):      # cycles do not serve rx
+            _same_verdict_as_bare(_mutated(text, mutate), 2, "rx")
+        # nor do trees serve the cycle index
+        seeded, bare = _same_verdict_as_bare(text, 2, "crx")
+        assert seeded.subsets_searched == bare.subsets_searched
 
 
 def test_cli_import_does_not_load_multiprocessing():

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -587,3 +588,24 @@ class TestCover:
         assert not check_cover(c, 3, Cover(cover.witnesses, index))
         assert not check_cover(c, 3, Cover(cover.witnesses, cover.index[:-1]))
         assert not check_cover(c, 3, Cover(cover.witnesses, cover.index[:-1] + (len(cover.witnesses),)))
+
+    @settings(max_examples=120, deadline=None)
+    @given(coloured_graphs(), st.integers(1, 3), st.integers(1, 3), st.data())
+    def test_seeds_from_another_run_change_no_verdict(self, c, k, k_other, data):
+        # another run: the rainbow colouring's cycles and this colouring's
+        # trees; a seed is kept only if it is a rainbow cycle of c
+        g = c.graph
+        runs = (verify_k_rainbow_cycle_colouring(rainbow_colouring(g), k_other,
+                                                 check_family=False),
+                verify_k_rainbow_index_colouring(c, min(k_other, g.n)))
+        pool = [w for run in runs for w in run.cover.witnesses]
+        seeds = data.draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+        bare = verify_k_rainbow_cycle_colouring(c, k, check_family=False)
+        seeded = verify_k_rainbow_cycle_colouring(replace(c, witnesses=tuple(seeds)), k,
+                                                  check_family=False)
+        assert (seeded.status, seeded.bad_set, seeded.subsets_checked) == (
+            bare.status, bare.bad_set, bare.subsets_checked)
+        assert all(check_cycle_witness(g, w, c, require_rainbow=True)
+                   for w in seeded.cover.witnesses)
+        if seeded.certified:
+            assert check_cover(c, k, seeded.cover)

@@ -327,6 +327,30 @@ class TestInterval:
         res = solver.crx_interval(g, 2, b)
         assert (res.lower, res.upper, res.witness) == (full.lower, g.e, rainbow_colouring(g))
 
+    @pytest.mark.parametrize("limit, lower", [(500, 7), (2000, 9), (5000, 10)])
+    def test_budget_out_keeps_the_partial_lower_bound(self, limit, lower):
+        # the distance bound overruns the budget; the wheel constructor's
+        # self-verification then runs out at once and falls through to the
+        # rainbow colouring instead of raising
+        g = gen.wheel(12)
+        res = solver.crx_interval(g, 3, Budget(limit))
+        (cert,) = res.evidence
+        assert cert.payload["mode"] == "exhaustive-partial"
+        assert (res.kind, res.lower) == ("interval", lower)
+        assert (res.upper, res.witness) == (g.e, rainbow_colouring(g))
+
+    def test_construction_budget_out_is_rainbow(self):
+        # the distance bound finishes, and the budget runs out inside the
+        # wheel constructor's self-verification
+        g = gen.wheel(12)
+        bound_only = Budget()
+        solver.crx_lower_bound_distance(g, 3, bound_only)
+        full = solver.crx_interval(g, 3)
+        assert (full.kind, full.lower, full.upper) == ("exact", 10, 10)
+        res = solver.crx_interval(g, 3, Budget(bound_only.used + 10))
+        assert res.evidence[0].payload["mode"] == "exhaustive"
+        assert (res.lower, res.upper, res.witness) == (10, g.e, rainbow_colouring(g))
+
     def test_w9_k2(self):
         res = solver.crx_interval(gen.wheel(9), 2)
         assert (res.lower, res.upper) == (6, 7)
