@@ -180,10 +180,11 @@ def cmd_verify(args) -> int:
     c = doc.colouring()
     if c is None:
         raise InvalidParameter("document carries no colouring to verify")
+    b = gr.Budget(args.budget)
     if args.index == "crx":
-        report = verify_k_rainbow_cycle_colouring(c, args.k, budget=args.budget)
+        report = verify_k_rainbow_cycle_colouring(c, args.k, budget=b)
     else:
-        report = verify_k_rainbow_index_colouring(c, args.k, budget=args.budget)
+        report = verify_k_rainbow_index_colouring(c, args.k, budget=b)
     _report(args, {
         "command": "verify",
         "index": args.index,
@@ -193,6 +194,7 @@ def cmd_verify(args) -> int:
         "subsets_checked": report.subsets_checked,
         "subsets_searched": report.subsets_searched,
         "search_nodes": report.search_nodes,
+        "cuts": b.cuts,
         "colours": c.r,
     })
     return EXIT_OK if report.certified else EXIT_COUNTEREXAMPLE

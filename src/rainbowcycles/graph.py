@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import add
 
 from .errors import BudgetExceeded, InvalidParameter, NotTwoConnected
 
@@ -19,13 +21,18 @@ INF = float("inf")
 
 
 class Budget:
-    """Search-node counter. Budgets are in nodes, not wall time."""
+    """Search-node counter. Budgets are in nodes, not wall time.
 
-    __slots__ = ("limit", "used")
+    ``cuts`` counts, per rule of the anchored-cycle search, the states that
+    the rule ended (see _anchored_cycle): ``closing`` and ``sides``.
+    """
+
+    __slots__ = ("limit", "used", "cuts")
 
     def __init__(self, limit=DEFAULT_BUDGET):
         self.limit = DEFAULT_BUDGET if limit is None else int(limit)
         self.used = 0
+        self.cuts = {"closing": 0, "sides": 0}
 
     def spend(self, amount=1):
         self.used += amount
@@ -711,82 +718,181 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
 
     The DFS anchors at s[0] and takes neighbours in ascending order, so the
     first cycle found is deterministic. Each limit in ``limits`` is tried in
-    turn, and a branch is cut once its path length plus a distance lower
-    bound on closing the cycle through the missing vertices exceeds the
-    limit. One node is one DFS state entered: the anchor alone at the start
-    of a limit, or a path extended by one vertex. A state that the bound
-    cuts at once still counts.
+    turn. One node is one DFS state entered: the anchor alone at the start
+    of a limit, or a path extended by one vertex. A state that a cut rule
+    ends at once still counts, so a rule can lower the count of a search
+    but never change what it finds.
+
+    A state entered by putting w on the path with an edge of colour col is
+    first tried as the end of the cycle (w's edge to the anchor closes it).
+    Otherwise its subtree is searched unless one of three rules shows that
+    no completion fits within the limit:
+
+    - distance: the path length plus a lower bound on the closing walk
+      through the missing vertices of s exceeds the limit;
+    - closing edge (``closing``): the anchor has no neighbour x off the
+      path whose edge x-anchor has a colour not yet used. Every completion
+      ends with such an edge, and w is not its x: w either closes now,
+      which was tried, or becomes an interior vertex;
+    - two sides (``sides``): some missing vertex m of s has fewer than two
+      edges in colours not yet used whose other end is w, the anchor or a
+      vertex off the path. A cycle enters and leaves m by two such edges.
+
+    The rules cut only subtrees with no completion, so the DFS order, the
+    first cycle and every None stay as they would be without them. The
+    last two are kept incrementally: the DFS passes down the count of the
+    anchor's usable closing edges and the number of vertices of s that fall
+    short, and the usable edges of a vertex of s are recounted only when
+    the path takes a vertex or colour that touches it. A state with nothing
+    short pays one integer test. The states each rule cut are added to
+    ``b.cuts`` on exit, as the nodes are to ``b.used``.
 
     With an EdgeColouring ``colouring`` the cycle must also be rainbow.
-    Without one, each edge is its own colour. That cuts nothing, because a
-    simple cycle never repeats an edge, so both cases run the same loop.
+    Without one, each edge is its own colour. That rules out nothing,
+    because a simple cycle never repeats an edge, so both cases run the
+    same loop.
     """
     adj, palette = _kernel_adjacency(g, colouring)
     anchor = s[0]
     dist_anchor = _bfs_distances(g, anchor)
     # (vertex, its distance row, its distance to the anchor) for each of s[1:]
     rest = [(m, _bfs_distances(g, m), dist_anchor[m]) for m in s[1:]]
-    in_rest = bytearray(g.n)
-    for m in s[1:]:
-        in_rest[m] = 1
+    # The vertices of rest still missing are kept as a bitmask; bit[m] is
+    # the bit of m (0 off rest). bounds[mask][x] bounds the edges that a
+    # path ending at x still needs: the largest dist(x, m) + dist(m, anchor)
+    # over the missing m, or dist(x, anchor) when none is missing. Taking
+    # dist(x, anchor) into the largest as well would change nothing, as no
+    # such sum is smaller (the triangle inequality).
+    bit = [0] * g.n
+    bounds = {0: dist_anchor}
+
+    def bound_row(mask):
+        row = None
+        for i, (_, row_m, dm) in enumerate(rest):
+            if mask >> i & 1:
+                detour = list(map(add, row_m, repeat(dm)))
+                row = detour if row is None else list(map(max, row, detour))
+        bounds[mask] = row
+        return row
+
     on_path = bytearray(g.n)
     on_path[anchor] = 1
     used = bytearray(palette)
     closing = [None] * g.n  # closing[v] = (edge id, colour) of the edge v-anchor
     for w, eid, col in adj[anchor]:
         closing[w] = (eid, col)
+    # live[m], for m in rest: the edges a completion may still enter or
+    # leave m by, while m is off the path
+    live = [0] * g.n
+    near = [()] * g.n  # vertex -> ((m, colour), ...) for its edges to rest
+    root_short = 0
+    for i, (m, _, _) in enumerate(rest):
+        bit[m] = 1 << i
+        live[m] = len(adj[m])
+        root_short += live[m] < 2
+        for y, _, col in adj[m]:
+            near[y] += ((m, col),)
+    near[anchor] = ()  # the anchor never becomes interior
+    # colour -> ((m, other end), ...) for the edges at s in that colour.
+    # Without a colouring each colour is one edge, the one just taken: it
+    # touches no missing vertex, and at the anchor it is w's closing edge,
+    # which is counted apart, so no colour needs a list
+    coloured = colouring is not None
+    by_colour = [()] * palette if coloured else None
+    if coloured:
+        for m in s:
+            for y, _, col in adj[m]:
+                by_colour[col] += ((m, y),)
+    cut_closing = cut_sides = 0
     found = []  # (vertex, edge id) from the closing edge back to the anchor
     left = b.limit - b.used  # nodes still allowed; Budget.used is set on exit
 
-    def extend(v, depth, missing):
-        """Enter each child of the path that ends at v and has depth edges;
-        missing holds the entries of rest whose vertex is not on the path."""
-        nonlocal left
+    def extend(v, depth, mask, bound, closers, short):
+        """Enter each child of the path that ends at v and has depth edges.
+        mask holds the vertices of rest not on the path and bound is
+        bounds[mask]; closers counts the anchor's edges that may still close
+        the cycle, and short the vertices of s that fall short: each missing
+        m with live[m] < 2, and the anchor once closers is 0."""
+        nonlocal left, cut_closing, cut_sides
         depth += 1
+        for m, c in near[v]:  # v is interior in every child: its edges to rest die
+            if not on_path[m] and not used[c]:
+                live[m] -= 1
+                short += live[m] == 1
         for w, eid, col in adj[v]:
             if on_path[w] or used[col]:
                 continue
             left -= 1
             if left < 0:
                 raise BudgetExceeded(b.limit)
-            # the child's node: close the cycle, cut it by the bound, or go on;
+            # the child's node: close the cycle, cut it by a rule, or go on;
             # w and col are marked only while the DFS is below the child
-            if in_rest[w]:
-                missing_w = [t for t in missing if t[0] != w]
+            if bit[w]:
+                mask_w = mask ^ bit[w]
+                bound_w = bounds.get(mask_w) or bound_row(mask_w)
+                short_w = short - (live[w] < 2)  # w is no longer missing
             else:
-                missing_w = missing
-            if not missing_w and depth >= 2:
-                close = closing[w]
+                mask_w, bound_w, short_w = mask, bound, short
+            close = closing[w]
+            if not mask_w and depth >= 2:
                 if close is not None and close[1] != col and not used[close[1]]:
                     found.append((anchor, close[0]))
                     found.append((w, eid))
                     return True
-            lb = dist_anchor[w]
-            for m, row, dm in missing_w:
-                if row[w] + dm > lb:
-                    lb = row[w] + dm
-            if depth + lb <= limit:
-                on_path[w] = used[col] = 1
-                if extend(w, depth, missing_w):
+            if depth + bound_w[w] > limit:
+                continue
+            # taking w and col: w stops being a closer, and the other edges
+            # of colour col at s die
+            closers_w = closers
+            if close is not None and not used[close[1]]:
+                closers_w -= 1
+                short_w += not closers_w
+            on_path[w] = used[col] = 1
+            if coloured:
+                for m, y in by_colour[col]:
+                    if m == anchor:
+                        if not on_path[y]:
+                            closers_w -= 1
+                            short_w += not closers_w
+                    elif not on_path[m] and (not on_path[y] or y == anchor or y == w):
+                        live[m] -= 1
+                        short_w += live[m] == 1
+            if not short_w:
+                if extend(w, depth, mask_w, bound_w, closers_w, short_w):
                     found.append((w, eid))
                     return True
-                on_path[w] = used[col] = 0
+            elif closers_w:
+                cut_sides += 1
+            else:
+                cut_closing += 1
+            if coloured:
+                for m, y in by_colour[col]:
+                    if m != anchor and not on_path[m] and (not on_path[y] or y == anchor or y == w):
+                        live[m] += 1
+            on_path[w] = used[col] = 0
+        for m, c in near[v]:
+            if not on_path[m] and not used[c]:
+                live[m] += 1
         return False
 
     # the anchor alone: it cannot close a cycle, and its bound is the
     # longest detour to a vertex of rest and back
     root_lb = max((2 * dm for _, _, dm in rest), default=0)
+    full = (1 << len(rest)) - 1
     try:
         for limit in limits:
             left -= 1
             if left < 0:
                 raise BudgetExceeded(b.limit)
-            if root_lb <= limit and extend(anchor, 0, rest):
+            if root_lb <= limit and extend(anchor, 0, full, bounds.get(full) or bound_row(full),
+                                           len(adj[anchor]), root_short):
                 found.reverse()
                 return (anchor,) + tuple(w for w, _ in found[:-1]), tuple(e for _, e in found)
         return None
     finally:
         b.used = b.limit - left
+        b.cuts["closing"] += cut_closing
+        b.cuts["sides"] += cut_sides
         del extend  # it refers to itself through its cell; free the search state now
 
 

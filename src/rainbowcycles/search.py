@@ -3,7 +3,12 @@
 Every search here is complete: it returns a witness iff one exists, or raises
 BudgetExceeded when the node budget runs out. Cycle searches anchor at the
 lowest-id vertex of the requested set and explore neighbours in ascending
-order, so the first witness found is deterministic. Verification runs in one
+order, so the first witness found is deterministic. They end a path as soon
+as the cycle can no longer close within its limit: by a distance bound, when
+the anchor has no usable closing edge left, or when a missing vertex has
+fewer than two usable edges (graph._anchored_cycle). These rules lower node
+counts but never change a witness; Budget.cuts counts the states each of
+the last two ended. Verification runs in one
 process: one colex pass over the k-subsets, on the caller's budget, that
 searches only the subsets no kept witness already covers. The kept witnesses
 start as those the colouring carries from a self-verification, each re-checked

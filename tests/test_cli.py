@@ -136,7 +136,7 @@ class TestPipelines:
         payload, rep = _wheel_pipeline([], monkeypatch, capsys)
         assert len(payload["colouring"]["witnesses"]["cycles"]) == 3
         assert (rep["subsets_checked"], rep["subsets_searched"]) == (15, 0)
-        assert rep["search_nodes"] == 0
+        assert (rep["search_nodes"], rep["cuts"]) == (0, {"closing": 0, "sides": 0})
 
     def test_gen_colour_no_verify_then_verify(self, monkeypatch, capsys):
         # without self-verification the document carries no witnesses, and
@@ -145,6 +145,17 @@ class TestPipelines:
         assert "witnesses" not in payload["colouring"]
         assert (rep["subsets_checked"], rep["subsets_searched"]) == (15, 3)
         assert rep["search_nodes"] > 0
+
+    def test_verify_prints_cuts_per_rule(self, monkeypatch, capsys):
+        # beside the nodes searched: the states that the cycle search's
+        # closing-edge and two-sides rules ended
+        _, doc_text, _ = run_cli(["gen", "hypercube", "n=4"], "", monkeypatch, capsys)
+        _, coloured, _ = run_cli(["colour", "cube", "--k", "2", "--no-verify"], doc_text,
+                                 monkeypatch, capsys)
+        code, report, _ = run_cli(["verify", "--k", "2"], coloured, monkeypatch, capsys)
+        rep = json.loads(report)
+        assert code == 0 and rep["status"] == "certified"
+        assert (rep["search_nodes"], rep["cuts"]) == (190, {"closing": 2, "sides": 30})
 
     def test_solve_cycle_exact(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)

@@ -360,16 +360,16 @@ class TestFamilyMembership:
         # Petersen is not Hamiltonian, so at k = 3 the shortcut fails and
         # the 3-subsets are checked; both searches spend the caller's budget.
         # A triple inside a cycle found for an earlier one is not searched:
-        # 63 nodes instead of the 1,189 of one search per triple
+        # 53 nodes instead of the 1,119 of one search per triple
         g = gen.petersen()
         shortcut, subsets = Budget(), Budget()
         assert find_hamilton_cycle(g, shortcut) is None
         assert all(cycle_through_exists(g, s, subsets)
                    for s in itertools.combinations(range(g.n), 3))
-        assert (shortcut.used, subsets.used) == (142, 1189)
+        assert (shortcut.used, subsets.used) == (142, 1119)
         b = Budget()
         assert in_family_Fk(g, 3, b)
-        assert b.used == 142 + 63
+        assert b.used == 142 + 53
 
     def test_matches_brute(self, corpus):
         from conftest import brute_all_cycles

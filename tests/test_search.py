@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -317,7 +318,8 @@ def test_searches_leave_no_cyclic_garbage():
 
 class TestGoldenNodeCounts:
     """Node counts and witnesses of fixed calls. A change that only makes a
-    node cheaper must leave every one of them as it is."""
+    node cheaper must leave every one of them as it is. A cut rule that only
+    ends dead subtrees may lower a count, but it never changes a witness."""
 
     @pytest.fixture(scope="class")
     def cube_k3(self):
@@ -367,7 +369,7 @@ class TestGoldenNodeCounts:
         report = verify_k_rainbow_cycle_colouring(c, 3, b)
         # four cycles cover all 165 triples; a certified colouring needs no
         # F_3 search, so no Hamilton shortcut runs
-        assert (report.subsets_checked, report.search_nodes, b.used) == (165, 151, 151)
+        assert (report.subsets_checked, report.search_nodes, b.used) == (165, 60, 60)
         assert report.subsets_searched == 4
         b = Budget()
         w = rainbow_cycle_through(c, (0, 4, 7), b)
@@ -380,24 +382,27 @@ class TestGoldenNodeCounts:
         c = rainbow_colouring(gen.petersen())
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, 3, b)
-        assert (report.subsets_checked, report.search_nodes, b.used) == (120, 71, 71)
-        assert verify_k_rainbow_cycle_colouring(c, 3, check_family=False).search_nodes == 71
+        assert (report.subsets_checked, report.search_nodes, b.used) == (120, 53, 53)
+        assert verify_k_rainbow_cycle_colouring(c, 3, check_family=False).search_nodes == 53
         # after a counterexample the F_3 search runs on the same budget: Petersen
-        # is not Hamiltonian, so it is the 142-node shortcut and 63 triple nodes
+        # is not Hamiltonian, so it is the 142-node shortcut and 53 triple nodes
         c = EdgeColouring(gen.petersen(), tuple(i % 7 for i in range(15)), 7)
         plain = verify_k_rainbow_cycle_colouring(c, 3, check_family=False)
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, 3, b)
         assert report.status == plain.status == "counterexample"
         assert report.bad_set == plain.bad_set
-        assert report.search_nodes == b.used == plain.search_nodes + 142 + 63
+        assert report.search_nodes == b.used == plain.search_nodes + 142 + 53
 
     @pytest.mark.parametrize("colour, k, searched, nodes", [
-        (lambda: cons.colour_wheel(14, 5, verify=False), 5, 6, 287),
-        (lambda: cons.colour_cube(5, 3, verify=False), 3, 540, 101_921),
-    ], ids=["wheel-14-5", "cube-5-3"])
+        (lambda: cons.colour_wheel(14, 5, verify=False), 5, 6, 124),
+        (lambda: cons.colour_cube(5, 3, verify=False), 3, 540, 56_698),
+        (lambda: cons.colour_bipartite(3, 38, 2, verify=False), 2, 643, 48_925),
+    ], ids=["wheel-14-5", "cube-5-3", "bipartite-3-38-2"])
     def test_covered_subsets_need_no_search(self, colour, k, searched, nodes):
-        # one search per subset spent 47,646 and 561,949 nodes
+        # without the cycle search's cut rules these passes spent 287,
+        # 101,921 and 1,176,193 nodes, and one search per subset 47,646,
+        # 561,949 and about 1.31 M
         c = colour()
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, k, b)
@@ -417,18 +422,114 @@ class TestGoldenNodeCounts:
         c = cons.colour_bipartite(3, 38, 2, verify=False)
         b = Budget()
         w = rainbow_cycle_through(c, (36, 40), b)
-        assert b.used == 12_763
+        assert b.used == 629
         assert w.vertices == (36, 0, 40, 1, 6, 2)
         assert w.edge_ids == (33, 37, 75, 41, 79, 109)
+        # a cycle of K_{3,38} has at most 6 edges, but the search runs at
+        # limit r = 8: the closing-edge rule ends a path once the small side
+        # is used up, and the two-sides rule once a missing vertex has lost
+        # its usable edges; each state cut is still one of the 629 nodes
+        assert b.cuts == {"closing": 102, "sides": 455}
 
     @pytest.mark.parametrize("g, s, length, nodes", [
         (gen.hypercube(5), (0, 5, 26), 10, 218),
-        (gen.wheel(10), (1, 4, 8), 8, 265),
+        (gen.wheel(10), (1, 4, 8), 8, 261),
     ])
     def test_min_cycle_length(self, g, s, length, nodes):
         b = Budget()
         assert min_cycle_length_through(g, s, b) == length
         assert b.used == nodes
+
+
+def _cover_digest(cover) -> str:
+    """sha256 of a cover: its witnesses in order, and its subset index."""
+    data = repr((tuple((w.vertices, w.edge_ids) for w in cover.witnesses), cover.index))
+    return hashlib.sha256(data.encode()).hexdigest()
+
+
+class TestWitnessIdentity:
+    """Covers recorded from the anchored-cycle search before it had its
+    closing-edge and two-sides rules. A rule that only ends subtrees with
+    no completion leaves every witness, and the order the colex pass finds
+    them in, as it was."""
+
+    @pytest.mark.parametrize("colour, k, digest", [
+        (lambda: cons.colour_bipartite(3, 38, 2, verify=False), 2,
+         "b231e48a43381b6c0e129f76ea498106a55bc7d3c9f938e4bfeb09467ee32085"),
+        (lambda: cons.colour_cube(5, 3, verify=False), 3,
+         "98e6c148702ce5700896164e920cee087b26c705f1231ab0cc6ac27ef057a8cb"),
+        (lambda: cons.colour_wheel(14, 5, verify=False), 5,
+         "3888a4f885c3c993b364e9dc1e1d233e40c1042488318beb2f206d81a1fa3dac"),
+    ], ids=["bipartite-3-38-2", "cube-5-3", "wheel-14-5"])
+    def test_cover_digest(self, colour, k, digest):
+        report = verify_k_rainbow_cycle_colouring(colour(), k)
+        assert report.certified
+        assert _cover_digest(report.cover) == digest
+
+
+def sparse_coloured_graph(rng: random.Random) -> EdgeColouring:
+    """A graph whose cycles soon run out of room, so the cycle search's cut
+    rules fire often: a random subgraph of K_{a,b} (a <= 3, b <= 5, the
+    small class first) or a random graph of maximum degree 3, with at least
+    one edge. The colouring is uniform over r colours, or the rainbow
+    colouring with a few edges recoloured."""
+    if rng.random() < 0.5:
+        a, b = rng.randint(1, 3), rng.randint(2, 5)
+        n = a + b
+        edges = [(u, a + v) for u in range(a) for v in range(b) if rng.random() < 0.8]
+    else:
+        n = rng.randint(4, 8)
+        degree = [0] * n
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        edges = []
+        for u, v in pairs:
+            if degree[u] < 3 and degree[v] < 3 and rng.random() < 0.6:
+                edges.append((u, v))
+                degree[u] += 1
+                degree[v] += 1
+    g = Graph(n, tuple(edges or [(0, n - 1)]))
+    if rng.random() < 0.5:
+        r = rng.randint(1, g.e)
+        colours = [rng.randrange(r) for _ in range(g.e)]
+    else:
+        r, colours = g.e, list(range(g.e))
+        for _ in range(rng.randint(0, 2)):
+            colours[rng.randrange(g.e)] = rng.randrange(g.e)
+    return EdgeColouring(g, tuple(colours), r, unused_ok=True)
+
+
+def _match_cycle_oracles(c, budgets):
+    """Check rainbow_cycle_through, cycle_through_exists and
+    min_cycle_length_through on every vertex set of size 1 to 3 against the
+    brute-force oracles; budgets holds one Budget per search, which keeps
+    its counts across calls."""
+    g = c.graph
+    cycles = brute_all_cycles(g)
+    b_rainbow, b_exists, b_min = budgets
+    for k in (1, 2, 3):
+        for s in itertools.combinations(range(g.n), k):
+            w = rainbow_cycle_through(c, s, b_rainbow)
+            assert (w is not None) == brute_has_rainbow_cycle_through(c, s), (g.edges, c, s)
+            if w is not None:
+                assert check_cycle_witness(g, w, c, require_rainbow=True, containing=s)
+            lengths = [len(eids) for verts, eids in cycles if set(s) <= verts]
+            assert cycle_through_exists(g, s, b_exists) == bool(lengths), (g.edges, s)
+            assert min_cycle_length_through(g, s, b_min) == (min(lengths) if lengths else None)
+
+
+class TestCutRulesAgainstOracles:
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_searches_match_brute(self, rng):
+        _match_cycle_oracles(sparse_coloured_graph(rng), [Budget() for _ in range(3)])
+
+    def test_seeded_graphs_reach_both_rules(self):
+        budgets = [Budget() for _ in range(3)]
+        for seed in range(60):
+            _match_cycle_oracles(sparse_coloured_graph(random.Random(seed)), budgets)
+        for b in budgets:
+            assert min(b.cuts.values()) >= 200, [b.cuts for b in budgets]
 
 
 class TestOracleAgreement:

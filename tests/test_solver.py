@@ -278,12 +278,13 @@ class TestLowerBoundDistance:
         assert bound == 3
 
     def test_golden_w12_triples(self):
-        # 11,208 search nodes after the 13 of the F_3 precheck; a triple
+        # 10,433 search nodes after the 13 of the F_3 precheck; a triple
         # inside a shortest cycle already found is not searched (one search
-        # per triple spent 70,837)
+        # per triple spent 70,837 before the cycle search's cut rules)
         b = Budget()
         bound, cert = solver.crx_lower_bound_distance(gen.wheel(12), 3, b)
-        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 11_221)
+        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 10_446)
+        assert cert.payload["subset"] == (0, 4, 8)
 
     @pytest.mark.parametrize("g, k", [
         (gen.wheel(9), 2), (gen.wheel(9), 3), (gen.wheel(10), 3), (gen.hypercube(4), 2),
