@@ -15,7 +15,7 @@ from . import constructions as cons
 from . import generators as gen
 from . import graph as gr
 from . import solver
-from .document import GraphDocument, document_from_graph, emit, export_dot, parse
+from .document import GraphDocument, document_from_graph, emit, export_dot, is_ints, parse
 from .errors import (
     AttemptsExhausted,
     BudgetExceeded,
@@ -40,6 +40,7 @@ _FAMILIES = {
     "hypercube": (gen.hypercube, ("n",)),
     "petersen": (gen.petersen, ()),
     "path-cycle-join": (gen.path_cycle_join, ("k", "t")),
+    "complete-multipartite": (gen.complete_multipartite, ("sizes",)),
 }
 
 
@@ -83,30 +84,30 @@ def _jsonable(obj):
 
 def cmd_gen(args) -> int:
     params = _parse_params(args.params)
-    if args.family == "complete-multipartite":
-        g = gen.complete_multipartite(params["sizes"])
-        meta = {"family": args.family, "params": {"sizes": list(params["sizes"])}}
-    else:
-        fn, names = _FAMILIES[args.family]
-        missing = [p for p in names if p not in params]
-        if missing:
-            raise InvalidParameter(f"{args.family} needs parameters {names}")
-        g = fn(*(params[p] for p in names))
-        meta = {"family": args.family, "params": {p: params[p] for p in names}}
+    fn, names = _FAMILIES[args.family]
+    if any(p not in params for p in names):
+        raise InvalidParameter(f"{args.family} needs parameters {names}")
+    g = fn(*(params[p] for p in names))
+    meta = {"family": args.family, "params": {p: params[p] for p in names}}
     _write(args, emit(document_from_graph(g, metadata=meta)))
     return EXIT_OK
 
 
-def _meta_params(doc: GraphDocument) -> dict:
-    return dict(doc.metadata.get("params", {}))
-
-
-def _expect_family(doc: GraphDocument, family: str):
-    if doc.metadata.get("family") != family:
+def _expect_family(doc: GraphDocument, family: str) -> dict:
+    """The params of a document made by 'gen family', as gen writes them:
+    an int for each parameter of the family, or sizes, a list of ints."""
+    p = doc.metadata.get("params")
+    ok = doc.metadata.get("family") == family and isinstance(p, dict)
+    if ok and family == "complete-multipartite":
+        ok = isinstance(p.get("sizes"), list) and is_ints(p["sizes"])
+    elif ok:
+        ok = is_ints(p.get(name) for name in _FAMILIES[family][1])
+    if not ok:
         raise InvalidParameter(
             f"construction expects a document generated by 'gen {family}' "
-            f"(found metadata {doc.metadata.get('family')!r})"
+            f"(found metadata family {doc.metadata.get('family')!r}, params {p!r})"
         )
+    return p
 
 
 def cmd_colour(args) -> int:
@@ -114,28 +115,27 @@ def cmd_colour(args) -> int:
     g = doc.graph()
     verify = not args.no_verify
     name = args.construction
-    p = _meta_params(doc)
     if name == "wheel":
-        _expect_family(doc, "wheel")
+        p = _expect_family(doc, "wheel")
         c = cons.colour_wheel(p["n"], args.k, verify=verify, budget=args.budget)
     elif name == "complete-2rainbow":
-        _expect_family(doc, "complete")
+        p = _expect_family(doc, "complete")
         c = cons.colour_complete_2rainbow(p["n"], verify=verify, budget=args.budget)
     elif name == "complete-random":
-        _expect_family(doc, "complete")
+        p = _expect_family(doc, "complete")
         _need_seed(args)
         c = cons.colour_complete_random(p["n"], args.k, args.seed, args.attempts,
                                         budget=args.budget)
     elif name == "bipartite":
-        _expect_family(doc, "complete-bipartite")
+        p = _expect_family(doc, "complete-bipartite")
         c = cons.colour_bipartite(p["m"], p["n"], args.k, regime=args.regime,
                                   verify=verify, budget=args.budget)
     elif name == "multipartite-blowup":
-        _expect_family(doc, "complete-multipartite")
+        p = _expect_family(doc, "complete-multipartite")
         c = cons.colour_multipartite_blowup(tuple(p["sizes"]), verify=verify,
                                             budget=args.budget)
     elif name == "multipartite-random":
-        _expect_family(doc, "complete-multipartite")
+        p = _expect_family(doc, "complete-multipartite")
         _need_seed(args)
         sizes = tuple(p["sizes"])
         if len(set(sizes)) != 1:
@@ -144,10 +144,10 @@ def cmd_colour(args) -> int:
             len(sizes), sizes[0], args.k, args.seed, args.attempts, budget=args.budget
         )
     elif name == "cube":
-        _expect_family(doc, "hypercube")
+        p = _expect_family(doc, "hypercube")
         c = cons.colour_cube(p["n"], args.k, verify=verify, budget=args.budget)
     elif name == "cube-recursive":
-        _expect_family(doc, "hypercube")
+        p = _expect_family(doc, "hypercube")
         if args.block is None:
             raise InvalidParameter("cube-recursive needs --block K")
         c = cons.colour_cube_recursive(p["n"], args.k, args.block)
@@ -156,7 +156,7 @@ def cmd_colour(args) -> int:
     elif name == "save-one-crx2":
         c = cons.colour_save_one_crx2(g, verify=verify, budget=args.budget)
     elif name == "join-rxk":
-        _expect_family(doc, "path-cycle-join")
+        p = _expect_family(doc, "path-cycle-join")
         c = cons.colour_join_rxk(p["k"], p["t"], verify=verify, budget=args.budget)
     else:
         raise InvalidParameter(f"unknown construction {name!r}")
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a named graph family")
-    p.add_argument("family", choices=sorted(_FAMILIES) + ["complete-multipartite"])
+    p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("params", nargs="*", help="key=value parameters, e.g. n=5 or sizes=1,2,3")
     p.set_defaults(fn=cmd_gen)
 

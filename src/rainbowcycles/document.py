@@ -118,6 +118,11 @@ def emit(doc: GraphDocument) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def is_ints(values) -> bool:
+    """True iff every value is an int; a JSON true or false is not."""
+    return all(type(x) is int for x in values)
+
+
 def parse(text: str) -> GraphDocument:
     try:
         payload = json.loads(text)
@@ -130,11 +135,11 @@ def parse(text: str) -> GraphDocument:
             raise InvalidParameter(f"document missing required field {key!r}")
     n = payload["n"]
     raw_edges = payload["edges"]
-    if not isinstance(n, int) or not isinstance(raw_edges, list):
+    if not is_ints([n]) or not isinstance(raw_edges, list):
         raise InvalidParameter("bad types for n / edges")
     given = []
     for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2):
+        if not (isinstance(item, list) and len(item) == 2 and is_ints(item)):
             raise InvalidParameter(f"bad edge entry {item!r}")
         u, v = item
         given.append((u, v) if u < v else (v, u))
@@ -143,9 +148,10 @@ def parse(text: str) -> GraphDocument:
     witnesses = ()
     if "colouring" in payload:
         col = payload["colouring"]
-        arr, r = col.get("colours"), col.get("r")
-        if not isinstance(arr, list) or len(arr) != len(given) or not isinstance(r, int):
-            raise InvalidParameter("colouring must list one colour per edge plus r")
+        arr, r = (col.get("colours"), col.get("r")) if isinstance(col, dict) else (None, None)
+        if not (isinstance(arr, list) and len(arr) == len(given) and is_ints(arr + [r])):
+            raise InvalidParameter("colouring must be an object listing one int colour "
+                                   "per edge plus r")
         # remap document edge order onto canonical edge ids
         colours = [0] * len(given)
         for pos, pair in enumerate(given):

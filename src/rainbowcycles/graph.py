@@ -530,67 +530,24 @@ def girth(g: Graph):
     return best
 
 
-def _hamilton_prune(adj, unvisited, current, start) -> bool:
-    """False if some unvisited vertex cannot keep two open connections."""
-    for w in unvisited:
-        free = 0
-        for x, _ in adj[w]:
-            if x in unvisited or x == current or x == start:
-                free += 1
-                if free >= 2:
-                    break
-        if free < 2:
-            return False
-    return True
-
-
-def _hamilton_cycles(g: Graph, b: Budget):
-    """Hamilton cycles rooted at vertex 0 in DFS order, each once per direction.
-    One budget node is charged per path entered, the root alone included."""
-    adj = g.adjacency
-    path = [0]
-    unvisited = set(range(1, g.n))
-    b.spend()
-    stack = [iter(adj[0])] if _hamilton_prune(adj, unvisited, 0, 0) else []
-    while stack:
-        for w, _ in stack[-1]:
-            if w not in unvisited:
-                continue
-            b.spend()
-            unvisited.discard(w)
-            path.append(w)
-            if not unvisited:
-                if g.has_edge(w, 0):
-                    yield tuple(path)
-            elif _hamilton_prune(adj, unvisited, w, 0):
-                stack.append(iter(adj[w]))
-                break
-            unvisited.add(path.pop())
-        else:
-            stack.pop()
-            if stack:
-                unvisited.add(path.pop())
-
-
 def find_hamilton_cycle(g: Graph, budget=None):
-    """First Hamilton cycle in deterministic DFS order, or None.
-
-    That cycle is lexicographically least, so path[1] < path[-1] holds.
-    """
+    """First Hamilton cycle of the anchored-cycle search through every
+    vertex, or None. That cycle is lexicographically least, so path[1] <
+    path[-1] holds."""
     if g.n < 3 or not is_connected(g):
         return None
     if any(g.degree(v) < 2 for v in range(g.n)):
         return None
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    return next(_hamilton_cycles(g, b), None)
+    found = _anchored_cycle(g, range(g.n), b, (g.n,))
+    return None if found is None else found[0]
 
 
 def enumerate_hamilton_cycles(g: Graph, budget=None):
-    """All Hamilton cycles (rooted at vertex 0, direction path[1] < path[-1])."""
-    if g.n < 3:
-        return []
-    b = budget if isinstance(budget, Budget) else Budget(budget)
-    return [cyc for cyc in _hamilton_cycles(g, b) if cyc[1] < cyc[-1]]
+    """All Hamilton cycles as enumerate_simple_cycles lists them: rooted at
+    vertex 0, direction path[1] < path[-1]. Its nodes are those of that
+    rooted cycle DFS."""
+    return [c for c in enumerate_simple_cycles(g, budget) if len(c) == g.n]
 
 
 def circumference(g: Graph, budget=None) -> int:
@@ -617,11 +574,10 @@ def graph_invariants(g: Graph, budget=None) -> GraphInvariants:
     b = budget if isinstance(budget, Budget) else Budget(budget)
     gr = girth(g)
     try:
-        ham = find_hamilton_cycle(g, b) is not None
-        circ = g.n if ham else circumference(g, b)
+        circ = circumference(g, b)
     except BudgetExceeded as exc:
         raise BudgetExceeded(exc.nodes, partial={"girth": gr}) from None
-    return GraphInvariants(gr, circ, ham)
+    return GraphInvariants(gr, circ, circ == g.n >= 3)
 
 
 def is_hypohamiltonian(g: Graph, budget=None) -> bool:
@@ -713,7 +669,7 @@ def _vertex_mask(vertices) -> int:
 
 
 def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
-    """First simple cycle through every vertex of the sorted list s, as
+    """First simple cycle through every vertex of the sorted sequence s, as
     (vertices, edge ids), or None.
 
     The DFS anchors at s[0] and takes neighbours in ascending order, so the
@@ -762,7 +718,9 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     # path ending at x still needs: the largest dist(x, m) + dist(m, anchor)
     # over the missing m, or dist(x, anchor) when none is missing. Taking
     # dist(x, anchor) into the largest as well would change nothing, as no
-    # such sum is smaller (the triangle inequality).
+    # such sum is smaller (the triangle inequality). So no row exceeds
+    # top = bounds[full], and a row is built only where top could cut: at
+    # s = V nearly every state has a new mask, and a row costs O(n |mask|).
     bit = [0] * g.n
     bounds = {0: dist_anchor}
 
@@ -796,10 +754,9 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     # colour -> ((m, other end), ...) for the edges at s in that colour.
     # Without a colouring each colour is one edge, the one just taken: it
     # touches no missing vertex, and at the anchor it is w's closing edge,
-    # which is counted apart, so no colour needs a list
-    coloured = colouring is not None
-    by_colour = [()] * palette if coloured else None
-    if coloured:
+    # which is counted apart, so no colour needs a list and by_colour is None
+    by_colour = None if colouring is None else [()] * palette
+    if by_colour is not None:
         for m in s:
             for y, _, col in adj[m]:
                 by_colour[col] += ((m, y),)
@@ -810,9 +767,10 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     def extend(v, depth, mask, bound, closers, short):
         """Enter each child of the path that ends at v and has depth edges.
         mask holds the vertices of rest not on the path and bound is
-        bounds[mask]; closers counts the anchor's edges that may still close
-        the cycle, and short the vertices of s that fall short: each missing
-        m with live[m] < 2, and the anchor once closers is 0."""
+        bounds[mask], or None while that row is not built; closers counts
+        the anchor's edges that may still close the cycle, and short the
+        vertices of s that fall short: each missing m with live[m] < 2, and
+        the anchor once closers is 0."""
         nonlocal left, cut_closing, cut_sides
         depth += 1
         for m, c in near[v]:  # v is interior in every child: its edges to rest die
@@ -829,7 +787,7 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
             # w and col are marked only while the DFS is below the child
             if bit[w]:
                 mask_w = mask ^ bit[w]
-                bound_w = bounds.get(mask_w) or bound_row(mask_w)
+                bound_w = bounds.get(mask_w)
                 short_w = short - (live[w] < 2)  # w is no longer missing
             else:
                 mask_w, bound_w, short_w = mask, bound, short
@@ -839,7 +797,9 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
                     found.append((anchor, close[0]))
                     found.append((w, eid))
                     return True
-            if depth + bound_w[w] > limit:
+            if bound_w is None and depth + top[w] > limit:  # only here can a row cut
+                bound_w = bounds.get(mask_w) or bound_row(mask_w)
+            if bound_w is not None and depth + bound_w[w] > limit:
                 continue
             # taking w and col: w stops being a closer, and the other edges
             # of colour col at s die
@@ -848,7 +808,7 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
                 closers_w -= 1
                 short_w += not closers_w
             on_path[w] = used[col] = 1
-            if coloured:
+            if by_colour is not None:
                 for m, y in by_colour[col]:
                     if m == anchor:
                         if not on_path[y]:
@@ -865,7 +825,7 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
                 cut_sides += 1
             else:
                 cut_closing += 1
-            if coloured:
+            if by_colour is not None:
                 for m, y in by_colour[col]:
                     if m != anchor and not on_path[m] and (not on_path[y] or y == anchor or y == w):
                         live[m] += 1
@@ -879,13 +839,13 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     # longest detour to a vertex of rest and back
     root_lb = max((2 * dm for _, _, dm in rest), default=0)
     full = (1 << len(rest)) - 1
+    top = bounds.get(full) or bound_row(full)
     try:
         for limit in limits:
             left -= 1
             if left < 0:
                 raise BudgetExceeded(b.limit)
-            if root_lb <= limit and extend(anchor, 0, full, bounds.get(full) or bound_row(full),
-                                           len(adj[anchor]), root_short):
+            if root_lb <= limit and extend(anchor, 0, full, top, len(adj[anchor]), root_short):
                 found.reverse()
                 return (anchor,) + tuple(w for w, _ in found[:-1]), tuple(e for _, e in found)
         return None
@@ -909,11 +869,12 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     """Membership in F_k: any k vertices lie on a common cycle.
 
     k = 1 and k = 2 use the structural characterisations (2-connected blocks,
-    2-connectivity); k >= 3 falls back to checking every k-subset, which is
-    exponential -- a cheap Hamiltonicity shortcut covers the common case.
-    The shortcut's nodes, at most 2 M of them, count against ``budget`` too.
-    The subsets are visited in colex order, and one inside a cycle already
-    found for an earlier subset needs no search.
+    2-connectivity). For k >= 3 a Hamilton cycle settles it: that is the
+    anchored-cycle search through all n vertices (79 nodes on Q_6), and its
+    nodes, at most 2 M of them, count against ``budget`` too. Without one,
+    every k-subset is checked, which is exponential. The subsets are visited
+    in colex order, and one inside a cycle already found for an earlier
+    subset needs no search.
     """
     if k < 1:
         raise InvalidParameter("k must be positive")

@@ -33,6 +33,7 @@ from .search import _shortest_cycle_through
 
 MAX_SOLVER_EDGES = 16
 MAX_SOLVER_SUBSETS = 100_000
+MAX_EXHAUSTIVE_SUBSETS = 20_000  # crx_lower_bound_distance samples beyond this
 
 
 @dataclass(frozen=True)
@@ -299,10 +300,10 @@ def _search_r(g, r, b, through, subsets_of, cover_counts):
     return None if found is None else EdgeColouring(g, found, r)
 
 
-def crx_lower_bound_distance(g: Graph, k: int, budget=None,
-                             max_exhaustive: int = 20_000) -> tuple[int, Certificate]:
+def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certificate]:
     """Best shortest-cycle lower bound: max of min_cycle_length_through over
-    all k-subsets when their count is within budget, else a seeded sample.
+    all k-subsets when there are at most MAX_EXHAUSTIVE_SUBSETS of them,
+    else over a seeded sample.
     A partial maximisation is still a valid lower bound.
 
     Each shortest cycle found is kept. Its length is at most the best bound
@@ -312,7 +313,7 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None,
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
     total = math.comb(g.n, k)
-    if total <= max_exhaustive:
+    if total <= MAX_EXHAUSTIVE_SUBSETS:
         pool = colex_subsets(g.n, k)
         mode = "exhaustive"
     else:

@@ -166,6 +166,15 @@ def _list_all_cycles(g: Graph):
                     yield frozenset(cyc), eids
 
 
+def brute_hamilton_cycles(g: Graph):
+    """Every Hamilton cycle once, as (0,) + p with p[0] < p[-1], in
+    lexicographic order: all permutations p of 1..n-1 are tried."""
+    if g.n < 3:
+        return []
+    return [(0,) + p for p in itertools.permutations(range(1, g.n))
+            if p[0] < p[-1] and all(map(g.has_edge, (0,) + p, p + (0,)))]
+
+
 def brute_lex_shortest_path(g: Graph, start: int, ends, blocked=()):
     """The shortest, then lexicographically least, simple path from start to
     a vertex of ends whose interior avoids ends and blocked, as a vertex

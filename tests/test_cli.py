@@ -270,11 +270,41 @@ class TestPipelines:
         assert code == 0
         assert json.loads(coloured)["colouring"]["r"] == 3
 
+    def test_gen_without_sizes_exit_2(self, monkeypatch, capsys):
+        code, out, err = run_cli(["gen", "complete-multipartite"], "", monkeypatch, capsys)
+        assert code == 2 and "sizes" in err and not out
+
     def test_wrong_family_metadata_rejected(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
         code, _, err = run_cli(
             ["colour", "wheel", "--k", "1"], doc_text, monkeypatch, capsys)
         assert code == 2 and "wheel" in err
+
+    _TRIANGLE = {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}
+
+    @pytest.mark.parametrize("command, doc", [
+        (command, {"n": 3, "edges": [["a", 1]]})
+        for command in (["verify", "--k", "2"], ["analyze"], ["colour", "wheel", "--k", "2"])
+    ] + [
+        (["verify", "--k", "2"], dict(_TRIANGLE, colouring=[1, 2])),
+        (["verify", "--k", "2"], dict(_TRIANGLE, colouring={"colours": ["0", 1, 2], "r": 3})),
+        (["verify", "--k", "2"], dict(_TRIANGLE, colouring={"colours": [True, 1, 2], "r": 3})),
+        (["analyze"], {"n": 3, "edges": [[0.5, 1]]}),
+        (["analyze"], {"n": 3, "edges": [[False, 1]]}),
+        (["colour", "wheel", "--k", "2"],
+         dict(_TRIANGLE, metadata={"family": "wheel", "params": {"n": "x"}})),
+        (["colour", "wheel", "--k", "2"], dict(_TRIANGLE, metadata={"family": "wheel"})),
+        (["colour", "multipartite-blowup", "--k", "1"],
+         dict(_TRIANGLE, metadata={"family": "complete-multipartite",
+                                   "params": {"sizes": "1,1,1"}})),
+        (["colour", "multipartite-blowup", "--k", "1"],
+         dict(_TRIANGLE, metadata={"family": "complete-multipartite", "params": {"sizes": 3}})),
+    ], ids=["id-verify", "id-analyze", "id-colour", "colouring-list", "colour-str",
+            "colour-bool", "id-float", "id-bool", "param-str", "param-missing", "sizes-str",
+            "sizes-int"])
+    def test_malformed_document_exit_2(self, command, doc, monkeypatch, capsys):
+        code, out, err = run_cli(command, json.dumps(doc), monkeypatch, capsys)
+        assert code == 2 and err.startswith("error:") and not out
 
 
 def _mutated(text, mutate):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_hamilton_cycles,
     brute_is_k_connected,
     brute_lex_shortest_path,
     random_connected_graph,
@@ -12,6 +13,7 @@ from conftest import (
     two_triangles,
 )
 from rainbowcycles import generators as gen
+from rainbowcycles.colouring import CycleWitness, check_cycle_witness
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotTwoConnected
 from rainbowcycles.graph import (
     Budget,
@@ -22,6 +24,7 @@ from rainbowcycles.graph import (
     block_decomposition,
     circumference,
     cycle_through_exists,
+    cycle_vertices_to_edge_ids,
     delete_vertex,
     ear_decomposition,
     enumerate_hamilton_cycles,
@@ -312,6 +315,11 @@ class TestInvariants:
         b = Budget()
         assert circumference(gen.petersen(), b) == 9
         assert b.used == 601
+        # the invariants take Hamiltonicity from the circumference: one
+        # Hamilton search of 142 nodes, not two
+        b = Budget()
+        assert not graph_invariants(gen.petersen(), b).is_hamiltonian
+        assert b.used == 601
 
     def test_brute_cycle_oracle(self):
         from conftest import brute_all_cycles
@@ -322,6 +330,60 @@ class TestInvariants:
             assert girth(g) == min(lengths)
             assert circumference(g) == max(lengths)
             assert len(enumerate_simple_cycles(g)) == len(cycles)
+
+
+@st.composite
+def graphs_up_to_8(draw):
+    """A graph on 1 to 8 vertices, each pair an edge with a drawn probability."""
+    n = draw(st.integers(1, 8))
+    density = draw(st.sampled_from((0.3, 0.5, 0.7, 0.9)))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, tuple(p for p, x in zip(pairs, keep) if x < density))
+
+
+def _match_hamilton_oracle(g):
+    """find_hamilton_cycle is the lexicographically least Hamilton cycle,
+    and enumerate_hamilton_cycles lists them all, as the oracle does."""
+    cycles = brute_hamilton_cycles(g)
+    assert find_hamilton_cycle(g) == (cycles[0] if cycles else None), g.edges
+    assert enumerate_hamilton_cycles(g) == cycles, g.edges
+    return bool(cycles)
+
+
+class TestHamiltonCycles:
+    def test_corpus_matches_the_permutation_oracle(self, corpus):
+        found = [_match_hamilton_oracle(g) for _, g in corpus if g.n <= 8]
+        assert True in found and False in found
+
+    @settings(max_examples=150, deadline=None)
+    @given(graphs_up_to_8())
+    def test_random_graphs_match_the_permutation_oracle(self, g):
+        _match_hamilton_oracle(g)
+
+    @pytest.mark.parametrize("dim, nodes", [(6, 100), (7, 200)])
+    def test_large_cubes(self, dim, nodes):
+        # the search through all n vertices has the closing-edge and
+        # distance rules of the anchored-cycle search: Q_6 takes 79 nodes
+        # and Q_7 166, where a search with the two-sides rule alone ran out
+        # of 2 M nodes on each
+        g = gen.hypercube(dim)
+        b = Budget(1_000)
+        cycle = find_hamilton_cycle(g, b)
+        assert len(cycle) == g.n and b.used <= nodes
+        assert check_cycle_witness(g, CycleWitness(cycle, cycle_vertices_to_edge_ids(g, cycle)))
+
+    def test_q6_is_in_f3_by_its_hamilton_cycle(self):
+        b = Budget()
+        assert in_family_Fk(gen.hypercube(6), 3, b)
+        assert b.used <= 100  # 2,006,322 before the shortcut had the kernel's rules
+
+    def test_q5_golden(self):
+        b = Budget()
+        assert find_hamilton_cycle(gen.hypercube(5), b) == (
+            0, 1, 3, 2, 6, 4, 5, 7, 15, 11, 9, 8, 10, 14, 12, 13,
+            29, 21, 17, 19, 18, 22, 23, 31, 27, 25, 24, 26, 30, 28, 20, 16)
+        assert b.used == 36  # 416 with the two-sides rule alone
 
 
 class TestHypohamiltonian:
