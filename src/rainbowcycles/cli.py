@@ -246,12 +246,15 @@ def cmd_analyze(args) -> int:
         "in_F1": gr.in_family_Fk(g, 1),
         "in_F2": gr.in_family_Fk(g, 2) if g.n >= 2 else False,
     }
+    b = gr.Budget(args.budget)  # one budget for every search below
     try:
-        inv = gr.graph_invariants(g, budget=args.budget)
+        inv = gr.graph_invariants(g, budget=b)
         payload.update(girth=inv.girth, circumference=inv.circumference,
                        is_hamiltonian=inv.is_hamiltonian)
         if 3 <= g.n <= 32:
-            payload["is_hypohamiltonian"] = gr.is_hypohamiltonian(g, budget=args.budget)
+            # G's Hamilton search has run already, for the circumference
+            payload["is_hypohamiltonian"] = (not inv.is_hamiltonian
+                                             and gr._vertex_deleted_hamiltonian(g, b))
     except BudgetExceeded as exc:
         payload["budget_exhausted"] = True
         if exc.partial:
@@ -317,9 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None  # build_parser(), made by the first call of main and reused
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (RegimeUnsupported, AttemptsExhausted, BudgetExceeded, ScopeExceeded) as exc:

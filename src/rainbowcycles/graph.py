@@ -466,13 +466,14 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
 # Cycles: enumeration, girth, circumference, Hamiltonicity
 
 
-def _rooted_cycles(g: Graph, b: Budget):
+def _rooted_cycles(g: Graph, b: Budget, roots=None):
     """Every simple cycle once per direction, as a vertex tuple that starts
-    at its least vertex, in DFS order with neighbours ascending. One budget
-    node is charged per path entered, the root alone included."""
+    at its least vertex, in DFS order with neighbours ascending; with roots,
+    only the cycles whose least vertex is in roots. One budget node is
+    charged per path entered, the root alone included."""
     adj = g.adjacency
     on_path = bytearray(g.n)
-    for root in range(g.n):
+    for root in range(g.n) if roots is None else roots:
         b.spend()
         path = [root]
         on_path[root] = 1
@@ -545,9 +546,11 @@ def find_hamilton_cycle(g: Graph, budget=None):
 
 def enumerate_hamilton_cycles(g: Graph, budget=None):
     """All Hamilton cycles as enumerate_simple_cycles lists them: rooted at
-    vertex 0, direction path[1] < path[-1]. Its nodes are those of that
-    rooted cycle DFS."""
-    return [c for c in enumerate_simple_cycles(g, budget) if len(c) == g.n]
+    vertex 0, direction path[1] < path[-1]. Every one holds vertex 0, so
+    only the root-0 pass of that rooted cycle DFS runs."""
+    b = budget if isinstance(budget, Budget) else Budget(budget)
+    return [c for c in _rooted_cycles(g, b, range(min(g.n, 1)))
+            if len(c) == g.n and c[1] < c[-1]]
 
 
 def circumference(g: Graph, budget=None) -> int:
@@ -585,13 +588,13 @@ def is_hypohamiltonian(g: Graph, budget=None) -> bool:
     if g.n < 3:
         raise InvalidParameter("need at least 3 vertices")
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    if find_hamilton_cycle(g, b) is not None:
-        return False
-    for v in range(g.n):
-        sub, _ = delete_vertex(g, v)
-        if find_hamilton_cycle(sub, b) is None:
-            return False
-    return True
+    return find_hamilton_cycle(g, b) is None and _vertex_deleted_hamiltonian(g, b)
+
+
+def _vertex_deleted_hamiltonian(g: Graph, b: Budget) -> bool:
+    """Is every vertex-deleted subgraph of g Hamiltonian?"""
+    return all(find_hamilton_cycle(delete_vertex(g, v)[0], b) is not None
+               for v in range(g.n))
 
 
 # ---------------------------------------------------------------------------
@@ -622,38 +625,110 @@ class _WitnessCover:
     """The witnesses found so far by a pass over vertex subsets, with the
     vertex bitmask of each. A witness (a cycle or a tree) that holds every
     vertex of S serves S too, so a subset inside a kept witness needs no
-    search of its own.
+    search of its own; where several hold S, the newest serves it.
 
-    covering(s) scans only the witnesses through the largest vertex of s,
-    newest first: in colex order consecutive subsets share their largest
-    vertices, so the newest witness through it is the likeliest to hold s.
+    holding[v] has bit i set for each kept witness i through vertex v, so
+    the witnesses that hold a set of vertices are one AND of these rows.
+    uncovered(k) walks every k-subset in colex order and costs one list
+    store per covered subset; covering(s) answers for one subset, for
+    passes in any other order.
     """
 
-    __slots__ = ("witnesses", "masks", "through")
+    __slots__ = ("witnesses", "masks", "holding")
 
     def __init__(self, n: int):
         self.witnesses = []
         self.masks = []
-        self.through = [[] for _ in range(n)]  # per vertex: indices of the witnesses on it
+        self.holding = [0] * n  # per vertex: a bit for each witness on it
 
     def covering(self, s) -> int:
-        """Index of a kept witness whose vertices include the non-empty
-        sorted tuple s, else -1."""
-        mask = _vertex_mask(s)
-        masks = self.masks
-        for i in reversed(self.through[s[-1]]):
-            if not mask & ~masks[i]:
-                return i
-        return -1
+        """Index of the newest kept witness whose vertices include the
+        non-empty tuple s, else -1."""
+        holding = self.holding
+        held = holding[s[0]]
+        for v in s[1:]:
+            held &= holding[v]
+        return held.bit_length() - 1
 
     def add(self, witness, vertices) -> int:
         """Keep witness, whose vertex set is vertices; returns its index."""
         i = len(self.witnesses)
+        holding, bit, mask = self.holding, 1 << i, 0
         for v in vertices:
-            self.through[v].append(i)
+            holding[v] |= bit
+            mask |= 1 << v
         self.witnesses.append(witness)
-        self.masks.append(_vertex_mask(vertices))
+        self.masks.append(mask)
         return i
+
+    def uncovered(self, k: int, index=None):
+        """Yield, in colex order, each k-subset of the vertices (k >= 1) that
+        no kept witness holds when the pass reaches it, as a sorted tuple.
+        Before it resumes, the caller may add witnesses: they serve the
+        yielded subset and every later one they hold. If index is a list,
+        it gets the index of the newest kept witness holding each subset
+        that is covered once the pass moves past it; a yielded subset that
+        the caller leaves uncovered gets no entry.
+
+        In colex order the lowest element x varies fastest below the upper
+        part U, the k - 1 largest elements. So for each U the pass ORs the
+        masks of the witnesses holding U, newest first: the bits below
+        min(U) that a mask adds are the values of x its witness is the
+        newest for, and those left over are the subsets to yield. A witness
+        added at x is the newest for each later x it holds.
+        """
+        masks, holding = self.masks, self.holding
+        n = len(holding)
+        if k > n:
+            return
+        upper = list(range(1, k))  # U, ascending
+        while True:
+            top = upper[0] if upper else n  # x runs over range(top)
+            umask, held = 0, (1 << len(masks)) - 1
+            for u in upper:
+                umask |= 1 << u
+                held &= holding[u]
+            below = (1 << top) - 1
+            free = below  # the values of x no kept witness holds with U
+            owner = [-1] * top  # per x: the newest kept witness holding it with U
+            while held and free:
+                i = held.bit_length() - 1
+                held ^= 1 << i
+                new = masks[i] & free
+                free ^= new
+                while new:
+                    bit = new & -new
+                    owner[bit.bit_length() - 1] = i
+                    new ^= bit
+            start = 0  # owner[start:x] is the run of covered subsets before x
+            while free:
+                low = free & -free
+                x = low.bit_length() - 1
+                if index is not None:
+                    index += owner[start:x]
+                count = len(masks)
+                yield (x, *upper)
+                free ^= low
+                for i in range(count, len(masks)):
+                    if umask & ~masks[i]:
+                        continue
+                    new = masks[i] & below & -low  # the values from x on
+                    free &= ~new
+                    while new:
+                        bit = new & -new
+                        owner[bit.bit_length() - 1] = i
+                        new ^= bit
+                start = x if owner[x] >= 0 else x + 1
+            if index is not None:
+                index += owner[start:]
+            # the colex successor of U among the (k - 1)-subsets of range(1, n)
+            j = 0
+            while j + 1 < len(upper) and upper[j] + 1 == upper[j + 1]:
+                j += 1
+            if not upper or upper[j] + 1 == n:
+                return
+            upper[j] += 1
+            upper[:j] = range(1, j + 1)
 
 
 def _vertex_mask(vertices) -> int:
@@ -902,10 +977,9 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     if hamiltonian:
         return True
     cover = _WitnessCover(g.n)
-    for s in colex_subsets(g.n, k):
-        if cover.covering(s) < 0:
-            found = _anchored_cycle(g, s, b, (g.n,))
-            if found is None:
-                return False
-            cover.add(None, found[0])
+    for s in cover.uncovered(k):
+        found = _anchored_cycle(g, s, b, (g.n,))
+        if found is None:
+            return False
+        cover.add(None, found[0])
     return True

@@ -39,7 +39,6 @@ from .graph import (
     _kernel_adjacency,
     _neighbours_toward,
     _WitnessCover,
-    colex_subsets,
     in_family_Fk,
     is_connected,
 )
@@ -193,16 +192,13 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind) -> Verificati
     index = []  # per subset visited and covered: the index of its witness
     searched = 0
     bad = None
-    for s in colex_subsets(c.graph.n, k):
-        i = kept.covering(s)
-        if i < 0:
-            searched += 1
-            w = through(c, s, b)
-            if w is None:
-                bad = s
-                break
-            i = kept.add(w, w.vertices)
-        index.append(i)
+    for s in kept.uncovered(k, index):
+        searched += 1
+        w = through(c, s, b)
+        if w is None:
+            bad = s
+            break
+        kept.add(w, w.vertices)
     cover = Cover(tuple(kept.witnesses), tuple(index))
     if bad is None:
         return VerificationReport("certified", None, len(index), searched, b.used, cover)

@@ -312,20 +312,18 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
     b = budget if isinstance(budget, Budget) else Budget(budget)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
-    total = math.comb(g.n, k)
-    if total <= MAX_EXHAUSTIVE_SUBSETS:
-        pool = colex_subsets(g.n, k)
+    kept = _WitnessCover(g.n)
+    if math.comb(g.n, k) <= MAX_EXHAUSTIVE_SUBSETS:
+        pool = kept.uncovered(k)
         mode = "exhaustive"
     else:
         rng = random.Random(0)
-        pool = (tuple(sorted(rng.sample(range(g.n), k))) for _ in range(2000))
+        sample = (tuple(sorted(rng.sample(range(g.n), k))) for _ in range(2000))
+        pool = (s for s in sample if kept.covering(s) < 0)
         mode = "sampled"
     best, best_set = 0, None
-    kept = _WitnessCover(g.n)
     try:
         for s in pool:
-            if kept.covering(s) >= 0:
-                continue
             cycle = _shortest_cycle_through(g, s, b)
             if cycle is not None:
                 kept.add(None, cycle)

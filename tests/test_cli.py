@@ -5,9 +5,11 @@ from dataclasses import replace
 import pytest
 
 from conftest import loaded_by_cli_import
+from rainbowcycles import cli
 from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
-from rainbowcycles.cli import main
+from rainbowcycles import graph as gr
+from rainbowcycles.cli import build_parser, main
 from rainbowcycles.colouring import (
     CycleWitness,
     EdgeColouring,
@@ -183,6 +185,38 @@ class TestPipelines:
         assert rep["e"] == 15
         assert rep["is_hypohamiltonian"] is True
         assert rep["girth"] == 5
+
+    def test_analyze_spends_one_budget(self, monkeypatch, capsys):
+        # the invariants and the hypohamiltonian test share --budget, and
+        # the latter takes G's Hamiltonicity from the circumference: one
+        # Hamilton search on G (142 nodes), then one per vertex-deleted graph
+        budgets, searched = [], []
+
+        class Recorded(gr.Budget):
+            def __init__(self, limit=gr.DEFAULT_BUDGET):
+                super().__init__(limit)
+                budgets.append(self)
+
+        find = gr.find_hamilton_cycle
+
+        def counted(g, budget=None):
+            searched.append(g.n)
+            return find(g, budget)
+
+        monkeypatch.setattr(gr, "Budget", Recorded)
+        monkeypatch.setattr(gr, "find_hamilton_cycle", counted)
+        _, doc_text, _ = run_cli(["gen", "petersen"], "", monkeypatch, capsys)
+        code, report, _ = run_cli(["analyze", "--budget", "702"], doc_text, monkeypatch, capsys)
+        rep = json.loads(report)
+        assert code == 0 and "budget_exhausted" not in rep
+        assert rep["is_hamiltonian"] is False and rep["is_hypohamiltonian"] is True
+        assert searched == [10] + [9] * 10
+        assert sum(b.used for b in budgets) == 702
+        # one node fewer runs out: 702 is what the whole report costs
+        code, report, _ = run_cli(["analyze", "--budget", "701"], doc_text, monkeypatch, capsys)
+        rep = json.loads(report)
+        assert code == 0 and rep["budget_exhausted"] is True
+        assert "is_hypohamiltonian" not in rep
 
     def test_verify_counterexample_exit_1(self, monkeypatch, capsys):
         g = gen.wheel(4)
@@ -431,6 +465,71 @@ class TestSeededVerify:
         # nor do trees serve the cycle index
         seeded, bare = _same_verdict_as_bare(text, 2, "crx")
         assert seeded.subsets_searched == bare.subsets_searched
+
+
+class TestCachedParser:
+    """main builds its parser once per process; no option of one call may
+    reach a later one."""
+
+    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
+        run_cli(["gen", "cycle", "n=4"], "", monkeypatch, capsys)
+        parser = cli._PARSER
+        run_cli(["gen", "wheel", "n=4"], "", monkeypatch, capsys)
+        assert cli._PARSER is parser
+        assert parser.format_help() == build_parser().format_help()
+
+    def test_seed_does_not_stick(self, monkeypatch, capsys):
+        _, doc_text, _ = run_cli(["gen", "complete", "n=6"], "", monkeypatch, capsys)
+        argv = ["colour", "complete-random", "--k", "3", "--attempts", "2000"]
+        code, _, _ = run_cli(argv + ["--seed", "3"], doc_text, monkeypatch, capsys)
+        assert code == 0
+        code, out, err = run_cli(argv, doc_text, monkeypatch, capsys)
+        assert code == 2 and not out
+        assert "require an explicit --seed" in err
+
+    def test_output_file_does_not_stick(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "out.json"
+        code, out, _ = run_cli(["-o", str(target), "gen", "cycle", "n=5"], "",
+                               monkeypatch, capsys)
+        assert code == 0 and not out
+        written = target.read_text()
+        target.unlink()
+        code, out, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
+        assert code == 0 and out == written
+        assert not target.exists()
+
+    def test_usage_error_then_valid_call(self, monkeypatch, capsys):
+        _, expected, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
+        for argv in (["verify"], ["gen", "no-such-family"], ["--no-such-option"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("usage: rainbowcycles")
+        code, out, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
+        assert (code, out) == (0, expected)
+
+    def test_help_then_valid_call(self, monkeypatch, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == build_parser().format_help()
+        code, out, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
+        assert code == 0 and json.loads(out)["n"] == 5
+
+    def test_parse_matches_a_fresh_parser(self, monkeypatch, capsys):
+        # main's parser, after each parse before it, reads each argv as a
+        # parser that has parsed nothing does
+        run_cli(["gen", "cycle", "n=4"], "", monkeypatch, capsys)
+        for argv in (["verify", "--k", "2"],
+                     ["-i", "doc.json", "verify", "--k", "3", "--index", "rx", "--budget", "9"],
+                     ["colour", "cube-recursive", "--k", "2", "--block", "3", "--no-verify"],
+                     ["colour", "wheel", "--k", "2"],
+                     ["solve", "--k", "2", "--mode", "interval", "--seed", "4", "--force"],
+                     ["solve", "--k", "2"],
+                     ["gen", "complete-multipartite", "sizes=1,2"],
+                     ["gen", "petersen"]):
+            assert vars(cli._PARSER.parse_args(argv)) == vars(build_parser().parse_args(argv))
 
 
 def test_cli_import_does_not_load_multiprocessing():

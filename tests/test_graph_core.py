@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_colex_cover_pass,
     brute_hamilton_cycles,
     brute_is_k_connected,
     brute_lex_shortest_path,
@@ -21,6 +23,7 @@ from rainbowcycles.graph import (
     _bfs_path,
     _bipartition,
     _is_cycle_graph,
+    _WitnessCover,
     block_decomposition,
     circumference,
     cycle_through_exists,
@@ -384,6 +387,93 @@ class TestHamiltonCycles:
             0, 1, 3, 2, 6, 4, 5, 7, 15, 11, 9, 8, 10, 14, 12, 13,
             29, 21, 17, 19, 18, 22, 23, 31, 27, 25, 24, 26, 30, 28, 20, 16)
         assert b.used == 36  # 416 with the two-sides rule alone
+
+    def test_w8_enumeration_golden(self):
+        # every Hamilton cycle holds vertex 0, so only the root-0 pass of
+        # the rooted cycle DFS runs: 514 nodes with every root
+        b = Budget()
+        cycles = enumerate_hamilton_cycles(gen.wheel(8), b)
+        assert len(cycles) == 8 and b.used == 261
+        assert cycles == brute_hamilton_cycles(gen.wheel(8))
+        short = Budget(260)
+        with pytest.raises(BudgetExceeded):
+            enumerate_hamilton_cycles(gen.wheel(8), short)
+
+
+def _random_vertex_set(rng: random.Random, n: int, s=()):
+    """s plus each vertex of range(n) with a chance drawn once per set."""
+    p = rng.choice((0.2, 0.5, 0.9))
+    return set(s) | {v for v in range(n) if rng.random() < p}
+
+
+def _responder(rng: random.Random, n: int, caller: str):
+    """What a caller of the colex pass does with a subset it is handed:
+    'verify' adds a witness through it, or ends the pass at a
+    counterexample; 'lower-bound' adds one or nothing and goes on; 'any'
+    adds up to two vertex sets that need not hold it."""
+    def respond(s):
+        if caller == "verify":
+            return None if rng.random() < 0.05 else [_random_vertex_set(rng, n, s)]
+        if caller == "lower-bound":
+            return [] if rng.random() < 0.3 else [_random_vertex_set(rng, n, s)]
+        return [_random_vertex_set(rng, n) for _ in range(rng.randint(0, 2))]
+    return respond
+
+
+class TestColexCoverPass:
+    """_WitnessCover.uncovered against a pass that tests each subset against
+    every witness (conftest.brute_colex_cover_pass)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(0, 6),
+           st.sampled_from(("verify", "lower-bound", "any")), st.integers(0, 10_000))
+    def test_matches_the_subset_by_subset_oracle(self, n, k, seeds, caller, seed):
+        rng = random.Random(seed)
+        witnesses = [_random_vertex_set(rng, n) for _ in range(seeds)]
+        handed, index = brute_colex_cover_pass(
+            n, k, witnesses, _responder(random.Random(seed), n, caller))
+
+        cover = _WitnessCover(n)
+        for w in witnesses:
+            cover.add(None, w)
+        respond = _responder(random.Random(seed), n, caller)
+        kept = list(witnesses)
+        got, got_index, stopped = [], [], False
+        for s in cover.uncovered(k, got_index):
+            got.append(s)
+            added = respond(s)
+            if added is None:
+                stopped = True
+                break
+            for w in added:
+                cover.add(None, w)
+            kept += added
+        assert got == handed
+        assert got_index == index
+        if caller == "verify" and not stopped:
+            assert len(got_index) == (math.comb(n, k) if k <= n else 0)
+        # one subset at a time, in any order, against the witnesses kept
+        for s in itertools.combinations(range(n), k):
+            holders = [i for i, w in enumerate(kept) if w.issuperset(s)]
+            assert cover.covering(s) == max(holders, default=-1)
+
+    def test_yields_nothing_when_k_exceeds_n(self):
+        index = []
+        assert list(_WitnessCover(3).uncovered(4, index)) == [] and index == []
+
+    def test_newest_witness_serves(self):
+        # the pairs of range(5) in colex order: (0, 1), (0, 2), (1, 2), (0, 3),
+        # (1, 3), (2, 3), (0, 4), (1, 4), (2, 4), (3, 4)
+        cover = _WitnessCover(5)
+        cover.add(None, (0, 1, 4))
+        found = {(0, 2): (0, 2, 3), (1, 2): (1, 2, 3, 4)}
+        index, handed = [], []
+        for s in cover.uncovered(2, index):
+            handed.append(s)
+            cover.add(None, found[s])
+        assert handed == [(0, 2), (1, 2)]
+        # (0, 4) is in witness 0 alone; (1, 4) is in 0 and 2, and 2 is newer
+        assert index == [0, 1, 2, 1, 2, 2, 0, 2, 2, 2]
 
 
 class TestHypohamiltonian:

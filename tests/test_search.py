@@ -34,12 +34,12 @@ from rainbowcycles.graph import (
     Budget,
     Graph,
     circumference,
+    colex_subsets,
     cycle_through_exists,
     ear_decomposition,
     find_hamilton_cycle,
 )
 from rainbowcycles.search import (
-    colex_subsets,
     colour_class_collision,
     find_subdivided_closed_walk,
     min_cycle_length_through,
