@@ -24,7 +24,11 @@ class Budget:
     """Search-node counter. Budgets are in nodes, not wall time.
 
     ``cuts`` counts, per rule of the anchored-cycle search, the states that
-    the rule ended (see _anchored_cycle): ``closing`` and ``sides``.
+    the rule ended (see _anchored_cycle): ``closing`` and ``sides``. The
+    solver's rules add their own key once they run: ``incumbent``, the
+    subsets the distance bound settled within its best bound so far
+    (solver.crx_lower_bound_distance), and ``leaves``, the subtrees not
+    grown past k leaves (solver._grow_subtrees).
     """
 
     __slots__ = ("limit", "used", "cuts")

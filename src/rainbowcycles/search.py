@@ -72,9 +72,18 @@ def min_cycle_length_through(g: Graph, s, budget=None):
     return None if cycle is None else len(cycle)
 
 
-def _shortest_cycle_through(g: Graph, s, b: Budget):
+def _shortest_cycle_through(g: Graph, s, b: Budget, best: int = 0):
     """The vertex tuple of the first shortest simple cycle through every
-    vertex of the non-empty sorted sequence s, or None if there is none."""
+    vertex of the non-empty sorted sequence s, or None if there is none.
+
+    Iterative deepening from the distance floor lb0. An incumbent best
+    above lb0 makes best the first level, which admits every cycle of
+    length at most best: the cycle returned is then the first one found
+    within best, not always a shortest one. A cycle found at a later level
+    L is still the exact minimum, as every length below L was refuted. So
+    a result no longer than best shows only that s cannot raise best, and
+    a longer one is exact.
+    """
     anchor = s[0]
     dist = {v: _bfs_distances(g, v) for v in s}
     if any(dist[v][anchor] is INF for v in s[1:]):
@@ -85,7 +94,7 @@ def _shortest_cycle_through(g: Graph, s, b: Budget):
         for w in s[1:]:
             if w > v and dist[w][v] is not INF:
                 lb0 = max(lb0, 2 * int(dist[w][v]))
-    found = _anchored_cycle(g, s, b, range(lb0, g.n + 1))
+    found = _anchored_cycle(g, s, b, range(max(lb0, best), g.n + 1))
     return None if found is None else found[0]
 
 

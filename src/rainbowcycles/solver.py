@@ -150,23 +150,43 @@ def rx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
     return _exact(g, k, b, trees)
 
 
-def _grow_subtrees(adj, root, k, b, verts, eids, frontier, out):
+def _grow_subtrees(adj, root, k, b, verts, eids, frontier, out, deg=None, leaves=0):
     """Append to out, as (edge ids, leaves, vertices), each subtree with an
     edge and at most k leaves that has least vertex root and extends the tree
     (verts, eids) by (edge id, new vertex) pairs of frontier. The first pair
     is excluded, then included, so each subtree is reached once. One call is
-    one budget node."""
+    one budget node.
+
+    deg[v] is the degree of v in the tree and leaves its count of vertices
+    of degree 1; the defaults are those of a tree with no edge. Growing a
+    tree never lowers its leaves: the first edge gives two, and a new
+    vertex hung on a leaf keeps the count, on an inner vertex adds one. So
+    every tree on the way to one with at most k leaves has at most k, and
+    an inclusion that would give more than k lists nothing; it is not
+    made, and ``b.cuts["leaves"]`` counts it. The trees listed and their
+    order are as without the cut."""
+    if deg is None:
+        deg = [0] * len(adj)
+        b.cuts.setdefault("leaves", 0)
     b.spend()
     if frontier:
         (eid, w), rest = frontier[0], frontier[1:]
-        _grow_subtrees(adj, root, k, b, verts, eids, rest, out)
+        _grow_subtrees(adj, root, k, b, verts, eids, rest, out, deg, leaves)
+        p = next(x for x, e2 in adj[w] if e2 == eid)  # w hangs on p
+        grown_leaves = leaves + 1 + (deg[p] == 0) - (deg[p] == 1)
+        if grown_leaves > k:
+            b.cuts["leaves"] += 1
+            return
         grown = [f for f in rest if f[1] != w]
         grown += [(e2, x) for x, e2 in adj[w] if x > root and x not in verts]
-        _grow_subtrees(adj, root, k, b, verts | {w}, eids + (eid,), grown, out)
+        deg[p] += 1
+        deg[w] = 1
+        _grow_subtrees(adj, root, k, b, verts | {w}, eids + (eid,), grown, out, deg,
+                       grown_leaves)
+        deg[p] -= 1
+        deg[w] = 0
     elif eids:
-        ends = [v for v in verts if sum(e2 in eids for _, e2 in adj[v]) == 1]
-        if len(ends) <= k:
-            out.append((eids, frozenset(ends), frozenset(verts)))
+        out.append((eids, frozenset(v for v in verts if deg[v] == 1), frozenset(verts)))
 
 
 def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
@@ -306,9 +326,17 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
     else over a seeded sample.
     A partial maximisation is still a valid lower bound.
 
-    Each shortest cycle found is kept. Its length is at most the best bound
-    from then on, so a later subset inside it has a cycle no longer than the
-    bound and needs no search: the bound and its subset do not change."""
+    Branch and bound against the incumbent best, the largest minimum so
+    far: a subset is searched first with limit best (see
+    _shortest_cycle_through), and any cycle found there settles it, as it
+    cannot raise best. Only a subset with no cycle within best costs the
+    deeper levels, and the cycle they find is its exact minimum. Every
+    cycle found is kept. Its length is at most the best bound from then on,
+    so a later subset inside it has a cycle no longer than the bound and
+    needs no search. The pass order is the same either way, a subset is
+    passed over only when it has a cycle no longer than best, and a record
+    needs a strict gain, so the bound, its colex-first subset and the mode
+    do not change. ``b.cuts["incumbent"]`` counts the settled subsets."""
     b = budget if isinstance(budget, Budget) else Budget(budget)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
@@ -321,16 +349,19 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
         sample = (tuple(sorted(rng.sample(range(g.n), k))) for _ in range(2000))
         pool = (s for s in sample if kept.covering(s) < 0)
         mode = "sampled"
-    best, best_set = 0, None
+    best, best_set, settled = 0, None, 0
     try:
         for s in pool:
-            cycle = _shortest_cycle_through(g, s, b)
+            cycle = _shortest_cycle_through(g, s, b, best)
             if cycle is not None:
                 kept.add(None, cycle)
                 if len(cycle) > best:
                     best, best_set = len(cycle), s
+                else:
+                    settled += 1
     except BudgetExceeded:
         mode += "-partial"  # a partial maximisation is still a lower bound
+    b.cuts["incumbent"] = b.cuts.get("incumbent", 0) + settled
     return best, Certificate(
         "distance_bound", {"subset": best_set, "length": best, "mode": mode}
     )

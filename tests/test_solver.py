@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from conftest import (brute_cycle_index, brute_rainbow_index, brute_subtrees,
-                      random_connected_graph, theta)
+from conftest import (brute_all_cycles, brute_cycle_index, brute_is_k_connected,
+                      brute_rainbow_index, brute_subtrees, random_connected_graph, theta)
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily, ScopeExceeded
@@ -131,7 +131,7 @@ class TestCrxExact:
         ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 135),
         # K_5 at k = 3 includes 5 nodes of the F_3 precheck's Hamilton shortcut
         ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 176),
-        ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 1196),
+        ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 642),
     ])
     def test_golden_node_counts(self, index, g, k, value, colours, nodes):
         b = Budget()
@@ -224,14 +224,15 @@ class TestRxExact:
 
     def test_lists_every_subtree_once(self):
         for g in (gen.hypercube(3), gen.complete(5), theta(2, 3, 4)):
-            for k in (2, 3, 4):
+            trees = brute_subtrees(g)
+            for k in range(1, g.n + 1):
                 listed = []
                 for root in range(g.n):
                     frontier = [(eid, x) for x, eid in g.adjacency[root] if x > root]
                     solver._grow_subtrees(g.adjacency, root, k, Budget(), {root}, (), frontier,
                                           listed)
                 expected = []
-                for verts, eids in brute_subtrees(g):
+                for verts, eids in trees:
                     ends = {v for v in verts if sum(v in g.edges[e] for e in eids) == 1}
                     if len(ends) <= k:
                         expected.append((eids, ends, verts))
@@ -246,6 +247,18 @@ class TestRxExact:
             for k in range(2, n + 1):
                 res = solver.rx_exact(g, k)
                 assert (res.value, res.witness.colour_of) == brute_rainbow_index(g, k), (g, k)
+
+    def test_golden_q3_pair_listing(self):
+        # an inclusion that would give a third leaf is not made: listing every
+        # subtree and then keeping those with at most two leaves took 2,504 nodes
+        g, b, listed = gen.hypercube(3), Budget(), []
+        for root in range(g.n):
+            frontier = [(eid, x) for x, eid in g.adjacency[root] if x > root]
+            solver._grow_subtrees(g.adjacency, root, 2, b, {root}, (), frontier, listed)
+        assert (len(listed), b.used, b.cuts["leaves"]) == (444, 983, 87)
+        b = Budget()
+        assert solver.rx_exact(g, 2, b).value == 3
+        assert (b.used, b.cuts) == (996, {"closing": 0, "sides": 0, "leaves": 87})
 
     def test_golden_q3(self):
         # witness recorded from the colouring-by-colouring search this solver
@@ -278,13 +291,16 @@ class TestLowerBoundDistance:
         assert bound == 3
 
     def test_golden_w12_triples(self):
-        # 10,433 search nodes after the 13 of the F_3 precheck; a triple
-        # inside a shortest cycle already found is not searched (one search
-        # per triple spent 70,837 before the cycle search's cut rules)
+        # 1,727 search nodes after the 13 of the F_3 precheck; a triple
+        # inside a cycle already found is not searched, and 11 triples are
+        # settled by a cycle within the incumbent bound (10,433 search nodes
+        # without that, and one search per triple spent 70,837 before the
+        # cycle search's cut rules)
         b = Budget()
         bound, cert = solver.crx_lower_bound_distance(gen.wheel(12), 3, b)
-        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 10_446)
+        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 1_740)
         assert cert.payload["subset"] == (0, 4, 8)
+        assert b.cuts == {"closing": 39, "sides": 68, "incumbent": 11}
 
     @pytest.mark.parametrize("g, k", [
         (gen.wheel(9), 2), (gen.wheel(9), 3), (gen.wheel(10), 3), (gen.hypercube(4), 2),
@@ -300,6 +316,44 @@ class TestLowerBoundDistance:
                 best, best_set = length, s
         bound, cert = solver.crx_lower_bound_distance(g, k)
         assert (bound, cert.payload["subset"]) == (best, best_set)
+
+    @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
+    def test_matches_brute_oracle(self, monkeypatch, sampled):
+        # the oracle is a maximum over brute_all_cycles; a record needs a
+        # strict gain, so the subset is the first to reach the bound in the
+        # pass order: colex, or the seeded sample, taken here with the
+        # sampler's seed and call sequence
+        if sampled:
+            monkeypatch.setattr(solver, "MAX_EXHAUSTIVE_SUBSETS", 1)
+        rng = random.Random(13)
+        checked = 0
+        while checked < 24:
+            n = rng.randint(5, 8)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph(n, tuple(sorted(rng.sample(pairs, rng.randint(n + 1, 2 * n)))))
+            if not brute_is_k_connected(g, 2):
+                continue
+            checked += 1
+            for k in (2, 3):
+                shortest = {s: min((len(verts) for verts, _ in brute_all_cycles(g)
+                                    if verts.issuperset(s)), default=None)
+                            for s in itertools.combinations(range(n), k)}
+                if None in shortest.values():  # outside F_k
+                    with pytest.raises(NotInFamily):
+                        solver.crx_lower_bound_distance(g, k)
+                    continue
+                if sampled:
+                    draw = random.Random(0)
+                    order = [tuple(sorted(draw.sample(range(n), k))) for _ in range(2000)]
+                else:
+                    order = sorted(shortest, key=lambda s: s[::-1])
+                best, best_set = 0, None
+                for s in order:
+                    if shortest[s] > best:
+                        best, best_set = shortest[s], s
+                bound, cert = solver.crx_lower_bound_distance(g, k)
+                assert (bound, cert.payload["subset"]) == (best, best_set), (g, k)
+                assert cert.payload["mode"] == ("sampled" if sampled else "exhaustive")
 
 
 class TestInterval:
@@ -328,13 +382,15 @@ class TestInterval:
         res = solver.crx_interval(g, 2, b)
         assert (res.lower, res.upper, res.witness) == (full.lower, g.e, rainbow_colouring(g))
 
-    @pytest.mark.parametrize("limit, lower", [(500, 7), (2000, 9), (5000, 10)])
-    def test_budget_out_keeps_the_partial_lower_bound(self, limit, lower):
-        # the distance bound overruns the budget; the wheel constructor's
-        # self-verification then runs out at once and falls through to the
-        # rainbow colouring instead of raising
+    @pytest.mark.parametrize("share, lower", [(0.25, 8), (0.5, 9), (0.999, 10)])
+    def test_budget_out_keeps_the_partial_lower_bound(self, share, lower):
+        # the distance bound overruns a budget of this share of its full run;
+        # the wheel constructor's self-verification then runs out at once
+        # and falls through to the rainbow colouring instead of raising
         g = gen.wheel(12)
-        res = solver.crx_interval(g, 3, Budget(limit))
+        bound_only = Budget()
+        solver.crx_lower_bound_distance(g, 3, bound_only)
+        res = solver.crx_interval(g, 3, Budget(int(bound_only.used * share)))
         (cert,) = res.evidence
         assert cert.payload["mode"] == "exhaustive-partial"
         assert (res.kind, res.lower) == ("interval", lower)
