@@ -6,12 +6,11 @@ uniformly at construction time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidParameter
-from .graph import Graph, _coloured_adjacency, _vertex_mask, colex_subsets
+from .graph import Graph, _coloured_adjacency, colex_subsets
 
 
 @dataclass(frozen=True)
@@ -22,9 +21,11 @@ class EdgeColouring:
     leaves declared colours unused (e.g. a raw random sample) must say so
     via ``unused_ok``.
 
-    ``witnesses`` holds the rainbow cycles (or trees) of a self-verified
-    colouring's cover. They are a hint, not part of the colouring: equality
-    ignores them, and verification re-checks each one before using it.
+    ``witnesses`` holds the rainbow cycles (or trees) that a self-verification
+    found, which together hold every k-subset, so check_cover(c, k,
+    c.witnesses) re-checks the colouring without a search. They are a hint,
+    not part of the colouring: equality ignores them, and verification
+    re-checks each one before using it.
     """
 
     graph: Graph
@@ -100,42 +101,34 @@ class WalkWitness:
     paths: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class Cover:
-    """The witnesses of a verification pass: index[i] is the position in
-    witnesses of the rainbow cycle (or tree) that holds the i-th k-subset
-    in colex order. Each witness is listed once; check_cover re-checks the
-    whole cover without a search."""
+def check_cover(c: EdgeColouring, k: int, witnesses) -> bool:
+    """True iff witnesses prove that every k-subset of vertices lies on a
+    rainbow cycle of c (all CycleWitness objects) or is joined by a rainbow
+    tree of c (all TreeWitness objects).
 
-    witnesses: tuple
-    index: tuple[int, ...]
-
-
-def check_cover(c: EdgeColouring, k: int, cover: Cover) -> bool:
-    """True iff cover proves that every k-subset of vertices lies on a
-    rainbow cycle of c (a cover of CycleWitness objects) or is joined by a
-    rainbow tree of c (a cover of TreeWitness objects).
-
-    Each witness is re-checked with check_cycle_witness or check_tree_witness,
-    and each subset against the vertex bitmask of its witness; a cover that
-    mixes the two kinds, or does not index every k-subset, fails.
+    Each witness is re-checked with check_cycle_witness or
+    check_tree_witness; then each k-subset, in colex order, must lie inside
+    one of them: one AND over rows with a bit per witness on each vertex.
+    Witnesses that mix the two kinds fail.
     """
-    if k < 1:
-        raise InvalidParameter("k must be positive")
     g = c.graph
-    kinds = {type(w) for w in cover.witnesses}
+    if not 1 <= k <= g.n:
+        raise InvalidParameter(f"k must lie in 1..{g.n}")
+    kinds = {type(w) for w in witnesses}
     if len(kinds) > 1 or not kinds <= {CycleWitness, TreeWitness}:
         return False
-    masks = []
-    for w in cover.witnesses:
+    holding = [0] * g.n  # per vertex: a bit for each witness on it
+    for i, w in enumerate(witnesses):
         check = check_cycle_witness if type(w) is CycleWitness else check_tree_witness
         if not check(g, w, c, require_rainbow=True):
             return False
-        masks.append(_vertex_mask(w.vertices))
-    if len(cover.index) != math.comb(g.n, k):
-        return False
-    for s, i in zip(colex_subsets(g.n, k), cover.index):
-        if not 0 <= i < len(masks) or _vertex_mask(s) & ~masks[i]:
+        for v in w.vertices:
+            holding[v] |= 1 << i
+    for s in colex_subsets(g.n, k):
+        held = holding[s[0]]
+        for v in s[1:]:
+            held &= holding[v]
+        if not held:
             return False
     return True
 

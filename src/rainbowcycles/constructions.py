@@ -3,7 +3,7 @@
 Every constructor self-verifies its output before returning (skippable with
 ``verify=False`` for large instances) and raises ConstructionRejected instead
 of handing back an uncertified colouring. A self-verified colouring carries
-the witnesses of its verification cover (EdgeColouring.witnesses), so a later
+the witnesses of its verification (EdgeColouring.witnesses), so a later
 verification re-checks them instead of searching again. Colours are 0-based;
 published 1-based schemes are shifted uniformly.
 """
@@ -58,7 +58,7 @@ def _certify(c: EdgeColouring, k: int, expected_colours: int | None, label: str,
              verify: bool = True, budget=None, verifier=None) -> EdgeColouring:
     """Check the colour count, then self-verify with ``verifier`` (default
     verify_k_rainbow_cycle_colouring, looked up when called); a verified
-    colouring comes back carrying the witnesses of the report's cover."""
+    colouring comes back carrying the report's witnesses."""
     if expected_colours is not None and c.r != expected_colours:
         raise ConstructionRejected(
             f"{label}: produced {c.r} colours, theorem says {expected_colours}"
@@ -70,7 +70,7 @@ def _certify(c: EdgeColouring, k: int, expected_colours: int | None, label: str,
                 f"{label}: self-verification found bad {k}-set {report.bad_set}",
                 bad_set=report.bad_set,
             )
-        return replace(c, witnesses=report.cover.witnesses)
+        return replace(c, witnesses=report.witnesses)
     return c
 
 
@@ -238,7 +238,7 @@ def _random_until_certified(g: Graph, k: int, r: int, seed, max_attempts: int,
         c = EdgeColouring(g, colours, r, unused_ok=True)
         report = verify_k_rainbow_cycle_colouring(c, k, budget, check_family=False)
         if report.certified:
-            return replace(c, witnesses=report.cover.witnesses)
+            return replace(c, witnesses=report.witnesses)
     raise AttemptsExhausted(max_attempts, f"{label}: {max_attempts} samples all failed")
 
 

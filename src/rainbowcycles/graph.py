@@ -626,60 +626,51 @@ def colex_subsets(n: int, k: int):
 
 
 class _WitnessCover:
-    """The witnesses found so far by a pass over vertex subsets, with the
-    vertex bitmask of each. A witness (a cycle or a tree) that holds every
-    vertex of S serves S too, so a subset inside a kept witness needs no
-    search of its own; where several hold S, the newest serves it.
+    """The vertex bitmasks of the witnesses (cycles or trees) kept so far by
+    a pass over vertex subsets. A witness that holds every vertex of S
+    serves S too, so a subset inside a kept witness needs no search of its
+    own. The caller keeps the witnesses themselves: their list, in the order
+    they were added, is the whole cover.
 
     holding[v] has bit i set for each kept witness i through vertex v, so
     the witnesses that hold a set of vertices are one AND of these rows.
-    uncovered(k) walks every k-subset in colex order and costs one list
-    store per covered subset; covering(s) answers for one subset, for
-    passes in any other order.
+    uncovered(k) walks every k-subset in colex order; covers(s) answers for
+    one subset, for passes in any other order.
     """
 
-    __slots__ = ("witnesses", "masks", "holding")
+    __slots__ = ("masks", "holding")
 
     def __init__(self, n: int):
-        self.witnesses = []
         self.masks = []
         self.holding = [0] * n  # per vertex: a bit for each witness on it
 
-    def covering(self, s) -> int:
-        """Index of the newest kept witness whose vertices include the
-        non-empty tuple s, else -1."""
+    def covers(self, s) -> bool:
+        """Does a kept witness hold every vertex of the non-empty tuple s?"""
         holding = self.holding
         held = holding[s[0]]
         for v in s[1:]:
             held &= holding[v]
-        return held.bit_length() - 1
+        return held != 0
 
-    def add(self, witness, vertices) -> int:
-        """Keep witness, whose vertex set is vertices; returns its index."""
-        i = len(self.witnesses)
-        holding, bit, mask = self.holding, 1 << i, 0
+    def add(self, vertices) -> None:
+        """Keep a witness whose vertex set is vertices."""
+        holding, bit, mask = self.holding, 1 << len(self.masks), 0
         for v in vertices:
             holding[v] |= bit
             mask |= 1 << v
-        self.witnesses.append(witness)
         self.masks.append(mask)
-        return i
 
-    def uncovered(self, k: int, index=None):
+    def uncovered(self, k: int):
         """Yield, in colex order, each k-subset of the vertices (k >= 1) that
         no kept witness holds when the pass reaches it, as a sorted tuple.
         Before it resumes, the caller may add witnesses: they serve the
-        yielded subset and every later one they hold. If index is a list,
-        it gets the index of the newest kept witness holding each subset
-        that is covered once the pass moves past it; a yielded subset that
-        the caller leaves uncovered gets no entry.
+        yielded subset and every later one they hold.
 
         In colex order the lowest element x varies fastest below the upper
-        part U, the k - 1 largest elements. So for each U the pass ORs the
-        masks of the witnesses holding U, newest first: the bits below
-        min(U) that a mask adds are the values of x its witness is the
-        newest for, and those left over are the subsets to yield. A witness
-        added at x is the newest for each later x it holds.
+        part U, the k - 1 largest elements. So for each U the pass clears
+        the masks of the witnesses holding U from the values below min(U),
+        and the values of x left over are the subsets to yield. A witness
+        added at x clears the later values of x it holds.
         """
         masks, holding = self.masks, self.holding
         n = len(holding)
@@ -692,39 +683,19 @@ class _WitnessCover:
             for u in upper:
                 umask |= 1 << u
                 held &= holding[u]
-            below = (1 << top) - 1
-            free = below  # the values of x no kept witness holds with U
-            owner = [-1] * top  # per x: the newest kept witness holding it with U
+            free = (1 << top) - 1  # the values of x no kept witness holds with U
             while held and free:
                 i = held.bit_length() - 1
                 held ^= 1 << i
-                new = masks[i] & free
-                free ^= new
-                while new:
-                    bit = new & -new
-                    owner[bit.bit_length() - 1] = i
-                    new ^= bit
-            start = 0  # owner[start:x] is the run of covered subsets before x
+                free &= ~masks[i]
             while free:
                 low = free & -free
-                x = low.bit_length() - 1
-                if index is not None:
-                    index += owner[start:x]
                 count = len(masks)
-                yield (x, *upper)
+                yield (low.bit_length() - 1, *upper)
                 free ^= low
                 for i in range(count, len(masks)):
-                    if umask & ~masks[i]:
-                        continue
-                    new = masks[i] & below & -low  # the values from x on
-                    free &= ~new
-                    while new:
-                        bit = new & -new
-                        owner[bit.bit_length() - 1] = i
-                        new ^= bit
-                start = x if owner[x] >= 0 else x + 1
-            if index is not None:
-                index += owner[start:]
+                    if not umask & ~masks[i]:
+                        free &= ~masks[i]
             # the colex successor of U among the (k - 1)-subsets of range(1, n)
             j = 0
             while j + 1 < len(upper) and upper[j] + 1 == upper[j + 1]:
@@ -733,14 +704,6 @@ class _WitnessCover:
                 return
             upper[j] += 1
             upper[:j] = range(1, j + 1)
-
-
-def _vertex_mask(vertices) -> int:
-    """The bitmask with bit v set for each vertex v."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -985,5 +948,5 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
         found = _anchored_cycle(g, s, b, (g.n,))
         if found is None:
             return False
-        cover.add(None, found[0])
+        cover.add(found[0])
     return True

@@ -17,10 +17,10 @@ first, and grow by every witness the pass finds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .colouring import (
-    Cover,
     CycleWitness,
     EdgeColouring,
     TreeWitness,
@@ -161,12 +161,20 @@ def rainbow_tree_through(c: EdgeColouring, s, budget=None):
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The outcome of one colex pass. witnesses lists the rainbow cycles (or
+    trees) the pass kept, in the order it kept them: the carried ones that
+    passed their re-check, then one per subset searched with success. They
+    hold every k-subset when certified, and every subset before bad_set
+    otherwise, so check_cover re-checks a certified report without a search.
+    subsets_checked counts the subsets visited: C(n, k), or the colex rank
+    of bad_set plus one."""
+
     status: str  # "certified" | "counterexample"
     bad_set: tuple | None
     subsets_checked: int
     subsets_searched: int  # the subsets no kept witness covered
     search_nodes: int
-    cover: Cover  # the witnesses of the subsets before bad_set, or of all of them
+    witnesses: tuple
 
     @property
     def certified(self) -> bool:
@@ -179,7 +187,7 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind) -> Verificati
     TreeWitness), so the counterexample is the colex-least one. A subset
     inside a kept witness is covered by it; any other is searched with
     rainbow_cycle_through or rainbow_tree_through, and the witness found is
-    kept.
+    kept. k must lie in 1..n.
 
     The kept witnesses start as those of type kind that c carries
     (EdgeColouring.witnesses) and pass check_cycle_witness or
@@ -188,30 +196,31 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind) -> Verificati
     subsets are searched, but not the status, bad_set or subsets_checked.
     subsets_searched counts the searches, and search_nodes is b.used:
     covered subsets spend no nodes."""
-    if k < 1:
-        raise InvalidParameter("need at least one vertex")
+    n = c.graph.n
+    if not 1 <= k <= n:
+        raise InvalidParameter(f"k must lie in 1..{n}")
     if kind is CycleWitness:
         through, check = rainbow_cycle_through, check_cycle_witness
     else:
         through, check = rainbow_tree_through, check_tree_witness
-    kept = _WitnessCover(c.graph.n)
+    kept = _WitnessCover(n)
+    witnesses = []
     for w in c.witnesses:
         if type(w) is kind and check(c.graph, w, c, require_rainbow=True):
-            kept.add(w, w.vertices)
-    index = []  # per subset visited and covered: the index of its witness
+            kept.add(w.vertices)
+            witnesses.append(w)
     searched = 0
-    bad = None
-    for s in kept.uncovered(k, index):
+    for s in kept.uncovered(k):
         searched += 1
         w = through(c, s, b)
         if w is None:
-            bad = s
-            break
-        kept.add(w, w.vertices)
-    cover = Cover(tuple(kept.witnesses), tuple(index))
-    if bad is None:
-        return VerificationReport("certified", None, len(index), searched, b.used, cover)
-    return VerificationReport("counterexample", bad, len(index) + 1, searched, b.used, cover)
+            rank = sum(math.comb(v, i + 1) for i, v in enumerate(s))
+            return VerificationReport("counterexample", s, rank + 1, searched, b.used,
+                                      tuple(witnesses))
+        kept.add(w.vertices)
+        witnesses.append(w)
+    return VerificationReport("certified", None, math.comb(n, k), searched, b.used,
+                              tuple(witnesses))
 
 
 def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,

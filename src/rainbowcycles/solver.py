@@ -13,8 +13,17 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import constructions as cons
 from .colouring import EdgeColouring, rainbow_colouring
-from .errors import BudgetExceeded, InvalidParameter, NotInFamily, ScopeExceeded
+from .errors import (
+    AttemptsExhausted,
+    BudgetExceeded,
+    InvalidParameter,
+    NotInFamily,
+    RegimeUnsupported,
+    ScopeExceeded,
+)
+from .generators import wheel
 from .graph import (
     Budget,
     Graph,
@@ -347,14 +356,14 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
     else:
         rng = random.Random(0)
         sample = (tuple(sorted(rng.sample(range(g.n), k))) for _ in range(2000))
-        pool = (s for s in sample if kept.covering(s) < 0)
+        pool = (s for s in sample if not kept.covers(s))
         mode = "sampled"
     best, best_set, settled = 0, None, 0
     try:
         for s in pool:
             cycle = _shortest_cycle_through(g, s, b, best)
             if cycle is not None:
-                kept.add(None, cycle)
+                kept.add(cycle)
                 if len(cycle) > best:
                     best, best_set = len(cycle), s
                 else:
@@ -385,8 +394,6 @@ def _detect_family(g: Graph):
         ):
             return ("hypercube", dim)
     if n >= 5 and g.degree(n - 1) == n - 1 and all(g.degree(v) == 3 for v in range(n - 1)):
-        from .generators import wheel
-
         if g.edges == wheel(n - 1).edges:
             return ("wheel", n - 1)
     side = _bipartition(g)
@@ -426,9 +433,6 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, attempts):
     run out of the budget: each falls through to the Hamilton or rainbow
     fallback. A ConstructionRejected (transcription error) propagates.
     """
-    from . import constructions as cons
-    from .errors import AttemptsExhausted, RegimeUnsupported
-
     soft = (AttemptsExhausted, RegimeUnsupported, InvalidParameter, BudgetExceeded)
     fam = _detect_family(g)
     try:

@@ -175,36 +175,22 @@ def brute_hamilton_cycles(g: Graph):
             if p[0] < p[-1] and all(map(g.has_edge, (0,) + p, p + (0,)))]
 
 
-def brute_newest_holder(witnesses, s):
-    """Position of the last vertex set in witnesses that holds every vertex
-    of s, else None."""
-    for i in range(len(witnesses) - 1, -1, -1):
-        if witnesses[i].issuperset(s):
-            return i
-    return None
-
-
 def brute_colex_cover_pass(n: int, k: int, witnesses, respond):
     """The colex pass over the k-subsets of range(n), one subset at a time
-    against every witness: witnesses is a list of vertex sets, newest last.
-    Each subset that no witness holds is handed to respond(s), which returns
-    the vertex sets to add (maybe none), or None to end the pass there.
-    Returns the subsets handed over and, per subset covered once the pass
-    moves past it, the position of the newest witness holding it."""
+    against every witness: witnesses is a list of vertex sets. Each subset
+    that no witness holds is handed to respond(s), which returns the vertex
+    sets to add (maybe none), or None to end the pass there. Returns the
+    subsets handed over."""
     witnesses = [frozenset(w) for w in witnesses]
-    handed, index = [], []
+    handed = []
     for s in sorted(itertools.combinations(range(n), k), key=lambda t: t[::-1]):
-        holder = brute_newest_holder(witnesses, s)
-        if holder is None:
+        if not any(w.issuperset(s) for w in witnesses):
             handed.append(s)
             added = respond(s)
             if added is None:
                 break
             witnesses += map(frozenset, added)
-            holder = brute_newest_holder(witnesses, s)
-        if holder is not None:
-            index.append(holder)
-    return handed, index
+    return handed
 
 
 def brute_lex_shortest_path(g: Graph, start: int, ends, blocked=()):

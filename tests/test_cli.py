@@ -226,6 +226,16 @@ class TestPipelines:
         assert code == 1
         assert json.loads(report)["status"] == "counterexample"
 
+    def test_verify_k_beyond_n_exit_2(self, monkeypatch, capsys):
+        # K_4 has no 9-subsets, so neither index can certify them
+        _, doc_text, _ = run_cli(["gen", "complete", "n=4"], "", monkeypatch, capsys)
+        _, coloured, _ = run_cli(["colour", "complete-2rainbow", "--k", "2"], doc_text,
+                                 monkeypatch, capsys)
+        for index in ("rx", "crx"):
+            code, out, err = run_cli(["verify", "--index", index, "--k", "9"], coloured,
+                                     monkeypatch, capsys)
+            assert code == 2 and err.startswith("error:") and not out
+
     @pytest.mark.parametrize("colouring, code", [
         (lambda g: EdgeColouring(g, tuple(i % 3 for i in range(g.e)), 3), 1),
         (lambda g: cons.colour_wheel(6, 2, verify=False), 0),
@@ -359,9 +369,9 @@ def _same_verdict_as_bare(text, k, index="crx"):
     assert (seeded.status, seeded.bad_set, seeded.subsets_checked) == (
         bare.status, bare.bad_set, bare.subsets_checked)
     check = check_cycle_witness if index == "crx" else check_tree_witness
-    assert all(check(c.graph, w, c, require_rainbow=True) for w in seeded.cover.witnesses)
+    assert all(check(c.graph, w, c, require_rainbow=True) for w in seeded.witnesses)
     if seeded.certified:
-        assert check_cover(c, k, seeded.cover)
+        assert check_cover(c, k, seeded.witnesses)
     return seeded, bare
 
 
@@ -421,7 +431,7 @@ class TestSeededVerify:
         def add_rim(payload):
             payload["colouring"]["witnesses"] = {"cycles": ["0 1 2 3 4", "0 1 5", "0 1 2 3 4 5"]}
         seeded, _ = _same_verdict_as_bare(_mutated(text, add_rim), 2)
-        assert (seeded.status, seeded.bad_set, seeded.cover.witnesses) == (
+        assert (seeded.status, seeded.bad_set, seeded.witnesses) == (
             "counterexample", (0, 1), ())
 
     def test_cycles_found_for_another_k(self, wheel_doc):
@@ -431,7 +441,7 @@ class TestSeededVerify:
         c, text = wheel_doc
         pair_pass = verify_k_rainbow_cycle_colouring(replace(c, witnesses=()), 2)
         other = cons.colour_wheel(8, 2)
-        for ws, reused in ((pair_pass.cover.witnesses, True), (other.witnesses, False)):
+        for ws, reused in ((pair_pass.witnesses, True), (other.witnesses, False)):
             def swap(payload):
                 payload["colouring"]["witnesses"] = {
                     "cycles": [" ".join(map(str, w.vertices)) for w in ws]}
@@ -465,6 +475,43 @@ class TestSeededVerify:
         # nor do trees serve the cycle index
         seeded, bare = _same_verdict_as_bare(text, 2, "crx")
         assert seeded.subsets_searched == bare.subsets_searched
+
+
+class TestDocumentCovers:
+    """The witnesses that colour writes into a document are a cover on
+    their own: check_cover re-checks them against the parsed colouring
+    without a search."""
+
+    @pytest.mark.parametrize("family, construction, k, sampled", [
+        (["wheel", "n=5"], ["wheel", "--k", "2"], 2, False),
+        (["complete", "n=8"],
+         ["complete-random", "--k", "3", "--seed", "2026", "--attempts", "2000"], 3, True),
+        (["path-cycle-join", "k=2", "t=3"], ["join-rxk", "--k", "2"], 2, False),
+        (["hypercube", "n=3"], ["cube", "--k", "3"], 3, False),
+    ], ids=["wheel", "complete-random", "join-rxk", "cube"])
+    def test_readme_colourings(self, family, construction, k, sampled, monkeypatch, capsys):
+        _, doc_text, _ = run_cli(["gen", *family], "", monkeypatch, capsys)
+        code, coloured, _ = run_cli(["colour", *construction], doc_text, monkeypatch, capsys)
+        assert code == 0
+        doc = parse(coloured)
+        assert check_cover(doc.colouring(), k, doc.witnesses)
+        code, bare, _ = run_cli(["colour", *construction, "--no-verify"], doc_text,
+                                monkeypatch, capsys)
+        assert code == 0
+        if sampled:
+            # the sampler keeps only a colouring that its verification certifies
+            assert bare == coloured
+        else:
+            bare_doc = parse(bare)
+            assert not check_cover(bare_doc.colouring(), k, bare_doc.witnesses)
+        # the first witness with two edges takes one colour on both
+        first, second = next(w.edge_ids for w in doc.witnesses if len(w.edge_ids) >= 2)[:2]
+
+        def flip(payload):
+            colours = payload["colouring"]["colours"]
+            colours[first] = colours[second]
+        flipped = parse(_mutated(coloured, flip))
+        assert not check_cover(flipped.colouring(), k, flipped.witnesses)
 
 
 class TestCachedParser:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,6 @@ from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
 from rainbowcycles.colouring import (
-    Cover,
     CycleWitness,
     EdgeColouring,
     check_cover,
@@ -166,6 +166,20 @@ class TestVerify:
         subs = list(colex_subsets(g.n, 2))
         for s in subs[: subs.index(rep.bad_set)]:
             assert rainbow_cycle_through(c, s) is not None
+
+    def test_k_beyond_n_is_rejected(self):
+        # K_4 has no 9-subsets, so nothing can be certified for them
+        c = cons.colour_complete_2rainbow(4)
+        with pytest.raises(NotInFamily):
+            verify_k_rainbow_cycle_colouring(c, 9)
+        for verify in (partial(verify_k_rainbow_cycle_colouring, check_family=False),
+                       verify_k_rainbow_index_colouring):
+            for k in (0, 5, 9):
+                with pytest.raises(InvalidParameter, match="1..4"):
+                    verify(c, k)
+        for k in (0, 5):
+            with pytest.raises(InvalidParameter, match="1..4"):
+                check_cover(c, k, c.witnesses)
 
     def test_colour_permutation_invariance(self):
         g = gen.wheel(4)
@@ -408,7 +422,7 @@ class TestGoldenNodeCounts:
         report = verify_k_rainbow_cycle_colouring(c, k, b)
         assert report.certified and report.subsets_checked == math.comb(c.graph.n, k)
         assert (report.subsets_searched, report.search_nodes, b.used) == (searched, nodes, nodes)
-        assert check_cover(c, k, report.cover)
+        assert check_cover(c, k, report.witnesses)
 
     def test_far_pair_cut_at_the_anchor(self):
         # a cycle through antipodes of Q_4 needs 8 edges, more than 5 colours
@@ -441,9 +455,9 @@ class TestGoldenNodeCounts:
         assert b.used == nodes
 
 
-def _cover_digest(cover) -> str:
-    """sha256 of a cover: its witnesses in order, and its subset index."""
-    data = repr((tuple((w.vertices, w.edge_ids) for w in cover.witnesses), cover.index))
+def _cover_digest(witnesses) -> str:
+    """sha256 of a cover: its witnesses in order."""
+    data = repr(tuple((w.vertices, w.edge_ids) for w in witnesses))
     return hashlib.sha256(data.encode()).hexdigest()
 
 
@@ -455,16 +469,16 @@ class TestWitnessIdentity:
 
     @pytest.mark.parametrize("colour, k, digest", [
         (lambda: cons.colour_bipartite(3, 38, 2, verify=False), 2,
-         "b231e48a43381b6c0e129f76ea498106a55bc7d3c9f938e4bfeb09467ee32085"),
+         "15c42996e703b44cd7baccf66076829bc53f0a8bf7b80b65445aa3d47d9db83c"),
         (lambda: cons.colour_cube(5, 3, verify=False), 3,
-         "98e6c148702ce5700896164e920cee087b26c705f1231ab0cc6ac27ef057a8cb"),
+         "fbcf5621ccdae22fd089412193d5996ee1bc2fc8749cac6bc5cf0f5d5d16fa4c"),
         (lambda: cons.colour_wheel(14, 5, verify=False), 5,
-         "3888a4f885c3c993b364e9dc1e1d233e40c1042488318beb2f206d81a1fa3dac"),
+         "23eb40908b1bd5adb09da756d439ded27a913115d4adf681127c0ec494615e64"),
     ], ids=["bipartite-3-38-2", "cube-5-3", "wheel-14-5"])
     def test_cover_digest(self, colour, k, digest):
         report = verify_k_rainbow_cycle_colouring(colour(), k)
         assert report.certified
-        assert _cover_digest(report.cover) == digest
+        assert _cover_digest(report.witnesses) == digest
 
 
 def sparse_coloured_graph(rng: random.Random) -> EdgeColouring:
@@ -607,6 +621,13 @@ def _oracle_verdict(c, k, structures):
     return "certified", None
 
 
+def _oracle_checked(n, k, bad_set):
+    """The subsets a colex pass visits: all C(n, k) of them, or those up to
+    and including bad_set, counted here by listing the subsets in order."""
+    subsets = sorted(itertools.combinations(range(n), k), key=lambda s: s[::-1])
+    return len(subsets) if bad_set is None else subsets.index(bad_set) + 1
+
+
 class TestCover:
     @settings(max_examples=150, deadline=None)
     @given(coloured_graphs(), st.integers(1, 3))
@@ -614,14 +635,15 @@ class TestCover:
         report = verify_k_rainbow_cycle_colouring(c, k, check_family=False)
         cycles = brute_all_cycles(c.graph)
         assert (report.status, report.bad_set) == _oracle_verdict(c, k, cycles)
+        assert report.subsets_checked == _oracle_checked(c.graph.n, k, report.bad_set)
         if report.certified:
-            assert check_cover(c, k, report.cover)
+            assert check_cover(c, k, report.witnesses)
         in_family = all(any(set(s) <= verts for verts, _ in cycles)
                         for s in itertools.combinations(range(c.graph.n), k))
         if in_family:
             checked = verify_k_rainbow_cycle_colouring(c, k)
-            assert (checked.status, checked.bad_set, checked.cover) == (
-                report.status, report.bad_set, report.cover)
+            assert (checked.status, checked.bad_set, checked.witnesses) == (
+                report.status, report.bad_set, report.witnesses)
         else:
             with pytest.raises(NotInFamily):
                 verify_k_rainbow_cycle_colouring(c, k)
@@ -631,64 +653,60 @@ class TestCover:
     def test_tree_verify_matches_brute(self, c, k):
         report = verify_k_rainbow_index_colouring(c, k)
         assert (report.status, report.bad_set) == _oracle_verdict(c, k, brute_subtrees(c.graph))
+        assert report.subsets_checked == _oracle_checked(c.graph.n, k, report.bad_set)
         if report.certified:
-            assert check_cover(c, k, report.cover)
+            assert check_cover(c, k, report.witnesses)
 
     def test_report_lists_each_witness_once(self):
         c = cons.colour_cube(4, 2, verify=False)
         report = verify_k_rainbow_cycle_colouring(c, 2)
-        ws = report.cover.witnesses
+        ws = report.witnesses
         assert len({frozenset(w.vertices) for w in ws}) == len(ws) == report.subsets_searched
-        assert sorted(set(report.cover.index)) == list(range(len(ws)))
         assert all(isinstance(w, CycleWitness) for w in ws)
 
     def test_rx_and_k1_covers(self):
         c = cons.colour_join_rxk(2, 3, verify=False)
         report = verify_k_rainbow_index_colouring(c, 2)
-        assert report.certified and check_cover(c, 2, report.cover)
+        assert report.certified and check_cover(c, 2, report.witnesses)
         # single vertices are joined by the one-vertex tree
         report = verify_k_rainbow_index_colouring(c, 1)
-        assert report.certified and check_cover(c, 1, report.cover)
-        assert not check_cover(c, 2, report.cover)
+        assert report.certified and check_cover(c, 1, report.witnesses)
+        assert not check_cover(c, 2, report.witnesses)
 
     def test_counterexample_cover_is_partial(self):
         g = gen.wheel(5)
         c = EdgeColouring(g, (0,) * (g.e - 1) + (1,), 2)
         report = verify_k_rainbow_cycle_colouring(c, 2)
         assert report.status == "counterexample"
-        assert len(report.cover.index) == report.subsets_checked - 1
-        assert report.subsets_searched == len(report.cover.witnesses) + 1
-        assert not check_cover(c, 2, report.cover)
+        assert report.subsets_searched == len(report.witnesses) + 1
+        before = list(colex_subsets(g.n, 2))[: report.subsets_checked - 1]
+        assert all(any(set(s) <= set(w.vertices) for w in report.witnesses) for s in before)
+        assert not check_cover(c, 2, report.witnesses)
 
     @pytest.fixture(scope="class")
     def certified(self):
         c = cons.colour_wheel(8, 3, verify=False)
         report = verify_k_rainbow_cycle_colouring(c, 3)
-        assert report.certified and check_cover(c, 3, report.cover)
-        return c, report.cover
+        assert report.certified and check_cover(c, 3, report.witnesses)
+        return c, report.witnesses
 
     def test_flipped_colour_fails(self, certified):
-        c, cover = certified
+        c, witnesses = certified
         # recolour an edge of a witness with the colour of its neighbour on it
-        w = cover.witnesses[0]
+        w = witnesses[0]
         colours = list(c.colour_of)
         colours[w.edge_ids[0]] = colours[w.edge_ids[1]]
         flipped = EdgeColouring(c.graph, tuple(colours), c.r, unused_ok=True)
-        assert not check_cover(flipped, 3, cover)
+        assert not check_cover(flipped, 3, witnesses)
 
-    def test_wrong_subset_index_fails(self, certified):
-        c, cover = certified
-        subsets = list(colex_subsets(c.graph.n, 3))
-        # point a subset at a witness that misses one of its vertices
-        for i, s in enumerate(subsets):
-            wrong = next((j for j, w in enumerate(cover.witnesses)
-                          if not set(s) <= set(w.vertices)), None)
-            if wrong is not None:
-                break
-        index = cover.index[:i] + (wrong,) + cover.index[i + 1:]
-        assert not check_cover(c, 3, Cover(cover.witnesses, index))
-        assert not check_cover(c, 3, Cover(cover.witnesses, cover.index[:-1]))
-        assert not check_cover(c, 3, Cover(cover.witnesses, cover.index[:-1] + (len(cover.witnesses),)))
+    def test_missing_sole_witness_fails(self, certified):
+        c, witnesses = certified
+        # a subset that one witness alone holds is left bare without it
+        holders = ([w for w in witnesses if set(s) <= set(w.vertices)]
+                   for s in colex_subsets(c.graph.n, 3))
+        sole = next(h[0] for h in holders if len(h) == 1)
+        assert not check_cover(c, 3, tuple(w for w in witnesses if w is not sole))
+        assert not check_cover(c, 3, ())
 
     @settings(max_examples=120, deadline=None)
     @given(coloured_graphs(), st.integers(1, 3), st.integers(1, 3), st.data())
@@ -699,7 +717,7 @@ class TestCover:
         runs = (verify_k_rainbow_cycle_colouring(rainbow_colouring(g), k_other,
                                                  check_family=False),
                 verify_k_rainbow_index_colouring(c, min(k_other, g.n)))
-        pool = [w for run in runs for w in run.cover.witnesses]
+        pool = [w for run in runs for w in run.witnesses]
         seeds = data.draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
         bare = verify_k_rainbow_cycle_colouring(c, k, check_family=False)
         seeded = verify_k_rainbow_cycle_colouring(replace(c, witnesses=tuple(seeds)), k,
@@ -707,6 +725,6 @@ class TestCover:
         assert (seeded.status, seeded.bad_set, seeded.subsets_checked) == (
             bare.status, bare.bad_set, bare.subsets_checked)
         assert all(check_cycle_witness(g, w, c, require_rainbow=True)
-                   for w in seeded.cover.witnesses)
+                   for w in seeded.witnesses)
         if seeded.certified:
-            assert check_cover(c, k, seeded.cover)
+            assert check_cover(c, k, seeded.witnesses)
