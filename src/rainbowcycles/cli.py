@@ -16,16 +16,7 @@ from . import generators as gen
 from . import graph as gr
 from . import solver
 from .document import GraphDocument, document_from_graph, emit, export_dot, is_ints, parse
-from .errors import (
-    AttemptsExhausted,
-    BudgetExceeded,
-    ConstructionRejected,
-    InvalidParameter,
-    NotInFamily,
-    RainbowError,
-    RegimeUnsupported,
-    ScopeExceeded,
-)
+from .errors import BudgetExceeded, ConstructionRejected, InvalidParameter, RainbowError
 from .search import verify_k_rainbow_cycle_colouring, verify_k_rainbow_index_colouring
 
 EXIT_OK = 0
@@ -123,7 +114,7 @@ def cmd_colour(args) -> int:
         c = cons.colour_complete_2rainbow(p["n"], verify=verify, budget=args.budget)
     elif name == "complete-random":
         p = _expect_family(doc, "complete")
-        _need_seed(args)
+        _sampler_args(args)
         c = cons.colour_complete_random(p["n"], args.k, args.seed, args.attempts,
                                         budget=args.budget)
     elif name == "bipartite":
@@ -136,7 +127,7 @@ def cmd_colour(args) -> int:
                                             budget=args.budget)
     elif name == "multipartite-random":
         p = _expect_family(doc, "complete-multipartite")
-        _need_seed(args)
+        _sampler_args(args)
         sizes = tuple(p["sizes"])
         if len(set(sizes)) != 1:
             raise InvalidParameter("multipartite-random needs balanced classes")
@@ -170,9 +161,14 @@ def cmd_colour(args) -> int:
     return EXIT_OK
 
 
-def _need_seed(args):
+def _sampler_args(args):
+    """A sampler needs a seed, and keeps only a sample that its own
+    verification certified, so it cannot skip verification."""
     if args.seed is None:
         raise InvalidParameter("randomised constructions require an explicit --seed")
+    if args.no_verify:
+        raise InvalidParameter(f"{args.construction} keeps only a verified sample; "
+                               "it takes no --no-verify")
 
 
 def cmd_verify(args) -> int:
@@ -241,10 +237,10 @@ def cmd_analyze(args) -> int:
         "e": g.e,
         "blocks": [sorted(b.edge_ids) for b in dec.blocks],
         "cut_vertices": sorted(dec.cut_vertices),
-        "is_2_connected": gr.is_k_connected(g, 2) if g.n > 2 else False,
+        "is_2_connected": gr.is_k_connected(g, 2),
         "is_minimally_2_connected": gr.is_minimally_2_connected(g),
         "in_F1": gr.in_family_Fk(g, 1),
-        "in_F2": gr.in_family_Fk(g, 2) if g.n >= 2 else False,
+        "in_F2": gr.in_family_Fk(g, 2),
     }
     b = gr.Budget(args.budget)  # one budget for every search below
     try:
@@ -330,16 +326,10 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
-    except (RegimeUnsupported, AttemptsExhausted, BudgetExceeded, ScopeExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except ConstructionRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
-    except (NotInFamily, InvalidParameter, RainbowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except FileNotFoundError as exc:
+    except (RainbowError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 

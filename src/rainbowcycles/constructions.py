@@ -40,6 +40,7 @@ from .graph import (
     _bfs_path,
     _is_cycle_graph,
     block_decomposition,
+    cycle_vertices_to_edge_ids,
     ear_decomposition,
     enumerate_simple_cycles,
     in_family_Fk,
@@ -674,9 +675,7 @@ def minimal_2conn_obstruction(g: Graph, e: int, e2: int) -> tuple[int, int]:
     if not is_minimally_2_connected(g):
         raise InvalidParameter("graph is not minimally 2-connected")
     cycles = enumerate_simple_cycles(g)
-    cycle_data = [
-        (set(c), {g.edge_id(a, b) for a, b in zip(c, c[1:] + c[:1])}) for c in cycles
-    ]
+    cycle_data = [(set(c), set(cycle_vertices_to_edge_ids(g, c))) for c in cycles]
     for u, v in _obstruction_candidates(g, e, e2):
         through = [eids for verts, eids in cycle_data if u in verts and v in verts]
         if through and all(e in eids and e2 in eids for eids in through):

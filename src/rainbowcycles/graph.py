@@ -419,10 +419,7 @@ class EarDecomposition:
     ears: tuple[tuple[int, ...], ...]
 
     def replayed_edge_ids(self, g: Graph) -> frozenset:
-        ids = set()
-        cyc = self.initial_cycle
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            ids.add(g.edge_id(a, b))
+        ids = set(cycle_vertices_to_edge_ids(g, self.initial_cycle))
         for ear in self.ears:
             for a, b in zip(ear, ear[1:]):
                 ids.add(g.edge_id(a, b))
@@ -439,11 +436,9 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
     if not is_k_connected(g, 2):
         raise NotTwoConnected("ear decomposition needs a 2-connected graph")
     # ear_decomposition takes no budget: count against a limit no search reaches
-    cycle, _ = _anchored_cycle(g, [0], Budget(1 << 63), range(3, g.n + 1))
+    cycle, cycle_eids = _anchored_cycle(g, [0], Budget(1 << 63), range(3, g.n + 1))
     covered_v = set(cycle)
-    covered_e = set()
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        covered_e.add(g.edge_id(a, b))
+    covered_e = set(cycle_eids)
     ears = []
     while len(covered_e) < g.e:
         eid = min(

@@ -27,7 +27,6 @@ from .generators import wheel
 from .graph import (
     Budget,
     Graph,
-    _bipartition,
     _is_cycle_graph,
     _WitnessCover,
     colex_subsets,
@@ -43,6 +42,7 @@ from .search import _shortest_cycle_through
 MAX_SOLVER_EDGES = 16
 MAX_SOLVER_SUBSETS = 100_000
 MAX_EXHAUSTIVE_SUBSETS = 20_000  # crx_lower_bound_distance samples beyond this
+SAMPLER_ATTEMPTS = 200  # samples a randomised constructor in crx_interval may draw
 
 
 @dataclass(frozen=True)
@@ -381,104 +381,109 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
 
 
 def _detect_family(g: Graph):
-    """Recognise the named families in their canonical labellings."""
+    """(kind, param, order) for a named family, else None: vertex order[i]
+    of g plays vertex i of the family's canonical labelling (see generators).
+    Complete (multi)partite graphs are found in any labelling, a vertex's
+    class being it and its non-neighbours, and a stable sort by size keeps
+    the identity order on a canonical input. The other families get the
+    identity order: cubes and wheels are found in gen's labelling, and
+    complete graphs and cycles in any (a cycle's bound, the rainbow
+    colouring of g, needs no order)."""
     n = g.n
+    identity = tuple(range(n))
     if n >= 3 and g.e == n * (n - 1) // 2:
-        return ("complete", n)
+        return ("complete", n, identity)
     if _is_cycle_graph(g):
-        return ("cycle", n)
+        return ("cycle", n, identity)
     if (n & (n - 1)) == 0 and n >= 4:
         dim = n.bit_length() - 1
         if g.e == n * dim // 2 and all(
             ((u ^ v) & (u ^ v) - 1) == 0 for u, v in g.edges
         ):
-            return ("hypercube", dim)
+            return ("hypercube", dim, identity)
     if n >= 5 and g.degree(n - 1) == n - 1 and all(g.degree(v) == 3 for v in range(n - 1)):
         if g.edges == wheel(n - 1).edges:
-            return ("wheel", n - 1)
-    side = _bipartition(g)
-    if side is not None and g.e == len(side[0]) * len(side[1]):
-        return ("complete_bipartite", (len(side[0]), len(side[1])))
-    parts = _try_multipartite(g)
-    if parts is not None:
-        return ("complete_multipartite", parts)
-    return None
-
-
-def _try_multipartite(g: Graph):
-    classes = []
-    assigned = [None] * g.n
-    for v in range(g.n):
+            return ("wheel", n - 1, identity)
+    classes, assigned = [], [None] * n
+    for v in range(n):
         if assigned[v] is not None:
             continue
-        cls = {v} | {w for w in range(g.n) if w != v and not g.has_edge(v, w)}
+        cls = [w for w in range(n) if w == v or not g.has_edge(v, w)]
         for w in cls:
             if assigned[w] is not None:
                 return None
             assigned[w] = len(classes)
         classes.append(cls)
-    if len(classes) < 3:
+    if len(classes) < 2:
         return None
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
+    for u in range(n):
+        for v in range(u + 1, n):
             if (assigned[u] == assigned[v]) == g.has_edge(u, v):
                 return None
-    return tuple(sorted(len(c) for c in classes))
+    classes.sort(key=len)
+    kind = "complete_bipartite" if len(classes) == 2 else "complete_multipartite"
+    return (kind, tuple(map(len, classes)), tuple(v for c in classes for v in c))
 
 
-def _upper_bound_construction(g: Graph, k: int, budget, seed, attempts):
-    """Best applicable constructor upper bound; returns (r, witness or None).
-
-    Samplers may fail, unsupported regimes raise, and a self-verification may
-    run out of the budget: each falls through to the Hamilton or rainbow
-    fallback. A ConstructionRejected (transcription error) propagates.
-    """
+def _upper_bound_construction(g: Graph, k: int, budget, seed) -> EdgeColouring:
+    """A colouring of g by the best applicable constructor; its r is the
+    upper bound. A family constructor colours the canonical graph, carried
+    onto g through _detect_family's order; its witnesses name canonical
+    vertices and are kept on the identity order only. Samplers may fail,
+    unsupported regimes raise, and a self-verification may run out of the
+    budget: each falls through to the Hamilton or rainbow fallback. A
+    ConstructionRejected (transcription error) propagates."""
     soft = (AttemptsExhausted, RegimeUnsupported, InvalidParameter, BudgetExceeded)
-    fam = _detect_family(g)
+    kind, param, order = _detect_family(g) or (None, None, None)
+    c = None
     try:
-        if fam is not None:
-            kind, param = fam
-            if kind == "cycle":
-                return param, rainbow_colouring(g)
-            if kind == "complete":
-                if k <= 2:
-                    return 3, cons.colour_complete_2rainbow(param, budget=budget)
-                return 2 * k - 1, cons.colour_complete_random(param, k, seed, attempts, budget)
-            if kind == "wheel":
-                return None, cons.colour_wheel(param, k, budget=budget)
-            if kind == "hypercube" and (k in (1, 2, 3) or k >= 1 << (param - 1)):
-                return None, cons.colour_cube(param, k, budget=budget)
-            if kind == "complete_bipartite":
-                return None, cons.colour_bipartite(*param, k, budget=budget)
-            if kind == "complete_multipartite" and k == 1:
-                return 3, cons.colour_multipartite_blowup(param, budget=budget)
-            if kind == "complete_multipartite" and len(set(param)) == 1:
-                return 2 * k, cons.colour_balanced_multipartite_random(
-                    len(param), param[0], k, seed, attempts, budget)
+        if kind == "cycle":
+            return rainbow_colouring(g)
+        if kind == "complete":
+            c = (cons.colour_complete_2rainbow(param, budget=budget) if k <= 2 else
+                 cons.colour_complete_random(param, k, seed, SAMPLER_ATTEMPTS, budget))
+        elif kind == "wheel":
+            c = cons.colour_wheel(param, k, budget=budget)
+        elif kind == "hypercube" and (k in (1, 2, 3) or k >= 1 << (param - 1)):
+            c = cons.colour_cube(param, k, budget=budget)
+        elif kind == "complete_bipartite":
+            c = cons.colour_bipartite(*param, k, budget=budget)
+        elif kind == "complete_multipartite" and k == 1:
+            c = cons.colour_multipartite_blowup(param, budget=budget)
+        elif kind == "complete_multipartite" and len(set(param)) == 1:
+            c = cons.colour_balanced_multipartite_random(
+                len(param), param[0], k, seed, SAMPLER_ATTEMPTS, budget)
     except soft:
         pass
+    if c is not None and order == tuple(range(g.n)):
+        return c
+    if c is not None:
+        colour_of = [0] * g.e
+        for (u, v), col in zip(c.graph.edges, c.colour_of):
+            colour_of[g.edge_id(order[u], order[v])] = col
+        return EdgeColouring(g, tuple(colour_of), c.r, c.unused_ok)
     # fallback: a rainbow Hamilton cycle when one is found within the
     # budget, else rainbow all, which is always a valid upper bound
     try:
         ham = find_hamilton_cycle(g, budget)
     except BudgetExceeded:
         ham = None
-    if ham is not None and k <= g.n:
-        colour_of = [0] * g.e
-        for i, (a, bv) in enumerate(zip(ham, ham[1:] + ham[:1])):
-            colour_of[g.edge_id(a, bv)] = i
-        return g.n, EdgeColouring(g, tuple(colour_of), g.n, unused_ok=False)
-    return g.e, rainbow_colouring(g)
+    if ham is None:
+        return rainbow_colouring(g)
+    colour_of = [0] * g.e
+    for i, eid in enumerate(cycle_vertices_to_edge_ids(g, ham)):
+        colour_of[eid] = i
+    return EdgeColouring(g, tuple(colour_of), g.n)
 
 
-def crx_interval(g: Graph, k: int, budget=None, seed=0, attempts: int = 200) -> CrxResult:
+def crx_interval(g: Graph, k: int, budget=None, seed=0) -> CrxResult:
     """Bound crx_k without enumeration: best certificate lower bound versus
     best applicable constructor upper bound; exact when they meet. The
-    distance bound runs the F_k precheck."""
+    distance bound runs the F_k precheck. The witness is a colouring of g,
+    in any labelling, with upper colours."""
     b = budget if isinstance(budget, Budget) else Budget(budget)
     dist, cert = crx_lower_bound_distance(g, k, b)
     lower = max(k, dist, girth(g) or 3)
-    declared, witness = _upper_bound_construction(g, k, b, seed, attempts)
-    upper = witness.r if witness is not None else declared
-    kind = "exact" if lower == upper else "interval"
-    return CrxResult(kind, lower, upper, witness, (cert,))
+    witness = _upper_bound_construction(g, k, b, seed)
+    kind = "exact" if lower == witness.r else "interval"
+    return CrxResult(kind, lower, witness.r, witness, (cert,))

@@ -256,6 +256,17 @@ class TestPipelines:
         assert code == 2
         assert "error" in err
 
+    def test_multipartite_sampler_refuses_no_verify(self, monkeypatch, capsys):
+        # complete-random's refusal is checked in TestDocumentCovers
+        _, doc_text, _ = run_cli(["gen", "complete-multipartite", "sizes=2,2,2"], "",
+                                 monkeypatch, capsys)
+        argv = ["colour", "multipartite-random", "--k", "2", "--seed", "1"]
+        code, out, _ = run_cli(argv, doc_text, monkeypatch, capsys)
+        assert code == 0 and parse(out).colouring() is not None
+        code, out, err = run_cli(argv + ["--no-verify"], doc_text, monkeypatch, capsys)
+        assert code == 2 and not out
+        assert err.startswith("error:") and "--no-verify" in err
+
     def test_randomised_requires_seed(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "complete", "n=6"], "", monkeypatch, capsys)
         code, _, err = run_cli(
@@ -281,6 +292,23 @@ class TestPipelines:
         assert code == 0
         rep = json.loads(report)["result"]
         assert (rep["lower"], rep["upper"]) == (6, 7)
+
+    def test_solve_interval_witness_colours_the_input(self, monkeypatch, capsys):
+        # K_{4,3} lists its larger class first; the interval's witness must
+        # still colour that labelling, so verify certifies it on the document
+        _, doc_text, _ = run_cli(["gen", "complete-bipartite", "m=4", "n=3"], "",
+                                 monkeypatch, capsys)
+        code, report, _ = run_cli(["solve", "--k", "1", "--mode", "interval"], doc_text,
+                                  monkeypatch, capsys)
+        res = json.loads(report)["result"]
+        assert code == 0 and (res["kind"], res["value"]) == ("exact", 4)
+
+        def colour(payload):
+            payload["colouring"] = {"colours": res["witness"]["colours"],
+                                    "r": res["witness"]["r"]}
+        code, report, _ = run_cli(["verify", "--k", "1"], _mutated(doc_text, colour),
+                                  monkeypatch, capsys)
+        assert code == 0 and json.loads(report)["status"] == "certified"
 
     def test_solve_rx(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
@@ -495,13 +523,14 @@ class TestDocumentCovers:
         assert code == 0
         doc = parse(coloured)
         assert check_cover(doc.colouring(), k, doc.witnesses)
-        code, bare, _ = run_cli(["colour", *construction, "--no-verify"], doc_text,
-                                monkeypatch, capsys)
-        assert code == 0
+        code, bare, err = run_cli(["colour", *construction, "--no-verify"], doc_text,
+                                  monkeypatch, capsys)
         if sampled:
-            # the sampler keeps only a colouring that its verification certifies
-            assert bare == coloured
+            # the sampler keeps only a colouring that its verification
+            # certifies, so it refuses to skip verification
+            assert code == 2 and err.startswith("error:") and not bare
         else:
+            assert code == 0
             bare_doc = parse(bare)
             assert not check_cover(bare_doc.colouring(), k, bare_doc.witnesses)
         # the first witness with two edges takes one colour on both

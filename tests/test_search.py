@@ -552,6 +552,8 @@ class TestOracleAgreement:
         graphs = [gen.hypercube(3), gen.cycle(6), gen.complete(4), gen.complete_bipartite(3, 3)]
         graphs += [random_connected_graph(rng, rng.randrange(5, 9), rng.randrange(3, 10))
                    for _ in range(6)]
+        # a triangle and a square: anchors in both components have no walk
+        graphs.append(Graph(7, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (3, 6))))
         # (coloured, walk exists) -> calls with at least two distinct anchors
         outcomes = dict.fromkeys(itertools.product((False, True), repeat=2), 0)
         for g in graphs:

@@ -427,6 +427,24 @@ class TestInterval:
         res = solver.crx_interval(gen.cycle(6), 2)
         assert res.kind == "exact" and res.lower == 6
 
+    @pytest.mark.parametrize("relabel", [False, True], ids=["canonical", "relabelled"])
+    def test_witness_colours_the_input_graph(self, relabel):
+        # every family constructor colours a canonical graph; the interval's
+        # witness must be a colouring of g itself, in any labelling
+        graphs = ([gen.complete(n) for n in (4, 6)] + [gen.cycle(5), gen.hypercube(3)]
+                  + [gen.wheel(n) for n in (4, 7)]
+                  + [gen.complete_bipartite(m, n) for m, n in ((2, 3), (3, 2), (4, 3), (5, 6))]
+                  + [gen.complete_multipartite(s) for s in ((1, 1, 2), (2, 2, 2), (1, 2, 3))]
+                  + [gen.petersen()])
+        for i, g in enumerate(graphs):
+            if relabel:
+                g = _relabelled(g, i)
+            for k in (1, 2):
+                res = solver.crx_interval(g, k)
+                assert res.witness.graph == g, (g, k)
+                assert res.witness.r == res.upper
+                assert verify_k_rainbow_cycle_colouring(res.witness, k).certified, (g, k)
+
     def test_exactness_matches_solver_on_small(self):
         for g, k in [(gen.complete(4), 2), (gen.wheel(4), 2)]:
             iv = solver.crx_interval(g, k)
@@ -434,16 +452,39 @@ class TestInterval:
             assert iv.lower <= ex.value <= iv.upper
 
 
+def _relabelled(g, seed):
+    """g with its vertices renamed by a seeded permutation."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
 class TestFamilyDetection:
     def test_detects(self):
-        assert solver._detect_family(gen.complete(5)) == ("complete", 5)
-        assert solver._detect_family(gen.cycle(6)) == ("cycle", 6)
-        assert solver._detect_family(gen.hypercube(3)) == ("hypercube", 3)
-        assert solver._detect_family(gen.wheel(6)) == ("wheel", 6)
-        assert solver._detect_family(gen.complete_bipartite(3, 5)) == (
-            "complete_bipartite", (3, 5))
-        assert solver._detect_family(gen.complete_multipartite((1, 2, 2))) == (
-            "complete_multipartite", (1, 2, 2))
+        detect = solver._detect_family
+        assert detect(gen.complete(5)) == ("complete", 5, tuple(range(5)))
+        assert detect(gen.cycle(6)) == ("cycle", 6, tuple(range(6)))
+        assert detect(gen.hypercube(3)) == ("hypercube", 3, tuple(range(8)))
+        assert detect(gen.wheel(6)) == ("wheel", 6, tuple(range(7)))
+        assert detect(gen.complete_bipartite(3, 5)) == (
+            "complete_bipartite", (3, 5), tuple(range(8)))
+        assert detect(gen.complete_multipartite((1, 2, 2))) == (
+            "complete_multipartite", (1, 2, 2), tuple(range(5)))
+        # the smaller class comes first, so the order starts with vertices 4..6
+        assert detect(gen.complete_bipartite(4, 3)) == (
+            "complete_bipartite", (3, 4), (4, 5, 6, 0, 1, 2, 3))
+        # in any labelling, order carries the canonical graph's edges onto h's
+        g = gen.complete_multipartite((2, 2, 2))
+        h = _relabelled(g, 3)
+        kind, sizes, order = detect(h)
+        assert (kind, sizes) == ("complete_multipartite", (2, 2, 2))
+        assert sorted(order) == list(range(h.n)) and order != tuple(range(h.n))
+        assert Graph(h.n, tuple((order[u], order[v]) for u, v in g.edges)) == h
 
     def test_unknown(self):
         assert solver._detect_family(theta(2, 3, 4)) is None
+        # classes of the vertex plus its non-neighbours partition both, but an
+        # edge inside a class, or a missing one across, fails the pair check
+        k33 = gen.complete_bipartite(3, 3)
+        assert solver._detect_family(Graph(6, k33.edges + ((1, 2),))) is None
+        assert solver._detect_family(k33.without_edge(0)) is None
