@@ -56,16 +56,21 @@ from .search import (
 
 
 def _certify(c: EdgeColouring, k: int, expected_colours: int | None, label: str,
-             verify: bool = True, budget=None, verifier=None) -> EdgeColouring:
+             verify: bool = True, budget=None, verifier=None,
+             symmetries=()) -> EdgeColouring:
     """Check the colour count, then self-verify with ``verifier`` (default
-    verify_k_rainbow_cycle_colouring, looked up when called); a verified
-    colouring comes back carrying the report's witnesses."""
+    verify_k_rainbow_cycle_colouring, looked up when called), which checks
+    the vertex permutations in ``symmetries`` and adds each witness's images
+    under the ones that map c onto itself up to a renaming of colours; a
+    verified colouring comes back carrying the report's witnesses, images
+    included."""
     if expected_colours is not None and c.r != expected_colours:
         raise ConstructionRejected(
             f"{label}: produced {c.r} colours, theorem says {expected_colours}"
         )
     if verify:
-        report = (verifier or verify_k_rainbow_cycle_colouring)(c, k, budget)
+        report = (verifier or verify_k_rainbow_cycle_colouring)(c, k, budget,
+                                                                 symmetries=symmetries)
         if not report.certified:
             raise ConstructionRejected(
                 f"{label}: self-verification found bad {k}-set {report.bad_set}",
@@ -419,7 +424,14 @@ def _q2_face_colour(u: int, v: int) -> int:
 def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouring:
     """Colour Q_n for k in {1, 2, 3} or k >= 2^{n-1}: 4 colours via rainbow
     Q_2 faces (k=1); 2n colours via the parity induction (k=2,3); 2^n colours
-    via a rainbow Gray-code Hamilton cycle (k >= 2^{n-1})."""
+    via a rainbow Gray-code Hamilton cycle (k >= 2^{n-1}).
+
+    For k <= 3 the self-verification gets the 2^n - 1 translations
+    v -> v XOR t, t != 0, of Q_n as symmetries. At k = 2, 3 each one maps
+    the colouring onto itself up to a renaming of colours, so one witness
+    stands for its whole orbit; at k = 1 only those with t & 3 in {0, 1}
+    do, and the verifier drops the others. The Gray-code regime gets none:
+    its one rainbow Hamilton cycle holds every subset."""
     if n < 2:
         raise InvalidParameter("need n >= 2")
     if not (k in (1, 2, 3) or k >= 1 << (n - 1)):
@@ -452,7 +464,10 @@ def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouri
         colour_of = [ham.get(e, 0) for e in g.edges]
         r = size
     out = EdgeColouring(g, tuple(colour_of), r)
-    return _certify(out, k, r, f"colour_cube(n={n}, k={k})", verify, budget)
+    translations = ([[v ^ t for v in range(g.n)] for t in range(1, g.n)]
+                    if verify and k <= 3 else [])
+    return _certify(out, k, r, f"colour_cube(n={n}, k={k})", verify, budget,
+                    symmetries=translations)
 
 
 def recursive_cube_colour_count(n: int, block: int) -> int:

@@ -929,12 +929,15 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     if k == 2:
         return True
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    # the shortcut may give up after 2 M nodes; what it spends is charged to b
+    # the shortcut may give up after 2 M nodes; what it spends and cuts is
+    # charged to b
     shortcut = Budget(min(b.limit - b.used, 2_000_000))
     try:
         hamiltonian = find_hamilton_cycle(g, shortcut) is not None
     except BudgetExceeded:
         hamiltonian = False
+    for rule, count in shortcut.cuts.items():
+        b.cuts[rule] = b.cuts.get(rule, 0) + count
     b.spend(shortcut.used)
     if hamiltonian:
         return True

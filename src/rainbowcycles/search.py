@@ -12,7 +12,9 @@ the last two ended. Verification runs in one
 process: one colex pass over the k-subsets, on the caller's budget, that
 searches only the subsets no kept witness already covers. The kept witnesses
 start as those the colouring carries from a self-verification, each re-checked
-first, and grow by every witness the pass finds.
+first, and grow by every witness the pass finds and by its images under the
+caller's symmetries: vertex permutations that map the coloured graph onto
+itself up to a renaming of colours, each checked before the pass.
 """
 
 from __future__ import annotations
@@ -163,9 +165,11 @@ def rainbow_tree_through(c: EdgeColouring, s, budget=None):
 class VerificationReport:
     """The outcome of one colex pass. witnesses lists the rainbow cycles (or
     trees) the pass kept, in the order it kept them: the carried ones that
-    passed their re-check, then one per subset searched with success. They
-    hold every k-subset when certified, and every subset before bad_set
-    otherwise, so check_cover re-checks a certified report without a search.
+    passed their re-check, then, for each subset searched with success, the
+    witness found and its new images under the kept symmetries. So a
+    certified report has len(witnesses) >= subsets_searched. They hold every
+    k-subset when certified, and every subset before bad_set otherwise, so
+    check_cover re-checks a certified report without a search.
     subsets_checked counts the subsets visited: C(n, k), or the colex rank
     of bad_set plus one."""
 
@@ -181,21 +185,69 @@ class VerificationReport:
         return self.status == "certified"
 
 
-def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind) -> VerificationReport:
+def _colour_symmetries(c: EdgeColouring, perms) -> list:
+    """The permutations among perms that map c onto itself up to a renaming
+    of colours, each as (p, edge_map) with edge_map[eid] the id of edge
+    eid's image; the others are dropped.
+
+    p is kept iff it is a permutation of range(n), it maps every edge onto
+    an edge (one lookup each in edge_index, keyed by both orientations),
+    and the pairs (colour of e, colour of e's image) name each colour of c
+    once, so the renaming is a map. It is one-to-one too: p maps the edges
+    one-to-one onto the edges, so the renaming is onto the colours used, of
+    which there are as many as it renames. A rainbow structure then maps
+    onto a rainbow structure. The check spends no budget nodes."""
+    if not perms:
+        return []
+    g = c.graph
+    vertices = set(range(g.n))
+    index = dict(g.edge_index)
+    index.update(((v, u), eid) for (u, v), eid in g.edge_index.items())
+    tails = tuple(u for u, _ in g.edges)
+    heads = tuple(v for _, v in g.edges)
+    colour_of = c.colour_of
+    used = len(set(colour_of))
+    kept = []
+    for p in perms:
+        if len(p) != g.n or set(p) != vertices:
+            continue
+        edge_map = list(map(index.get, zip(map(p.__getitem__, tails),
+                                           map(p.__getitem__, heads))))
+        if None in edge_map:
+            continue
+        if len(set(zip(colour_of, map(colour_of.__getitem__, edge_map)))) == used:
+            kept.append((p, edge_map))
+    return kept
+
+
+def _witness_image(w, p, edge_map):
+    """The image of a cycle or tree witness under the vertex permutation p,
+    whose edge ids map by edge_map."""
+    edge_ids = tuple(map(edge_map.__getitem__, w.edge_ids))
+    if type(w) is CycleWitness:
+        return CycleWitness(tuple(map(p.__getitem__, w.vertices)), edge_ids)
+    return TreeWitness(edge_ids, frozenset(map(p.__getitem__, w.vertices)))
+
+
+def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind,
+                        symmetries=()) -> VerificationReport:
     """The one verification loop: visit each k-subset in colex order and stop
     at the first that has no witness of type kind (CycleWitness or
     TreeWitness), so the counterexample is the colex-least one. A subset
     inside a kept witness is covered by it; any other is searched with
     rainbow_cycle_through or rainbow_tree_through, and the witness found is
-    kept. k must lie in 1..n.
+    kept, followed by its images under the symmetries that pass
+    _colour_symmetries; the other symmetries are dropped. An image whose
+    vertex set a kept witness already has is skipped. k must lie in 1..n.
 
     The kept witnesses start as those of type kind that c carries
     (EdgeColouring.witnesses) and pass check_cycle_witness or
     check_tree_witness as rainbow structures of c; the others are dropped. A
-    kept witness is a rainbow structure either way, so the seeds change which
-    subsets are searched, but not the status, bad_set or subsets_checked.
-    subsets_searched counts the searches, and search_nodes is b.used:
-    covered subsets spend no nodes."""
+    kept witness or image is a rainbow structure either way, so the seeds and
+    the symmetries change which subsets are searched, but not the status,
+    bad_set or subsets_checked. subsets_searched counts the searches, and
+    search_nodes is b.used: covered subsets, the symmetry check and the
+    images spend no nodes."""
     n = c.graph.n
     if not 1 <= k <= n:
         raise InvalidParameter(f"k must lie in 1..{n}")
@@ -203,12 +255,14 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind) -> Verificati
         through, check = rainbow_cycle_through, check_cycle_witness
     else:
         through, check = rainbow_tree_through, check_tree_witness
+    symmetries = _colour_symmetries(c, symmetries)
     kept = _WitnessCover(n)
     witnesses = []
     for w in c.witnesses:
         if type(w) is kind and check(c.graph, w, c, require_rainbow=True):
             kept.add(w.vertices)
             witnesses.append(w)
+    held = set(kept.masks)
     searched = 0
     for s in kept.uncovered(k):
         searched += 1
@@ -219,12 +273,23 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind) -> Verificati
                                       tuple(witnesses))
         kept.add(w.vertices)
         witnesses.append(w)
+        held.add(kept.masks[-1])
+        for p, edge_map in symmetries:
+            mask = 0
+            for v in w.vertices:
+                mask |= 1 << p[v]
+            if mask not in held:
+                held.add(mask)
+                image = _witness_image(w, p, edge_map)
+                kept.add(image.vertices)
+                witnesses.append(image)
     return VerificationReport("certified", None, math.comb(n, k), searched, b.used,
                               tuple(witnesses))
 
 
 def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
-                                     check_family: bool = True) -> VerificationReport:
+                                     check_family: bool = True,
+                                     symmetries=()) -> VerificationReport:
     """Check that every k-subset of vertices lies on a rainbow cycle.
 
     A counterexample is the colex-least one (see _verify_each_subset). A
@@ -233,12 +298,16 @@ def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
     certified colouring puts every k-subset on a cycle, which proves F_k
     membership, so the search for k >= 3 runs only after a counterexample,
     on the same budget. Callers that know the graph is in F_k can skip both.
+
+    symmetries, a sequence of vertex permutations, are hints: one that maps
+    c onto itself up to a renaming of colours makes each witness found
+    bring its images along, and any other is dropped (_colour_symmetries).
     """
     g = c.graph
     b = budget if isinstance(budget, Budget) else Budget(budget)
     if check_family and (k > g.n or not in_family_Fk(g, min(k, 2))):
         raise NotInFamily(k)
-    report = _verify_each_subset(c, k, b, CycleWitness)
+    report = _verify_each_subset(c, k, b, CycleWitness, symmetries)
     if check_family and k >= 3 and not report.certified:
         if not in_family_Fk(g, k, b):
             raise NotInFamily(k)
@@ -246,12 +315,14 @@ def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
     return report
 
 
-def verify_k_rainbow_index_colouring(c: EdgeColouring, k: int, budget=None) -> VerificationReport:
-    """Check that every k-subset of vertices is connected by a rainbow tree."""
+def verify_k_rainbow_index_colouring(c: EdgeColouring, k: int, budget=None,
+                                     symmetries=()) -> VerificationReport:
+    """Check that every k-subset of vertices is connected by a rainbow tree.
+    symmetries are hints, as for verify_k_rainbow_cycle_colouring."""
     if not is_connected(c.graph):
         raise InvalidParameter("rainbow index needs a connected graph")
     b = budget if isinstance(budget, Budget) else Budget(budget)
-    return _verify_each_subset(c, k, b, TreeWitness)
+    return _verify_each_subset(c, k, b, TreeWitness, symmetries)
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,18 @@ class TestPipelines:
         assert (rep["subsets_checked"], rep["subsets_searched"]) == (15, 0)
         assert (rep["search_nodes"], rep["cuts"]) == (0, {"closing": 0, "sides": 0})
 
+    def test_cube_pipeline_searches_nothing(self, monkeypatch, capsys):
+        # colour cube's self-verification writes each witness's images
+        # under the translations of Q_5 too; they hold all 4,960 triples
+        _, doc_text, _ = run_cli(["gen", "hypercube", "n=5"], "", monkeypatch, capsys)
+        code, coloured, _ = run_cli(["colour", "cube", "--k", "3"], doc_text,
+                                    monkeypatch, capsys)
+        assert code == 0
+        code, report, _ = run_cli(["verify", "--k", "3"], coloured, monkeypatch, capsys)
+        rep = json.loads(report)
+        assert code == 0 and rep["status"] == "certified" and rep["colours"] == 10
+        assert (rep["subsets_checked"], rep["subsets_searched"]) == (4960, 0)
+
     def test_gen_colour_no_verify_then_verify(self, monkeypatch, capsys):
         # without self-verification the document carries no witnesses, and
         # verify finds the same three itself

@@ -6,7 +6,7 @@ import pytest
 from conftest import theta, two_triangles
 from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
-from rainbowcycles.colouring import EdgeColouring, check_walk_witness
+from rainbowcycles.colouring import EdgeColouring, check_cover, check_walk_witness
 from rainbowcycles.errors import (
     AttemptsExhausted,
     BaseWalkNotFound,
@@ -161,6 +161,15 @@ class TestCube:
     def test_gray_code_route(self):
         c = cons.colour_cube(3, 4)  # k = 2^{n-1}
         assert c.r == 8
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_carried_witnesses_cover_and_are_distinct(self, n, k):
+        # the self-verification keeps each search's witness and its new
+        # images under the cube's translations
+        c = cons.colour_cube(n, k)
+        assert check_cover(c, k, c.witnesses)
+        assert len({frozenset(w.vertices) for w in c.witnesses}) == len(c.witnesses)
 
 
 class TestCubeRecursive:

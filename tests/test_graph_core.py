@@ -515,6 +515,18 @@ class TestFamilyMembership:
         assert in_family_Fk(g, 3, b)
         assert b.used == 142 + 53
 
+    def test_hamilton_shortcut_counts_its_cuts(self):
+        # the failed Hamilton search on Petersen ends 48 states by the
+        # two-sides rule; they are charged to the caller's budget with its
+        # nodes, and the triple pass adds its own 1 and 5
+        g = gen.petersen()
+        shortcut = Budget()
+        assert find_hamilton_cycle(g, shortcut) is None
+        assert shortcut.cuts == {"closing": 0, "sides": 48}
+        b = Budget()
+        assert in_family_Fk(g, 3, b)
+        assert b.cuts == {"closing": 1, "sides": 48 + 5}
+
     def test_matches_brute(self, corpus):
         from conftest import brute_all_cycles
 

@@ -51,6 +51,11 @@ from rainbowcycles.search import (
 from rainbowcycles.solver import canonical_colourings
 
 
+def cube_translations(n: int) -> list:
+    """The 2^n - 1 translations v -> v XOR t, t != 0, of Q_n's vertices."""
+    return [[v ^ t for v in range(1 << n)] for t in range(1, 1 << n)]
+
+
 class TestColexOrder:
     def test_small(self):
         assert list(colex_subsets(4, 2)) == [
@@ -424,6 +429,26 @@ class TestGoldenNodeCounts:
         assert (report.subsets_searched, report.search_nodes, b.used) == (searched, nodes, nodes)
         assert check_cover(c, k, report.witnesses)
 
+    @pytest.mark.parametrize("n, k, searched, nodes", [
+        (5, 3, 15, 1_076),
+        (5, 2, 6, 88),
+        (4, 3, 4, 28),
+    ])
+    def test_cube_translations_search_one_witness_per_orbit(self, n, k, searched, nodes):
+        # every translation maps the k = 2, 3 colouring onto itself up to a
+        # renaming of colours, so each witness brings its images along;
+        # without them the passes search 540, 95 and 57 subsets and spend
+        # 56,698, 3,860 and 810 nodes
+        c = cons.colour_cube(n, k, verify=False)
+        b = Budget()
+        report = verify_k_rainbow_cycle_colouring(c, k, b, symmetries=cube_translations(n))
+        assert report.certified
+        assert (report.subsets_searched, report.search_nodes, b.used) == (searched, nodes, nodes)
+        # the constructor's self-verification is the same pass
+        b = Budget()
+        cons.colour_cube(n, k, budget=b)
+        assert b.used == nodes
+
     def test_far_pair_cut_at_the_anchor(self):
         # a cycle through antipodes of Q_4 needs 8 edges, more than 5 colours
         q = gen.hypercube(4)
@@ -730,3 +755,125 @@ class TestCover:
                    for w in seeded.witnesses)
         if seeded.certified:
             assert check_cover(c, k, seeded.witnesses)
+
+
+@st.composite
+def coloured_circulants(draw, max_n=9):
+    """The cycle C_n with the chords of up to two jump lengths below n / 2,
+    so that every rotation v -> v + t is an automorphism. Edge {i, i + s}
+    takes a colour of its jump s and of i mod d, for a divisor d of n, so
+    each rotation renames the colours; a few edges may then be recoloured,
+    which mostly spoils that."""
+    n = draw(st.integers(3, max_n))
+    jumps = [1]
+    if n >= 5:
+        jumps += draw(st.lists(st.integers(2, (n - 1) // 2), max_size=2, unique=True))
+    d = draw(st.sampled_from([x for x in range(1, n + 1) if n % x == 0]))
+    colour = {}
+    for j, s in enumerate(jumps):
+        for i in range(n):
+            colour[tuple(sorted((i, (i + s) % n)))] = j * d + i % d
+    g = Graph(n, tuple(colour))
+    r = len(jumps) * d
+    colours = [colour[e] for e in g.edges]
+    for _ in range(draw(st.integers(0, 2))):
+        colours[draw(st.integers(0, g.e - 1))] = draw(st.integers(0, r - 1))
+    return EdgeColouring(g, tuple(colours), r, unused_ok=True)
+
+
+def _hinted_verdict_holds(c, k, symmetries, index="crx"):
+    """Verify c for k with and without the symmetries, and assert that the
+    hints change no verdict and that every witness the hinted report keeps
+    re-checks; returns both reports."""
+    if index == "crx":
+        verify = partial(verify_k_rainbow_cycle_colouring, check_family=False)
+        check = check_cycle_witness
+    else:
+        verify, check = verify_k_rainbow_index_colouring, check_tree_witness
+    bare = verify(c, k)
+    hinted = verify(c, k, symmetries=symmetries)
+    assert (hinted.status, hinted.bad_set, hinted.subsets_checked) == (
+        bare.status, bare.bad_set, bare.subsets_checked)
+    assert all(check(c.graph, w, c, require_rainbow=True) for w in hinted.witnesses)
+    if hinted.certified:
+        assert check_cover(c, k, hinted.witnesses)
+        assert len(hinted.witnesses) >= hinted.subsets_searched
+    return bare, hinted
+
+
+class TestSymmetries:
+    """Symmetries are hints: the verifier keeps a vertex permutation only if
+    it maps the coloured graph onto itself up to a renaming of colours, and
+    then adds each witness's images under it to the cover."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(coloured_graphs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_random_permutations_change_no_verdict(self, c, k, seed):
+        rng = random.Random(seed)
+        perms = [list(range(c.graph.n))]
+        for _ in range(4):
+            perms.append(rng.sample(range(c.graph.n), c.graph.n))
+        _hinted_verdict_holds(c, k, perms)
+
+    @settings(max_examples=120, deadline=None)
+    @given(coloured_circulants(), st.integers(1, 3))
+    def test_rotations_change_no_verdict(self, c, k):
+        n = c.graph.n
+        rotations = [[(v + t) % n for v in range(n)] for t in range(n)]
+        _hinted_verdict_holds(c, k, rotations)
+
+    @pytest.mark.parametrize("case, k", [("join", 2), ("join", 3), ("q3", 2), ("q3", 3),
+                                         ("q3", 4)])
+    def test_trees(self, case, k):
+        # rotating the rim of the join renames its spoke colours 0 and 1;
+        # each translation of Q_3 renames the cube colouring's colours
+        if case == "join":
+            c = cons.colour_join_rxk(2, 3, verify=False)
+            symmetries = [[0] + [1 + (i + t) % 6 for i in range(6)] for t in range(1, 6)]
+        else:
+            c, symmetries = cons.colour_cube(3, 2, verify=False), cube_translations(3)
+        bare, hinted = _hinted_verdict_holds(c, k, symmetries, index="rx")
+        assert hinted.subsets_searched < bare.subsets_searched
+
+    def _unchanged(self, c, k, symmetries):
+        bare = verify_k_rainbow_cycle_colouring(c, k)
+        assert verify_k_rainbow_cycle_colouring(c, k, symmetries=symmetries) == bare
+        return bare
+
+    def test_non_permutations_are_ignored(self):
+        c = cons.colour_cube(4, 2, verify=False)
+        self._unchanged(c, 2, [[0] * 16, list(range(15)), list(range(1, 17)),
+                               list(range(17))])
+
+    def test_a_map_onto_a_non_edge_is_ignored(self):
+        # swapping 0 and 3 keeps edges 01 and 02 but sends 04 onto 34
+        c = cons.colour_cube(4, 2, verify=False)
+        swap = [3, 1, 2, 0] + list(range(4, 16))
+        assert not c.graph.has_edge(3, 4)
+        self._unchanged(c, 2, [swap])
+
+    def test_an_automorphism_that_merges_colour_classes_is_ignored(self):
+        # the rotation 0 -> 1 -> 2 -> 3 -> 0 of K_4 sends edges 02 and 03,
+        # of colours 1 and 2, onto 13 and 01, both of colour 0
+        g = gen.complete(4)
+        colour = {(0, 1): 0, (0, 2): 1, (0, 3): 2, (1, 2): 2, (1, 3): 0, (2, 3): 0}
+        c = EdgeColouring(g, tuple(colour[e] for e in g.edges), 3)
+        rotation = [1, 2, 3, 0]
+        bare = self._unchanged(c, 1, [rotation])
+        # kept, the rotation would have added a cycle that is not rainbow
+        held = {frozenset(w.vertices) for w in bare.witnesses}
+        images = [[rotation[v] for v in w.vertices] for w in bare.witnesses]
+        assert any(frozenset(cycle) not in held and not check_cycle_witness(
+            g, CycleWitness(tuple(cycle), tuple(g.edge_id(a, b) for a, b in zip(
+                cycle, cycle[1:] + cycle[:1]))), c, require_rainbow=True)
+            for cycle in images)
+
+    def test_a_recoloured_cube_keeps_its_counterexample(self):
+        # edge 7 in edge 8's colour: no translation renames the colours any
+        # more, so all 31 are dropped and the pass searches as without them
+        c = cons.colour_cube(5, 3, verify=False)
+        colours = list(c.colour_of)
+        colours[7] = colours[8]
+        c = EdgeColouring(c.graph, tuple(colours), c.r, unused_ok=True)
+        bare = self._unchanged(c, 3, cube_translations(5))
+        assert (bare.bad_set, bare.subsets_checked) == ((1, 9, 16), 598)
