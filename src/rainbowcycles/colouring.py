@@ -62,9 +62,6 @@ class EdgeColouring:
     def used_colours(self) -> frozenset:
         return frozenset(self.colour_of)
 
-    def colour(self, eid: int) -> int:
-        return self.colour_of[eid]
-
 
 def rainbow_colouring(g: Graph) -> EdgeColouring:
     """Every edge its own colour (colour id = edge id)."""

@@ -36,6 +36,7 @@ from .generators import (
     wheel,
 )
 from .graph import (
+    Budget,
     Graph,
     _bfs_path,
     _is_cycle_graph,
@@ -236,13 +237,15 @@ def colour_complete_2rainbow(n: int, verify: bool = True, budget=None) -> EdgeCo
 
 def _random_until_certified(g: Graph, k: int, r: int, seed, max_attempts: int,
                             budget, label: str) -> EdgeColouring:
-    if not in_family_Fk(g, k, budget):
+    """Samples until one verifies; the F_k precheck and every try spend one budget."""
+    b = Budget.of(budget)
+    if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
     rng = random.Random(seed)
     for _ in range(max_attempts):
         colours = tuple(rng.randrange(r) for _ in range(g.e))
         c = EdgeColouring(g, colours, r, unused_ok=True)
-        report = verify_k_rainbow_cycle_colouring(c, k, budget, check_family=False)
+        report = verify_k_rainbow_cycle_colouring(c, k, b, check_family=False)
         if report.certified:
             return replace(c, witnesses=report.witnesses)
     raise AttemptsExhausted(max_attempts, f"{label}: {max_attempts} samples all failed")
@@ -426,12 +429,12 @@ def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouri
     Q_2 faces (k=1); 2n colours via the parity induction (k=2,3); 2^n colours
     via a rainbow Gray-code Hamilton cycle (k >= 2^{n-1}).
 
-    For k <= 3 the self-verification gets the 2^n - 1 translations
-    v -> v XOR t, t != 0, of Q_n as symmetries. At k = 2, 3 each one maps
-    the colouring onto itself up to a renaming of colours, so one witness
-    stands for its whole orbit; at k = 1 only those with t & 3 in {0, 1}
-    do, and the verifier drops the others. The Gray-code regime gets none:
-    its one rainbow Hamilton cycle holds every subset."""
+    For k = 2, 3 the self-verification gets the 2^n - 1 translations
+    v -> v XOR t, t != 0, of Q_n as symmetries. Each one maps the colouring
+    onto itself up to a renaming of colours, so one witness stands for its
+    whole orbit. k = 1 gets none, as checking them costs more than the
+    searches they save, and neither does the Gray-code regime: its one
+    rainbow Hamilton cycle holds every subset."""
     if n < 2:
         raise InvalidParameter("need n >= 2")
     if not (k in (1, 2, 3) or k >= 1 << (n - 1)):
@@ -465,7 +468,7 @@ def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouri
         r = size
     out = EdgeColouring(g, tuple(colour_of), r)
     translations = ([[v ^ t for v in range(g.n)] for t in range(1, g.n)]
-                    if verify and k <= 3 else [])
+                    if verify and k in (2, 3) else [])
     return _certify(out, k, r, f"colour_cube(n={n}, k={k})", verify, budget,
                     symmetries=translations)
 
@@ -517,9 +520,10 @@ def recursive_cube_walk(n: int, block: int, s, colouring: EdgeColouring | None =
     of each hat path at its first internal vertex with the matching tilde
     path, so the walk uses each inherited colour at most once. Raises
     BaseWalkNotFound when a base cube has no walk for a projected tuple
-    (a larger K is then needed).
+    (a larger K is then needed). Every base search spends one budget.
     """
     s = tuple(s)
+    budget = Budget.of(budget)
     if n <= 2 * block - 1:
         w = find_subdivided_closed_walk(hypercube(n), s, budget=budget)
         if w is None:

@@ -38,6 +38,11 @@ class Budget:
         self.used = 0
         self.cuts = {"closing": 0, "sides": 0}
 
+    @classmethod
+    def of(cls, budget):
+        """budget if it is a Budget, else a Budget with that limit."""
+        return budget if isinstance(budget, cls) else cls(budget)
+
     def spend(self, amount=1):
         self.used += amount
         if self.used > self.limit:
@@ -498,7 +503,7 @@ def _rooted_cycles(g: Graph, b: Budget, roots=None):
 def enumerate_simple_cycles(g: Graph, budget=None):
     """All simple cycles, each once: rooted at its minimum vertex, direction
     fixed by second-vertex < last-vertex. Returns vertex tuples."""
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     return [c for c in _rooted_cycles(g, b) if c[1] < c[-1]]
 
 
@@ -538,7 +543,7 @@ def find_hamilton_cycle(g: Graph, budget=None):
         return None
     if any(g.degree(v) < 2 for v in range(g.n)):
         return None
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     found = _anchored_cycle(g, range(g.n), b, (g.n,))
     return None if found is None else found[0]
 
@@ -547,14 +552,14 @@ def enumerate_hamilton_cycles(g: Graph, budget=None):
     """All Hamilton cycles as enumerate_simple_cycles lists them: rooted at
     vertex 0, direction path[1] < path[-1]. Every one holds vertex 0, so
     only the root-0 pass of that rooted cycle DFS runs."""
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     return [c for c in _rooted_cycles(g, b, range(min(g.n, 1)))
             if len(c) == g.n and c[1] < c[-1]]
 
 
 def circumference(g: Graph, budget=None) -> int:
     """Length of the longest cycle (0 if acyclic), by exhaustive DFS."""
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     if find_hamilton_cycle(g, b) is not None:
         return g.n
     return max((len(c) for c in _rooted_cycles(g, b)), default=0)
@@ -573,7 +578,7 @@ def graph_invariants(g: Graph, budget=None) -> GraphInvariants:
     On budget exhaustion re-raises BudgetExceeded carrying the fields computed
     so far as the partial result.
     """
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     gr = girth(g)
     try:
         circ = circumference(g, b)
@@ -586,7 +591,7 @@ def is_hypohamiltonian(g: Graph, budget=None) -> bool:
     """Not Hamiltonian, but every vertex-deleted subgraph is."""
     if g.n < 3:
         raise InvalidParameter("need at least 3 vertices")
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     return find_hamilton_cycle(g, b) is None and _vertex_deleted_hamiltonian(g, b)
 
 
@@ -898,7 +903,7 @@ def cycle_through_exists(g: Graph, s, budget=None) -> bool:
     s = sorted(set(s))
     if not s:
         raise InvalidParameter("need at least one vertex")
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     return _anchored_cycle(g, s, b, (g.n,)) is not None
 
 
@@ -928,7 +933,7 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
         return False
     if k == 2:
         return True
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     # the shortcut may give up after 2 M nodes; what it spends and cuts is
     # charged to b
     shortcut = Budget(min(b.limit - b.used, 2_000_000))

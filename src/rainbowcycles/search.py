@@ -55,7 +55,7 @@ def rainbow_cycle_through(c: EdgeColouring, s, budget=None):
     s = sorted(set(s))
     if not s:
         raise InvalidParameter("need at least one vertex")
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     found = _anchored_cycle(c.graph, s, b, (c.r,), c)
     return None if found is None else CycleWitness(*found)
 
@@ -69,7 +69,7 @@ def min_cycle_length_through(g: Graph, s, budget=None):
     s = sorted(set(s))
     if not s:
         raise InvalidParameter("need at least one vertex")
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     cycle = _shortest_cycle_through(g, s, b)
     return None if cycle is None else len(cycle)
 
@@ -115,7 +115,7 @@ def rainbow_tree_through(c: EdgeColouring, s, budget=None):
     s = sorted(set(s))
     if not s:
         raise InvalidParameter("need at least one vertex")
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     start = s[0]
     needed = frozenset(s)
     adj = g.adjacency
@@ -304,7 +304,7 @@ def verify_k_rainbow_cycle_colouring(c: EdgeColouring, k: int, budget=None,
     bring its images along, and any other is dropped (_colour_symmetries).
     """
     g = c.graph
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     if check_family and (k > g.n or not in_family_Fk(g, min(k, 2))):
         raise NotInFamily(k)
     report = _verify_each_subset(c, k, b, CycleWitness, symmetries)
@@ -321,7 +321,7 @@ def verify_k_rainbow_index_colouring(c: EdgeColouring, k: int, budget=None,
     symmetries are hints, as for verify_k_rainbow_cycle_colouring."""
     if not is_connected(c.graph):
         raise InvalidParameter("rainbow index needs a connected graph")
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     return _verify_each_subset(c, k, b, TreeWitness, symmetries)
 
 
@@ -398,7 +398,7 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     s = tuple(s)
     if not s:
         raise InvalidParameter("need at least one anchor")
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     k = len(s)
     anchor_set = set(s)
     segments = []  # (index, a, b) for the non-trivial steps

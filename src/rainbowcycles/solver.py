@@ -121,7 +121,7 @@ def _guard_scope(g: Graph, k: int, force: bool):
 def crx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
     """Exact k-rainbow cycle index by canonical enumeration (see _exact); the
     structures that must be rainbow are the simple cycles."""
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
     _guard_scope(g, k, force)
@@ -148,7 +148,7 @@ def rx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
     if k == 1:
         return CrxResult("exact", 0, 0, None, ())
     _guard_scope(g, k, force)
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     adj, trees = g.adjacency, []
     try:
         for root in range(g.n):
@@ -210,39 +210,43 @@ def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
     repeated colour, which holds for all completions. The first feasible
     colouring found is the canonically least witness.
 
-    The pass for r sees only the structures with at most r edges, a prefix
-    of the table sorted by edge count that grows with r. This is exact: a
-    structure with more than r edges is never rainbow in an r-colouring, so
-    dropping it changes no colouring's feasibility. The walk order is the
-    same and only subtrees without a feasible completion are cut, so the
-    witness and every refuted r are the same as over the full table. From
-    the distance bound on, every S keeps a covering structure.
+    Structure si is bit si of the int bitsets cov[t], the structures covering
+    the t-th k-subset in colex order, and tmask[eid], the kept ones through
+    edge eid. The pass for r keeps only the structures with at most r edges,
+    a prefix of the table sorted by edge count that grows with r. This is
+    exact: a structure with more than r edges is never rainbow in an
+    r-colouring, so dropping it changes no colouring's feasibility. The walk
+    order is the same and only subtrees without a feasible completion are
+    cut, so the witness and every refuted r are the same as over the full
+    table. Every S has a covering structure (the F_k precheck for crx,
+    connectivity for rx), so from the distance bound on every S keeps one.
     """
     structures = sorted(structures, key=lambda st: len(st[0]))
     subsets_of = [[] for _ in structures]  # the k-subsets each structure covers
+    cov = []
     bound, bound_set = 0, None
     for ti, s in enumerate(colex_subsets(g.n, k)):
         ss = set(s)
         cover = [si for si, (_, must, verts) in enumerate(structures) if must <= ss <= verts]
+        if not cover:
+            raise InvalidParameter(f"no structure covers the {k}-subset {s}")
         for si in cover:
             subsets_of[si].append(ti)
+        cov.append(sum(1 << si for si in cover))
         size = len(structures[cover[0]][0])  # the table is sorted by edge count
         if size > bound:
             bound, bound_set = size, s
     evidence = [Certificate("distance_bound", {"subset": bound_set, "length": bound,
                                                "covers_r_below": bound})]
-    through = [[] for _ in range(g.e)]  # the kept structures through each edge
-    cover_counts = [0] * math.comb(g.n, k)  # per k-subset: the kept structures covering it
+    tmask = [0] * g.e
     kept = 0
     for r in range(bound, g.e + 1):
         while kept < len(structures) and len(structures[kept][0]) <= r:
             for eid in structures[kept][0]:
-                through[eid].append(kept)
-            for ti in subsets_of[kept]:
-                cover_counts[ti] += 1
+                tmask[eid] |= 1 << kept
             kept += 1
         try:
-            witness = _search_r(g, r, b, through, subsets_of[:kept], cover_counts)
+            witness = _search_r(g, r, b, tmask, subsets_of, cov, (1 << kept) - 1)
         except BudgetExceeded:
             return _budget_out(g, k, r, tuple(evidence))
         if witness is not None:
@@ -266,67 +270,55 @@ def _budget_out(g: Graph, k: int, lower: int, evidence=None) -> CrxResult:
     return CrxResult("exact", lower, lower, rainbow_colouring(g), evidence)
 
 
-def _search_r(g, r, b, through, subsets_of, cover_counts):
+def _search_r(g, r, b, tmask, subsets_of, cov, live):
     """First feasible canonical r-colouring, else None (complete refutation).
 
-    seen[si] is the bitmask of the colours on the coloured edges of the live
-    structure si. An edge whose colour is already in it kills si; a dead
-    structure is left untouched until the edge that killed it is uncoloured.
+    live, passed down the recursion, holds the structures with no repeated
+    colour; has[c], read only through live, those with an edge of colour c.
+    Giving edge i colour c kills tmask[i] & live & has[c], and only the
+    k-subsets of killed structures can lose their last live cover.
     """
     m = g.e
-    seen = [0] * len(subsets_of)
-    dead = [False] * len(subsets_of)
-    alive = list(cover_counts)
+    has = [0] * r
     colour = [0] * m
 
-    def assign(eid, bit, killed):
-        # visit every structure even once a subset has died: unassign clears
-        # the bit of each structure that is still live
-        ok = True
-        for si in through[eid]:
-            if dead[si]:
-                continue
-            if seen[si] & bit:
-                dead[si] = True
-                killed.append(si)
-                for ti in subsets_of[si]:
-                    alive[ti] -= 1
-                    if alive[ti] == 0:
-                        ok = False
-            else:
-                seen[si] |= bit
-        return ok
-
-    def unassign(eid, bit, killed):
-        for si in through[eid]:
-            if not dead[si]:
-                seen[si] ^= bit
-        for si in killed:
-            dead[si] = False
-            for ti in subsets_of[si]:
-                alive[ti] += 1
-
-    def rec(i, used):
+    def rec(i, used, live):
         b.spend()
         if m - i < r - used:
             return None
         if i == m:
             return tuple(colour) if used == r else None
+        through = tmask[i]
         for c in range(min(used + 1, r)):
+            killed = through & live & has[c]
+            now = live ^ killed
+            if killed and _uncovers(killed, now, subsets_of, cov):
+                continue
             colour[i] = c
-            killed = []
-            if assign(i, 1 << c, killed):
-                res = rec(i + 1, used + (1 if c == used else 0))
-                if res is not None:
-                    return res
-            unassign(i, 1 << c, killed)
+            held = has[c]
+            has[c] = held | through
+            res = rec(i + 1, used + (1 if c == used else 0), now)
+            has[c] = held
+            if res is not None:
+                return res
         return None
 
     try:
-        found = rec(0, 0)
+        found = rec(0, 0, live)
     finally:
         del rec  # it refers to itself through its cell; free the search state now
     return None if found is None else EdgeColouring(g, found, r)
+
+
+def _uncovers(killed, live, subsets_of, cov):
+    """Whether some k-subset of a structure in killed has no cover in live."""
+    while killed:
+        low = killed & -killed
+        for ti in subsets_of[low.bit_length() - 1]:
+            if not cov[ti] & live:
+                return True
+        killed ^= low
+    return False
 
 
 def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certificate]:
@@ -346,7 +338,7 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
     passed over only when it has a cycle no longer than best, and a record
     needs a strict gain, so the bound, its colex-first subset and the mode
     do not change. ``b.cuts["incumbent"]`` counts the settled subsets."""
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
     kept = _WitnessCover(g.n)
@@ -481,7 +473,7 @@ def crx_interval(g: Graph, k: int, budget=None, seed=0) -> CrxResult:
     best applicable constructor upper bound; exact when they meet. The
     distance bound runs the F_k precheck. The witness is a colouring of g,
     in any labelling, with upper colours."""
-    b = budget if isinstance(budget, Budget) else Budget(budget)
+    b = Budget.of(budget)
     dist, cert = crx_lower_bound_distance(g, k, b)
     lower = max(k, dist, girth(g) or 3)
     witness = _upper_bound_construction(g, k, b, seed)

@@ -279,6 +279,16 @@ class TestPipelines:
         assert code == 2 and not out
         assert err.startswith("error:") and "--no-verify" in err
 
+    def test_sampler_budget_covers_every_attempt(self, monkeypatch, capsys):
+        # seed 2026 certifies on the fifth sample, after more than 2,000
+        # nodes in all, though each verification alone takes fewer
+        _, doc_text, _ = run_cli(["gen", "complete", "n=8"], "", monkeypatch, capsys)
+        argv = ["colour", "complete-random", "--k", "3", "--seed", "2026"]
+        code, out, err = run_cli(argv + ["--budget", "2000"], doc_text, monkeypatch, capsys)
+        assert code == 2 and not out and err.startswith("error:")
+        code, _, _ = run_cli(argv, doc_text, monkeypatch, capsys)
+        assert code == 0
+
     def test_randomised_requires_seed(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "complete", "n=6"], "", monkeypatch, capsys)
         code, _, err = run_cli(

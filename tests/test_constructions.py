@@ -10,13 +10,14 @@ from rainbowcycles.colouring import EdgeColouring, check_cover, check_walk_witne
 from rainbowcycles.errors import (
     AttemptsExhausted,
     BaseWalkNotFound,
+    BudgetExceeded,
     InvalidParameter,
     IsCycle,
     MinimallyTwoConnected,
     NotInFamily,
     RegimeUnsupported,
 )
-from rainbowcycles.graph import Graph, enumerate_hamilton_cycles, delete_vertex
+from rainbowcycles.graph import Budget, Graph, enumerate_hamilton_cycles, delete_vertex
 from rainbowcycles.search import verify_k_rainbow_cycle_colouring
 
 
@@ -87,6 +88,17 @@ class TestComplete:
         b = cons.colour_complete_random(6, 3, seed=2026, max_attempts=2000)
         assert a.colour_of == b.colour_of
         assert a.r == 5
+
+    def test_random_spends_one_budget(self):
+        # seed 2026 certifies on the fifth sample; the F_k precheck and the
+        # five verifications take more than 2,000 nodes together, though
+        # each one alone takes fewer
+        for budget in (2_000, Budget(2_000)):
+            with pytest.raises(BudgetExceeded):
+                cons.colour_complete_random(8, 3, 2026, 200, budget=budget)
+        b = Budget()
+        cons.colour_complete_random(8, 3, 2026, 200, budget=b)
+        assert b.used > 2_000
 
     def test_random_validates_parameters(self):
         with pytest.raises(InvalidParameter):
@@ -213,6 +225,15 @@ class TestCubeRecursive:
         s = tuple(h + 8 * t for h, t in zip((0, 3, 5, 6), (0, 3, 5, 6)))
         w = cons.recursive_cube_walk(6, 3, s, colouring=c)
         assert check_walk_witness(g, w, c, require_rainbow=True)
+
+    def test_spliced_walk_spends_one_budget(self):
+        c = cons.colour_cube_recursive(6, 4, 3)
+        s = tuple(h + 8 * t for h, t in zip((0, 3, 5, 6), (0, 3, 5, 6)))
+        b = Budget()
+        cons.recursive_cube_walk(6, 3, s, colouring=c, budget=b)
+        assert b.used == 16  # the hat and the tilde base searches together
+        with pytest.raises(BudgetExceeded):
+            cons.recursive_cube_walk(6, 3, s, colouring=c, budget=15)
 
     def test_base_walk_not_found_bubbles(self):
         # both hat projections of (0, 8, 0, 16) collide at Q_3 vertex 0

@@ -568,6 +568,12 @@ class TestBudgets:
         with pytest.raises(BudgetExceeded):
             b.spend()
 
+    def test_of_wraps_only_a_limit(self):
+        b = Budget(5)
+        assert Budget.of(b) is b
+        assert Budget.of(7).limit == 7
+        assert Budget.of(None).limit == Budget().limit
+
     def test_hamilton_budget(self):
         with pytest.raises(BudgetExceeded):
             find_hamilton_cycle(gen.hypercube(4), budget=3)

@@ -132,11 +132,21 @@ class TestCrxExact:
         # K_5 at k = 3 includes 5 nodes of the F_3 precheck's Hamilton shortcut
         ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 176),
         ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 642),
+        ("crx", gen.complete_bipartite(3, 4), 2, 4, (0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1), 3_619),
+        # includes a refuted r = 4 pass
+        ("crx", gen.complete_bipartite(3, 5), 2, 5,
+         (0, 0, 1, 1, 2, 0, 2, 0, 3, 4, 3, 1, 4, 2, 4), 55_473),
     ])
     def test_golden_node_counts(self, index, g, k, value, colours, nodes):
         b = Budget()
         res = getattr(solver, index + "_exact")(g, k, b)
         assert (res.value, res.witness.colour_of, b.used) == (value, colours, nodes)
+
+    def test_uncovered_subset_is_refused(self):
+        # the distance bound reads the shortest covering structure, so a
+        # k-subset without one must raise, not read another subset's
+        with pytest.raises(InvalidParameter):
+            solver._exact(gen.cycle(4), 2, Budget(), [])
 
     def test_long_structures_are_dropped(self):
         # without dropping the structures with more than r edges, W_9 at k = 2
