@@ -27,6 +27,8 @@ from .errors import (
 )
 from .generators import (
     CubeSplit,
+    _class_shifts,
+    _family_symmetries,
     complete,
     complete_bipartite,
     complete_multipartite,
@@ -363,7 +365,14 @@ def colour_bipartite(m: int, n: int, k: int, regime: str = "auto",
                      verify: bool = True, budget=None) -> EdgeColouring:
     """Colour K_{m,n} for k at the covered regime's exact theorem value:
     4 (k=1); 2n, r with binom(r-1,3) < n <= binom(r,3), or 8 (k=2 by m);
-    kn (m = k) or 6k (m >= 3k) for general k."""
+    kn (m = k) or 6k (m >= 3k) for general k.
+
+    In the four, eight and sixk regimes the vertices u_i, i >= t, are twins,
+    and so are the v_j, j >= t, where t is 1, 3 and 2k: swapping two twins
+    keeps every edge colour. The self-verification gets the cyclic shifts
+    of both twin classes as symmetries (generators._class_shifts), so it
+    searches about one subset per twin orbit. The rainbow and colex regimes
+    have no twins."""
     auto = bipartite_regime(m, n, k)
     if regime == "auto":
         regime = auto
@@ -377,8 +386,11 @@ def colour_bipartite(m: int, n: int, k: int, regime: str = "auto",
     for (i, j), c in col.items():
         colour_of[g.edge_id(i, m + j)] = c
     out = EdgeColouring(g, tuple(colour_of), r)
+    twins_from = {"four": 1, "eight": 3, "sixk": 2 * k}.get(regime)
+    twins = (_class_shifts(g.n, [range(twins_from, m), range(m + twins_from, m + n)])
+             if verify and twins_from is not None else [])
     return _certify(out, k, r, f"colour_bipartite(m={m}, n={n}, k={k}, {regime})",
-                    verify, budget)
+                    verify, budget, symmetries=twins)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +399,9 @@ def colour_bipartite(m: int, n: int, k: int, regime: str = "auto",
 
 def colour_multipartite_blowup(sizes, verify: bool = True, budget=None) -> EdgeColouring:
     """Blow-up of the 3-coloured K_t onto classes of the given sizes: an edge
-    inherits the colour of its class pair."""
+    inherits the colour of its class pair. So the vertices of a class are
+    twins, and the self-verification gets the cyclic shifts of each class
+    as symmetries (generators._family_symmetries)."""
     sizes = tuple(int(s) for s in sizes)
     t = len(sizes)
     if t < 3:
@@ -400,7 +414,9 @@ def colour_multipartite_blowup(sizes, verify: bool = True, budget=None) -> EdgeC
         cls.extend([idx] * s)
     colour_of = tuple(base[(cls[u], cls[v])] for u, v in g.edges)
     out = EdgeColouring(g, colour_of, 3)
-    return _certify(out, 1, 3, f"colour_multipartite_blowup({sizes})", verify, budget)
+    shifts = _family_symmetries("complete_multipartite", sizes) if verify else []
+    return _certify(out, 1, 3, f"colour_multipartite_blowup({sizes})", verify, budget,
+                    symmetries=shifts)
 
 
 def colour_balanced_multipartite_random(t: int, n: int, k: int, seed,
@@ -430,8 +446,9 @@ def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouri
     via a rainbow Gray-code Hamilton cycle (k >= 2^{n-1}).
 
     For k = 2, 3 the self-verification gets the 2^n - 1 translations
-    v -> v XOR t, t != 0, of Q_n as symmetries. Each one maps the colouring
-    onto itself up to a renaming of colours, so one witness stands for its
+    v -> v XOR t, t != 0, of Q_n as symmetries, from the family table
+    (generators._family_symmetries). Each one maps the colouring onto
+    itself up to a renaming of colours, so one witness stands for its
     whole orbit. k = 1 gets none, as checking them costs more than the
     searches they save, and neither does the Gray-code regime: its one
     rainbow Hamilton cycle holds every subset."""
@@ -467,8 +484,7 @@ def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouri
         colour_of = [ham.get(e, 0) for e in g.edges]
         r = size
     out = EdgeColouring(g, tuple(colour_of), r)
-    translations = ([[v ^ t for v in range(g.n)] for t in range(1, g.n)]
-                    if verify and k in (2, 3) else [])
+    translations = _family_symmetries("hypercube", n) if verify and k in (2, 3) else []
     return _certify(out, k, r, f"colour_cube(n={n}, k={k})", verify, budget,
                     symmetries=translations)
 

@@ -538,10 +538,15 @@ def girth(g: Graph):
 def find_hamilton_cycle(g: Graph, budget=None):
     """First Hamilton cycle of the anchored-cycle search through every
     vertex, or None. That cycle is lexicographically least, so path[1] <
-    path[-1] holds."""
+    path[-1] holds. A vertex of degree below 2, or a bipartite graph with
+    classes of different sizes (a cycle alternates between the classes),
+    gives None without a search."""
     if g.n < 3 or not is_connected(g):
         return None
     if any(g.degree(v) < 2 for v in range(g.n)):
+        return None
+    classes = _bipartition(g)
+    if classes is not None and len(classes[0]) != len(classes[1]):
         return None
     b = Budget.of(budget)
     found = _anchored_cycle(g, range(g.n), b, (g.n,))
@@ -635,14 +640,16 @@ class _WitnessCover:
     holding[v] has bit i set for each kept witness i through vertex v, so
     the witnesses that hold a set of vertices are one AND of these rows.
     uncovered(k) walks every k-subset in colex order; covers(s) answers for
-    one subset, for passes in any other order.
+    one subset, for passes in any other order. add_images keeps a witness's
+    images under vertex permutations, each unless its vertex set is held.
     """
 
-    __slots__ = ("masks", "holding")
+    __slots__ = ("masks", "holding", "held")
 
     def __init__(self, n: int):
         self.masks = []
         self.holding = [0] * n  # per vertex: a bit for each witness on it
+        self.held = set()  # the distinct masks
 
     def covers(self, s) -> bool:
         """Does a kept witness hold every vertex of the non-empty tuple s?"""
@@ -659,6 +666,28 @@ class _WitnessCover:
             holding[v] |= bit
             mask |= 1 << v
         self.masks.append(mask)
+        self.held.add(mask)
+
+    def add_images(self, vertices, perms) -> list:
+        """Keep the image of a witness on vertices under each permutation p
+        in perms (vertex v goes to p[v]) whose vertex set no kept witness,
+        earlier image included, already has. Return the indices into perms
+        of the images kept, in order."""
+        holding, masks, held = self.holding, self.masks, self.held
+        new = []
+        for i, p in enumerate(perms):
+            mask = 0
+            for v in vertices:
+                mask |= 1 << p[v]
+            if mask in held:
+                continue
+            bit = 1 << len(masks)
+            for v in vertices:
+                holding[p[v]] |= bit
+            masks.append(mask)
+            held.add(mask)
+            new.append(i)
+        return new
 
     def uncovered(self, k: int):
         """Yield, in colex order, each k-subset of the vertices (k >= 1) that

@@ -238,7 +238,8 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind,
     rainbow_cycle_through or rainbow_tree_through, and the witness found is
     kept, followed by its images under the symmetries that pass
     _colour_symmetries; the other symmetries are dropped. An image whose
-    vertex set a kept witness already has is skipped. k must lie in 1..n.
+    vertex set a kept witness already has is skipped
+    (_WitnessCover.add_images). k must lie in 1..n.
 
     The kept witnesses start as those of type kind that c carries
     (EdgeColouring.witnesses) and pass check_cycle_witness or
@@ -256,13 +257,13 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind,
     else:
         through, check = rainbow_tree_through, check_tree_witness
     symmetries = _colour_symmetries(c, symmetries)
+    perms = [p for p, _ in symmetries]
     kept = _WitnessCover(n)
     witnesses = []
     for w in c.witnesses:
         if type(w) is kind and check(c.graph, w, c, require_rainbow=True):
             kept.add(w.vertices)
             witnesses.append(w)
-    held = set(kept.masks)
     searched = 0
     for s in kept.uncovered(k):
         searched += 1
@@ -273,16 +274,8 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind,
                                       tuple(witnesses))
         kept.add(w.vertices)
         witnesses.append(w)
-        held.add(kept.masks[-1])
-        for p, edge_map in symmetries:
-            mask = 0
-            for v in w.vertices:
-                mask |= 1 << p[v]
-            if mask not in held:
-                held.add(mask)
-                image = _witness_image(w, p, edge_map)
-                kept.add(image.vertices)
-                witnesses.append(image)
+        for i in kept.add_images(w.vertices, perms):
+            witnesses.append(_witness_image(w, *symmetries[i]))
     return VerificationReport("certified", None, math.comb(n, k), searched, b.used,
                               tuple(witnesses))
 

@@ -106,6 +106,45 @@ class TestPathCycleJoin:
         assert is_connected(gen.path_cycle_join(3, 2))
 
 
+_BIPARTITE_SIZES = [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (4, 7)]
+_MULTIPARTITE_SIZES = [(1, 1, 1), (1, 2, 3), (2, 2, 2), (1, 1, 2, 2), (2, 3, 3, 4)]
+
+
+class TestFamilySymmetries:
+    """Each permutation of the table is an automorphism of its canonical
+    graph, none is the identity, and there are as many as the family has
+    rotations, reflections, translations or class shifts."""
+
+    @pytest.mark.parametrize("kind, param, count", (
+        [("wheel", n, 2 * n - 1) for n in range(3, 17)]
+        + [("hypercube", d, 2 ** d - 1) for d in range(1, 7)]
+        + [("complete", n, n - 1) for n in range(1, 10)]
+        + [("complete_bipartite", s, sum(s) - 2) for s in _BIPARTITE_SIZES]
+        + [("complete_multipartite", s, sum(s) - len(s)) for s in _MULTIPARTITE_SIZES]
+        + [("cycle", 6, 0)]  # a kind outside the table gets none
+    ))
+    def test_automorphisms_of_the_canonical_graph(self, kind, param, count):
+        g = (gen.complete_bipartite(*param) if kind == "complete_bipartite"
+             else getattr(gen, kind)(param))
+        perms = gen._family_symmetries(kind, param)
+        assert len(perms) == count
+        assert len({tuple(p) for p in perms}) == count
+        edges = {frozenset(e) for e in g.edges}
+        for p in perms:
+            assert sorted(p) == list(range(g.n))
+            assert p != list(range(g.n))
+            assert {frozenset((p[u], p[v])) for u, v in g.edges} == edges
+
+    @pytest.mark.parametrize("sizes", _BIPARTITE_SIZES + _MULTIPARTITE_SIZES)
+    def test_class_shifts_move_each_vertex_around_its_class(self, sizes):
+        starts = [sum(sizes[:i]) for i in range(len(sizes))]
+        classes = [range(a, a + s) for a, s in zip(starts, sizes)]
+        shifts = gen._class_shifts(sum(sizes), classes)
+        for cls in classes:
+            for v in cls:
+                assert {p[v] for p in shifts} | {v} == set(cls)
+
+
 class TestCubeSplit:
     def test_roundtrip(self):
         split = gen.CubeSplit(3, 2)

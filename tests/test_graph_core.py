@@ -387,6 +387,14 @@ class TestHamiltonCycles:
             29, 21, 17, 19, 18, 22, 23, 31, 27, 25, 24, 26, 30, 28, 20, 16)
         assert b.used == 36  # 416 with the two-sides rule alone
 
+    @pytest.mark.parametrize("m, n", [(3, 5), (6, 12)])
+    def test_unbalanced_bipartite_needs_no_search(self, m, n):
+        # a cycle alternates between the classes, so it cannot hold every
+        # vertex when they differ in size
+        b = Budget()
+        assert find_hamilton_cycle(gen.complete_bipartite(m, n), b) is None
+        assert b.used == 0
+
     def test_w8_enumeration_golden(self):
         # every Hamilton cycle holds vertex 0, so only the root-0 pass of
         # the rooted cycle DFS runs: 514 nodes with every root
@@ -526,6 +534,13 @@ class TestFamilyMembership:
         b = Budget()
         assert in_family_Fk(g, 3, b)
         assert b.cuts == {"closing": 1, "sides": 48 + 5}
+
+    def test_unbalanced_bipartite_goes_straight_to_the_triples(self):
+        # K_{6,12} has no Hamilton cycle: the shortcut's search ran out of
+        # its 2 M nodes (2,005,247 in all), and now the triple pass runs alone
+        b = Budget()
+        assert in_family_Fk(gen.complete_bipartite(6, 12), 3, b)
+        assert b.used == 5_246
 
     def test_matches_brute(self, corpus):
         from conftest import brute_all_cycles

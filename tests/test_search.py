@@ -40,6 +40,7 @@ from rainbowcycles.graph import (
     find_hamilton_cycle,
 )
 from rainbowcycles.search import (
+    _colour_symmetries,
     colour_class_collision,
     find_subdivided_closed_walk,
     min_cycle_length_through,
@@ -449,6 +450,27 @@ class TestGoldenNodeCounts:
         cons.colour_cube(n, k, budget=b)
         assert b.used == nodes
 
+    @pytest.mark.parametrize("m, n, k, searched, nodes", [
+        (6, 12, 2, 14, 694),
+        (5, 11, 2, 13, 498),
+        (4, 10, 2, 18, 367),
+        (6, 6, 2, 11, 232),
+        (9, 12, 3, 30, 171_445),
+    ])
+    def test_twin_shifts_search_one_witness_per_orbit(self, monkeypatch, m, n, k, searched,
+                                                      nodes):
+        # the self-verification of the eight (k = 2) and sixk (k = 3)
+        # regimes passes the cyclic shifts of the twin classes; without
+        # them it searches 89, 66, 54, 26 and 184 subsets and spends 5,671,
+        # 2,955, 1,471, 622 and 894,578 nodes
+        b = Budget()
+        c, _, twins = _self_verification(monkeypatch,
+                                         partial(cons.colour_bipartite, m, n, k, budget=b))
+        assert b.used == nodes
+        report = verify_k_rainbow_cycle_colouring(c, k, symmetries=twins)
+        assert report.certified
+        assert (report.subsets_searched, report.search_nodes) == (searched, nodes)
+
     def test_far_pair_cut_at_the_anchor(self):
         # a cycle through antipodes of Q_4 needs 8 edges, more than 5 colours
         q = gen.hypercube(4)
@@ -781,6 +803,21 @@ def coloured_circulants(draw, max_n=9):
     return EdgeColouring(g, tuple(colours), r, unused_ok=True)
 
 
+def _self_verification(monkeypatch, build):
+    """Call build() and return the colouring, k and symmetries that it gave
+    its last self-verification (constructions._certify)."""
+    calls = []
+    certify = cons._certify
+
+    def spy(c, k, *args, symmetries=(), **kwargs):
+        calls.append((c, k, list(symmetries)))
+        return certify(c, k, *args, symmetries=symmetries, **kwargs)
+
+    monkeypatch.setattr(cons, "_certify", spy)
+    build()
+    return calls[-1]
+
+
 def _hinted_verdict_holds(c, k, symmetries, index="crx"):
     """Verify c for k with and without the symmetries, and assert that the
     hints change no verdict and that every witness the hinted report keeps
@@ -834,6 +871,28 @@ class TestSymmetries:
             c, symmetries = cons.colour_cube(3, 2, verify=False), cube_translations(3)
         bare, hinted = _hinted_verdict_holds(c, k, symmetries, index="rx")
         assert hinted.subsets_searched < bare.subsets_searched
+
+    @pytest.mark.parametrize("build, count", [
+        (partial(cons.colour_bipartite, 4, 7, 1), 2 + 5),
+        (partial(cons.colour_bipartite, 4, 10, 2), 0 + 6),
+        (partial(cons.colour_bipartite, 6, 12, 2), 2 + 8),
+        (partial(cons.colour_bipartite, 6, 8, 2, regime="sixk"), 1 + 3),
+        (partial(cons.colour_bipartite, 9, 12, 3), 2 + 5),
+        (partial(cons.colour_bipartite, 2, 5, 2), 0),
+        (partial(cons.colour_bipartite, 3, 36, 2), 0),
+        (partial(cons.colour_multipartite_blowup, (1, 2, 3)), 0 + 1 + 2),
+        (partial(cons.colour_multipartite_blowup, (3, 3, 3)), 2 + 2 + 2),
+        (partial(cons.colour_multipartite_blowup, (1, 1, 2, 4)), 0 + 0 + 1 + 3),
+    ], ids=["four-4-7", "eight-4-10", "eight-6-12", "sixk-6-8", "sixk-9-12",
+            "rainbow-2-5", "colex-3-36", "blowup-123", "blowup-333", "blowup-1124"])
+    def test_twin_shifts_survive_the_colour_check(self, monkeypatch, build, count):
+        # the twins are u_i and v_j for i, j >= 1 (four), >= 3 (eight) and
+        # >= 2k (sixk), and the vertices of each class of a blow-up; the
+        # rainbow and colex regimes have none
+        c, k, twins = _self_verification(monkeypatch, build)
+        assert len(twins) == count
+        assert len(_colour_symmetries(c, twins)) == count
+        _hinted_verdict_holds(c, k, twins)
 
     def _unchanged(self, c, k, symmetries):
         bare = verify_k_rainbow_cycle_colouring(c, k)
