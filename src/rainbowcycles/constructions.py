@@ -27,7 +27,6 @@ from .errors import (
 )
 from .generators import (
     CubeSplit,
-    _class_shifts,
     _family_symmetries,
     complete,
     complete_bipartite,
@@ -42,6 +41,7 @@ from .graph import (
     Graph,
     _bfs_path,
     _is_cycle_graph,
+    _twin_shifts,
     block_decomposition,
     cycle_vertices_to_edge_ids,
     ear_decomposition,
@@ -367,12 +367,9 @@ def colour_bipartite(m: int, n: int, k: int, regime: str = "auto",
     4 (k=1); 2n, r with binom(r-1,3) < n <= binom(r,3), or 8 (k=2 by m);
     kn (m = k) or 6k (m >= 3k) for general k.
 
-    In the four, eight and sixk regimes the vertices u_i, i >= t, are twins,
-    and so are the v_j, j >= t, where t is 1, 3 and 2k: swapping two twins
-    keeps every edge colour. The self-verification gets the cyclic shifts
-    of both twin classes as symmetries (generators._class_shifts), so it
-    searches about one subset per twin orbit. The rainbow and colex regimes
-    have no twins."""
+    The self-verification gets the shifts of the colouring's twin classes
+    (graph._twin_shifts) as symmetries, so it searches about one subset
+    per twin orbit."""
     auto = bipartite_regime(m, n, k)
     if regime == "auto":
         regime = auto
@@ -386,11 +383,8 @@ def colour_bipartite(m: int, n: int, k: int, regime: str = "auto",
     for (i, j), c in col.items():
         colour_of[g.edge_id(i, m + j)] = c
     out = EdgeColouring(g, tuple(colour_of), r)
-    twins_from = {"four": 1, "eight": 3, "sixk": 2 * k}.get(regime)
-    twins = (_class_shifts(g.n, [range(twins_from, m), range(m + twins_from, m + n)])
-             if verify and twins_from is not None else [])
     return _certify(out, k, r, f"colour_bipartite(m={m}, n={n}, k={k}, {regime})",
-                    verify, budget, symmetries=twins)
+                    verify, budget, symmetries=_twin_shifts(g, colour_of) if verify else ())
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +395,7 @@ def colour_multipartite_blowup(sizes, verify: bool = True, budget=None) -> EdgeC
     """Blow-up of the 3-coloured K_t onto classes of the given sizes: an edge
     inherits the colour of its class pair. So the vertices of a class are
     twins, and the self-verification gets the cyclic shifts of each class
-    as symmetries (generators._family_symmetries)."""
+    as symmetries (graph._twin_shifts)."""
     sizes = tuple(int(s) for s in sizes)
     t = len(sizes)
     if t < 3:
@@ -414,9 +408,8 @@ def colour_multipartite_blowup(sizes, verify: bool = True, budget=None) -> EdgeC
         cls.extend([idx] * s)
     colour_of = tuple(base[(cls[u], cls[v])] for u, v in g.edges)
     out = EdgeColouring(g, colour_of, 3)
-    shifts = _family_symmetries("complete_multipartite", sizes) if verify else []
     return _certify(out, 1, 3, f"colour_multipartite_blowup({sizes})", verify, budget,
-                    symmetries=shifts)
+                    symmetries=_twin_shifts(g, colour_of) if verify else ())
 
 
 def colour_balanced_multipartite_random(t: int, n: int, k: int, seed,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidParameter, SpreadTooSmall
-from .graph import Graph
+from .graph import Graph, _class_shifts
 
 
 def cycle(n: int) -> Graph:
@@ -102,32 +102,16 @@ def path_cycle_join(k: int, t: int) -> Graph:
 # Automorphisms of the canonical labellings
 
 
-def _class_shifts(n: int, classes) -> list:
-    """The cyclic shifts of each class of vertices of range(n), one class at
-    a time: for a class c_0, ..., c_{L-1} and t in 1..L-1, c_i goes to
-    c_{(i+t) mod L} and every other vertex stays. They carry each member of
-    a class onto every other with L - 1 permutations per class, fewer to
-    apply to each witness than the C(L, 2) transpositions."""
-    shifts = []
-    for cls in classes:
-        cls = tuple(cls)
-        for t in range(1, len(cls)):
-            p = list(range(n))
-            for i, v in enumerate(cls):
-                p[v] = cls[(i + t) % len(cls)]
-            shifts.append(p)
-    return shifts
-
-
 def _family_symmetries(kind: str, param) -> list:
     """Automorphisms of the canonical graph of a family, as vertex lists p
     (vertex v goes to p[v]), the identity left out; kind and param are as
     solver._detect_family names them. Wheels get the 2n - 1 rim rotations
     and reflections, with the centre fixed; cubes the 2^d - 1 translations
-    v -> v XOR t; complete graphs and complete (multi)partite graphs the
-    cyclic shifts of each class (K_n is one class). Any other kind gets
-    none. Searching one subset per orbit of these spares the search of its
-    images, which have the same cycles up to relabelling."""
+    v -> v XOR t; K_n the n - 1 cyclic shifts of its vertices. Any other
+    kind gets none: the classes of a complete (multi)partite graph are
+    twins, read off any graph by graph._twin_shifts. Searching one subset
+    per orbit of these spares the search of its images, which have the
+    same cycles up to relabelling."""
     if kind == "wheel":
         n = param
         return ([[(i + t) % n for i in range(n)] + [n] for t in range(1, n)]
@@ -137,12 +121,6 @@ def _family_symmetries(kind: str, param) -> list:
         return [[v ^ t for v in range(size)] for t in range(1, size)]
     if kind == "complete":
         return _class_shifts(param, [range(param)])
-    if kind in ("complete_bipartite", "complete_multipartite"):
-        classes, start = [], 0
-        for size in param:
-            classes.append(range(start, start + size))
-            start += size
-        return _class_shifts(start, classes)
     return []
 
 

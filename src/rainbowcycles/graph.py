@@ -607,6 +607,43 @@ def _vertex_deleted_hamiltonian(g: Graph, b: Budget) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Twins
+
+
+def _twin_classes(g: Graph, colour_of=None) -> list:
+    """The twin classes of g, ascending tuples in order of least vertex: its
+    vertices grouped by open neighbourhood (and, given colour_of, colour on
+    the edge to each neighbour), one dict lookup each, O(e) in all."""
+    classes = {}
+    for v, nbrs in enumerate(g.adjacency):
+        key = (tuple(w for w, _ in nbrs) if colour_of is None
+               else tuple((w, colour_of[eid]) for w, eid in nbrs))
+        classes.setdefault(key, []).append(v)
+    return [tuple(c) for c in classes.values()]
+
+
+def _class_shifts(n: int, classes) -> list:
+    """The cyclic shifts of each class of vertices of range(n), one class at
+    a time: for a class c_0, ..., c_{L-1} and t in 1..L-1, c_i goes to
+    c_{(i+t) mod L} and every other vertex stays. They carry each member of
+    a class onto every other with L - 1 permutations per class, fewer to
+    apply to each witness than the C(L, 2) transpositions."""
+    shifts = []
+    for cls in classes:
+        for t in range(1, len(cls)):
+            p = list(range(n))
+            for i, v in enumerate(cls):
+                p[v] = cls[(i + t) % len(cls)]
+            shifts.append(p)
+    return shifts
+
+
+def _twin_shifts(g: Graph, colour_of=None) -> list:
+    """The shifts of g's twin classes: automorphisms of g (and colour_of)."""
+    return _class_shifts(g.n, _twin_classes(g, colour_of))
+
+
+# ---------------------------------------------------------------------------
 # k-subsets in colex order, and the witnesses that cover them
 
 
@@ -944,8 +981,8 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     anchored-cycle search through all n vertices (79 nodes on Q_6), and its
     nodes, at most 2 M of them, count against ``budget`` too. Without one,
     every k-subset is checked, which is exponential. The subsets are visited
-    in colex order, and one inside a cycle already found for an earlier
-    subset needs no search.
+    in colex order, and one inside a cycle found for an earlier subset, or
+    inside its image under a shift of twins (_twin_shifts), needs no search.
     """
     if k < 1:
         raise InvalidParameter("k must be positive")
@@ -975,10 +1012,11 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     b.spend(shortcut.used)
     if hamiltonian:
         return True
-    cover = _WitnessCover(g.n)
+    cover, shifts = _WitnessCover(g.n), _twin_shifts(g)
     for s in cover.uncovered(k):
         found = _anchored_cycle(g, s, b, (g.n,))
         if found is None:
             return False
         cover.add(found[0])
+        cover.add_images(found[0], shifts)
     return True

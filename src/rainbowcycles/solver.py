@@ -28,6 +28,8 @@ from .graph import (
     Budget,
     Graph,
     _is_cycle_graph,
+    _twin_classes,
+    _twin_shifts,
     _WitnessCover,
     colex_subsets,
     cycle_vertices_to_edge_ids,
@@ -339,25 +341,23 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
     needs a strict gain, so the bound, its colex-first subset and the mode
     do not change. ``b.cuts["incumbent"]`` counts the settled subsets.
 
-    A graph of a named family (_detect_family) also keeps the images of
-    every cycle found under its automorphisms (generators._family_symmetries,
-    lifted through the detected order), so the pass searches about one
-    subset per orbit. An image is as long as its cycle, at most best once
-    it is kept, so it too hides only subsets that cannot set a record.
-    crx_lower_bound_distance(wheel(12), 3) takes 1,009 nodes, 1,740 with
-    the identity alone."""
-    b = Budget.of(budget)
+    Every cycle found also brings its images under the twin shifts of g
+    (graph._twin_shifts) and, on a wheel, cube or complete graph, the
+    family's automorphisms (generators._family_symmetries), so the pass
+    searches about one subset per orbit. An image is as long as its cycle,
+    at most best once it is kept, so it too hides only subsets that cannot
+    set a record. crx_lower_bound_distance(wheel(12), 3) takes 1,009
+    nodes, 1,740 with the identity alone."""
+    return _distance_bound(g, k, Budget.of(budget), _detect_family(g))
+
+
+def _distance_bound(g: Graph, k: int, b: Budget, family) -> tuple[int, Certificate]:
+    """crx_lower_bound_distance for g, whose _detect_family is family."""
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
-    perms = []
-    family = _detect_family(g)
+    perms = _twin_shifts(g)
     if family is not None:
-        kind, param, order = family
-        for q in _family_symmetries(kind, param):
-            p = [0] * g.n
-            for i, v in enumerate(order):  # vertex order[i] plays canonical i
-                p[v] = order[q[i]]
-            perms.append(p)
+        perms += _family_symmetries(*family[:2])
     kept = _WitnessCover(g.n)
     if math.comb(g.n, k) <= MAX_EXHAUSTIVE_SUBSETS:
         pool = kept.uncovered(k)
@@ -393,10 +393,11 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
 def _detect_family(g: Graph):
     """(kind, param, order) for a named family, else None: vertex order[i]
     of g plays vertex i of the family's canonical labelling (see generators).
-    Complete (multi)partite graphs are found in any labelling, a vertex's
-    class being it and its non-neighbours, and a stable sort by size keeps
-    the identity order on a canonical input. The other families get the
-    identity order: cubes and wheels are found in gen's labelling, and
+    Complete (multi)partite graphs are found in any labelling: their classes
+    are the (independent) twin classes, at least two, joined by all
+    (n^2 - sum |class|^2) / 2 pairs between them; a stable sort by size
+    keeps the identity order on a canonical input. The other families get
+    the identity order: cubes and wheels are found in gen's labelling, and
     complete graphs and cycles in any (a cycle's bound, the rainbow
     colouring of g, needs no order)."""
     n = g.n
@@ -414,37 +415,23 @@ def _detect_family(g: Graph):
     if n >= 5 and g.degree(n - 1) == n - 1 and all(g.degree(v) == 3 for v in range(n - 1)):
         if g.edges == wheel(n - 1).edges:
             return ("wheel", n - 1, identity)
-    classes, assigned = [], [None] * n
-    for v in range(n):
-        if assigned[v] is not None:
-            continue
-        cls = [w for w in range(n) if w == v or not g.has_edge(v, w)]
-        for w in cls:
-            if assigned[w] is not None:
-                return None
-            assigned[w] = len(classes)
-        classes.append(cls)
-    if len(classes) < 2:
+    classes = sorted(_twin_classes(g), key=len)
+    if len(classes) < 2 or 2 * g.e != n * n - sum(len(c) ** 2 for c in classes):
         return None
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (assigned[u] == assigned[v]) == g.has_edge(u, v):
-                return None
-    classes.sort(key=len)
     kind = "complete_bipartite" if len(classes) == 2 else "complete_multipartite"
     return (kind, tuple(map(len, classes)), tuple(v for c in classes for v in c))
 
 
-def _upper_bound_construction(g: Graph, k: int, budget, seed) -> EdgeColouring:
+def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeColouring:
     """A colouring of g by the best applicable constructor; its r is the
     upper bound. A family constructor colours the canonical graph, carried
-    onto g through _detect_family's order; its witnesses name canonical
-    vertices and are kept on the identity order only. Samplers may fail,
-    unsupported regimes raise, and a self-verification may run out of the
-    budget: each falls through to the Hamilton or rainbow fallback. A
-    ConstructionRejected (transcription error) propagates."""
+    onto g through the order of family (g's _detect_family); its witnesses
+    name canonical vertices and are kept on the identity order only.
+    Samplers may fail, unsupported regimes raise, and a self-verification
+    may run out of the budget: each falls through to the Hamilton or
+    rainbow fallback. A ConstructionRejected (transcription error) propagates."""
     soft = (AttemptsExhausted, RegimeUnsupported, InvalidParameter, BudgetExceeded)
-    kind, param, order = _detect_family(g) or (None, None, None)
+    kind, param, order = family or (None, None, None)
     c = None
     try:
         if kind == "cycle":
@@ -490,10 +477,12 @@ def crx_interval(g: Graph, k: int, budget=None, seed=0) -> CrxResult:
     """Bound crx_k without enumeration: best certificate lower bound versus
     best applicable constructor upper bound; exact when they meet. The
     distance bound runs the F_k precheck. The witness is a colouring of g,
-    in any labelling, with upper colours."""
+    in any labelling, with upper colours. A cycle found is at least the
+    girth, so the girth is computed only when the bound found none."""
     b = Budget.of(budget)
-    dist, cert = crx_lower_bound_distance(g, k, b)
-    lower = max(k, dist, girth(g) or 3)
-    witness = _upper_bound_construction(g, k, b, seed)
+    family = _detect_family(g)
+    dist, cert = _distance_bound(g, k, b, family)
+    lower = max(k, dist or girth(g) or 3)
+    witness = _upper_bound_construction(g, k, b, seed, family)
     kind = "exact" if lower == witness.r else "interval"
     return CrxResult(kind, lower, witness.r, witness, (cert,))

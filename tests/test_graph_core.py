@@ -22,6 +22,8 @@ from rainbowcycles.graph import (
     _bfs_path,
     _bipartition,
     _is_cycle_graph,
+    _twin_classes,
+    _twin_shifts,
     _WitnessCover,
     block_decomposition,
     circumference,
@@ -537,10 +539,19 @@ class TestFamilyMembership:
 
     def test_unbalanced_bipartite_goes_straight_to_the_triples(self):
         # K_{6,12} has no Hamilton cycle: the shortcut's search ran out of
-        # its 2 M nodes (2,005,247 in all), and now the triple pass runs alone
+        # its 2 M nodes (2,005,247 in all), and now the triple pass runs alone;
+        # it took 5,246 nodes before it kept each cycle's twin images
         b = Budget()
         assert in_family_Fk(gen.complete_bipartite(6, 12), 3, b)
-        assert b.used == 5_246
+        assert b.used == 108
+
+    def test_twin_images_fit_k3_38_in_the_default_budget(self):
+        # the triple pass over K_{3,38} searched 11,056,821 nodes, past the
+        # default 10 M, before it kept each cycle's images under the cyclic
+        # shifts of the two sides
+        b = Budget()
+        assert in_family_Fk(gen.complete_bipartite(3, 38), 3, b)
+        assert b.used == 112_263
 
     def test_matches_brute(self, corpus):
         from conftest import brute_all_cycles
@@ -573,6 +584,73 @@ class TestFamilyMembership:
                 s = tuple(sorted(rng.sample(range(g.n), k)))
                 expected = any(set(s) <= verts for verts, _ in cycles)
                 assert cycle_through_exists(g, s) == expected, (name, s)
+
+
+@st.composite
+def graphs_with_planted_twins(draw):
+    """(graph, colour per edge id): a random coloured graph on 1 to 6
+    vertices, then up to 4 copies of drawn vertices (each joined to the
+    copied vertex's neighbours, in the same colours), perhaps one edge
+    recoloured, all under a drawn relabelling."""
+    n = draw(st.integers(1, 6))
+    colour = {}  # (u, v) with u < v -> colour
+    for p in itertools.combinations(range(n), 2):
+        if draw(st.booleans()):
+            colour[p] = draw(st.integers(0, 2))
+    for v in draw(st.lists(st.integers(0, n - 1), max_size=4)):
+        for (a, b), c in list(colour.items()):
+            if v in (a, b):
+                colour[(a + b - v, n)] = c
+        n += 1
+    if colour and draw(st.booleans()):
+        colour[draw(st.sampled_from(sorted(colour)))] = 3
+    perm = draw(st.permutations(range(n)))
+    colour = {tuple(sorted((perm[u], perm[v]))): c for (u, v), c in colour.items()}
+    g = Graph(n, tuple(colour))
+    return g, [colour[e] for e in g.edges]
+
+
+class TestTwins:
+    @settings(max_examples=200, deadline=None)
+    @given(graphs_with_planted_twins(), st.booleans())
+    def test_matches_the_pairwise_oracle(self, drawn, coloured):
+        g, colour_of = drawn
+        if not coloured:
+            colour_of = None
+        # nbrs[v]: neighbour -> colour of the edge to it (0 when uncoloured)
+        nbrs = [{} for _ in range(g.n)]
+        for eid, (u, v) in enumerate(g.edges):
+            c = 0 if colour_of is None else colour_of[eid]
+            nbrs[u][v] = nbrs[v][u] = c
+        expected = []
+        for v in range(g.n):
+            if not any(v in cls for cls in expected):
+                expected.append(tuple(w for w in range(g.n) if nbrs[w] == nbrs[v]))
+        assert _twin_classes(g, colour_of) == expected
+        colour = {e: nbrs[e[0]][e[1]] for e in g.edges}
+        shifts = _twin_shifts(g, colour_of)
+        assert len(shifts) == sum(len(cls) - 1 for cls in expected)
+        for p in shifts:
+            assert sorted(p) == list(range(g.n)) and p != list(range(g.n))
+            assert {tuple(sorted((p[u], p[v]))): c for (u, v), c in colour.items()} == colour
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 4), (2, 2), (2, 5), (3, 3), (4, 7),
+                                       (1, 1, 1), (1, 2, 3), (2, 2, 2), (1, 1, 2, 2),
+                                       (2, 3, 3, 4)])
+    def test_shifts_of_complete_multipartite_graphs(self, sizes):
+        # the classes are the twins: sum(L - 1) class shifts, each a distinct
+        # non-identity automorphism
+        g = (gen.complete_bipartite(*sizes) if len(sizes) == 2
+             else gen.complete_multipartite(sizes))
+        perms = _twin_shifts(g)
+        count = sum(sizes) - len(sizes)
+        assert len(perms) == count
+        assert len({tuple(p) for p in perms}) == count
+        edges = {frozenset(e) for e in g.edges}
+        for p in perms:
+            assert sorted(p) == list(range(g.n))
+            assert p != list(range(g.n))
+            assert {frozenset((p[u], p[v])) for u, v in g.edges} == edges
 
 
 class TestBudgets:

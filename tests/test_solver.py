@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (brute_all_cycles, brute_cycle_index, brute_is_k_connected,
                       brute_rainbow_index, brute_subtrees, random_connected_graph, theta)
@@ -508,3 +510,61 @@ class TestFamilyDetection:
         k33 = gen.complete_bipartite(3, 3)
         assert solver._detect_family(Graph(6, k33.edges + ((1, 2),))) is None
         assert solver._detect_family(k33.without_edge(0)) is None
+
+
+def _brute_multipartite(g):
+    """(kind, sizes, order) by brute force when g is complete bipartite or
+    multipartite, else None: non-adjacency must be transitive, so that its
+    classes (a vertex and its non-neighbours) are independent and joined
+    to each other; they are listed by least vertex, then stably by size."""
+    apart = [[u != v and not g.has_edge(u, v) for v in range(g.n)] for u in range(g.n)]
+    for u, v, w in itertools.permutations(range(g.n), 3):
+        if apart[u][v] and apart[v][w] and not apart[u][w]:
+            return None
+    classes = []
+    for v in range(g.n):
+        if not any(v in c for c in classes):
+            classes.append([w for w in range(g.n) if w == v or apart[v][w]])
+    if len(classes) < 2:
+        return None
+    classes.sort(key=len)
+    kind = "complete_bipartite" if len(classes) == 2 else "complete_multipartite"
+    return (kind, tuple(map(len, classes)), tuple(v for c in classes for v in c))
+
+
+@st.composite
+def graphs_to_detect(draw):
+    """A random graph on 1 to 8 vertices, or a relabelled complete
+    multipartite graph with 2 to 4 classes of 1 to 3 vertices, perhaps with
+    one pair of vertices toggled."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        return Graph(n, tuple(p for p in itertools.combinations(range(n), 2)
+                              if draw(st.booleans())))
+    g = gen.complete_multipartite(sorted(draw(st.lists(st.integers(1, 3), min_size=2,
+                                                       max_size=4))))
+    perm = draw(st.permutations(range(g.n)))
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges}
+    if draw(st.booleans()):
+        edges ^= {draw(st.sampled_from(list(itertools.combinations(range(g.n), 2))))}
+    return Graph(g.n, tuple(edges))
+
+
+_CANONICAL = {"complete": gen.complete, "cycle": gen.cycle, "hypercube": gen.hypercube,
+              "wheel": gen.wheel, "complete_bipartite": lambda s: gen.complete_bipartite(*s),
+              "complete_multipartite": gen.complete_multipartite}
+
+
+class TestFamilyDetectionOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_to_detect())
+    def test_matches_the_brute_oracle(self, g):
+        found = solver._detect_family(g)
+        if found is not None and found[0] != "cycle":  # a cycle needs no order
+            # order carries the canonical graph's edges onto g
+            kind, param, order = found
+            canonical = _CANONICAL[kind](param)
+            assert Graph(g.n, tuple((order[u], order[v]) for u, v in canonical.edges)) == g
+        if found is None or found[0].startswith("complete_"):
+            assert found == _brute_multipartite(g)
+        # else a complete graph, cycle, cube or wheel, which take precedence
