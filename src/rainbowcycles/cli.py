@@ -215,13 +215,16 @@ def cmd_solve(args) -> int:
     g = doc.graph()
     if args.mode == "exact":
         fn = solver.rx_exact if args.index == "rx" else solver.crx_exact
-        res = fn(g, args.k, budget=args.budget, force=args.force)
+        b = gr.Budget.of(args.budget, solver.DEFAULT_EXACT_BUDGET)
+        res = fn(g, args.k, budget=b)
     else:
         if args.index == "rx":
             raise InvalidParameter("interval mode is available for crx only")
-        res = solver.crx_interval(g, args.k, budget=args.budget, seed=args.seed or 0)
+        b = gr.Budget(args.budget)
+        res = solver.crx_interval(g, args.k, budget=b, seed=args.seed or 0)
     _report(args, {"command": "solve", "index": args.index, "k": args.k,
-                   "mode": args.mode, "result": _result_payload(res)})
+                   "mode": args.mode, "result": _result_payload(res),
+                   "search_nodes": b.used, "cuts": b.cuts})
     if args.mode == "exact" and res.kind != "exact":
         return EXIT_UNSUPPORTED  # budget ran out; interval carries the bounds
     return EXIT_OK
@@ -230,19 +233,19 @@ def cmd_solve(args) -> int:
 def cmd_analyze(args) -> int:
     doc = _read_doc(args)
     g = doc.graph()
+    b = gr.Budget(args.budget)  # one budget for every search below
     dec = gr.block_decomposition(g)
     payload = {
         "command": "analyze",
         "n": g.n,
         "e": g.e,
-        "blocks": [sorted(b.edge_ids) for b in dec.blocks],
+        "blocks": [sorted(blk.edge_ids) for blk in dec.blocks],
         "cut_vertices": sorted(dec.cut_vertices),
         "is_2_connected": gr.is_k_connected(g, 2),
         "is_minimally_2_connected": gr.is_minimally_2_connected(g),
         "in_F1": gr.in_family_Fk(g, 1),
         "in_F2": gr.in_family_Fk(g, 2),
     }
-    b = gr.Budget(args.budget)  # one budget for every search below
     try:
         inv = gr.graph_invariants(g, budget=b)
         payload.update(girth=inv.girth, circumference=inv.circumference,
@@ -302,9 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--index", choices=("crx", "rx"), default="crx")
     p.add_argument("--mode", choices=("exact", "interval"), default="exact")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"search nodes (default {solver.DEFAULT_EXACT_BUDGET:,} in exact "
+                        f"mode, {gr.DEFAULT_BUDGET:,} in interval mode)")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--force", action="store_true", help="ignore the desk-scale guard")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("analyze", help="structural report: blocks, girth, F_k, ...")

@@ -57,10 +57,6 @@ class BaseWalkNotFound(RainbowError):
     """A base cube of the recursive colouring has no walk for a sampled tuple."""
 
 
-class ScopeExceeded(InvalidParameter):
-    """The instance is outside the solver's desk-scale envelope (pass force=True)."""
-
-
 class BudgetExceeded(RainbowError):
     """An exact search hit its node budget; carries any partial result."""
 

@@ -35,13 +35,18 @@ class Budget:
 
     def __init__(self, limit=DEFAULT_BUDGET):
         self.limit = DEFAULT_BUDGET if limit is None else int(limit)
+        if self.limit < 0:
+            raise InvalidParameter(f"a node budget must be non-negative, got {self.limit}")
         self.used = 0
         self.cuts = {"closing": 0, "sides": 0}
 
     @classmethod
-    def of(cls, budget):
-        """budget if it is a Budget, else a Budget with that limit."""
-        return budget if isinstance(budget, cls) else cls(budget)
+    def of(cls, budget, default=DEFAULT_BUDGET):
+        """budget if it is a Budget, else a Budget with that limit, or with
+        default when budget is None."""
+        if isinstance(budget, cls):
+            return budget
+        return cls(default if budget is None else budget)
 
     def spend(self, amount=1):
         self.used += amount
@@ -1001,8 +1006,8 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
         return True
     b = Budget.of(budget)
     # the shortcut may give up after 2 M nodes; what it spends and cuts is
-    # charged to b
-    shortcut = Budget(min(b.limit - b.used, 2_000_000))
+    # charged to b, which may have run out already
+    shortcut = Budget(max(0, min(b.limit - b.used, 2_000_000)))
     try:
         hamiltonian = find_hamilton_cycle(g, shortcut) is not None
     except BudgetExceeded:

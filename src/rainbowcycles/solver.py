@@ -21,7 +21,6 @@ from .errors import (
     InvalidParameter,
     NotInFamily,
     RegimeUnsupported,
-    ScopeExceeded,
 )
 from .generators import _family_symmetries, wheel
 from .graph import (
@@ -41,8 +40,15 @@ from .graph import (
 )
 from .search import _shortest_cycle_through
 
-MAX_SOLVER_EDGES = 16
-MAX_SOLVER_SUBSETS = 100_000
+# The node budget of an exact solve given none. A solve with budget N walks
+# at most N + 1 nodes and builds a cover table of at most
+# _TABLE_CELLS_PER_NODE * N cells (see _reserve_table). Measured per unit
+# (Python 3.11, 2 vCPUs): a propagator node up to about 210 us
+# (rx_exact(wheel(8), 5), about 45 s at this default), a structure-listing
+# node about 0.5 KB (rx_exact(hypercube(4), 2)), a table cell up to about
+# 0.8 us and 11 bytes (crx_2(K_9), where most cycles cover most pairs).
+DEFAULT_EXACT_BUDGET = 250_000
+_TABLE_CELLS_PER_NODE = 16
 MAX_EXHAUSTIVE_SUBSETS = 20_000  # crx_lower_bound_distance samples beyond this
 SAMPLER_ATTEMPTS = 200  # samples a randomised constructor in crx_interval may draw
 
@@ -51,9 +57,14 @@ SAMPLER_ATTEMPTS = 200  # samples a randomised constructor in crx_interval may d
 class Certificate:
     """Lower-bound evidence as the solver found it; the library does not re-check it.
 
-    distance_bound: every structure covering ``subset`` has at least
-    ``length`` edges (for crx the shortest cycle through it, for rx the
-    smallest tree containing it), so a rainbow one needs that many colours.
+    distance_bound, payload ``subset``, ``length`` and ``mode``: every
+    structure covering the k-subset ``subset`` has at least ``length`` edges
+    (for crx the shortest cycle through it, for rx the smallest tree
+    containing it), so a rainbow one needs that many colours. ``mode`` says
+    how the bound was found: ``exhaustive`` (the most over every k-subset),
+    ``sampled`` (over a seeded sample), either with ``-partial`` when the
+    budget ran out during the pass, ``girth`` (no cycle is shorter than the
+    girth) or ``subset-size`` (a tree holding k vertices has k - 1 edges).
     exhaustion: every one of the ``candidates`` canonical ``r``-colourings
     was refuted by the search.
     """
@@ -108,40 +119,35 @@ def canonical_colourings(e: int, r: int):
     yield from rec(0, 0)
 
 
-def _guard_scope(g: Graph, k: int, force: bool):
-    if not force:
-        if g.e > MAX_SOLVER_EDGES:
-            raise ScopeExceeded(
-                f"{g.e} edges exceeds the desk-scale envelope of {MAX_SOLVER_EDGES}; pass force=True"
-            )
-        if math.comb(g.n, k) > MAX_SOLVER_SUBSETS:
-            raise ScopeExceeded(
-                f"C({g.n},{k}) subsets exceed {MAX_SOLVER_SUBSETS}; pass force=True"
-            )
-
-
-def crx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
+def crx_exact(g: Graph, k: int, budget=None) -> CrxResult:
     """Exact k-rainbow cycle index by canonical enumeration (see _exact); the
-    structures that must be rainbow are the simple cycles."""
-    b = Budget.of(budget)
+    structures that must be rainbow are the simple cycles. Without a budget
+    it runs on DEFAULT_EXACT_BUDGET nodes. A budget spent after the F_k
+    precheck and before the first pass, or too small for the cover table
+    (see _reserve_table), gives the interval [max(k, girth), e]."""
+    b = Budget.of(budget, DEFAULT_EXACT_BUDGET)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
-    _guard_scope(g, k, force)
     try:
+        _reserve_table(g, k, b)
         cycles = [(cycle_vertices_to_edge_ids(g, c), frozenset(), frozenset(c))
                   for c in enumerate_simple_cycles(g, b)]
+        _reserve_table(g, k, b, len(cycles))
     except BudgetExceeded:
-        return _budget_out(g, k, max(k, girth(g) or 3))
+        cert = _distance_certificate(tuple(range(k)), girth(g), "girth")
+        return _budget_out(g, max(k, cert.payload["length"]), (cert,))
     return _exact(g, k, b, cycles)
 
 
-def rx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
+def rx_exact(g: Graph, k: int, budget=None) -> CrxResult:
     """Exact k-rainbow index by canonical enumeration (see _exact); rx_1 = 0.
 
     The structures that must be rainbow are the subtrees with at most k
     leaves, each covering the k-subsets that hold its leaves: pruning the
-    leaves outside S from a rainbow tree through S leaves one of them. A
-    budget spent while listing them gives the interval [max(1, k - 1), e].
+    leaves outside S from a rainbow tree through S leaves one of them.
+    Without a budget it runs on DEFAULT_EXACT_BUDGET nodes. A budget spent
+    before the first pass, or too small for the cover table (see
+    _reserve_table), gives the interval [k - 1, e].
     """
     if not is_connected(g):
         raise InvalidParameter("rx needs a connected graph")
@@ -149,16 +155,34 @@ def rx_exact(g: Graph, k: int, budget=None, force: bool = False) -> CrxResult:
         raise InvalidParameter(f"k must lie in 1..{g.n}")
     if k == 1:
         return CrxResult("exact", 0, 0, None, ())
-    _guard_scope(g, k, force)
-    b = Budget.of(budget)
+    b = Budget.of(budget, DEFAULT_EXACT_BUDGET)
     adj, trees = g.adjacency, []
     try:
+        _reserve_table(g, k, b)
         for root in range(g.n):
             frontier = [(eid, x) for x, eid in adj[root] if x > root]
             _grow_subtrees(adj, root, k, b, {root}, (), frontier, trees)
+        _reserve_table(g, k, b, len(trees))
     except BudgetExceeded:
-        return _budget_out(g, k, max(1, k - 1))
+        cert = _distance_certificate(tuple(range(k)), k - 1, "subset-size")
+        return _budget_out(g, k - 1, (cert,))
     return _exact(g, k, b, trees)
+
+
+def _reserve_table(g: Graph, k: int, b: Budget, structures: int = 1):
+    """Raise BudgetExceeded when the cover table of _exact, a row of one cell
+    per structure for each k-subset, would have more than
+    _TABLE_CELLS_PER_NODE cells per node of b's limit. The build tests and
+    may store every cell before the first pass node, and no node counts it,
+    so this test stands in for that count; it spends nothing, and no node
+    count changes. Made with one structure before the listing, it stops a
+    solve whose rows alone are too many without listing anything."""
+    if math.comb(g.n, k) * structures > _TABLE_CELLS_PER_NODE * b.limit:
+        raise BudgetExceeded(b.limit)
+
+
+def _distance_certificate(subset, length: int, mode: str) -> Certificate:
+    return Certificate("distance_bound", {"subset": subset, "length": length, "mode": mode})
 
 
 def _grow_subtrees(adj, root, k, b, verts, eids, frontier, out, deg=None, leaves=0):
@@ -234,12 +258,11 @@ def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
             raise InvalidParameter(f"no structure covers the {k}-subset {s}")
         for si in cover:
             subsets_of[si].append(ti)
-        cov.append(sum(1 << si for si in cover))
+        cov.append(_bitset(cover))
         size = len(structures[cover[0]][0])  # the table is sorted by edge count
         if size > bound:
             bound, bound_set = size, s
-    evidence = [Certificate("distance_bound", {"subset": bound_set, "length": bound,
-                                               "covers_r_below": bound})]
+    evidence = [_distance_certificate(bound_set, bound, "exhaustive")]
     tmask = [0] * g.e
     kept = 0
     for r in range(bound, g.e + 1):
@@ -250,25 +273,29 @@ def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
         try:
             witness = _search_r(g, r, b, tmask, subsets_of, cov, (1 << kept) - 1)
         except BudgetExceeded:
-            return _budget_out(g, k, r, tuple(evidence))
+            return _budget_out(g, r, tuple(evidence))
         if witness is not None:
             return CrxResult("exact", r, r, witness, tuple(evidence))
         evidence.append(Certificate("exhaustion", {"r": r, "candidates": stirling2(g.e, r)}))
     raise InvalidParameter(f"no feasible colouring with up to {g.e} colours")
 
 
-def _budget_out(g: Graph, k: int, lower: int, evidence=None) -> CrxResult:
+def _bitset(indices) -> int:
+    """The int with bit i set for each i of the ascending list indices, in
+    time linear in its length and width (a sum of shifts is quadratic)."""
+    bits = bytearray((indices[-1] >> 3) + 1)
+    for i in indices:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _budget_out(g: Graph, lower: int, evidence) -> CrxResult:
     """The interval [lower, e] left by a budget-out, with the evidence for
-    every r below lower. When lower == e the value is e, and the rainbow
+    lower. When lower == e the value is e, and the rainbow
     colouring, the only canonical e-colouring, is the canonically least
-    witness. Without evidence, lower is then the fewest edges of a structure
-    covering any k-subset (lower == e holds only for a cycle, and for rx a
-    tree at k = n), so one distance bound covers every r below."""
+    witness."""
     if lower < g.e:
-        return CrxResult("interval", lower, g.e, None, evidence or ())
-    if evidence is None:
-        evidence = (Certificate("distance_bound", {"subset": tuple(range(k)), "length": lower,
-                                                   "covers_r_below": lower}),)
+        return CrxResult("interval", lower, g.e, None, evidence)
     return CrxResult("exact", lower, lower, rainbow_colouring(g), evidence)
 
 
@@ -381,9 +408,7 @@ def _distance_bound(g: Graph, k: int, b: Budget, family) -> tuple[int, Certifica
     except BudgetExceeded:
         mode += "-partial"  # a partial maximisation is still a lower bound
     b.cuts["incumbent"] = b.cuts.get("incumbent", 0) + settled
-    return best, Certificate(
-        "distance_bound", {"subset": best_set, "length": best, "mode": mode}
-    )
+    return best, _distance_certificate(best_set, best, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +507,9 @@ def crx_interval(g: Graph, k: int, budget=None, seed=0) -> CrxResult:
     b = Budget.of(budget)
     family = _detect_family(g)
     dist, cert = _distance_bound(g, k, b, family)
-    lower = max(k, dist or girth(g) or 3)
+    if not dist:
+        cert = _distance_certificate(tuple(range(k)), girth(g), "girth")
+    lower = max(k, cert.payload["length"])
     witness = _upper_bound_construction(g, k, b, seed, family)
     kind = "exact" if lower == witness.r else "interval"
     return CrxResult(kind, lower, witness.r, witness, (cert,))

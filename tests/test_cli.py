@@ -189,6 +189,27 @@ class TestPipelines:
         rep = json.loads(report)["result"]
         assert (rep["kind"], rep["value"], rep["witness"]["colours"]) == ("exact", 5, [0, 1, 2, 3, 4])
 
+    def test_solve_reports_its_nodes(self, monkeypatch, capsys):
+        # the golden count of crx_2(W_5), spent in the default exact budget
+        _, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
+        code, report, _ = run_cli(["solve", "--k", "2"], doc_text, monkeypatch, capsys)
+        rep = json.loads(report)
+        assert code == 0 and rep["result"]["value"] == 5
+        assert (rep["search_nodes"], rep["cuts"]) == (135, {"closing": 0, "sides": 0})
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--k", "2", "--budget", "-5"],
+        ["solve", "--k", "2", "--budget", "-5"],
+        ["solve", "--k", "2", "--mode", "interval", "--budget", "-5"],
+        ["analyze", "--budget", "-1"],
+    ])
+    def test_negative_budget_is_refused(self, argv, monkeypatch, capsys):
+        _, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
+        _, doc_text, _ = run_cli(["colour", "wheel", "--k", "2"], doc_text, monkeypatch, capsys)
+        code, out, err = run_cli(argv, doc_text, monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "non-negative" in err
+
     def test_analyze_petersen(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "petersen"], "", monkeypatch, capsys)
         code, report, _ = run_cli(["analyze"], doc_text, monkeypatch, capsys)
@@ -623,7 +644,7 @@ class TestCachedParser:
                      ["-i", "doc.json", "verify", "--k", "3", "--index", "rx", "--budget", "9"],
                      ["colour", "cube-recursive", "--k", "2", "--block", "3", "--no-verify"],
                      ["colour", "wheel", "--k", "2"],
-                     ["solve", "--k", "2", "--mode", "interval", "--seed", "4", "--force"],
+                     ["solve", "--k", "2", "--mode", "interval", "--seed", "4"],
                      ["solve", "--k", "2"],
                      ["gen", "complete-multipartite", "sizes=1,2"],
                      ["gen", "petersen"]):

@@ -666,6 +666,22 @@ class TestBudgets:
         assert Budget.of(b) is b
         assert Budget.of(7).limit == 7
         assert Budget.of(None).limit == Budget().limit
+        assert Budget.of(None, 7).limit == 7
+        assert Budget.of(b, 7) is b
+
+    def test_negative_limit_is_refused(self):
+        with pytest.raises(InvalidParameter):
+            Budget(-5)
+        assert Budget(0).limit == 0
+
+    def test_spent_budget_reaches_the_family_shortcut(self):
+        # the F_3 Hamilton shortcut gets the nodes left, clamped at 0 on a
+        # budget that has run out; the caller's budget then raises
+        b = Budget(0)
+        with pytest.raises(BudgetExceeded):
+            b.spend()
+        with pytest.raises(BudgetExceeded):
+            in_family_Fk(gen.complete(5), 3, b)
 
     def test_hamilton_budget(self):
         with pytest.raises(BudgetExceeded):

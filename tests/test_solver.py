@@ -9,7 +9,7 @@ from conftest import (brute_all_cycles, brute_cycle_index, brute_is_k_connected,
                       brute_rainbow_index, brute_subtrees, random_connected_graph, theta)
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
-from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily, ScopeExceeded
+from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily
 from rainbowcycles.colouring import rainbow_colouring
 from rainbowcycles.graph import Budget, Graph, find_hamilton_cycle, in_family_Fk
 from rainbowcycles.search import (min_cycle_length_through, verify_k_rainbow_cycle_colouring,
@@ -123,11 +123,65 @@ class TestCrxExact:
         with pytest.raises(NotInFamily):
             solver.crx_exact(Graph(4, ((0, 1), (1, 2), (2, 3))), 1)
 
-    def test_scope_guard(self):
-        with pytest.raises(ScopeExceeded):
-            solver.crx_exact(gen.complete(7), 2)  # 21 > 16 edges
-        with pytest.raises(ScopeExceeded):
-            solver.crx_exact(gen.hypercube(4), 2)
+    def test_default_budget_confirms_the_paper(self):
+        # crx_2(K_n) = 3 and crx_2(W_n) = ceil(n/2) + 2, both past 16 edges;
+        # crx_2(Q_4) = 8 takes 126,014 nodes, about 1.4 s, too slow for here
+        for g, value, nodes in [(gen.complete(7), 3, 2_466), (gen.wheel(12), 8, 3_269)]:
+            b = Budget.of(None, solver.DEFAULT_EXACT_BUDGET)
+            res = solver.crx_exact(g, 2, b)
+            assert (res.kind, res.value, b.used) == ("exact", value, nodes)
+            assert verify_k_rainbow_cycle_colouring(res.witness, 2).certified
+            assert solver.crx_exact(g, 2).witness == res.witness
+
+    def test_default_budget_out_is_a_certified_interval(self):
+        # Q_5 has too many cycles to list in the default budget; the girth
+        # is the lower bound, and its certificate says so
+        b = Budget.of(None, solver.DEFAULT_EXACT_BUDGET)
+        res = solver.crx_exact(gen.hypercube(5), 2, b)
+        assert (res.kind, res.lower, res.upper) == ("interval", 4, 80)
+        assert b.used <= solver.DEFAULT_EXACT_BUDGET + 1
+        assert [(c.kind, c.payload) for c in res.evidence] == [
+            ("distance_bound", {"subset": (0, 1), "length": 4, "mode": "girth"})]
+        assert solver.crx_exact(gen.hypercube(5), 2).evidence == res.evidence
+
+    def test_rx_budget_out_is_certified_by_the_subset_size(self):
+        res = solver.rx_exact(gen.hypercube(4), 3, budget=1_000)  # out while listing
+        assert (res.kind, res.lower, res.upper) == ("interval", 2, 32)
+        assert [(c.kind, c.payload) for c in res.evidence] == [
+            ("distance_bound", {"subset": (0, 1, 2), "length": 2, "mode": "subset-size"})]
+
+    def test_cover_table_beyond_the_budget_is_not_built(self, monkeypatch):
+        # C(300, 3) = 4,455,100 table rows already exceed 16 cells per node of
+        # the default budget, so the solve stops before listing; a cycle's
+        # girth is its edge count, and the interval closes at 300
+        def no_listing(*args):
+            raise AssertionError("the structures were listed")
+
+        monkeypatch.setattr(solver, "enumerate_simple_cycles", no_listing)
+        monkeypatch.setattr(solver, "_exact", no_listing)
+        res = solver.crx_exact(gen.cycle(300), 3)
+        assert (res.kind, res.value) == ("exact", 300)
+        assert res.witness.colour_of == tuple(range(300))
+
+    def test_cover_table_is_bounded_by_its_cells(self, monkeypatch):
+        # K_{2,100} has 5,151 pairs and 4,950 cycles, all 4-cycles: few rows
+        # and a short listing, but 25,497,450 table cells, over 16 per node
+        # of the default budget, so the table is not built
+        def no_table(*args):
+            raise AssertionError("the cover table was built")
+
+        monkeypatch.setattr(solver, "_exact", no_table)
+        b = Budget.of(None, solver.DEFAULT_EXACT_BUDGET)
+        res = solver.crx_exact(gen.complete_bipartite(2, 100), 2, b)
+        assert (res.kind, res.lower, res.upper) == ("interval", 4, 200)
+        assert [(c.kind, c.payload) for c in res.evidence] == [
+            ("distance_bound", {"subset": (0, 1), "length": 4, "mode": "girth"})]
+        assert b.used < solver.DEFAULT_EXACT_BUDGET
+        # rx: the 100-vertex path has 4,950 pairs and 4,950 subpaths
+        path = Graph(100, tuple((i, i + 1) for i in range(99)))
+        res = solver.rx_exact(path, 2)
+        assert (res.kind, res.lower, res.upper) == ("interval", 1, 99)
+        assert [c.payload["mode"] for c in res.evidence] == ["subset-size"]
 
     @pytest.mark.parametrize("index, g, k, value, colours, nodes", [
         ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 135),
@@ -155,7 +209,7 @@ class TestCrxExact:
         # runs out of this budget with the interval [6, 18], and rx_5(Q_3)
         # takes 9,006 nodes
         b = Budget(2_000)
-        res = solver.crx_exact(gen.wheel(9), 2, b, force=True)
+        res = solver.crx_exact(gen.wheel(9), 2, b)
         assert (res.kind, res.value, b.used) == ("exact", 7, 878)
         assert verify_k_rainbow_cycle_colouring(res.witness, 2).certified
         b = Budget()
@@ -455,6 +509,19 @@ class TestInterval:
     def test_cycle_always_exact(self):
         res = solver.crx_interval(gen.cycle(6), 2)
         assert res.kind == "exact" and res.lower == 6
+
+    def test_lower_bound_carries_its_certificate(self):
+        # with no budget the pass finds no cycle, and the lower bound is the
+        # girth: the certificate is the girth's, not an empty pass's
+        res = solver.crx_interval(gen.cycle(5), 2, Budget(0))
+        assert (res.kind, res.value) == ("exact", 5)
+        assert [(c.kind, c.payload) for c in res.evidence] == [
+            ("distance_bound", {"subset": (0, 1), "length": 5, "mode": "girth"})]
+        for g, k, budget in [(gen.wheel(12), 2, 0), (gen.wheel(12), 3, 500),
+                             (gen.complete(6), 2, 0), (gen.petersen(), 2, None)]:
+            res = solver.crx_interval(g, k, budget)
+            (cert,) = res.evidence
+            assert res.lower == max(k, cert.payload["length"]), (g, k, budget)
 
     @pytest.mark.parametrize("relabel", [False, True], ids=["canonical", "relabelled"])
     def test_witness_colours_the_input_graph(self, relabel):
