@@ -59,6 +59,12 @@ class EdgeColouring:
         by graph._neighbours_toward; its readers must not modify a row."""
         return [None] * self.graph.n
 
+    @cached_property
+    def _closing_rows(self) -> list:
+        """The coloured closing edges at each anchor, filled on first use by
+        graph._closing_edges; its readers must not modify a row."""
+        return [None] * self.graph.n
+
     def used_colours(self) -> frozenset:
         return frozenset(self.colour_of)
 

@@ -24,11 +24,12 @@ class Budget:
     """Search-node counter. Budgets are in nodes, not wall time.
 
     ``cuts`` counts, per rule of the anchored-cycle search, the states that
-    the rule ended (see _anchored_cycle): ``closing`` and ``sides``. The
-    solver's rules add their own key once they run: ``incumbent``, the
-    subsets the distance bound settled within its best bound so far
-    (solver.crx_lower_bound_distance), and ``leaves``, the subtrees not
-    grown past k leaves (solver._grow_subtrees).
+    the rule ended (see _anchored_cycle): ``closing`` and ``sides``, and
+    ``short``, the states whose children its forced-vertex test cut down to
+    none or to one. The solver's rules add their own key once they run:
+    ``incumbent``, the subsets the distance bound settled within its best
+    bound so far (solver.crx_lower_bound_distance), and ``leaves``, the
+    subtrees not grown past k leaves (solver._grow_subtrees).
     """
 
     __slots__ = ("limit", "used", "cuts")
@@ -38,7 +39,7 @@ class Budget:
         if self.limit < 0:
             raise InvalidParameter(f"a node budget must be non-negative, got {self.limit}")
         self.used = 0
-        self.cuts = {"closing": 0, "sides": 0}
+        self.cuts = {"closing": 0, "sides": 0, "short": 0}
 
     @classmethod
     def of(cls, budget, default=DEFAULT_BUDGET):
@@ -110,6 +111,12 @@ class Graph:
     def _toward_rows(self) -> list:
         """Uncoloured adjacency ordered toward each target, filled on first
         use by _neighbours_toward; its readers must not modify a row."""
+        return [None] * self.n
+
+    @cached_property
+    def _closing_rows(self) -> list:
+        """The uncoloured closing edges at each anchor, filled on first use
+        by _closing_edges; its readers must not modify a row."""
         return [None] * self.n
 
     @cached_property
@@ -200,6 +207,26 @@ def _neighbours_toward(g: Graph, colouring, target: int):
         row = rows[target] = tuple(
             tuple(sorted(nbrs, key=lambda t: dist[t[0]])) for nbrs in adj
         )
+    return row
+
+
+def _closing_edges(g: Graph, colouring, anchor: int):
+    """(closing, at_anchor) for a search kernel anchored at anchor:
+    closing[v] is the (edge id, colour) of the edge v-anchor, or None, and
+    at_anchor[col] the anchor's neighbours by an edge of colour col (None
+    without a colouring). Built once per anchor and kept by the graph, or
+    by the colouring when there is one; its readers must not modify it."""
+    rows = g._closing_rows if colouring is None else colouring._closing_rows
+    row = rows[anchor]
+    if row is None:
+        adj, palette = _kernel_adjacency(g, colouring)
+        closing = [None] * g.n
+        at_anchor = None if colouring is None else [()] * palette
+        for w, eid, col in adj[anchor]:
+            closing[w] = (eid, col)
+            if at_anchor is not None:
+                at_anchor[col] += (w,)
+        row = rows[anchor] = (closing, at_anchor)
     return row
 
 
@@ -681,16 +708,19 @@ class _WitnessCover:
 
     holding[v] has bit i set for each kept witness i through vertex v, so
     the witnesses that hold a set of vertices are one AND of these rows.
-    uncovered(k) walks every k-subset in colex order; covers(s) answers for
-    one subset, for passes in any other order. add_images keeps a witness's
-    images under vertex permutations, each unless its vertex set is held.
+    below[p], for p >= 2, has bit i set for each kept witness i that holds
+    every vertex below p. uncovered(k) walks every k-subset in colex order;
+    covers(s) answers for one subset, for passes in any other order.
+    add_images keeps a witness's images under vertex permutations, each
+    unless its vertex set is held.
     """
 
-    __slots__ = ("masks", "holding", "held")
+    __slots__ = ("masks", "holding", "below", "held")
 
     def __init__(self, n: int):
         self.masks = []
         self.holding = [0] * n  # per vertex: a bit for each witness on it
+        self.below = [0] * (n + 1)
         self.held = set()  # the distinct masks
 
     def covers(self, s) -> bool:
@@ -709,13 +739,16 @@ class _WitnessCover:
             mask |= 1 << v
         self.masks.append(mask)
         self.held.add(mask)
+        below = self.below
+        for q in range(2, (~mask & (mask + 1)).bit_length()):  # it holds range(q)
+            below[q] |= bit
 
     def add_images(self, vertices, perms) -> list:
         """Keep the image of a witness on vertices under each permutation p
         in perms (vertex v goes to p[v]) whose vertex set no kept witness,
         earlier image included, already has. Return the indices into perms
         of the images kept, in order."""
-        holding, masks, held = self.holding, self.masks, self.held
+        holding, masks, held, below = self.holding, self.masks, self.held, self.below
         new = []
         for i, p in enumerate(perms):
             mask = 0
@@ -726,6 +759,8 @@ class _WitnessCover:
             bit = 1 << len(masks)
             for v in vertices:
                 holding[p[v]] |= bit
+            for q in range(2, (~mask & (mask + 1)).bit_length()):  # it holds range(q)
+                below[q] |= bit
             masks.append(mask)
             held.add(mask)
             new.append(i)
@@ -738,43 +773,53 @@ class _WitnessCover:
         yielded subset and every later one they hold.
 
         In colex order the lowest element x varies fastest below the upper
-        part U, the k - 1 largest elements. So for each U the pass clears
-        the masks of the witnesses holding U from the values below min(U),
-        and the values of x left over are the subsets to yield. A witness
-        added at x clears the later values of x it holds.
+        part U, the k - 1 largest elements, and U runs over its own colex
+        order. So the pass picks the elements of U largest first, carries
+        down the witnesses that hold those picked so far, one AND per
+        element, and then tries each x against the witnesses that hold U. A
+        choice whose least element p so far is held by a witness that holds
+        every vertex below p is skipped with all its completions. A witness
+        added at x joins the witnesses carried for every part of the subset
+        it holds, so it serves every later subset it holds.
         """
-        masks, holding = self.masks, self.holding
-        n = len(holding)
-        if k > n:
-            return
-        upper = list(range(1, k))  # U, ascending
-        while True:
-            top = upper[0] if upper else n  # x runs over range(top)
-            umask, held = 0, (1 << len(masks)) - 1
-            for u in upper:
-                umask |= 1 << u
-                held &= holding[u]
-            free = (1 << top) - 1  # the values of x no kept witness holds with U
-            while held and free:
-                i = held.bit_length() - 1
-                held ^= 1 << i
-                free &= ~masks[i]
-            while free:
-                low = free & -free
-                count = len(masks)
-                yield (low.bit_length() - 1, *upper)
-                free ^= low
+        holding = self.holding
+        if k == 1:
+            for x in range(len(holding)):
+                if not holding[x]:
+                    yield (x,)
+        elif k <= len(holding):
+            yield from self._completions(k - 1, len(holding), (), 0, -1)
+
+    def _completions(self, j, top, upper, umask, held):
+        """The uncovered subsets, in colex order, made of upper (ascending,
+        its vertices as the bitmask umask), j >= 1 more elements of U below
+        it, and x below those, all below top. held has a bit for each
+        witness that holds upper (every bit while upper is empty)."""
+        masks, holding, below = self.masks, self.holding, self.below
+        count = len(masks)
+        for u in range(j, top):  # the next element of U, below the ones picked
+            if count < len(masks):  # witnesses added since: those holding upper join
                 for i in range(count, len(masks)):
                     if not umask & ~masks[i]:
-                        free &= ~masks[i]
-            # the colex successor of U among the (k - 1)-subsets of range(1, n)
-            j = 0
-            while j + 1 < len(upper) and upper[j] + 1 == upper[j + 1]:
-                j += 1
-            if not upper or upper[j] + 1 == n:
-                return
-            upper[j] += 1
-            upper[:j] = range(1, j + 1)
+                        held |= 1 << i
+                count = len(masks)
+            held_u = held & holding[u]
+            if held_u & below[u]:
+                continue
+            if j > 1:
+                yield from self._completions(j - 1, u, (u, *upper), umask | 1 << u, held_u)
+                continue
+            umask_u = umask | 1 << u  # U is complete: x runs over range(u)
+            for x in range(u):
+                if count < len(masks):
+                    for i in range(count, len(masks)):
+                        if not umask & ~masks[i]:
+                            held |= 1 << i
+                            if not umask_u & ~masks[i]:
+                                held_u |= 1 << i
+                    count = len(masks)
+                if not held_u & holding[x]:
+                    yield (x, u, *upper)
 
 
 # ---------------------------------------------------------------------------
@@ -807,14 +852,28 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
       edges in colours not yet used whose other end is w, the anchor or a
       vertex off the path. A cycle enters and leaves m by two such edges.
 
+    Before it lists its children, a state makes its end vertex interior,
+    which kills that vertex's edges to the missing vertices, and then runs
+    once the test that each child would run (forced vertex, ``short``). If
+    the anchor has no closing edge left or two vertices of s fall short,
+    every child would be cut, or could not close the cycle, so the state
+    lists no child. If one missing vertex m falls short, every child but m
+    would be cut by the two-sides rule, so the state lists only the child m.
+
     The rules cut only subtrees with no completion, so the DFS order, the
     first cycle and every None stay as they would be without them. The
-    last two are kept incrementally: the DFS passes down the count of the
-    anchor's usable closing edges and the number of vertices of s that fall
-    short, and the usable edges of a vertex of s are recounted only when
-    the path takes a vertex or colour that touches it. A state with nothing
-    short pays one integer test. The states each rule cut are added to
-    ``b.cuts`` on exit, as the nodes are to ``b.used``.
+    last two rules and the forced-vertex test are kept incrementally: the
+    DFS passes down the count of the anchor's usable closing edges and the
+    number of vertices of s that fall short, and the usable edges of a
+    vertex of s are recounted only when the path takes a vertex or colour
+    that touches it. A state with nothing short pays one integer test. The
+    states each rule cut, and those the forced-vertex test ended or
+    narrowed to one child, are added to ``b.cuts`` on exit, as the nodes
+    are to ``b.used``.
+
+    The set-up builds only what depends on s: the anchor's closing edges
+    are kept per anchor (_closing_edges), and the distance rows of the
+    vertices of s are read only where a bound needs them.
 
     With an EdgeColouring ``colouring`` the cycle must also be rainbow.
     Without one, each edge is its own colour. That rules out nothing,
@@ -824,24 +883,26 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     adj, palette = _kernel_adjacency(g, colouring)
     anchor = s[0]
     dist_anchor = _bfs_distances(g, anchor)
-    # (vertex, its distance row, its distance to the anchor) for each of s[1:]
-    rest = [(m, _bfs_distances(g, m), dist_anchor[m]) for m in s[1:]]
+    rest = [(m, dist_anchor[m]) for m in s[1:]]  # (vertex, its distance to the anchor)
     # The vertices of rest still missing are kept as a bitmask; bit[m] is
-    # the bit of m (0 off rest). bounds[mask][x] bounds the edges that a
-    # path ending at x still needs: the largest dist(x, m) + dist(m, anchor)
-    # over the missing m, or dist(x, anchor) when none is missing. Taking
-    # dist(x, anchor) into the largest as well would change nothing, as no
-    # such sum is smaller (the triangle inequality). So no row exceeds
-    # top = bounds[full], and a row is built only where top could cut: at
-    # s = V nearly every state has a new mask, and a row costs O(n |mask|).
+    # the bit of m (0 off rest). The bound of a mask at x counts the edges
+    # that a path ending at x still needs: the largest dist(x, m) +
+    # dist(m, anchor) over the missing m, or dist(x, anchor) when none is
+    # missing. Taking dist(x, anchor) into the largest as well would change
+    # nothing, as no such sum is smaller (the triangle inequality). So no
+    # row exceeds top = bounds[full], and a row is built only where top
+    # could cut; it costs O(n |mask|) and is kept for every later state with
+    # that mask. At s = V nearly every state has a new mask, so no row is
+    # built there, top included: where dist(x, anchor) + root_lb, which no
+    # bound exceeds, could cut, the bound is taken at x alone, in O(n).
     bit = [0] * g.n
     bounds = {0: dist_anchor}
 
     def bound_row(mask):
         row = None
-        for i, (_, row_m, dm) in enumerate(rest):
+        for i, (m, dm) in enumerate(rest):
             if mask >> i & 1:
-                detour = list(map(add, row_m, repeat(dm)))
+                detour = list(map(add, _bfs_distances(g, m), repeat(dm)))
                 row = detour if row is None else list(map(max, row, detour))
         bounds[mask] = row
         return row
@@ -849,31 +910,27 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     on_path = bytearray(g.n)
     on_path[anchor] = 1
     used = bytearray(palette)
-    closing = [None] * g.n  # closing[v] = (edge id, colour) of the edge v-anchor
-    for w, eid, col in adj[anchor]:
-        closing[w] = (eid, col)
+    closing, at_anchor = _closing_edges(g, colouring, anchor)
     # live[m], for m in rest: the edges a completion may still enter or
     # leave m by, while m is off the path
     live = [0] * g.n
-    near = [()] * g.n  # vertex -> ((m, colour), ...) for its edges to rest
-    root_short = 0
-    for i, (m, _, _) in enumerate(rest):
+    near = [()] * g.n  # vertex -> its (m, edge id, colour) triples to rest
+    # colour -> ((m, other end), ...) for the edges at rest in that colour;
+    # without a colouring each colour is one edge, the one just taken, which
+    # touches no missing vertex, so by_colour is None
+    by_colour = None if colouring is None else [()] * palette
+    root_short = root_lb = 0
+    for i, (m, dm) in enumerate(rest):
         bit[m] = 1 << i
         live[m] = len(adj[m])
         root_short += live[m] < 2
-        for y, _, col in adj[m]:
-            near[y] += ((m, col),)
-    near[anchor] = ()  # the anchor never becomes interior
-    # colour -> ((m, other end), ...) for the edges at s in that colour.
-    # Without a colouring each colour is one edge, the one just taken: it
-    # touches no missing vertex, and at the anchor it is w's closing edge,
-    # which is counted apart, so no colour needs a list and by_colour is None
-    by_colour = None if colouring is None else [()] * palette
-    if by_colour is not None:
-        for m in s:
-            for y, _, col in adj[m]:
+        root_lb = max(root_lb, 2 * dm)  # the longest detour to rest and back
+        for y, eid, col in adj[m]:
+            near[y] += ((m, eid, col),)
+            if by_colour is not None:
                 by_colour[col] += ((m, y),)
-    cut_closing = cut_sides = 0
+    near[anchor] = ()  # the anchor never becomes interior
+    cut_closing = cut_sides = cut_short = 0
     found = []  # (vertex, edge id) from the closing edge back to the anchor
     left = b.limit - b.used  # nodes still allowed; Budget.used is set on exit
 
@@ -884,13 +941,21 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
         the anchor's edges that may still close the cycle, and short the
         vertices of s that fall short: each missing m with live[m] < 2, and
         the anchor once closers is 0."""
-        nonlocal left, cut_closing, cut_sides
+        nonlocal left, cut_closing, cut_sides, cut_short
         depth += 1
-        for m, c in near[v]:  # v is interior in every child: its edges to rest die
+        forced = None  # the edge v-m to the last missing m that falls short here
+        for edge in near[v]:  # v is interior in every child: its edges to rest die
+            m, _, c = edge
             if not on_path[m] and not used[c]:
                 live[m] -= 1
-                short += live[m] == 1
-        for w, eid, col in adj[v]:
+                if live[m] == 1:
+                    short += 1
+                    forced = edge
+        children = adj[v]
+        if short:  # one missing m falls short: only the child m may help it
+            cut_short += 1
+            children = (forced,) if short == 1 and closers and forced else ()
+        for w, eid, col in children:
             if on_path[w] or used[col]:
                 continue
             left -= 1
@@ -910,8 +975,15 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
                     found.append((anchor, close[0]))
                     found.append((w, eid))
                     return True
-            if bound_w is None and depth + top[w] > limit:  # only here can a row cut
-                bound_w = bounds.get(mask_w) or bound_row(mask_w)
+            if bound_w is None:
+                if top is not None:
+                    if depth + top[w] > limit:  # only here can the row of mask_w cut
+                        bound_w = bounds.get(mask_w) or bound_row(mask_w)
+                elif depth + dist_anchor[w] + root_lb > limit:  # s = V: the bound at w
+                    dist_w = _bfs_distances(g, w)
+                    if depth + max([dist_w[m] + dm for m, dm in rest if not on_path[m]],
+                                   default=dist_anchor[w]) > limit:
+                        continue
             if bound_w is not None and depth + bound_w[w] > limit:
                 continue
             # taking w and col: w stops being a closer, and the other edges
@@ -922,12 +994,12 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
                 short_w += not closers_w
             on_path[w] = used[col] = 1
             if by_colour is not None:
+                for y in at_anchor[col]:
+                    if not on_path[y]:
+                        closers_w -= 1
+                        short_w += not closers_w
                 for m, y in by_colour[col]:
-                    if m == anchor:
-                        if not on_path[y]:
-                            closers_w -= 1
-                            short_w += not closers_w
-                    elif not on_path[m] and (not on_path[y] or y == anchor or y == w):
+                    if not on_path[m] and (not on_path[y] or y == anchor or y == w):
                         live[m] -= 1
                         short_w += live[m] == 1
             if not short_w:
@@ -940,25 +1012,23 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
                 cut_closing += 1
             if by_colour is not None:
                 for m, y in by_colour[col]:
-                    if m != anchor and not on_path[m] and (not on_path[y] or y == anchor or y == w):
+                    if not on_path[m] and (not on_path[y] or y == anchor or y == w):
                         live[m] += 1
             on_path[w] = used[col] = 0
-        for m, c in near[v]:
+        for m, _, c in near[v]:
             if not on_path[m] and not used[c]:
                 live[m] += 1
         return False
 
-    # the anchor alone: it cannot close a cycle, and its bound is the
-    # longest detour to a vertex of rest and back
-    root_lb = max((2 * dm for _, _, dm in rest), default=0)
     full = (1 << len(rest)) - 1
-    top = bounds.get(full) or bound_row(full)
+    top = None if len(s) == g.n else bounds.get(full) or bound_row(full)
     try:
         for limit in limits:
             left -= 1
             if left < 0:
                 raise BudgetExceeded(b.limit)
-            if root_lb <= limit and extend(anchor, 0, full, top, len(adj[anchor]), root_short):
+            if root_lb <= limit and extend(anchor, 0, full, bounds.get(full),
+                                           len(adj[anchor]), root_short):
                 found.reverse()
                 return (anchor,) + tuple(w for w, _ in found[:-1]), tuple(e for _, e in found)
         return None
@@ -966,6 +1036,7 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
         b.used = b.limit - left
         b.cuts["closing"] += cut_closing
         b.cuts["sides"] += cut_sides
+        b.cuts["short"] += cut_short
         del extend  # it refers to itself through its cell; free the search state now
 
 
@@ -983,7 +1054,7 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
 
     k = 1 and k = 2 use the structural characterisations (2-connected blocks,
     2-connectivity). For k >= 3 a Hamilton cycle settles it: that is the
-    anchored-cycle search through all n vertices (79 nodes on Q_6), and its
+    anchored-cycle search through all n vertices (71 nodes on Q_6), and its
     nodes, at most 2 M of them, count against ``budget`` too. Without one,
     every k-subset is checked, which is exponential. The subsets are visited
     in colex order, and one inside a cycle found for an earlier subset, or

@@ -138,13 +138,17 @@ def brute_is_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
-_ALL_CYCLES = {}  # (n, edges) -> brute_all_cycles(g); the tests reuse a few graphs often
+_ALL_CYCLES = {}  # (n, edges) -> _list_all_cycles(g); the tests reuse a few graphs often
 
 
 def brute_all_cycles(g: Graph):
     """Every simple cycle, as a (vertex set, edge id set) pair, by checking
-    all rotations of all vertex subsets -- slow but independent. Cached per
-    graph."""
+    all rotations of all vertex subsets -- slow but independent."""
+    return tuple((verts, eids) for verts, eids, _ in _oriented_cycles(g))
+
+
+def _oriented_cycles(g: Graph):
+    """_list_all_cycles(g), cached per graph."""
     key = (g.n, g.edges)
     if key not in _ALL_CYCLES:
         _ALL_CYCLES[key] = tuple(_list_all_cycles(g))
@@ -152,6 +156,9 @@ def brute_all_cycles(g: Graph):
 
 
 def _list_all_cycles(g: Graph):
+    """Every simple cycle once, as (vertex set, edge id set, vertex tuple):
+    the tuple starts at the cycle's least vertex, in one of its two
+    directions."""
     for size in range(3, g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
             rest = subset[1:]
@@ -163,7 +170,7 @@ def _list_all_cycles(g: Graph):
                     eids = frozenset(
                         g.edge_id(cyc[i], cyc[(i + 1) % size]) for i in range(size)
                     )
-                    yield frozenset(cyc), eids
+                    yield frozenset(cyc), eids, cyc
 
 
 def brute_hamilton_cycles(g: Graph):
@@ -220,6 +227,23 @@ def brute_has_rainbow_cycle_through(colouring, s) -> bool:
         if ss <= verts and len({colouring.colour_of[e] for e in eids}) == len(eids):
             return True
     return False
+
+
+def brute_lex_least_rainbow_cycle(colouring, s):
+    """The vertex tuple that a rainbow cycle search through s must return:
+    every rainbow cycle through s is taken in both directions and rotated to
+    start at min(s), and the least of these tuples is returned, or None when
+    there is no such cycle."""
+    anchor, best = min(s), None
+    for verts, eids, cyc in _oriented_cycles(colouring.graph):
+        if not set(s) <= verts or len({colouring.colour_of[e] for e in eids}) < len(eids):
+            continue
+        for seq in (cyc, cyc[:1] + cyc[:0:-1]):
+            i = seq.index(anchor)
+            rotated = seq[i:] + seq[:i]
+            if best is None or rotated < best:
+                best = rotated
+    return best
 
 
 def brute_subdivided_closed_walk_exists(g: Graph, s, colouring=None) -> bool:

@@ -138,7 +138,7 @@ class TestPipelines:
         payload, rep = _wheel_pipeline([], monkeypatch, capsys)
         assert len(payload["colouring"]["witnesses"]["cycles"]) == 3
         assert (rep["subsets_checked"], rep["subsets_searched"]) == (15, 0)
-        assert (rep["search_nodes"], rep["cuts"]) == (0, {"closing": 0, "sides": 0})
+        assert (rep["search_nodes"], rep["cuts"]) == (0, {"closing": 0, "sides": 0, "short": 0})
 
     def test_cube_pipeline_searches_nothing(self, monkeypatch, capsys):
         # colour cube's self-verification writes each witness's images
@@ -162,14 +162,16 @@ class TestPipelines:
 
     def test_verify_prints_cuts_per_rule(self, monkeypatch, capsys):
         # beside the nodes searched: the states that the cycle search's
-        # closing-edge and two-sides rules ended
+        # closing-edge and two-sides rules ended, and those its
+        # forced-vertex test ended or narrowed to one child (190 nodes and
+        # {closing 2, sides 30} before that test)
         _, doc_text, _ = run_cli(["gen", "hypercube", "n=4"], "", monkeypatch, capsys)
         _, coloured, _ = run_cli(["colour", "cube", "--k", "2", "--no-verify"], doc_text,
                                  monkeypatch, capsys)
         code, report, _ = run_cli(["verify", "--k", "2"], coloured, monkeypatch, capsys)
         rep = json.loads(report)
         assert code == 0 and rep["status"] == "certified"
-        assert (rep["search_nodes"], rep["cuts"]) == (190, {"closing": 2, "sides": 30})
+        assert (rep["search_nodes"], rep["cuts"]) == (184, {"closing": 2, "sides": 24, "short": 9})
 
     def test_solve_cycle_exact(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
@@ -195,7 +197,7 @@ class TestPipelines:
         code, report, _ = run_cli(["solve", "--k", "2"], doc_text, monkeypatch, capsys)
         rep = json.loads(report)
         assert code == 0 and rep["result"]["value"] == 5
-        assert (rep["search_nodes"], rep["cuts"]) == (135, {"closing": 0, "sides": 0})
+        assert (rep["search_nodes"], rep["cuts"]) == (135, {"closing": 0, "sides": 0, "short": 0})
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--k", "2", "--budget", "-5"],
@@ -222,7 +224,9 @@ class TestPipelines:
     def test_analyze_spends_one_budget(self, monkeypatch, capsys):
         # the invariants and the hypohamiltonian test share --budget, and
         # the latter takes G's Hamiltonicity from the circumference: one
-        # Hamilton search on G (142 nodes), then one per vertex-deleted graph
+        # Hamilton search on G (82 nodes), then one per vertex-deleted graph;
+        # the report cost 702 nodes, with a 142-node search on G, before
+        # the forced-vertex test
         budgets, searched = [], []
 
         class Recorded(gr.Budget):
@@ -239,14 +243,14 @@ class TestPipelines:
         monkeypatch.setattr(gr, "Budget", Recorded)
         monkeypatch.setattr(gr, "find_hamilton_cycle", counted)
         _, doc_text, _ = run_cli(["gen", "petersen"], "", monkeypatch, capsys)
-        code, report, _ = run_cli(["analyze", "--budget", "702"], doc_text, monkeypatch, capsys)
+        code, report, _ = run_cli(["analyze", "--budget", "632"], doc_text, monkeypatch, capsys)
         rep = json.loads(report)
         assert code == 0 and "budget_exhausted" not in rep
         assert rep["is_hamiltonian"] is False and rep["is_hypohamiltonian"] is True
         assert searched == [10] + [9] * 10
-        assert sum(b.used for b in budgets) == 702
-        # one node fewer runs out: 702 is what the whole report costs
-        code, report, _ = run_cli(["analyze", "--budget", "701"], doc_text, monkeypatch, capsys)
+        assert sum(b.used for b in budgets) == 632
+        # one node fewer runs out: 632 is what the whole report costs
+        code, report, _ = run_cli(["analyze", "--budget", "631"], doc_text, monkeypatch, capsys)
         rep = json.loads(report)
         assert code == 0 and rep["budget_exhausted"] is True
         assert "is_hypohamiltonian" not in rep
@@ -301,11 +305,12 @@ class TestPipelines:
         assert err.startswith("error:") and "--no-verify" in err
 
     def test_sampler_budget_covers_every_attempt(self, monkeypatch, capsys):
-        # seed 2026 certifies on the fifth sample, after more than 2,000
-        # nodes in all, though each verification alone takes fewer
+        # seed 2026 certifies on the fifth sample, after 1,910 nodes in all
+        # (2,091 before the forced-vertex test), though each verification
+        # alone takes at most 943
         _, doc_text, _ = run_cli(["gen", "complete", "n=8"], "", monkeypatch, capsys)
         argv = ["colour", "complete-random", "--k", "3", "--seed", "2026"]
-        code, out, err = run_cli(argv + ["--budget", "2000"], doc_text, monkeypatch, capsys)
+        code, out, err = run_cli(argv + ["--budget", "1500"], doc_text, monkeypatch, capsys)
         assert code == 2 and not out and err.startswith("error:")
         code, _, _ = run_cli(argv, doc_text, monkeypatch, capsys)
         assert code == 0

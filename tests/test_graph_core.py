@@ -318,12 +318,12 @@ class TestInvariants:
     def test_circumference_golden_nodes(self):
         b = Budget()
         assert circumference(gen.petersen(), b) == 9
-        assert b.used == 601
+        assert b.used == 541  # 601 before the forced-vertex test
         # the invariants take Hamiltonicity from the circumference: one
-        # Hamilton search of 142 nodes, not two
+        # Hamilton search of 82 nodes (142 before), not two
         b = Budget()
         assert not graph_invariants(gen.petersen(), b).is_hamiltonian
-        assert b.used == 601
+        assert b.used == 541
 
     def test_brute_cycle_oracle(self):
         from conftest import brute_all_cycles
@@ -368,9 +368,9 @@ class TestHamiltonCycles:
     @pytest.mark.parametrize("dim, nodes", [(6, 100), (7, 200)])
     def test_large_cubes(self, dim, nodes):
         # the search through all n vertices has the closing-edge and
-        # distance rules of the anchored-cycle search: Q_6 takes 79 nodes
-        # and Q_7 166, where a search with the two-sides rule alone ran out
-        # of 2 M nodes on each
+        # distance rules of the anchored-cycle search: Q_6 takes 71 nodes
+        # and Q_7 147 (79 and 166 before the forced-vertex test), where a
+        # search with the two-sides rule alone ran out of 2 M nodes on each
         g = gen.hypercube(dim)
         b = Budget(1_000)
         cycle = find_hamilton_cycle(g, b)
@@ -387,7 +387,8 @@ class TestHamiltonCycles:
         assert find_hamilton_cycle(gen.hypercube(5), b) == (
             0, 1, 3, 2, 6, 4, 5, 7, 15, 11, 9, 8, 10, 14, 12, 13,
             29, 21, 17, 19, 18, 22, 23, 31, 27, 25, 24, 26, 30, 28, 20, 16)
-        assert b.used == 36  # 416 with the two-sides rule alone
+        # 416 with the two-sides rule alone, 36 before the forced-vertex test
+        assert b.used == 34
 
     @pytest.mark.parametrize("m, n", [(3, 5), (6, 12)])
     def test_unbalanced_bipartite_needs_no_search(self, m, n):
@@ -514,44 +515,47 @@ class TestFamilyMembership:
         # Petersen is not Hamiltonian, so at k = 3 the shortcut fails and
         # the 3-subsets are checked; both searches spend the caller's budget.
         # A triple inside a cycle found for an earlier one is not searched:
-        # 53 nodes instead of the 1,119 of one search per triple
+        # 46 nodes instead of the 1,063 of one search per triple. Before the
+        # forced-vertex test these were 142, 53 and 1,119 nodes
         g = gen.petersen()
         shortcut, subsets = Budget(), Budget()
         assert find_hamilton_cycle(g, shortcut) is None
         assert all(cycle_through_exists(g, s, subsets)
                    for s in itertools.combinations(range(g.n), 3))
-        assert (shortcut.used, subsets.used) == (142, 1119)
+        assert (shortcut.used, subsets.used) == (82, 1063)
         b = Budget()
         assert in_family_Fk(g, 3, b)
-        assert b.used == 142 + 53
+        assert b.used == 82 + 46
 
     def test_hamilton_shortcut_counts_its_cuts(self):
-        # the failed Hamilton search on Petersen ends 48 states by the
-        # two-sides rule; they are charged to the caller's budget with its
-        # nodes, and the triple pass adds its own 1 and 5
+        # the failed Hamilton search on Petersen ends or narrows 36 states
+        # by the forced-vertex test (it ended 48 by the two-sides rule
+        # before that test); they are charged to the caller's budget with
+        # its nodes, and the triple pass adds its own 1 and 6
         g = gen.petersen()
         shortcut = Budget()
         assert find_hamilton_cycle(g, shortcut) is None
-        assert shortcut.cuts == {"closing": 0, "sides": 48}
+        assert shortcut.cuts == {"closing": 0, "sides": 0, "short": 36}
         b = Budget()
         assert in_family_Fk(g, 3, b)
-        assert b.cuts == {"closing": 1, "sides": 48 + 5}
+        assert b.cuts == {"closing": 1, "sides": 0, "short": 36 + 6}
 
     def test_unbalanced_bipartite_goes_straight_to_the_triples(self):
         # K_{6,12} has no Hamilton cycle: the shortcut's search ran out of
         # its 2 M nodes (2,005,247 in all), and now the triple pass runs alone;
-        # it took 5,246 nodes before it kept each cycle's twin images
+        # it took 5,246 nodes before it kept each cycle's twin images, and
+        # 108 before the forced-vertex test
         b = Budget()
         assert in_family_Fk(gen.complete_bipartite(6, 12), 3, b)
-        assert b.used == 108
+        assert b.used == 87
 
     def test_twin_images_fit_k3_38_in_the_default_budget(self):
         # the triple pass over K_{3,38} searched 11,056,821 nodes, past the
         # default 10 M, before it kept each cycle's images under the cyclic
-        # shifts of the two sides
+        # shifts of the two sides, and 112,263 before the forced-vertex test
         b = Budget()
         assert in_family_Fk(gen.complete_bipartite(3, 38), 3, b)
-        assert b.used == 112_263
+        assert b.used == 5_652
 
     def test_matches_brute(self, corpus):
         from conftest import brute_all_cycles

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_all_cycles,
     brute_has_rainbow_cycle_through,
+    brute_lex_least_rainbow_cycle,
     brute_subdivided_closed_walk_exists,
     brute_subtrees,
     random_connected_graph,
@@ -339,7 +340,10 @@ def test_searches_leave_no_cyclic_garbage():
 class TestGoldenNodeCounts:
     """Node counts and witnesses of fixed calls. A change that only makes a
     node cheaper must leave every one of them as it is. A cut rule that only
-    ends dead subtrees may lower a count, but it never changes a witness."""
+    ends dead subtrees may lower a count, but it never changes a witness:
+    the cycle search's forced-vertex test, which skips children that a rule
+    would cut at once, lowered many of the counts below, and each keeps its
+    count from before that test in a comment."""
 
     @pytest.fixture(scope="class")
     def cube_k3(self):
@@ -388,12 +392,13 @@ class TestGoldenNodeCounts:
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, 3, b)
         # four cycles cover all 165 triples; a certified colouring needs no
-        # F_3 search, so no Hamilton shortcut runs
-        assert (report.subsets_checked, report.search_nodes, b.used) == (165, 60, 60)
+        # F_3 search, so no Hamilton shortcut runs. Before the forced-vertex
+        # test the pass took 60 nodes and the search below 11
+        assert (report.subsets_checked, report.search_nodes, b.used) == (165, 58, 58)
         assert report.subsets_searched == 4
         b = Budget()
         w = rainbow_cycle_through(c, (0, 4, 7), b)
-        assert b.used == 11
+        assert b.used == 9
         assert w.vertices == (0, 1, 2, 3, 4, 10, 7, 8, 9)
         assert w.edge_ids == (0, 3, 5, 7, 10, 16, 15, 17, 1)
 
@@ -402,27 +407,29 @@ class TestGoldenNodeCounts:
         c = rainbow_colouring(gen.petersen())
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, 3, b)
-        assert (report.subsets_checked, report.search_nodes, b.used) == (120, 53, 53)
-        assert verify_k_rainbow_cycle_colouring(c, 3, check_family=False).search_nodes == 53
+        assert (report.subsets_checked, report.search_nodes, b.used) == (120, 46, 46)
+        assert verify_k_rainbow_cycle_colouring(c, 3, check_family=False).search_nodes == 46
         # after a counterexample the F_3 search runs on the same budget: Petersen
-        # is not Hamiltonian, so it is the 142-node shortcut and 53 triple nodes
+        # is not Hamiltonian, so it is the 82-node shortcut and 46 triple nodes
+        # (142 and 53, and 53 for the pass above, before the forced-vertex test)
         c = EdgeColouring(gen.petersen(), tuple(i % 7 for i in range(15)), 7)
         plain = verify_k_rainbow_cycle_colouring(c, 3, check_family=False)
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, 3, b)
         assert report.status == plain.status == "counterexample"
         assert report.bad_set == plain.bad_set
-        assert report.search_nodes == b.used == plain.search_nodes + 142 + 53
+        assert report.search_nodes == b.used == plain.search_nodes + 82 + 46
 
     @pytest.mark.parametrize("colour, k, searched, nodes", [
-        (lambda: cons.colour_wheel(14, 5, verify=False), 5, 6, 124),
-        (lambda: cons.colour_cube(5, 3, verify=False), 3, 540, 56_698),
-        (lambda: cons.colour_bipartite(3, 38, 2, verify=False), 2, 643, 48_925),
+        (lambda: cons.colour_wheel(14, 5, verify=False), 5, 6, 108),
+        (lambda: cons.colour_cube(5, 3, verify=False), 3, 540, 53_926),
+        (lambda: cons.colour_bipartite(3, 38, 2, verify=False), 2, 643, 10_164),
     ], ids=["wheel-14-5", "cube-5-3", "bipartite-3-38-2"])
     def test_covered_subsets_need_no_search(self, colour, k, searched, nodes):
         # without the cycle search's cut rules these passes spent 287,
         # 101,921 and 1,176,193 nodes, and one search per subset 47,646,
-        # 561,949 and about 1.31 M
+        # 561,949 and about 1.31 M; with the closing-edge and two-sides
+        # rules but before the forced-vertex test, 124, 56,698 and 48,925
         c = colour()
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, k, b)
@@ -430,16 +437,20 @@ class TestGoldenNodeCounts:
         assert (report.subsets_searched, report.search_nodes, b.used) == (searched, nodes, nodes)
         assert check_cover(c, k, report.witnesses)
 
+    # each id ends in the case's node count before the forced-vertex test,
+    # which keeps the ids of the earlier pins
     @pytest.mark.parametrize("n, k, searched, nodes", [
-        (5, 3, 15, 1_076),
+        (5, 3, 15, 1_043),
         (5, 2, 6, 88),
-        (4, 3, 4, 28),
-    ])
+        (4, 3, 4, 27),
+    ], ids=["5-3-15-1076", "5-2-6-88", "4-3-4-28"])
     def test_cube_translations_search_one_witness_per_orbit(self, n, k, searched, nodes):
         # every translation maps the k = 2, 3 colouring onto itself up to a
         # renaming of colours, so each witness brings its images along;
         # without them the passes search 540, 95 and 57 subsets and spend
-        # 56,698, 3,860 and 810 nodes
+        # 53,926, 3,752 and 749 nodes. Before the forced-vertex test they
+        # spent 56,698, 3,860 and 810 nodes without the translations, and
+        # 1,076, 88 and 28 with them
         c = cons.colour_cube(n, k, verify=False)
         b = Budget()
         report = verify_k_rainbow_cycle_colouring(c, k, b, symmetries=cube_translations(n))
@@ -450,19 +461,24 @@ class TestGoldenNodeCounts:
         cons.colour_cube(n, k, budget=b)
         assert b.used == nodes
 
+    # each id ends in the case's node count before the forced-vertex test,
+    # which keeps the ids of the earlier pins
     @pytest.mark.parametrize("m, n, k, searched, nodes", [
-        (6, 12, 2, 14, 694),
-        (5, 11, 2, 13, 498),
-        (4, 10, 2, 18, 367),
-        (6, 6, 2, 11, 232),
-        (9, 12, 3, 30, 171_445),
-    ])
+        (6, 12, 2, 14, 674),
+        (5, 11, 2, 13, 484),
+        (4, 10, 2, 18, 341),
+        (6, 6, 2, 11, 212),
+        (9, 12, 3, 30, 141_717),
+    ], ids=["6-12-2-14-694", "5-11-2-13-498", "4-10-2-18-367", "6-6-2-11-232",
+            "9-12-3-30-171445"])
     def test_twin_shifts_search_one_witness_per_orbit(self, monkeypatch, m, n, k, searched,
                                                       nodes):
         # the self-verification of the eight (k = 2) and sixk (k = 3)
         # regimes passes the cyclic shifts of the twin classes; without
-        # them it searches 89, 66, 54, 26 and 184 subsets and spends 5,671,
-        # 2,955, 1,471, 622 and 894,578 nodes
+        # them it searches 89, 66, 54, 26 and 184 subsets and spends 5,523,
+        # 2,625, 1,331, 564 and 718,418 nodes. Before the forced-vertex test
+        # it spent 5,671, 2,955, 1,471, 622 and 894,578 nodes without the
+        # shifts, and 694, 498, 367, 232 and 171,445 with them
         b = Budget()
         c, _, twins = _self_verification(monkeypatch,
                                          partial(cons.colour_bipartite, m, n, k, budget=b))
@@ -483,19 +499,24 @@ class TestGoldenNodeCounts:
         c = cons.colour_bipartite(3, 38, 2, verify=False)
         b = Budget()
         w = rainbow_cycle_through(c, (36, 40), b)
-        assert b.used == 629
+        assert b.used == 116  # 629 before the forced-vertex test
         assert w.vertices == (36, 0, 40, 1, 6, 2)
         assert w.edge_ids == (33, 37, 75, 41, 79, 109)
         # a cycle of K_{3,38} has at most 6 edges, but the search runs at
         # limit r = 8: the closing-edge rule ends a path once the small side
         # is used up, and the two-sides rule once a missing vertex has lost
-        # its usable edges; each state cut is still one of the 629 nodes
-        assert b.cuts == {"closing": 102, "sides": 455}
+        # its usable edges; each state cut is still one of the 116 nodes.
+        # Once 40 is down to one usable edge, the forced-vertex test lists
+        # only the child 40, so the children the two-sides rule would cut
+        # are not entered: it cut 102 and 455 states before that test
+        assert b.cuts == {"closing": 30, "sides": 14, "short": 22}
 
+    # each id ends in the case's node count before the forced-vertex test
+    # (W_10's fell from 261), which keeps the ids of the earlier pins
     @pytest.mark.parametrize("g, s, length, nodes", [
         (gen.hypercube(5), (0, 5, 26), 10, 218),
-        (gen.wheel(10), (1, 4, 8), 8, 261),
-    ])
+        (gen.wheel(10), (1, 4, 8), 8, 222),
+    ], ids=["g0-s0-10-218", "g1-s1-8-261"])
     def test_min_cycle_length(self, g, s, length, nodes):
         b = Budget()
         assert min_cycle_length_through(g, s, b) == length
@@ -586,11 +607,17 @@ class TestCutRulesAgainstOracles:
         _match_cycle_oracles(sparse_coloured_graph(rng), [Budget() for _ in range(3)])
 
     def test_seeded_graphs_reach_both_rules(self):
+        # In a search without a colouring, taking an edge changes the usable
+        # edges of no missing vertex but the one taken, so a child falls
+        # short only once the closing edges run out: there the forced-vertex
+        # test leaves the two-sides rule nothing to cut, and only the
+        # rainbow searches reach it
         budgets = [Budget() for _ in range(3)]
         for seed in range(60):
             _match_cycle_oracles(sparse_coloured_graph(random.Random(seed)), budgets)
-        for b in budgets:
-            assert min(b.cuts.values()) >= 200, [b.cuts for b in budgets]
+        cuts = [b.cuts for b in budgets]
+        assert all(c["closing"] >= 200 and c["short"] >= 200 for c in cuts), cuts
+        assert cuts[0]["sides"] >= 200, cuts
 
 
 class TestOracleAgreement:
@@ -656,6 +683,31 @@ def coloured_graphs(draw, max_n=7, max_extra=8):
         for _ in range(draw(st.integers(0, 3))):
             colours[draw(st.integers(0, g.e - 1))] = draw(st.integers(0, g.e - 1))
     return EdgeColouring(g, tuple(colours), r, unused_ok=True)
+
+
+def _match_lex_least_witness(c):
+    """rainbow_cycle_through returns the lex-least rainbow cycle through
+    every vertex set of size 1 to 3, rotated to start at its least vertex."""
+    for k in (1, 2, 3):
+        for s in itertools.combinations(range(c.graph.n), k):
+            w = rainbow_cycle_through(c, s)
+            expected = brute_lex_least_rainbow_cycle(c, s)
+            assert (None if w is None else w.vertices) == expected, (c.graph.edges, c, s)
+
+
+class TestWitnessContract:
+    """The witness the cycle search returns is fixed by its contract, not
+    by how the search prunes: of all rainbow cycles through s, in both
+    directions and rotated to start at min(s), the least vertex tuple."""
+
+    def test_seeded_sparse_graphs(self):
+        for seed in range(150):
+            _match_lex_least_witness(sparse_coloured_graph(random.Random(seed)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(coloured_graphs())
+    def test_random_coloured_graphs(self, c):
+        _match_lex_least_witness(c)
 
 
 def _oracle_verdict(c, k, structures):

@@ -324,7 +324,7 @@ class TestRxExact:
         assert (len(listed), b.used, b.cuts["leaves"]) == (444, 983, 87)
         b = Budget()
         assert solver.rx_exact(g, 2, b).value == 3
-        assert (b.used, b.cuts) == (996, {"closing": 0, "sides": 0, "leaves": 87})
+        assert (b.used, b.cuts) == (996, {"closing": 0, "sides": 0, "short": 0, "leaves": 87})
 
     def test_golden_q3(self):
         # witness recorded from the colouring-by-colouring search this solver
@@ -364,18 +364,21 @@ class TestLowerBoundDistance:
         assert bound == 3
 
     def test_golden_w12_triples(self):
-        # 996 search nodes after the 13 of the F_3 precheck; a triple inside
-        # a cycle already found, or inside its image under a rim rotation or
-        # reflection, is not searched, so no triple is left to be settled by
-        # a cycle within the incumbent bound (1,727 search nodes and 11
-        # settled triples with the cycles found alone, 10,433 without the
-        # incumbent either, and one search per triple spent 70,837 before
-        # the cycle search's cut rules)
+        # 911 search nodes after the 13 of the F_3 precheck (996 before the
+        # cycle search's forced-vertex test, whose states it ended or
+        # narrowed replace those of the closing-edge and two-sides rules,
+        # 17 and 47 before); a triple inside a cycle already found, or
+        # inside its image under a rim rotation or reflection, is not
+        # searched, so no triple is left to be settled by a cycle within the
+        # incumbent bound (1,727 search nodes and 11 settled triples with
+        # the cycles found alone, 10,433 without the incumbent either, and
+        # one search per triple spent 70,837 before the cycle search's cut
+        # rules)
         b = Budget()
         bound, cert = solver.crx_lower_bound_distance(gen.wheel(12), 3, b)
-        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 1_009)
+        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 924)
         assert cert.payload["subset"] == (0, 4, 8)
-        assert b.cuts == {"closing": 17, "sides": 47, "incumbent": 0}
+        assert b.cuts == {"closing": 14, "sides": 0, "short": 114, "incumbent": 0}
 
     @pytest.mark.parametrize("g, k", [
         (gen.wheel(9), 2), (gen.wheel(9), 3), (gen.wheel(10), 3), (gen.hypercube(4), 2),
@@ -442,14 +445,15 @@ class TestLowerBoundDistance:
 class TestInterval:
     def test_hamilton_fallback_spends_the_callers_budget(self):
         # Petersen has no named family, so the upper bound falls back to a
-        # Hamilton search, 142 nodes (it has no Hamilton cycle), charged to b
+        # Hamilton search, 82 nodes (it has no Hamilton cycle; 142 before the
+        # forced-vertex test), charged to b
         g = gen.petersen()
         bound_only, ham = Budget(5000), Budget()
         solver.crx_lower_bound_distance(g, 2, bound_only)
-        assert find_hamilton_cycle(g, ham) is None and ham.used == 142
+        assert find_hamilton_cycle(g, ham) is None and ham.used == 82
         b = Budget(5000)
         res = solver.crx_interval(g, 2, b)
-        assert b.used == bound_only.used + 142
+        assert b.used == bound_only.used + 82
         assert (res.lower, res.upper, res.witness.r) == (5, 15, 15)
 
     def test_hamilton_fallback_budget_out_is_rainbow(self):
