@@ -26,6 +26,14 @@ class EdgeColouring:
     c.witnesses) re-checks the colouring without a search. They are a hint,
     not part of the colouring: equality ignores them, and verification
     re-checks each one before using it.
+
+    ``quotients`` holds vertex partitions, each a tuple giving the part of
+    every vertex, that the walk search projects onto
+    (search.find_subdivided_closed_walk). A rainbow walk crosses between two
+    parts at most as often as there are distinct colours on the edges
+    between them, and those counts are read from ``colour_of``, so any
+    partition gives a sound bound: a partition is a hint that sets how
+    strong the bound is, never whether it holds. Equality ignores them too.
     """
 
     graph: Graph
@@ -33,6 +41,7 @@ class EdgeColouring:
     r: int
     unused_ok: bool = False
     witnesses: tuple = field(default=(), compare=False, repr=False)
+    quotients: tuple = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.colour_of) != self.graph.e:
@@ -46,6 +55,8 @@ class EdgeColouring:
                 raise InvalidParameter(
                     "declared colours unused; pass unused_ok=True if intended"
                 )
+        if any(len(part) != self.graph.n for part in self.quotients):
+            raise InvalidParameter("a quotient partition must give every vertex a part")
 
     @cached_property
     def adjacency(self):
@@ -64,6 +75,32 @@ class EdgeColouring:
         """The coloured closing edges at each anchor, filled on first use by
         graph._closing_edges; its readers must not modify a row."""
         return [None] * self.graph.n
+
+    @cached_property
+    def _quotient_graphs(self) -> tuple:
+        """For each partition of quotients, built on the first walk search
+        that reads it: (part id of each vertex, ids numbered in order of
+        first appearance; adjacency of the parts as (part, pair id) pairs in
+        ascending part order; the number of distinct colours on the edges of
+        each pair of parts, by pair id). A colour on the edges of several
+        pairs counts on each of them."""
+        out = []
+        for partition in self.quotients:
+            ids = {}
+            part = tuple(ids.setdefault(p, len(ids)) for p in partition)
+            between = {}
+            for (u, v), col in zip(self.graph.edges, self.colour_of):
+                p, q = part[u], part[v]
+                if p != q:
+                    between.setdefault((min(p, q), max(p, q)), set()).add(col)
+            adj = [[] for _ in ids]
+            counts = []
+            for pair_id, ((p, q), cols) in enumerate(sorted(between.items())):
+                adj[p].append((q, pair_id))
+                adj[q].append((p, pair_id))
+                counts.append(len(cols))
+            out.append((part, tuple(tuple(sorted(row)) for row in adj), tuple(counts)))
+        return tuple(out)
 
     def used_colours(self) -> frozenset:
         return frozenset(self.colour_of)

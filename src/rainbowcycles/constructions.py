@@ -495,7 +495,14 @@ def colour_cube_recursive(n: int, k: int, block: int) -> EdgeColouring:
     larger ones split as Q_{n-K} blown up over Q_K with disjoint colour sets.
 
     The colouring is purely structural; rainbow walk witnesses come from
-    recursive_cube_walk.
+    recursive_cube_walk. A split colouring carries one partition per
+    coordinate block as its quotients, the base block (the low coordinates
+    left once every K-block is split off) first: the part of v is v's
+    coordinates in that block. The edges between two adjacent parts are the
+    copies of one edge of that block's cube, all in one colour, so a rainbow
+    walk crosses each edge of each block's cube at most once, which lets
+    the walk search refute many tuples before it runs
+    (search.find_subdivided_closed_walk). A rainbow Q_n carries none.
     """
     if block < 2:
         raise InvalidParameter("need block K >= 2")
@@ -516,7 +523,13 @@ def colour_cube_recursive(n: int, k: int, block: int) -> EdgeColouring:
             colour_of.append(hat.colour_of[hat.graph.edge_id(hu, hv)])
         else:
             colour_of.append(shift + tilde.colour_of[tilde.graph.edge_id(tu, tv)])
-    out = EdgeColouring(g, tuple(colour_of), shift + tilde.r)
+    base = n - block
+    while base > 2 * block - 1:
+        base -= block
+    blocks = [(0, base)] + [(low, block) for low in range(base, n, block)]
+    quotients = tuple(tuple((v >> low) & ((1 << width) - 1) for v in range(g.n))
+                      for low, width in blocks)
+    out = EdgeColouring(g, tuple(colour_of), shift + tilde.r, quotients=quotients)
     assert out.r == recursive_cube_colour_count(n, block)
     return out
 
@@ -530,11 +543,19 @@ def recursive_cube_walk(n: int, block: int, s, colouring: EdgeColouring | None =
     path, so the walk uses each inherited colour at most once. Raises
     BaseWalkNotFound when a base cube has no walk for a projected tuple
     (a larger K is then needed). Every base search spends one budget.
+    A colouring given is one of Q_n, whose graph the search and the check
+    reuse; a graph of another size raises InvalidParameter.
     """
     s = tuple(s)
     budget = Budget.of(budget)
+    if colouring is None:
+        g = hypercube(n)
+    else:
+        g = colouring.graph
+        if g.n != 1 << n or 2 * g.e != n << n:
+            raise InvalidParameter(f"the colouring's graph is not the size of Q_{n}")
     if n <= 2 * block - 1:
-        w = find_subdivided_closed_walk(hypercube(n), s, budget=budget)
+        w = find_subdivided_closed_walk(g, s, budget=budget)
         if w is None:
             raise BaseWalkNotFound(f"Q_{n} has no subdivided closed walk for {s}")
         return w
@@ -563,7 +584,7 @@ def recursive_cube_walk(n: int, block: int, s, colouring: EdgeColouring | None =
         tail = [split.combine(x, tb) for x in lpath[2:]]
         paths.append(tuple(head + mid + tail))
     witness = WalkWitness(s, tuple(paths))
-    if not check_walk_witness(hypercube(n), witness, colouring,
+    if not check_walk_witness(g, witness, colouring,
                               require_rainbow=colouring is not None):
         raise ConstructionRejected(f"spliced walk for {s} failed validation")
     return witness

@@ -29,7 +29,9 @@ class Budget:
     none or to one. The solver's rules add their own key once they run:
     ``incumbent``, the subsets the distance bound settled within its best
     bound so far (solver.crx_lower_bound_distance), and ``leaves``, the
-    subtrees not grown past k leaves (solver._grow_subtrees).
+    subtrees not grown past k leaves (solver._grow_subtrees). The walk
+    search adds ``quotient``, the walks its block-quotient bound proved
+    absent, once that bound runs (search.find_subdivided_closed_walk).
     """
 
     __slots__ = ("limit", "used", "cuts")

@@ -391,6 +391,19 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     both cases run the same loop. A path never repeats an edge, and two paths
     never share one: every edge of a path of length >= 2 has an internal
     endpoint, and an internal vertex is neither an anchor nor on another path.
+
+    A colouring with quotients (EdgeColouring.quotients) is first tested
+    with a block-quotient bound. Map each vertex to its part: a rainbow walk
+    becomes a closed walk on the parts that visits the anchors' parts in
+    cyclic order, moves at least once between consecutive anchors in
+    different parts, and crosses between parts p and q at most m(p, q)
+    times, m(p, q) being the number of distinct colours on the edges between
+    them, as no colour repeats. If some partition admits no such part walk
+    (_part_walk_exists), the walk is absent: the result is None and
+    b.cuts["quotient"] counts it. m is read from the colours, not from the
+    hint, so the bound is sound for any partition; a colour on the edges of
+    several pairs counts on each, which makes it weaker, not wrong. Each move
+    of the part-walk search spends one node of the budget.
     """
     s = tuple(s)
     if not s:
@@ -428,6 +441,12 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     cap = vertex_cap if colouring is None else min(vertex_cap, palette)
     if rest_lb[0] > cap:
         return None
+    if colouring is not None and colouring.quotients:
+        refuted = not all(_part_walk_exists(quotient, s, b)
+                          for quotient in colouring._quotient_graphs)
+        b.cuts["quotient"] = b.cuts.get("quotient", 0) + refuted
+        if refuted:
+            return None
     marks = bytearray(g.n)  # the anchors and the internal vertices of the paths
     for v in anchor_set:
         marks[v] = 1
@@ -506,3 +525,57 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
         b.used = b.limit - left
         for cut in cuts:
             cut()
+
+
+def _part_walk_exists(quotient, s, b: Budget) -> bool:
+    """Whether a closed walk on the parts of quotient, an entry of
+    EdgeColouring._quotient_graphs, visits the parts of the anchors of s in
+    cyclic order and crosses each pair of parts at most as often as its
+    count allows. The legs are the anchors' parts with each part that
+    repeats its cyclic predecessor dropped; the walk starts at the last.
+
+    Two exact rules keep it small. A walk that passes some part twice within
+    one leg still exists once the loop between the two passes is cut out,
+    which only frees crossings, so each leg is searched as a simple path.
+    And a part's crossings, the sum of counts over its pairs, must cover
+    two for each visit: slack[p] is what is left after the visits still
+    due, so a part with slack below 0 refutes the walk at once, and a leg
+    may pass through a part only while its slack is at least 2. Each move
+    between parts spends one node of b."""
+    part, adj, counts = quotient
+    seq = [part[v] for v in s]
+    legs = [p for i, p in enumerate(seq) if p != seq[i - 1]]
+    if not legs:  # every anchor in one part
+        return True
+    slack = [sum(counts[pair] for _, pair in row) for row in adj]
+    for p in legs:
+        slack[p] -= 2
+    return min(slack) >= 0 and _part_path(adj, list(counts), slack, legs, b, 0, legs[-1], 0)
+
+
+def _part_path(adj, room, slack, legs, b: Budget, j, at, seen) -> bool:
+    """Whether the legs from the j-th on can be walked, the walk being at
+    part at and seen the parts that leg j has passed, one bit each; room and
+    slack are restored on the way back."""
+    target = legs[j]
+    seen |= 1 << at
+    for q, pair in adj[at]:
+        if not room[pair] or seen >> q & 1:
+            continue
+        if q == target:
+            b.spend()
+            if j + 1 == len(legs):
+                return True
+            room[pair] -= 1
+            if _part_path(adj, room, slack, legs, b, j + 1, q, 0):
+                return True
+            room[pair] += 1
+        elif slack[q] >= 2:
+            b.spend()
+            room[pair] -= 1
+            slack[q] -= 2
+            if _part_path(adj, room, slack, legs, b, j, q, seen):
+                return True
+            room[pair] += 1
+            slack[q] += 2
+    return False

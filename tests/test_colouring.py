@@ -36,6 +36,16 @@ class TestEdgeColouring:
         c = rainbow_colouring(gen.complete(4))
         assert c.r == 6 and c.colour_of == (0, 1, 2, 3, 4, 5)
 
+    def test_quotients_are_a_hint(self):
+        g = gen.cycle(4)
+        c = EdgeColouring(g, (0, 1, 2, 3), 4, quotients=((0, 0, 1, 1),))
+        assert c == EdgeColouring(g, (0, 1, 2, 3), 4)
+        with pytest.raises(InvalidParameter, match="every vertex a part"):
+            EdgeColouring(g, (0, 1, 2, 3), 4, quotients=((0, 0, 1),))
+        # the parts are {0, 1} and {2, 3}, joined by the edges 1-2 and 0-3
+        ((part, adj, counts),) = c._quotient_graphs
+        assert (part, adj, counts) == ((0, 0, 1, 1), (((1, 0),), ((0, 0),)), (2,))
+
 
 class TestCycleWitness:
     def test_valid(self):

@@ -240,6 +240,29 @@ class TestCubeRecursive:
         with pytest.raises(BaseWalkNotFound):
             cons.recursive_cube_walk(6, 3, (0, 8, 0, 16))
 
+    def test_blocks_are_quotients(self):
+        # one partition per coordinate block, the base block first; a rainbow
+        # cube has one block and no partition
+        c = cons.colour_cube_recursive(6, 4, 3)
+        assert c.quotients == (tuple(v & 7 for v in range(64)), tuple(v >> 3 for v in range(64)))
+        c9 = cons.colour_cube_recursive(9, 4, 3)
+        assert c9.quotients == tuple(tuple((v >> low) & 7 for v in range(512))
+                                     for low in (0, 3, 6))
+        assert cons.colour_cube_recursive(7, 4, 3).quotients == (
+            tuple(v & 15 for v in range(128)), tuple(v >> 4 for v in range(128)))
+        assert cons.colour_cube_recursive(6, 4, 4).quotients == ()
+        # each pair of adjacent blocks is joined in one colour
+        for part, adj, counts in c9._quotient_graphs:
+            assert len(counts) == 12 and set(counts) == {1}
+
+    def test_walk_rejects_a_colouring_of_another_size(self):
+        c = cons.colour_cube_recursive(6, 4, 3)
+        with pytest.raises(InvalidParameter, match="Q_5"):
+            cons.recursive_cube_walk(5, 3, (0, 3, 5, 6), colouring=c)
+        c7 = EdgeColouring(gen.complete(8), tuple(range(28)), 28)
+        with pytest.raises(InvalidParameter, match="Q_3"):
+            cons.recursive_cube_walk(3, 3, (0, 3, 5, 6), colouring=c7)
+
     def test_k_escalation_remedy(self):
         # raising K makes the whole cube a rainbow base, where the walk exists
         c4 = cons.colour_cube_recursive(6, 4, 4)

@@ -349,22 +349,36 @@ class TestGoldenNodeCounts:
     def cube_k3(self):
         return cons.colour_cube_recursive(6, 4, 3)
 
+    # Each count includes the part-walk steps of the block-quotient bound,
+    # which runs before the search; the ids keep the counts from before it
     @pytest.mark.parametrize("s, nodes, paths", [
-        ((41, 41, 41, 42), 4, ((41,), (41,), (41, 40, 42), (42, 43, 41))),
-        ((38, 45, 10, 32), 1012,
+        ((41, 41, 41, 42), 8, ((41,), (41,), (41, 40, 42), (42, 43, 41))),  # was 4
+        ((38, 45, 10, 32), 1050,  # was 1012
          ((38, 39, 37, 45), (45, 13, 9, 11, 10), (10, 2, 0, 32), (32, 36, 38))),
-    ])
+    ], ids=["s0-4-paths0", "s1-1012-paths1"])
     def test_coloured_q6_walk(self, cube_k3, s, nodes, paths):
         b = Budget(50_000)
         w = find_subdivided_closed_walk(cube_k3.graph, s, colouring=cube_k3, budget=b)
         assert (b.used, w.paths) == (nodes, paths)
+        assert b.cuts["quotient"] == 0
 
     def test_coloured_q6_walk_budget_out(self, cube_k3):
+        # a tuple that the block-quotient bound leaves open
         b = Budget(50_000)
         with pytest.raises(BudgetExceeded):
-            find_subdivided_closed_walk(cube_k3.graph, (0, 15, 5, 33), colouring=cube_k3,
+            find_subdivided_closed_walk(cube_k3.graph, (41, 5, 21, 8), colouring=cube_k3,
                                         budget=b)
-        assert b.used == 50_001
+        assert (b.used, b.cuts["quotient"]) == (50_001, 0)
+
+    def test_coloured_q6_walk_refuted_on_a_quotient(self, cube_k3):
+        # the high block reads 0, 1, 0, 4: a closed walk on Q_3 through those
+        # parts needs four crossings at part 0, which has three edges, each
+        # of one colour. The low block's part walk exists and takes 6 steps;
+        # without the bound the search ran out of 50 k nodes
+        b = Budget(50_000)
+        assert find_subdivided_closed_walk(cube_k3.graph, (0, 15, 5, 33), colouring=cube_k3,
+                                           budget=b) is None
+        assert (b.used, b.cuts["quotient"]) == (6, 1)
 
     def test_uncoloured_q6_walk(self):
         b = Budget(50_000)
@@ -618,6 +632,88 @@ class TestCutRulesAgainstOracles:
         cuts = [b.cuts for b in budgets]
         assert all(c["closing"] >= 200 and c["short"] >= 200 for c in cuts), cuts
         assert cuts[0]["sides"] >= 200, cuts
+
+
+class TestQuotientBound:
+    """The block-quotient bound of the walk search: a rainbow walk projects
+    onto each vertex partition of EdgeColouring.quotients as a closed walk
+    on the parts that crosses each pair of parts at most as often as there
+    are distinct colours between them."""
+
+    def test_cube_refutations_match_brute(self):
+        # a walk found is re-checked; an answer of None, from the bound or
+        # not, is confirmed by the oracle where the bound gave it
+        c = cons.colour_cube_recursive(4, 4, 2)
+        assert c.quotients == (tuple(v & 3 for v in range(16)), tuple(v >> 2 for v in range(16)))
+        rng = random.Random(23)
+        b = Budget(10**6)
+        refuted = 0
+        for _ in range(600):
+            s = tuple(rng.randrange(16) for _ in range(rng.randrange(2, 5)))
+            before = b.cuts.get("quotient", 0)
+            w = find_subdivided_closed_walk(c.graph, s, colouring=c, budget=b)
+            if w is not None:
+                assert w.anchors == s and check_walk_witness(c.graph, w, c, require_rainbow=True)
+            elif b.cuts["quotient"] > before:
+                refuted += 1
+                assert not brute_subdivided_closed_walk_exists(c.graph, s, c), s
+        assert refuted >= 8, refuted
+
+    def test_random_partitions_leave_every_answer_unchanged(self):
+        rng = random.Random(2310)
+        refuted = found = 0
+        for _ in range(30):
+            g = random_connected_graph(rng, rng.randrange(8, 14), rng.randrange(2, 8))
+            r = rng.randrange(g.e // 2, g.e + 1)
+            c = EdgeColouring(g, tuple(rng.randrange(r) for _ in range(g.e)), r, unused_ok=True)
+            for _ in range(5):
+                parts = rng.randrange(2, 6)
+                hinted = replace(c, quotients=tuple(
+                    tuple(rng.randrange(parts) for _ in range(g.n))
+                    for _ in range(rng.randrange(1, 3))))
+                for _ in range(10):
+                    s = tuple(rng.randrange(g.n) for _ in range(rng.randrange(2, 6)))
+                    b = Budget()
+                    w = find_subdivided_closed_walk(g, s, colouring=hinted, budget=b)
+                    assert w == find_subdivided_closed_walk(g, s, colouring=c), (g.edges, s)
+                    refuted += b.cuts.get("quotient", 0)
+                    found += w is not None
+        assert refuted >= 20 and found >= 50, (refuted, found)
+
+    def test_a_colour_on_two_pairs_counts_on_each(self):
+        # the 6-cycle 0..5 and the chord 1-5; parts A = {0}, B = {1, 2, 3} and
+        # C = {4, 5}. Colour 0 lies on 0-1 (A-B) and on the chord 1-5 (B-C).
+        # The walk (0, 3) is the 6-cycle, which crosses A-B in colour 0 and
+        # B-C in colour 3: a bound that gave the B-C crossing its lowest free
+        # colour, 0, would leave A-B none and refute a walk that exists
+        g = Graph(6, ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 5)))
+        colour_of = {(0, 1): 0, (1, 2): 1, (2, 3): 2, (3, 4): 3, (4, 5): 4, (0, 5): 5, (1, 5): 0}
+        c = EdgeColouring(g, tuple(colour_of[uv] for uv in g.edges), 6)
+        hinted = replace(c, quotients=((0, 1, 1, 1, 2, 2),))
+        for s in ((0, 3), (3, 0), (0, 2, 4), (5, 3)):
+            b = Budget()
+            w = find_subdivided_closed_walk(g, s, colouring=hinted, budget=b)
+            assert w == find_subdivided_closed_walk(g, s, colouring=c), s
+            assert (w is not None) == brute_subdivided_closed_walk_exists(g, s, c), s
+        assert find_subdivided_closed_walk(g, (0, 3), colouring=hinted).paths == (
+            (0, 1, 2, 3), (3, 4, 5, 0))
+
+    def test_budget_holds_on_the_bound(self):
+        c = cons.colour_cube_recursive(6, 4, 3)
+        b = Budget(5)
+        with pytest.raises(BudgetExceeded):
+            find_subdivided_closed_walk(c.graph, (0, 15, 5, 33), colouring=c, budget=b)
+        assert b.used == 6
+
+    def test_cuts_key_only_where_the_rule_runs(self):
+        c = cons.colour_cube_recursive(6, 4, 3)
+        b = Budget()
+        find_subdivided_closed_walk(c.graph, (0, 1, 2), budget=b)
+        find_subdivided_closed_walk(c.graph, (0, 1, 2), colouring=replace(c, quotients=()),
+                                    budget=b)
+        assert "quotient" not in b.cuts
+        find_subdivided_closed_walk(c.graph, (0, 1, 2), colouring=c, budget=b)
+        assert b.cuts["quotient"] == 0
 
 
 class TestOracleAgreement:
