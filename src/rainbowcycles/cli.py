@@ -41,10 +41,13 @@ def _parse_params(pairs):
         if "=" not in item:
             raise InvalidParameter(f"expected key=value, got {item!r}")
         key, value = item.split("=", 1)
-        if key == "sizes":
-            out[key] = tuple(int(x) for x in value.split(","))
-        else:
-            out[key] = int(value)
+        try:
+            if key == "sizes":
+                out[key] = tuple(int(x) for x in value.split(","))
+            else:
+                out[key] = int(value)
+        except ValueError:
+            raise InvalidParameter(f"expected integer values, got {item!r}") from None
     return out
 
 
@@ -103,7 +106,7 @@ def _expect_family(doc: GraphDocument, family: str) -> dict:
 
 def cmd_colour(args) -> int:
     doc = _read_doc(args)
-    g = doc.graph()
+    g = doc.graph
     verify = not args.no_verify
     name = args.construction
     if name == "wheel":
@@ -157,7 +160,7 @@ def cmd_colour(args) -> int:
     meta["construction"] = {"name": name, "k": args.k}
     if args.seed is not None:
         meta["construction"]["seed"] = args.seed
-    _write(args, emit(document_from_graph(g, c, metadata=meta)))
+    _write(args, emit(GraphDocument(c.graph, c, meta)))
     return EXIT_OK
 
 
@@ -172,8 +175,7 @@ def _sampler_args(args):
 
 
 def cmd_verify(args) -> int:
-    doc = _read_doc(args)
-    c = doc.colouring()
+    c = _read_doc(args).colouring
     if c is None:
         raise InvalidParameter("document carries no colouring to verify")
     b = gr.Budget(args.budget)
@@ -211,8 +213,7 @@ def _result_payload(res: solver.CrxResult) -> dict:
 
 
 def cmd_solve(args) -> int:
-    doc = _read_doc(args)
-    g = doc.graph()
+    g = _read_doc(args).graph
     if args.mode == "exact":
         fn = solver.rx_exact if args.index == "rx" else solver.crx_exact
         b = gr.Budget.of(args.budget, solver.DEFAULT_EXACT_BUDGET)
@@ -231,8 +232,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    doc = _read_doc(args)
-    g = doc.graph()
+    g = _read_doc(args).graph
     b = gr.Budget(args.budget)  # one budget for every search below
     dec = gr.block_decomposition(g)
     payload = {
@@ -263,8 +263,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    doc = _read_doc(args)
-    _write(args, export_dot(doc))
+    _write(args, export_dot(_read_doc(args)))
     return EXIT_OK
 
 
@@ -333,7 +332,7 @@ def main(argv=None) -> int:
     except ConstructionRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE
-    except (RainbowError, FileNotFoundError) as exc:
+    except (RainbowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
 

@@ -19,7 +19,8 @@ class EdgeColouring:
 
     Constructors emit surjective colourings; a colouring that legitimately
     leaves declared colours unused (e.g. a raw random sample) must say so
-    via ``unused_ok``.
+    via ``unused_ok``. The flag only relaxes that check when the colouring
+    is built; it is no part of the map, so equality ignores it.
 
     ``witnesses`` holds the rainbow cycles (or trees) that a self-verification
     found, which together hold every k-subset, so check_cover(c, k,
@@ -39,7 +40,7 @@ class EdgeColouring:
     graph: Graph
     colour_of: tuple[int, ...]
     r: int
-    unused_ok: bool = False
+    unused_ok: bool = field(default=False, compare=False)
     witnesses: tuple = field(default=(), compare=False, repr=False)
     quotients: tuple = field(default=(), compare=False, repr=False)
 

@@ -1,9 +1,12 @@
 """GraphDocument: the JSON-compatible on-disk form of graphs and colourings.
 
-The edge array in a document defines the edge ids of the colouring stored
-next to it. On load, edges are canonicalised to the library's sorted order
-and the colour array is remapped along, so semantics survive the round trip
-even for documents produced elsewhere.
+A document is a Graph, an optional EdgeColouring of it that carries its
+witnesses, and metadata. The edge array in the JSON text defines the edge
+ids of the colour array next to it. On load, edges are canonicalised to the
+library's sorted order and the colour array is remapped along, so semantics
+survive the round trip even for documents produced elsewhere. ``parse``
+builds the Graph and the EdgeColouring once, so a malformed colouring is
+refused whatever the command.
 
 A colouring may carry the witnesses of its self-verification, one string
 each: a cycle as its vertex sequence ("0 5 2 6"), a tree as its edges
@@ -15,7 +18,7 @@ hints: verification re-checks every one and drops those that fail.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .colouring import CycleWitness, EdgeColouring, TreeWitness
 from .errors import InvalidParameter
@@ -31,47 +34,27 @@ _DOT_PALETTE = (
 
 @dataclass(frozen=True)
 class GraphDocument:
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    colours: tuple[int, ...] | None = None
-    r: int | None = None
-    metadata: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
-    witnesses: tuple = ()  # CycleWitness or TreeWitness objects on canonical edge ids
-
-    def graph(self) -> Graph:
-        return Graph(self.n, self.edges)
-
-    def colouring(self) -> EdgeColouring | None:
-        if self.colours is None:
-            return None
-        return EdgeColouring(self.graph(), self.colours, self.r, unused_ok=True,
-                             witnesses=self.witnesses)
+    graph: Graph
+    colouring: EdgeColouring | None  # a colouring of graph, carrying its witnesses
+    metadata: dict
 
 
 def document_from_graph(g: Graph, colouring: EdgeColouring | None = None,
                         metadata: dict | None = None) -> GraphDocument:
     if colouring is not None and colouring.graph != g:
         raise InvalidParameter("colouring belongs to a different graph")
-    return GraphDocument(
-        n=g.n,
-        edges=g.edges,
-        colours=None if colouring is None else tuple(colouring.colour_of),
-        r=None if colouring is None else colouring.r,
-        metadata=dict(metadata or {}),
-        witnesses=() if colouring is None else colouring.witnesses,
-    )
+    return GraphDocument(g, colouring, dict(metadata or {}))
 
 
-def _witness_strings(doc: GraphDocument) -> dict:
+def _witness_strings(c: EdgeColouring) -> dict:
     """The document entry of the witnesses: cycles as vertex sequences, trees
     as vertex pairs, or as their one vertex."""
     entry = {}
-    for w in doc.witnesses:
+    for w in c.witnesses:
         if isinstance(w, CycleWitness):
             entry.setdefault("cycles", []).append(" ".join(map(str, w.vertices)))
         else:
-            pairs = " ".join("%d-%d" % doc.edges[eid] for eid in w.edge_ids)
+            pairs = " ".join("%d-%d" % c.graph.edges[eid] for eid in w.edge_ids)
             entry.setdefault("trees", []).append(pairs or str(min(w.vertices)))
     return entry
 
@@ -104,15 +87,16 @@ def _parse_witnesses(g: Graph, entry) -> tuple:
 
 
 def emit(doc: GraphDocument) -> str:
+    g, c = doc.graph, doc.colouring
     payload = {
-        "format_version": doc.format_version,
-        "n": doc.n,
-        "edges": [list(e) for e in doc.edges],
+        "format_version": FORMAT_VERSION,
+        "n": g.n,
+        "edges": [list(e) for e in g.edges],
     }
-    if doc.colours is not None:
-        payload["colouring"] = {"colours": list(doc.colours), "r": doc.r}
-        if doc.witnesses:
-            payload["colouring"]["witnesses"] = _witness_strings(doc)
+    if c is not None:
+        payload["colouring"] = {"colours": list(c.colour_of), "r": c.r}
+        if c.witnesses:
+            payload["colouring"]["witnesses"] = _witness_strings(c)
     if doc.metadata:
         payload["metadata"] = doc.metadata
     return json.dumps(payload, indent=2) + "\n"
@@ -130,6 +114,10 @@ def parse(text: str) -> GraphDocument:
         raise InvalidParameter(f"document is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise InvalidParameter("document must be a JSON object")
+    version = payload.get("format_version", FORMAT_VERSION)
+    if not is_ints([version]) or version != FORMAT_VERSION:
+        raise InvalidParameter(f"unsupported format_version {json.dumps(version)}; "
+                               f"expected {FORMAT_VERSION}")
     for key in ("n", "edges"):
         if key not in payload:
             raise InvalidParameter(f"document missing required field {key!r}")
@@ -144,8 +132,7 @@ def parse(text: str) -> GraphDocument:
         u, v = item
         given.append((u, v) if u < v else (v, u))
     g = Graph(n, tuple(given))  # sorts edges canonically
-    colours = r = None
-    witnesses = ()
+    c = None
     if "colouring" in payload:
         col = payload["colouring"]
         arr, r = (col.get("colours"), col.get("r")) if isinstance(col, dict) else (None, None)
@@ -156,15 +143,12 @@ def parse(text: str) -> GraphDocument:
         colours = [0] * len(given)
         for pos, pair in enumerate(given):
             colours[g.edge_id(*pair)] = arr[pos]
-        colours = tuple(colours)
-        if "witnesses" in col:
-            witnesses = _parse_witnesses(g, col["witnesses"])
+        witnesses = _parse_witnesses(g, col["witnesses"]) if "witnesses" in col else ()
+        c = EdgeColouring(g, tuple(colours), r, unused_ok=True, witnesses=witnesses)
     meta = payload.get("metadata", {})
     if not isinstance(meta, dict):
         raise InvalidParameter("metadata must be an object")
-    return GraphDocument(n=n, edges=g.edges, colours=colours, r=r, metadata=meta,
-                         format_version=payload.get("format_version", FORMAT_VERSION),
-                         witnesses=witnesses)
+    return GraphDocument(g, c, meta)
 
 
 def export_dot(doc: GraphDocument) -> str:
@@ -172,14 +156,15 @@ def export_dot(doc: GraphDocument) -> str:
     colouring in the document stays authoritative."""
     lines = ["graph G {"]
     lines.append("  node [shape=circle];")
-    for v in range(doc.n):
+    g, c = doc.graph, doc.colouring
+    for v in range(g.n):
         lines.append(f"  {v};")
-    for eid, (u, v) in enumerate(doc.edges):
-        if doc.colours is not None:
-            c = doc.colours[eid]
-            dot_colour = _DOT_PALETTE[c % len(_DOT_PALETTE)]
+    for eid, (u, v) in enumerate(g.edges):
+        if c is not None:
+            col = c.colour_of[eid]
+            dot_colour = _DOT_PALETTE[col % len(_DOT_PALETTE)]
             lines.append(
-                f'  {u} -- {v} [color={dot_colour}, label="{c}"];'
+                f'  {u} -- {v} [color={dot_colour}, label="{col}"];'
             )
         else:
             lines.append(f"  {u} -- {v};")

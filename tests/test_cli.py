@@ -44,7 +44,14 @@ class TestDocument:
         doc = document_from_graph(g, c, metadata={"family": "wheel"})
         back = parse(emit(doc))
         assert back == doc
-        assert back.colouring().colour_of == c.colour_of
+        assert back.colouring.colour_of == c.colour_of
+
+    def test_parse_builds_one_graph(self):
+        # the colouring is a colouring of the document's own graph
+        g = gen.wheel(4)
+        doc = parse(emit(document_from_graph(g, rainbow_colouring(g))))
+        assert doc.colouring.graph is doc.graph
+        assert parse(emit(document_from_graph(g))).colouring is None
 
     def test_foreign_edge_order_is_remapped(self):
         # document lists edges out of canonical order; colours follow the edges
@@ -55,9 +62,9 @@ class TestDocument:
             "colouring": {"colours": [5, 6, 7], "r": 8},
         })
         doc = parse(text)
-        assert doc.edges == ((0, 1), (0, 2), (1, 2))
-        g = doc.graph()
-        c = doc.colouring()
+        assert doc.graph.edges == ((0, 1), (0, 2), (1, 2))
+        g = doc.graph
+        c = doc.colouring
         assert c.colour_of[g.edge_id(1, 2)] == 5
         assert c.colour_of[g.edge_id(0, 1)] == 6
         assert c.colour_of[g.edge_id(0, 2)] == 7
@@ -67,10 +74,10 @@ class TestDocument:
             assert c.witnesses
             doc = document_from_graph(c.graph, c)
             back = parse(emit(doc))
-            assert back == doc and back.witnesses == c.witnesses
+            assert back == doc and back.colouring.witnesses == c.witnesses
             # witnesses are no part of the colouring's identity
-            assert back.colouring() == replace(c, witnesses=(), unused_ok=True)
-            assert back.colouring().witnesses == c.witnesses
+            assert back.colouring == replace(c, witnesses=(), unused_ok=True)
+            assert back.colouring.witnesses == c.witnesses
 
     def test_witnesses_survive_foreign_edge_order(self):
         # a cycle is a vertex sequence, a tree a list of vertex pairs
@@ -81,13 +88,13 @@ class TestDocument:
                 "cycles": ["2 1 0"], "trees": ["2-1 0-2", "1", "0-3"]}},
         })
         g = Graph(3, ((0, 1), (0, 2), (1, 2)))
-        assert parse(text).witnesses == (
+        assert parse(text).colouring.witnesses == (
             CycleWitness((2, 1, 0), (2, 0, 1)),
             TreeWitness((2, 1), frozenset({0, 1, 2})),
             TreeWitness((), frozenset({1})),
         )  # "0-3" names no edge of g and is dropped
-        assert all(check_cycle_witness(g, w) for w in parse(text).witnesses[:1])
-        assert all(check_tree_witness(g, w) for w in parse(text).witnesses[1:])
+        assert all(check_cycle_witness(g, w) for w in parse(text).colouring.witnesses[:1])
+        assert all(check_tree_witness(g, w) for w in parse(text).colouring.witnesses[1:])
 
     def test_schema_violations(self):
         with pytest.raises(InvalidParameter):
@@ -299,7 +306,7 @@ class TestPipelines:
                                  monkeypatch, capsys)
         argv = ["colour", "multipartite-random", "--k", "2", "--seed", "1"]
         code, out, _ = run_cli(argv, doc_text, monkeypatch, capsys)
-        assert code == 0 and parse(out).colouring() is not None
+        assert code == 0 and parse(out).colouring is not None
         code, out, err = run_cli(argv + ["--no-verify"], doc_text, monkeypatch, capsys)
         assert code == 2 and not out
         assert err.startswith("error:") and "--no-verify" in err
@@ -426,6 +433,29 @@ class TestPipelines:
         code, out, err = run_cli(command, json.dumps(doc), monkeypatch, capsys)
         assert code == 2 and err.startswith("error:") and not out
 
+    _COLOUR_BEYOND_R = dict(_TRIANGLE, colouring={"colours": [0, 1, 3], "r": 3})
+
+    @pytest.mark.parametrize("argv, doc", [
+        (["gen", "wheel", "n=abc"], None),
+        (["gen", "complete-multipartite", "sizes=1,,2"], None),
+        (["-i", "{dir}", "analyze"], None),
+        (["-o", "{dir}", "gen", "cycle", "n=4"], None),
+        (["analyze"], dict(_TRIANGLE, format_version="x")),
+        (["analyze"], dict(_TRIANGLE, format_version=7)),
+        (["analyze"], dict(_TRIANGLE, format_version=True)),
+        (["export-dot"], _COLOUR_BEYOND_R),
+        (["solve", "--k", "1"], _COLOUR_BEYOND_R),
+    ], ids=["param-word", "param-empty-size", "input-dir", "output-dir", "version-str",
+            "version-7", "version-bool", "dot-colour-beyond-r", "solve-colour-beyond-r"])
+    def test_malformed_input_exit_2(self, argv, doc, tmp_path, monkeypatch, capsys):
+        # a bad parameter, an unreadable file or document, one error line each
+        argv = [str(tmp_path) if a == "{dir}" else a for a in argv]
+        code, out, err = run_cli(argv, "" if doc is None else json.dumps(doc),
+                                 monkeypatch, capsys)
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and err.startswith("error:")
+        assert "Traceback" not in err
+
 
 def _mutated(text, mutate):
     """The document text after mutate(payload) edits its JSON payload."""
@@ -439,7 +469,7 @@ def _same_verdict_as_bare(text, k, index="crx"):
     status, bad set and subsets checked must agree, and every witness the
     seeded report rests on must pass its re-check. Returns both reports."""
     verify = verify_k_rainbow_cycle_colouring if index == "crx" else verify_k_rainbow_index_colouring
-    c = parse(text).colouring()
+    c = parse(text).colouring
     seeded = verify(c, k)
     bare = verify(replace(c, witnesses=()), k)
     assert (seeded.status, seeded.bad_set, seeded.subsets_checked) == (
@@ -570,7 +600,7 @@ class TestDocumentCovers:
         code, coloured, _ = run_cli(["colour", *construction], doc_text, monkeypatch, capsys)
         assert code == 0
         doc = parse(coloured)
-        assert check_cover(doc.colouring(), k, doc.witnesses)
+        assert check_cover(doc.colouring, k, doc.colouring.witnesses)
         code, bare, err = run_cli(["colour", *construction, "--no-verify"], doc_text,
                                   monkeypatch, capsys)
         if sampled:
@@ -580,15 +610,15 @@ class TestDocumentCovers:
         else:
             assert code == 0
             bare_doc = parse(bare)
-            assert not check_cover(bare_doc.colouring(), k, bare_doc.witnesses)
+            assert not check_cover(bare_doc.colouring, k, bare_doc.colouring.witnesses)
         # the first witness with two edges takes one colour on both
-        first, second = next(w.edge_ids for w in doc.witnesses if len(w.edge_ids) >= 2)[:2]
+        first, second = next(w.edge_ids for w in doc.colouring.witnesses if len(w.edge_ids) >= 2)[:2]
 
         def flip(payload):
             colours = payload["colouring"]["colours"]
             colours[first] = colours[second]
         flipped = parse(_mutated(coloured, flip))
-        assert not check_cover(flipped.colouring(), k, flipped.witnesses)
+        assert not check_cover(flipped.colouring, k, flipped.colouring.witnesses)
 
 
 class TestCachedParser:
