@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidParameter
-from .graph import Graph, _coloured_adjacency, colex_subsets
+from .graph import Graph, _bfs_distances, _coloured_adjacency, colex_subsets
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,9 @@ class EdgeColouring:
     parts at most as often as there are distinct colours on the edges
     between them, and those counts are read from ``colour_of``, so any
     partition gives a sound bound: a partition is a hint that sets how
-    strong the bound is, never whether it holds. Equality ignores them too.
+    strong the bound is, never whether it holds. The bound sums a path's
+    crossings over the partitions only when they cut every edge, which is
+    read from the graph too. Equality ignores them too.
     """
 
     graph: Graph
@@ -79,12 +81,16 @@ class EdgeColouring:
 
     @cached_property
     def _quotient_graphs(self) -> tuple:
-        """For each partition of quotients, built on the first walk search
-        that reads it: (part id of each vertex, ids numbered in order of
-        first appearance; adjacency of the parts as (part, pair id) pairs in
-        ascending part order; the number of distinct colours on the edges of
-        each pair of parts, by pair id). A colour on the edges of several
-        pairs counts on each of them."""
+        """(graphs, cut), built on the first walk search that reads them.
+        graphs holds, for each partition of quotients: the part id of each
+        vertex, ids numbered in order of first appearance; the adjacency of
+        the parts as (part, pair id) pairs in ascending part order; the
+        number of distinct colours on the edges of each pair of parts, by
+        pair id, a colour on the edges of several pairs counting on each of
+        them; and the part distances, dist[p][q] the fewest moves between
+        parts p and q (INF where there is none). cut is True iff every edge
+        joins different parts in at least one partition, so that a path's
+        crossings, summed over the partitions, are at least its length."""
         out = []
         for partition in self.quotients:
             ids = {}
@@ -94,14 +100,12 @@ class EdgeColouring:
                 p, q = part[u], part[v]
                 if p != q:
                     between.setdefault((min(p, q), max(p, q)), set()).add(col)
-            adj = [[] for _ in ids]
-            counts = []
-            for pair_id, ((p, q), cols) in enumerate(sorted(between.items())):
-                adj[p].append((q, pair_id))
-                adj[q].append((p, pair_id))
-                counts.append(len(cols))
-            out.append((part, tuple(tuple(sorted(row)) for row in adj), tuple(counts)))
-        return tuple(out)
+            parts = Graph(len(ids), tuple(between))  # pair ids are its edge ids
+            dist = tuple(tuple(_bfs_distances(parts, p)) for p in range(len(ids)))
+            out.append((part, parts.adjacency, tuple(len(between[pq]) for pq in parts.edges),
+                        dist))
+        cut = all(any(part[u] != part[v] for part, *_ in out) for u, v in self.graph.edges)
+        return tuple(out), cut
 
     def used_colours(self) -> frozenset:
         return frozenset(self.colour_of)

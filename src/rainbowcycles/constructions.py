@@ -10,6 +10,7 @@ published 1-based schemes are shifted uniformly.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import replace
@@ -502,7 +503,10 @@ def colour_cube_recursive(n: int, k: int, block: int) -> EdgeColouring:
     copies of one edge of that block's cube, all in one colour, so a rainbow
     walk crosses each edge of each block's cube at most once, which lets
     the walk search refute many tuples before it runs
-    (search.find_subdivided_closed_walk). A rainbow Q_n carries none.
+    (search.find_subdivided_closed_walk). The blocks cover every
+    coordinate, so every edge joins different parts in the block of the
+    coordinate it flips, and the search may sum a path's crossings over the
+    blocks. A rainbow Q_n carries none.
     """
     if block < 2:
         raise InvalidParameter("need block K >= 2")
@@ -534,6 +538,13 @@ def colour_cube_recursive(n: int, k: int, block: int) -> EdgeColouring:
     return out
 
 
+@functools.cache
+def _cube(n: int) -> Graph:
+    """One Q_n per dimension for recursive_cube_walk, so that the distance
+    and toward rows its base searches read are computed once per process."""
+    return hypercube(n)
+
+
 def recursive_cube_walk(n: int, block: int, s, colouring: EdgeColouring | None = None,
                         budget=None) -> WalkWitness:
     """Rainbow S-subdivided closed walk in the layered cube colouring.
@@ -544,12 +555,13 @@ def recursive_cube_walk(n: int, block: int, s, colouring: EdgeColouring | None =
     BaseWalkNotFound when a base cube has no walk for a projected tuple
     (a larger K is then needed). Every base search spends one budget.
     A colouring given is one of Q_n, whose graph the search and the check
-    reuse; a graph of another size raises InvalidParameter.
+    reuse; a graph of another size raises InvalidParameter. Without one, each
+    dimension's cube is built once and shared by every call (_cube).
     """
     s = tuple(s)
     budget = Budget.of(budget)
     if colouring is None:
-        g = hypercube(n)
+        g = _cube(n)
     else:
         g = colouring.graph
         if g.n != 1 << n or 2 * g.e != n << n:

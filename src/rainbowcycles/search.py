@@ -23,6 +23,7 @@ of colours, each checked before the pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -402,8 +403,14 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     (_part_walk_exists), the walk is absent: the result is None and
     b.cuts["quotient"] counts it. m is read from the colours, not from the
     hint, so the bound is sound for any partition; a colour on the edges of
-    several pairs counts on each, which makes it weaker, not wrong. Each move
-    of the part-walk search spends one node of the budget.
+    several pairs counts on each, which makes it weaker, not wrong. When the
+    partitions cut every edge, each edge of a path crosses in at least one
+    of them, so a path's crossings summed over the partitions are at least
+    its length, 2 or more: a segment whose part distances sum to less than
+    2 must cross more in some partition, and the walk is absent unless one
+    way of sharing out the missing crossings lets every partition's part
+    walk exist (_quotients_admit_walk). Each move of the part-walk search
+    spends one node of the budget.
     """
     s = tuple(s)
     if not s:
@@ -442,8 +449,7 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     if rest_lb[0] > cap:
         return None
     if colouring is not None and colouring.quotients:
-        refuted = not all(_part_walk_exists(quotient, s, b)
-                          for quotient in colouring._quotient_graphs)
+        refuted = not _quotients_admit_walk(colouring, s, b)
         b.cuts["quotient"] = b.cuts.get("quotient", 0) + refuted
         if refuted:
             return None
@@ -527,54 +533,108 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
             cut()
 
 
-def _part_walk_exists(quotient, s, b: Budget) -> bool:
+def _quotients_admit_walk(c: EdgeColouring, s, b: Budget) -> bool:
+    """Whether the partitions of c.quotients admit the part walks of a
+    rainbow walk through s, one part walk each (_part_walk_exists).
+
+    When every edge joins different parts in some partition (the cut flag
+    of EdgeColouring._quotient_graphs), a path's crossings summed over the
+    partitions are at least its length, which is at least 2 between
+    distinct anchors. A segment whose part distances sum to less than 2 is
+    tight: the crossings it is short of must fall in some partitions. Every
+    way to share them out is tried, each share a multiset of partitions,
+    and a partition given some of a segment's crossings must cross on that
+    segment at least its part distance plus its share. The walk is refuted
+    iff no split lets every partition's part walk exist. Without a tight
+    segment there is one split, with no demand, and each partition is
+    checked once in order, stopping at the first that fails; a partition's
+    answer for one demand is computed once."""
+    graphs, cut = c._quotient_graphs
+    k = len(s)
+    tight = []  # (segment index, part distance in each partition, crossings short)
+    if cut:
+        for i in range(k):
+            a, z = s[i], s[(i + 1) % k]
+            if a != z:
+                dists = [dist[part[a]][part[z]] for part, _, _, dist in graphs]
+                if sum(dists) < 2:
+                    tight.append((i, dists, 2 - sum(dists)))
+    shares = [itertools.combinations_with_replacement(range(len(graphs)), short)
+              for _, _, short in tight]
+    answers = [{} for _ in graphs]  # per partition: demand -> whether its walk exists
+    for split in itertools.product(*shares):
+        for j, quotient in enumerate(graphs):
+            demand = [0] * k
+            for (i, dists, _), share in zip(tight, split):
+                if j in share:
+                    demand[i] = dists[j] + share.count(j)
+            demand = tuple(demand)
+            if demand not in answers[j]:
+                answers[j][demand] = _part_walk_exists(quotient, s, b, demand)
+            if not answers[j][demand]:
+                break
+        else:
+            return True
+    return False
+
+
+def _part_walk_exists(quotient, s, b: Budget, demand) -> bool:
     """Whether a closed walk on the parts of quotient, an entry of
     EdgeColouring._quotient_graphs, visits the parts of the anchors of s in
-    cyclic order and crosses each pair of parts at most as often as its
-    count allows. The legs are the anchors' parts with each part that
-    repeats its cyclic predecessor dropped; the walk starts at the last.
+    cyclic order, crosses each pair of parts at most as often as its count
+    allows, and makes at least demand[i] moves between the parts of s[i]
+    and s[i + 1] (cyclically). The legs are the anchors' parts, each with
+    the demand of the step that reaches it, and a part that repeats its
+    cyclic predecessor with no demand is dropped; the walk starts at the
+    last.
 
-    Two exact rules keep it small. A walk that passes some part twice within
-    one leg still exists once the loop between the two passes is cut out,
-    which only frees crossings, so each leg is searched as a simple path.
-    And a part's crossings, the sum of counts over its pairs, must cover
-    two for each visit: slack[p] is what is left after the visits still
-    due, so a part with slack below 0 refutes the walk at once, and a leg
-    may pass through a part only while its slack is at least 2. Each move
-    between parts spends one node of b."""
-    part, adj, counts = quotient
+    Two exact rules keep it small. A leg that passes some part twice after
+    its demand is met still meets it once the loop between the two passes
+    is cut out, which only frees crossings, so the rest of each leg is
+    searched as a simple path; before that the leg may revisit parts, as
+    cutting a loop there could leave it short of its demand. And a part's
+    crossings, the sum of counts over its pairs, must cover two for each
+    visit: slack[p] is what is left after the visits still due, so a part
+    with slack below 0 refutes the walk at once, and a leg may pass through
+    a part, the target of a leg whose demand is not yet met included, only
+    while its slack is at least 2. Each move between parts spends one node
+    of b."""
+    part, adj, counts, _ = quotient
     seq = [part[v] for v in s]
-    legs = [p for i, p in enumerate(seq) if p != seq[i - 1]]
-    if not legs:  # every anchor in one part
+    legs = [(p, demand[i - 1]) for i, p in enumerate(seq) if p != seq[i - 1] or demand[i - 1]]
+    if not legs:  # every anchor in one part, and no demand
         return True
     slack = [sum(counts[pair] for _, pair in row) for row in adj]
-    for p in legs:
+    for p, _ in legs:
         slack[p] -= 2
-    return min(slack) >= 0 and _part_path(adj, list(counts), slack, legs, b, 0, legs[-1], 0)
+    return min(slack) >= 0 and _part_path(adj, list(counts), slack, legs, b, 0,
+                                          legs[-1][0], 0, legs[0][1])
 
 
-def _part_path(adj, room, slack, legs, b: Budget, j, at, seen) -> bool:
+def _part_path(adj, room, slack, legs, b: Budget, j, at, seen, due) -> bool:
     """Whether the legs from the j-th on can be walked, the walk being at
-    part at and seen the parts that leg j has passed, one bit each; room and
-    slack are restored on the way back."""
-    target = legs[j]
-    seen |= 1 << at
+    part at, due the moves leg j must still make before it may end, and
+    seen the parts that leg j has passed since its demand was met, one bit
+    each; room and slack are restored on the way back."""
+    target = legs[j][0]
+    if not due:
+        seen |= 1 << at
     for q, pair in adj[at]:
         if not room[pair] or seen >> q & 1:
             continue
-        if q == target:
+        if q == target and due <= 1:
             b.spend()
             if j + 1 == len(legs):
                 return True
             room[pair] -= 1
-            if _part_path(adj, room, slack, legs, b, j + 1, q, 0):
+            if _part_path(adj, room, slack, legs, b, j + 1, q, 0, legs[j + 1][1]):
                 return True
             room[pair] += 1
         elif slack[q] >= 2:
             b.spend()
             room[pair] -= 1
             slack[q] -= 2
-            if _part_path(adj, room, slack, legs, b, j, q, seen):
+            if _part_path(adj, room, slack, legs, b, j, q, seen, max(due - 1, 0)):
                 return True
             room[pair] += 1
             slack[q] += 2

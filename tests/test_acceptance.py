@@ -22,6 +22,7 @@ from rainbowcycles import solver
 from rainbowcycles.colouring import EdgeColouring, check_walk_witness
 from rainbowcycles.errors import AttemptsExhausted, BaseWalkNotFound, BudgetExceeded
 from rainbowcycles.graph import (
+    Budget,
     delete_vertex,
     enumerate_hamilton_cycles,
     find_hamilton_cycle,
@@ -307,10 +308,14 @@ def test_criterion_09_recursive_cube_scaled():
     # projected tuples unreachable at the Q_3 base (BaseWalkNotFound, by
     # design: the remedy is raising K); those are re-derived at K = 4, whose
     # base covers Q_6, and every tuple must end with a verified rainbow walk.
+    # The direct searches in between must each end in a walk or a proof of
+    # absence: the block-quotient bound, with the crossings summed over the
+    # blocks, leaves none of them to run out of budget.
     g6 = c.graph
     c_raised = cons.colour_cube_recursive(6, 4, 4)
     rng = random.Random(20260810)
     spliced = direct = escalated = 0
+    direct_nodes = budget_outs = 0
     for _ in range(200):
         s = tuple(rng.randrange(64) for _ in range(4))
         witness = colouring = None
@@ -318,10 +323,13 @@ def test_criterion_09_recursive_cube_scaled():
             witness, colouring = cons.recursive_cube_walk(6, block, s, colouring=c), c
             spliced += 1
         except BaseWalkNotFound:
+            b = Budget(150_000)
             try:
-                w = find_subdivided_closed_walk(g6, s, colouring=c, budget=150_000)
+                w = find_subdivided_closed_walk(g6, s, colouring=c, budget=b)
             except BudgetExceeded:
                 w = None
+                budget_outs += 1
+            direct_nodes += b.used
             if w is not None:
                 witness, colouring = w, c
                 direct += 1
@@ -331,9 +339,12 @@ def test_criterion_09_recursive_cube_scaled():
                 escalated += 1
         assert check_walk_witness(g6, witness, colouring, require_rainbow=True), s
     assert spliced + direct > 0
+    # 15.4 M nodes before the block-quotient bound, 4.03 M with it per block
+    assert budget_outs == 0 and direct_nodes <= 1_540_000, (budget_outs, direct_nodes)
     _passed(9, f"24 <= 4*6 colours, layers colour-disjoint; walks: {spliced}"
                f" spliced + {direct} searched at K=3, {escalated} after the"
-               " documented raise-K remedy; all 200 witnesses re-validated")
+               f" documented raise-K remedy; direct searches: {direct_nodes} nodes,"
+               f" {budget_outs} budget-outs; all 200 witnesses re-validated")
 
 
 def test_criterion_10_enumeration_soundness():

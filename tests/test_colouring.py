@@ -42,9 +42,12 @@ class TestEdgeColouring:
         assert c == EdgeColouring(g, (0, 1, 2, 3), 4)
         with pytest.raises(InvalidParameter, match="every vertex a part"):
             EdgeColouring(g, (0, 1, 2, 3), 4, quotients=((0, 0, 1),))
-        # the parts are {0, 1} and {2, 3}, joined by the edges 1-2 and 0-3
-        ((part, adj, counts),) = c._quotient_graphs
+        # the parts are {0, 1} and {2, 3}, joined by the edges 1-2 and 0-3;
+        # the edges 0-1 and 2-3 join no two parts, so the partition cuts not
+        # every edge
+        ((part, adj, counts, dist),), cut = c._quotient_graphs
         assert (part, adj, counts) == ((0, 0, 1, 1), (((1, 0),), ((0, 0),)), (2,))
+        assert (dist, cut) == (((0, 1), (1, 0)), False)
 
 
 class TestCycleWitness:

@@ -251,9 +251,13 @@ class TestCubeRecursive:
         assert cons.colour_cube_recursive(7, 4, 3).quotients == (
             tuple(v & 15 for v in range(128)), tuple(v >> 4 for v in range(128)))
         assert cons.colour_cube_recursive(6, 4, 4).quotients == ()
-        # each pair of adjacent blocks is joined in one colour
-        for part, adj, counts in c9._quotient_graphs:
+        # each pair of adjacent blocks is joined in one colour, the parts lie
+        # apart as the block's vertices do in Q_3, and the blocks cut every edge
+        graphs, cut = c9._quotient_graphs
+        assert cut
+        for part, adj, counts, dist in graphs:
             assert len(counts) == 12 and set(counts) == {1}
+            assert dist == tuple(tuple(bin(p ^ q).count("1") for q in range(8)) for p in range(8))
 
     def test_walk_rejects_a_colouring_of_another_size(self):
         c = cons.colour_cube_recursive(6, 4, 3)

@@ -42,6 +42,7 @@ from rainbowcycles.graph import (
 )
 from rainbowcycles.search import (
     _colour_symmetries,
+    _part_walk_exists,
     colour_class_collision,
     find_subdivided_closed_walk,
     min_cycle_length_through,
@@ -363,12 +364,27 @@ class TestGoldenNodeCounts:
         assert b.cuts["quotient"] == 0
 
     def test_coloured_q6_walk_budget_out(self, cube_k3):
-        # a tuple that the block-quotient bound leaves open
-        b = Budget(50_000)
+        # a tuple that the block-quotient bound leaves open, whose walk takes
+        # 1,050 nodes (test_coloured_q6_walk), on a budget of 1,000
+        b = Budget(1_000)
         with pytest.raises(BudgetExceeded):
-            find_subdivided_closed_walk(cube_k3.graph, (41, 5, 21, 8), colouring=cube_k3,
+            find_subdivided_closed_walk(cube_k3.graph, (38, 45, 10, 32), colouring=cube_k3,
                                         budget=b)
-        assert (b.used, b.cuts["quotient"]) == (50_001, 0)
+        assert (b.used, b.cuts["quotient"]) == (1_001, 0)
+
+    def test_coloured_q6_walk_refuted_on_summed_crossings(self, cube_k3):
+        # 5 -> 21 stays in part 5 of the low block and moves from part 0 to
+        # part 2 of the high block: one crossing short of the 2 a path needs.
+        # Given to the low block, it makes part 5 a leg's target twice, 4
+        # crossings at a part with 3 (0 steps); given to the high block, it
+        # asks for 2 moves from 0 to 2, and no closed part walk has them
+        # (11 steps for the low block's plain walk, then 20). Each block's
+        # part walk exists on its own, and the search used to run out of
+        # 50 k nodes
+        b = Budget(50_000)
+        assert find_subdivided_closed_walk(cube_k3.graph, (41, 5, 21, 8), colouring=cube_k3,
+                                           budget=b) is None
+        assert (b.used, b.cuts["quotient"]) == (31, 1)
 
     def test_coloured_q6_walk_refuted_on_a_quotient(self, cube_k3):
         # the high block reads 0, 1, 0, 4: a closed walk on Q_3 through those
@@ -697,6 +713,77 @@ class TestQuotientBound:
             assert (w is not None) == brute_subdivided_closed_walk_exists(g, s, c), s
         assert find_subdivided_closed_walk(g, (0, 3), colouring=hinted).paths == (
             (0, 1, 2, 3), (3, 4, 5, 0))
+
+    @staticmethod
+    def _adjacent_biased_tuples(rng, count):
+        """Tuples of Q_4 vertices whose next anchor is mostly a neighbour."""
+        out = []
+        for _ in range(count):
+            s = [rng.randrange(16)]
+            for _ in range(rng.randrange(1, 4)):
+                s.append(s[-1] ^ 1 << rng.randrange(4) if rng.random() < 0.6
+                         else rng.randrange(16))
+            out.append(tuple(s))
+        return out
+
+    @staticmethod
+    def _each_part_walk_exists(c, s):
+        graphs, _ = c._quotient_graphs
+        return all(_part_walk_exists(q, s, Budget(), (0,) * len(s)) for q in graphs)
+
+    def test_summed_crossings_match_brute(self):
+        # adjacent anchors leave each block's part walk a one-crossing leg,
+        # so the refutations counted here come from the crossings summed
+        # over the blocks; each is confirmed by the oracle
+        c = cons.colour_cube_recursive(4, 4, 2)
+        assert c._quotient_graphs[1]
+        joint = 0
+        for s in self._adjacent_biased_tuples(random.Random(26), 150):
+            b = Budget(10**6)
+            w = find_subdivided_closed_walk(c.graph, s, colouring=c, budget=b)
+            if w is not None:
+                assert check_walk_witness(c.graph, w, c, require_rainbow=True)
+            elif b.cuts.get("quotient") and self._each_part_walk_exists(c, s):
+                joint += 1
+                assert not brute_subdivided_closed_walk_exists(c.graph, s, c), s
+        assert joint >= 20, joint
+
+    def test_short_crossings_split_between_the_blocks(self):
+        # 8 and 0 differ in the high block only: each way between them has
+        # part distances summing to 1, one crossing short of the 2 a path
+        # needs. The walk found detours through the low block on the way to
+        # 0 and through the high block on the way back, so the two missing
+        # crossings fall one in each block: given both, the low block must
+        # leave part 0 twice, and the high block must go from part 2 to
+        # part 0 and back in at least 2 moves each; neither has room
+        c = cons.colour_cube_recursive(4, 4, 2)
+        (low, high), _ = c._quotient_graphs
+        w = find_subdivided_closed_walk(c.graph, (8, 0), colouring=c)
+        assert w.paths == ((8, 9, 1, 3, 2, 0), (0, 4, 12, 8))
+        assert check_walk_witness(c.graph, w, c, require_rainbow=True)
+        assert not _part_walk_exists(low, (8, 0), Budget(), (1, 1))
+        assert not _part_walk_exists(high, (8, 0), Budget(), (2, 2))
+        assert _part_walk_exists(low, (8, 0), Budget(), (1, 0))
+        assert _part_walk_exists(high, (8, 0), Budget(), (0, 2))
+
+    def test_an_uncut_edge_skips_the_sum(self):
+        # the low block alone leaves the high block's edges inside its parts,
+        # so a path's crossings may sum to less than its length: each tuple
+        # is checked on that block's part walk alone, and the answers are
+        # those of the search without quotients
+        c = cons.colour_cube_recursive(4, 4, 2)
+        hinted = replace(c, quotients=c.quotients[:1])
+        assert not hinted._quotient_graphs[1]
+        refuted = found = 0
+        for s in self._adjacent_biased_tuples(random.Random(2026), 300) + [(8, 0), (0, 4)]:
+            b = Budget()
+            w = find_subdivided_closed_walk(c.graph, s, colouring=hinted, budget=b)
+            assert w == find_subdivided_closed_walk(c.graph, s, colouring=replace(c, quotients=()))
+            if "quotient" in b.cuts:  # the rule ran, after the distance checks
+                assert b.cuts["quotient"] == (not self._each_part_walk_exists(hinted, s)), s
+                refuted += b.cuts["quotient"]
+            found += w is not None
+        assert refuted >= 5 and found >= 100, (refuted, found)
 
     def test_budget_holds_on_the_bound(self):
         c = cons.colour_cube_recursive(6, 4, 3)
