@@ -586,7 +586,10 @@ def _part_walk_exists(quotient, s, b: Budget, demand) -> bool:
     and s[i + 1] (cyclically). The legs are the anchors' parts, each with
     the demand of the step that reaches it, and a part that repeats its
     cyclic predecessor with no demand is dropped; the walk starts at the
-    last.
+    last. A demand comes from the sum rule of _quotients_admit_walk: where
+    the partitions cut every edge, a path's crossings summed over them are
+    at least its length, so a segment short of 2 by its part distances must
+    make the difference up in some partition.
 
     Two exact rules keep it small. A leg that passes some part twice after
     its demand is met still meets it once the loop between the two passes
