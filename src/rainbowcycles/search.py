@@ -45,6 +45,7 @@ from .graph import (
     _bipartition,
     _kernel_adjacency,
     _neighbours_toward,
+    _vertex_ids,
     _WitnessCover,
     in_family_Fk,
     is_connected,
@@ -57,9 +58,7 @@ from .graph import (
 
 def rainbow_cycle_through(c: EdgeColouring, s, budget=None):
     """First rainbow simple cycle containing every vertex of s, else None."""
-    s = sorted(set(s))
-    if not s:
-        raise InvalidParameter("need at least one vertex")
+    s = _vertex_ids(c.graph, s)
     b = Budget.of(budget)
     found = _anchored_cycle(c.graph, s, b, (c.r,), c)
     return None if found is None else CycleWitness(*found)
@@ -71,9 +70,7 @@ def min_cycle_length_through(g: Graph, s, budget=None):
     Iterative deepening: level L is a complete search over cycles of length
     at most L, so the first level that yields a cycle is the exact minimum.
     """
-    s = sorted(set(s))
-    if not s:
-        raise InvalidParameter("need at least one vertex")
+    s = _vertex_ids(g, s)
     b = Budget.of(budget)
     cycle = _shortest_cycle_through(g, s, b)
     return None if cycle is None else len(cycle)
@@ -117,9 +114,7 @@ def rainbow_tree_through(c: EdgeColouring, s, budget=None):
     exact while taming the duplicate growth orders.
     """
     g = c.graph
-    s = sorted(set(s))
-    if not s:
-        raise InvalidParameter("need at least one vertex")
+    s = _vertex_ids(g, s)
     b = Budget.of(budget)
     start = s[0]
     needed = frozenset(s)
@@ -379,7 +374,9 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     Repeated consecutive anchors get the trivial path; distinct consecutive
     anchors get a path of length >= 2 whose internal vertices avoid every
     anchor and every other path. With a colouring the walk must additionally
-    be rainbow. Returns a WalkWitness or None (proven absent).
+    be rainbow. Returns a WalkWitness or None (proven absent). An empty s,
+    an id outside 0..n-1 or a colouring of another graph than g raises
+    InvalidParameter.
 
     Iterative deepening on the total walk length keeps the backtracking from
     wandering: each level is a complete search over walks of that total
@@ -413,8 +410,9 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     spends one node of the budget.
     """
     s = tuple(s)
-    if not s:
-        raise InvalidParameter("need at least one anchor")
+    _vertex_ids(g, s)
+    if colouring is not None and colouring.graph is not g and colouring.graph != g:
+        raise InvalidParameter("the colouring is of another graph")
     b = Budget.of(budget)
     k = len(s)
     anchor_set = set(s)

@@ -365,6 +365,30 @@ class TestPipelines:
                                   monkeypatch, capsys)
         assert code == 0 and json.loads(report)["status"] == "certified"
 
+    def test_solve_budget_out_prints_interval(self, monkeypatch, capsys):
+        # 50 nodes settle neither bound of crx_2(K_7): the girth and e(G)
+        _, doc_text, _ = run_cli(["gen", "complete", "n=7"], "", monkeypatch, capsys)
+        code, report, _ = run_cli(
+            ["solve", "--k", "2", "--budget", "50"], doc_text, monkeypatch, capsys)
+        rep = json.loads(report)["result"]
+        assert code == 2 and (rep["kind"], rep["lower"], rep["upper"]) == ("interval", 3, 21)
+
+    def test_cube_recursive_pipeline(self, monkeypatch, capsys):
+        _, doc_text, _ = run_cli(["gen", "hypercube", "n=6"], "", monkeypatch, capsys)
+        code, coloured, _ = run_cli(["colour", "cube-recursive", "--k", "4", "--block", "3"],
+                                    doc_text, monkeypatch, capsys)
+        assert code == 0 and json.loads(coloured)["colouring"]["r"] == 24
+
+    @pytest.mark.parametrize("construction, k", [("save-one-crx1", 1), ("save-one-crx2", 2)])
+    def test_save_one_pipeline(self, construction, k, monkeypatch, capsys):
+        _, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
+        code, coloured, _ = run_cli(["colour", construction, "--k", str(k)], doc_text,
+                                    monkeypatch, capsys)
+        assert code == 0
+        code, report, _ = run_cli(["verify", "--k", str(k)], coloured, monkeypatch, capsys)
+        rep = json.loads(report)
+        assert code == 0 and (rep["status"], rep["colours"]) == ("certified", 9)
+
     def test_solve_rx(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
         code, report, _ = run_cli(
@@ -434,6 +458,8 @@ class TestPipelines:
         assert code == 2 and err.startswith("error:") and not out
 
     _COLOUR_BEYOND_R = dict(_TRIANGLE, colouring={"colours": [0, 1, 3], "r": 3})
+    _SQUARE_AS_Q2 = {"n": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
+                     "metadata": {"family": "hypercube", "params": {"n": 2}}}
 
     @pytest.mark.parametrize("argv, doc", [
         (["gen", "wheel", "n=abc"], None),
@@ -445,8 +471,15 @@ class TestPipelines:
         (["analyze"], dict(_TRIANGLE, format_version=True)),
         (["export-dot"], _COLOUR_BEYOND_R),
         (["solve", "--k", "1"], _COLOUR_BEYOND_R),
+        (["colour", "cube-recursive", "--k", "2"], _SQUARE_AS_Q2),
+        (["colour", "save-one-crx1", "--k", "1"], _TRIANGLE),
+        (["colour", "no-such-construction", "--k", "1"], _TRIANGLE),
+        (["verify", "--k", "2"], _TRIANGLE),
+        (["solve", "--k", "1", "--index", "rx", "--mode", "interval"], _TRIANGLE),
     ], ids=["param-word", "param-empty-size", "input-dir", "output-dir", "version-str",
-            "version-7", "version-bool", "dot-colour-beyond-r", "solve-colour-beyond-r"])
+            "version-7", "version-bool", "dot-colour-beyond-r", "solve-colour-beyond-r",
+            "cube-recursive-no-block", "save-one-on-cycle", "unknown-construction",
+            "verify-uncoloured", "rx-interval"])
     def test_malformed_input_exit_2(self, argv, doc, tmp_path, monkeypatch, capsys):
         # a bad parameter, an unreadable file or document, one error line each
         argv = [str(tmp_path) if a == "{dir}" else a for a in argv]

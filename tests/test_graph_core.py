@@ -377,6 +377,13 @@ class TestHamiltonCycles:
         assert len(cycle) == g.n and b.used <= nodes
         assert check_cycle_witness(g, CycleWitness(cycle, cycle_vertices_to_edge_ids(g, cycle)))
 
+    def test_fresh_search_reads_only_the_anchors_distance_row(self):
+        # at S = V the distance rule checks dist(x, anchor) alone, so the
+        # search computes no BFS row but the anchor's
+        g = gen.wheel(14)
+        assert find_hamilton_cycle(g) is not None
+        assert [v for v, row in enumerate(g._distance_rows) if row is not None] == [0]
+
     def test_q6_is_in_f3_by_its_hamilton_cycle(self):
         b = Budget()
         assert in_family_Fk(gen.hypercube(6), 3, b)

@@ -306,6 +306,32 @@ class TestSubdividedWalks:
         assert w is not None
         assert check_walk_witness(c.graph, w, c, require_rainbow=True)
 
+    def test_colouring_of_another_graph_is_refused(self):
+        # distances would come from g and colours from K_6: a "walk" of
+        # chords that are no edges of C_6
+        g = gen.cycle(6)
+        with pytest.raises(InvalidParameter, match="another graph"):
+            find_subdivided_closed_walk(g, (0, 2), colouring=rainbow_colouring(gen.complete(6)))
+        # an equal graph built apart is the same graph
+        c = rainbow_colouring(gen.cycle(6))
+        w = find_subdivided_closed_walk(g, (0, 2), colouring=c)
+        assert check_walk_witness(g, w, c, require_rainbow=True)
+
+
+@pytest.mark.parametrize("search", [
+    lambda g, s: rainbow_cycle_through(rainbow_colouring(g), s),
+    min_cycle_length_through,
+    lambda g, s: rainbow_tree_through(rainbow_colouring(g), s),
+    cycle_through_exists,
+    find_subdivided_closed_walk,
+], ids=["rainbow_cycle_through", "min_cycle_length_through", "rainbow_tree_through",
+        "cycle_through_exists", "find_subdivided_closed_walk"])
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_vertex_ids_outside_the_graph_are_refused(search, bad):
+    # -1 would read the last vertex's entries and 5 would run off them
+    with pytest.raises(InvalidParameter, match=f"vertex {bad} is not in 0..4"):
+        search(gen.cycle(5), (bad, 2))
+
 
 def test_searches_leave_no_cyclic_garbage():
     """The recursive closures of the searches are unlinked on exit, and the
