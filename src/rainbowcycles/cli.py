@@ -114,6 +114,7 @@ def cmd_colour(args) -> int:
         c = cons.colour_wheel(p["n"], args.k, verify=verify, budget=args.budget)
     elif name == "complete-2rainbow":
         p = _expect_family(doc, "complete")
+        _certified_up_to(args, 2)
         c = cons.colour_complete_2rainbow(p["n"], verify=verify, budget=args.budget)
     elif name == "complete-random":
         p = _expect_family(doc, "complete")
@@ -126,6 +127,7 @@ def cmd_colour(args) -> int:
                                   verify=verify, budget=args.budget)
     elif name == "multipartite-blowup":
         p = _expect_family(doc, "complete-multipartite")
+        _certified_up_to(args, 1)
         c = cons.colour_multipartite_blowup(tuple(p["sizes"]), verify=verify,
                                             budget=args.budget)
     elif name == "multipartite-random":
@@ -146,11 +148,14 @@ def cmd_colour(args) -> int:
             raise InvalidParameter("cube-recursive needs --block K")
         c = cons.colour_cube_recursive(p["n"], args.k, args.block)
     elif name == "save-one-crx1":
+        _certified_up_to(args, 1)
         c = cons.colour_save_one_crx1(g, verify=verify, budget=args.budget)
     elif name == "save-one-crx2":
+        _certified_up_to(args, 2)
         c = cons.colour_save_one_crx2(g, verify=verify, budget=args.budget)
     elif name == "join-rxk":
         p = _expect_family(doc, "path-cycle-join")
+        _certified_up_to(args, p["k"])
         c = cons.colour_join_rxk(p["k"], p["t"], verify=verify, budget=args.budget)
     else:
         raise InvalidParameter(f"unknown construction {name!r}")
@@ -162,6 +167,12 @@ def cmd_colour(args) -> int:
         meta["construction"]["seed"] = args.seed
     _write(args, emit(GraphDocument(c.graph, c, meta)))
     return EXIT_OK
+
+
+def _certified_up_to(args, top: int):
+    """Refuse a --k outside 1..top, top being the k the construction certifies."""
+    if not 1 <= args.k <= top:
+        raise InvalidParameter(f"{args.construction} certifies 1 <= k <= {top}, not --k {args.k}")
 
 
 def _sampler_args(args):

@@ -241,6 +241,8 @@ def colour_complete_2rainbow(n: int, verify: bool = True, budget=None) -> EdgeCo
 def _random_until_certified(g: Graph, k: int, r: int, seed, max_attempts: int,
                             budget, label: str) -> EdgeColouring:
     """Samples until one verifies; the F_k precheck and every try spend one budget."""
+    if max_attempts < 1:
+        raise InvalidParameter("need max_attempts >= 1")
     b = Budget.of(budget)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)

@@ -404,10 +404,10 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     partitions cut every edge, each edge of a path crosses in at least one
     of them, so a path's crossings summed over the partitions are at least
     its length, 2 or more: a segment whose part distances sum to less than
-    2 must cross more in some partition, and the walk is absent unless one
-    way of sharing out the missing crossings lets every partition's part
-    walk exist (_quotients_admit_walk). Each move of the part-walk search
-    spends one node of the budget.
+    2 must cross more in some partition, and the walk is absent unless
+    giving its missing crossings to one of the partitions lets every
+    partition's part walk exist (_quotients_admit_walk). Each move of the
+    part-walk search spends one node of the budget.
     """
     s = tuple(s)
     _vertex_ids(g, s)
@@ -417,14 +417,12 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     k = len(s)
     anchor_set = set(s)
     segments = []  # (index, a, b) for the non-trivial steps
-    for i in range(k):
-        a, bv = s[i], s[(i + 1) % k]
-        if a != bv:
-            segments.append((i, a, bv))
     paths: list = [None] * k
-    for i in range(k):
-        if s[i] == s[(i + 1) % k]:
-            paths[i] = (s[i],)
+    for i, a in enumerate(s):
+        if a == s[(i + 1) % k]:
+            paths[i] = (a,)
+        else:
+            segments.append((i, a, s[(i + 1) % k]))
     if not segments:
         return WalkWitness(s, tuple(paths))
 
@@ -432,18 +430,16 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     # per target: its distance row, and the adjacency ordered toward it
     toward = {bv: (_bfs_distances(g, bv), _neighbours_toward(g, colouring, bv))
               for _, _, bv in segments}
-    seg_lb = []
-    for _, a, bv in segments:
+    rest_lb = [0]  # rest_lb[j]: the fewest edges of the paths from j on
+    for _, a, bv in reversed(segments):
         d = toward[bv][0][a]
         if d is INF:
             return None
-        seg_lb.append(max(2, int(d)))
-    rest_lb = [0] * (len(segments) + 1)
-    for i in range(len(segments) - 1, -1, -1):
-        rest_lb[i] = rest_lb[i + 1] + seg_lb[i]
+        rest_lb.insert(0, rest_lb[0] + max(2, int(d)))
 
-    vertex_cap = (g.n - len(anchor_set)) + len(segments)
-    cap = vertex_cap if colouring is None else min(vertex_cap, palette)
+    # a walk repeats no colour, and without a colouring no edge, as no two
+    # paths share one: it has at most palette edges
+    cap = min(g.n - len(anchor_set) + len(segments), palette)
     if rest_lb[0] > cap:
         return None
     if colouring is not None and colouring.quotients:
@@ -456,79 +452,62 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
         marks[v] = 1
     used = bytearray(palette)
     left = b.limit - b.used  # nodes still allowed; Budget.used is set on exit
-    cuts = []  # each step refers to itself through its cell; these free them on exit
+    trail = []  # on success: a path's target, then its internal vertices backwards
 
-    def path_search(j, enter_next):
-        """Entry to the DFS of segment j: enter(edges_left) is True once this
-        path and, through enter_next, all later ones are found."""
+    def enter(j, edges_left):  # True once path j and all later ones are found
+        nonlocal left
+        if j == len(segments):
+            return True
+        left -= 1
+        if left < 0:
+            raise BudgetExceeded(b.limit)
         i, a, target = segments[j]
         dist, nbrs = toward[target]
-        rest = rest_lb[j + 1]
-        trail = []  # on success: the target, then the internal vertices backwards
-
-        def step(v, done, room):
-            # room = edges this path may still use at the current level
-            nonlocal left
-            for w, eid, col in nbrs[v]:
-                if used[col]:
-                    continue
-                if marks[w]:
-                    # the target is an anchor, so it is marked too; a
-                    # non-trivial path needs length >= 2
-                    if w == target and done:
-                        used[col] = 1
-                        if enter_next(room + rest - 1):
-                            trail.append(w)
-                            return True
-                        used[col] = 0
-                    continue
-                # the child's node, cut when max(dist[w], 1 - done) > room - 1;
-                # 1 - done > room - 1 cannot hold, as this node has 2 - done <= room
-                left -= 1
-                if left < 0:
-                    raise BudgetExceeded(b.limit)
-                if dist[w] >= room:
-                    continue
-                marks[w] = used[col] = 1
-                if step(w, done + 1, room - 1):
-                    trail.append(w)
-                    return True
-                marks[w] = used[col] = 0
+        room = edges_left - rest_lb[j + 1]
+        if max(dist[a], 2) > room or not step(j, a, 0, room, target, dist, nbrs):
             return False
+        paths[i] = (a, *reversed(trail))
+        trail.clear()
+        return True
 
-        def enter(edges_left):
-            nonlocal left
+    def step(j, v, done, room, target, dist, nbrs):
+        # path j is at v after done edges; room = edges it may still use
+        nonlocal left
+        for w, eid, col in nbrs[v]:
+            if used[col]:
+                continue
+            if marks[w]:
+                # the target is an anchor, so it is marked too; a
+                # non-trivial path needs length >= 2
+                if w == target and done:
+                    used[col] = 1
+                    if enter(j + 1, room - 1 + rest_lb[j + 1]):
+                        trail.append(w)
+                        return True
+                    used[col] = 0
+                continue
+            # the child's node, cut when max(dist[w], 1 - done) > room - 1;
+            # 1 - done > room - 1 cannot hold, as this node has 2 - done <= room
             left -= 1
             if left < 0:
                 raise BudgetExceeded(b.limit)
-            room = edges_left - rest
-            if max(dist[a], 2) > room or not step(a, 0, room):
-                return False
-            paths[i] = (a,) + tuple(reversed(trail))
-            return True
+            if dist[w] >= room:
+                continue
+            marks[w] = used[col] = 1
+            if step(j, w, done + 1, room - 1, target, dist, nbrs):
+                trail.append(w)
+                return True
+            marks[w] = used[col] = 0
+        return False
 
-        def cut():
-            nonlocal step
-            step = None
-
-        cuts.append(cut)
-        return enter
-
-    def closed(edges_left):  # entered after the last path: the walk is complete
-        return True
-
-    enter = closed
-    for j in range(len(segments) - 1, -1, -1):
-        enter = path_search(j, enter)
     try:
         for level in range(rest_lb[0], cap + 1):
-            if enter(level):
+            if enter(0, level):
                 return WalkWitness(s, tuple(paths))
         return None
     finally:
         b.used = b.limit - left
-        for cut in cuts:
-            cut()
+        del enter, step  # they refer to each other through their cells
 
 
 def _quotients_admit_walk(c: EdgeColouring, s, b: Budget) -> bool:
@@ -539,14 +518,15 @@ def _quotients_admit_walk(c: EdgeColouring, s, b: Budget) -> bool:
     of EdgeColouring._quotient_graphs), a path's crossings summed over the
     partitions are at least its length, which is at least 2 between
     distinct anchors. A segment whose part distances sum to less than 2 is
-    tight: the crossings it is short of must fall in some partitions. Every
-    way to share them out is tried, each share a multiset of partitions,
-    and a partition given some of a segment's crossings must cross on that
-    segment at least its part distance plus its share. The walk is refuted
-    iff no split lets every partition's part walk exist. Without a tight
-    segment there is one split, with no demand, and each partition is
-    checked once in order, stopping at the first that fails; a partition's
-    answer for one demand is computed once."""
+    tight, and a split gives the crossings it is short of to one partition,
+    which must cross on that segment at least its part distance plus them.
+    The walk is refuted iff no split lets every partition's part walk
+    exist. This loses nothing: a segment 2 short has its anchors in one
+    part of every partition, so a partition given 1 of its crossings must
+    still leave that part and come back. Without a tight segment there is
+    one split, with no demand, and each partition is checked once in
+    order, stopping at the first that fails; a partition's answer for one
+    demand is computed once."""
     graphs, cut = c._quotient_graphs
     k = len(s)
     tight = []  # (segment index, part distance in each partition, crossings short)
@@ -557,15 +537,13 @@ def _quotients_admit_walk(c: EdgeColouring, s, b: Budget) -> bool:
                 dists = [dist[part[a]][part[z]] for part, _, _, dist in graphs]
                 if sum(dists) < 2:
                     tight.append((i, dists, 2 - sum(dists)))
-    shares = [itertools.combinations_with_replacement(range(len(graphs)), short)
-              for _, _, short in tight]
     answers = [{} for _ in graphs]  # per partition: demand -> whether its walk exists
-    for split in itertools.product(*shares):
+    for split in itertools.product(range(len(graphs)), repeat=len(tight)):
         for j, quotient in enumerate(graphs):
             demand = [0] * k
-            for (i, dists, _), share in zip(tight, split):
-                if j in share:
-                    demand[i] = dists[j] + share.count(j)
+            for (i, dists, short), taker in zip(tight, split):
+                if taker == j:
+                    demand[i] = dists[j] + short
             demand = tuple(demand)
             if demand not in answers[j]:
                 answers[j][demand] = _part_walk_exists(quotient, s, b, demand)

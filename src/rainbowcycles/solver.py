@@ -466,7 +466,7 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeCol
                  cons.colour_complete_random(param, k, seed, SAMPLER_ATTEMPTS, budget))
         elif kind == "wheel":
             c = cons.colour_wheel(param, k, budget=budget)
-        elif kind == "hypercube" and (k in (1, 2, 3) or k >= 1 << (param - 1)):
+        elif kind == "hypercube":
             c = cons.colour_cube(param, k, budget=budget)
         elif kind == "complete_bipartite":
             c = cons.colour_bipartite(*param, k, budget=budget)

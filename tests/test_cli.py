@@ -476,15 +476,30 @@ class TestPipelines:
         (["colour", "no-such-construction", "--k", "1"], _TRIANGLE),
         (["verify", "--k", "2"], _TRIANGLE),
         (["solve", "--k", "1", "--index", "rx", "--mode", "interval"], _TRIANGLE),
+        # a --k above what the construction certifies; doc is the gen command
+        (["colour", "complete-2rainbow", "--k", "5"], ["gen", "complete", "n=6"]),
+        (["colour", "complete-2rainbow", "--k", "0"], ["gen", "complete", "n=6"]),
+        (["colour", "save-one-crx2", "--k", "3"], ["gen", "wheel", "n=5"]),
+        (["colour", "multipartite-blowup", "--k", "2"],
+         ["gen", "complete-multipartite", "sizes=1,2,3"]),
+        (["colour", "save-one-crx1", "--k", "2"], ["gen", "wheel", "n=5"]),
+        (["colour", "join-rxk", "--k", "4"], ["gen", "path-cycle-join", "k=2", "t=2"]),
+        (["colour", "complete-random", "--k", "3", "--seed", "1", "--attempts", "-3"],
+         ["gen", "complete", "n=6"]),
     ], ids=["param-word", "param-empty-size", "input-dir", "output-dir", "version-str",
             "version-7", "version-bool", "dot-colour-beyond-r", "solve-colour-beyond-r",
             "cube-recursive-no-block", "save-one-on-cycle", "unknown-construction",
-            "verify-uncoloured", "rx-interval"])
+            "verify-uncoloured", "rx-interval", "complete-2rainbow-k5", "complete-2rainbow-k0",
+            "save-one-crx2-k3",
+            "blowup-k2", "save-one-crx1-k2", "join-rxk-above-join-k", "negative-attempts"])
     def test_malformed_input_exit_2(self, argv, doc, tmp_path, monkeypatch, capsys):
         # a bad parameter, an unreadable file or document, one error line each
         argv = [str(tmp_path) if a == "{dir}" else a for a in argv]
-        code, out, err = run_cli(argv, "" if doc is None else json.dumps(doc),
-                                 monkeypatch, capsys)
+        if isinstance(doc, list):
+            _, text, _ = run_cli(doc, "", monkeypatch, capsys)
+        else:
+            text = "" if doc is None else json.dumps(doc)
+        code, out, err = run_cli(argv, text, monkeypatch, capsys)
         assert code == 2 and not out
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err

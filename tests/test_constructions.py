@@ -106,6 +106,17 @@ class TestComplete:
         with pytest.raises(InvalidParameter):
             cons.colour_complete_random(5, 2, seed=0, max_attempts=1)
 
+    @pytest.mark.parametrize("attempts", [0, -3])
+    def test_samplers_need_an_attempt(self, attempts):
+        # refused before the F_k precheck spends a node
+        b = Budget()
+        with pytest.raises(InvalidParameter):
+            cons.colour_complete_random(6, 3, seed=1, max_attempts=attempts, budget=b)
+        with pytest.raises(InvalidParameter):
+            cons.colour_balanced_multipartite_random(2, 2, 2, seed=1, max_attempts=attempts,
+                                                     budget=b)
+        assert b.used == 0
+
     def test_random_exhaustion_is_loud(self):
         with pytest.raises(AttemptsExhausted) as exc:
             cons.colour_complete_random(12, 3, seed=2, max_attempts=1)

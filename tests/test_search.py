@@ -340,6 +340,14 @@ def test_searches_leave_no_cyclic_garbage():
     q4 = gen.hypercube(4)
     c = cons.colour_cube(4, 2)
     c3 = cons.colour_cube(3, 2)
+    c42 = cons.colour_cube_recursive(4, 4, 2)
+
+    def walk_budget_out():
+        # (8, 0) passes the quotient bound in 8 nodes, and its search takes
+        # 160 more: a budget of 100 stops the search partway
+        with pytest.raises(BudgetExceeded):
+            find_subdivided_closed_walk(c42.graph, (8, 0), colouring=c42, budget=Budget(100))
+
     calls = [
         lambda: cycle_through_exists(q4, (0, 5, 10)),
         lambda: rainbow_cycle_through(c, (0, 15)),
@@ -347,6 +355,8 @@ def test_searches_leave_no_cyclic_garbage():
         lambda: find_subdivided_closed_walk(q4, (0, 5, 10, 3)),
         lambda: find_subdivided_closed_walk(q4, (0, 5, 10, 3), colouring=rainbow_colouring(q4)),
         lambda: find_subdivided_closed_walk(q4, (0, 1, 0, 1, 0, 1)),  # absent
+        lambda: find_subdivided_closed_walk(c42.graph, (8, 0), colouring=c42),
+        walk_budget_out,
         lambda: solver.crx_exact(gen.wheel(4), 2),
         lambda: solver.rx_exact(gen.cycle(5), 3),
         lambda: rainbow_tree_through(c3, (0, 3, 5, 6)),
@@ -791,6 +801,56 @@ class TestQuotientBound:
         assert not _part_walk_exists(high, (8, 0), Budget(), (2, 2))
         assert _part_walk_exists(low, (8, 0), Budget(), (1, 0))
         assert _part_walk_exists(high, (8, 0), Budget(), (0, 2))
+
+    def test_a_segment_two_crossings_short_goes_to_one_partition(self):
+        # a and z, distinct and not adjacent, form one part of each of two
+        # partitions that together cut every edge, so a segment between
+        # them has part distance 0 in both and is 2 crossings short. Given
+        # 1 of them, a partition must still leave the part and come back,
+        # so demand 1 and demand 2 agree, and the bound gives both to one
+        # partition. The edges at a and z take few colours, which leaves
+        # the part few crossings: the joint refutations are those where
+        # each part walk exists without the demand.
+
+        # the 6-cycle 0-3-1-4-2-5 in parts {0, 1}, {2, 3, 4, 5} and {0, 1},
+        # {2}, {3, 4, 5}: its walk (0, 1, 2) leaves part {0, 1} no crossing
+        # to spare, so the segment from 0 to 1 gets exactly its 2 missing ones
+        g = Graph(6, ((0, 3), (1, 3), (1, 4), (2, 4), (2, 5), (0, 5)))
+        hinted = replace(rainbow_colouring(g), quotients=((0, 0, 1, 1, 1, 1), (0, 0, 1, 2, 2, 2)))
+        assert hinted._quotient_graphs[1]
+        w = find_subdivided_closed_walk(g, (0, 1, 2), colouring=hinted)
+        assert w.paths == ((0, 3, 1), (1, 4, 2), (2, 5, 0))
+        rng = random.Random(28)
+        graphs = refuted = joint = found = 0
+        while graphs < 150:
+            g = random_connected_graph(rng, rng.randrange(7, 11), rng.randrange(4, 10))
+            a, z = rng.sample(range(g.n), 2)
+            parts = tuple(tuple(-1 if v in (a, z) else rng.randrange(rng.randrange(2, 5))
+                                for v in range(g.n)) for _ in range(2))
+            if g.edge_index.get((min(a, z), max(a, z))) is not None or not all(
+                    any(p[u] != p[v] for p in parts) for u, v in g.edges):
+                continue
+            graphs += 1
+            few = rng.randrange(3, 6)
+            c = EdgeColouring(g, tuple(rng.randrange(few) if a in uv or z in uv
+                                       else rng.randrange(few + g.e) for uv in g.edges),
+                              few + g.e, unused_ok=True)
+            hinted = replace(c, quotients=parts)
+            quotients, cut = hinted._quotient_graphs
+            assert cut
+            other = rng.choice([v for v in range(g.n) if v not in (a, z)])
+            for s in ((a, z), (a, z, other), (z, a, rng.randrange(g.n))):
+                for q in quotients:
+                    assert _part_walk_exists(q, s, Budget(), (1,) + (0,) * (len(s) - 1)) == \
+                        _part_walk_exists(q, s, Budget(), (2,) + (0,) * (len(s) - 1)), s
+                b = Budget()
+                w = find_subdivided_closed_walk(g, s, colouring=hinted, budget=b)
+                assert w == find_subdivided_closed_walk(g, s, colouring=c), (g.edges, s)
+                assert (w is not None) == brute_subdivided_closed_walk_exists(g, s, c), s
+                refuted += b.cuts.get("quotient", 0)
+                joint += b.cuts.get("quotient", 0) and self._each_part_walk_exists(hinted, s)
+                found += w is not None
+        assert joint >= 12 and refuted >= joint and found >= 30, (refuted, joint, found)
 
     def test_an_uncut_edge_skips_the_sum(self):
         # the low block alone leaves the high block's edges inside its parts,
