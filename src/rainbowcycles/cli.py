@@ -41,6 +41,8 @@ def _parse_params(pairs):
         if "=" not in item:
             raise InvalidParameter(f"expected key=value, got {item!r}")
         key, value = item.split("=", 1)
+        if key in out:
+            raise InvalidParameter(f"parameter {key!r} given twice")
         try:
             if key == "sizes":
                 out[key] = tuple(int(x) for x in value.split(","))
@@ -79,8 +81,9 @@ def _jsonable(obj):
 def cmd_gen(args) -> int:
     params = _parse_params(args.params)
     fn, names = _FAMILIES[args.family]
-    if any(p not in params for p in names):
-        raise InvalidParameter(f"{args.family} needs parameters {names}")
+    if sorted(params) != sorted(names):
+        raise InvalidParameter(f"{args.family} takes exactly the parameters {names}, "
+                               f"got {tuple(params)}")
     g = fn(*(params[p] for p in names))
     meta = {"family": args.family, "params": {p: params[p] for p in names}}
     _write(args, emit(document_from_graph(g, metadata=meta)))

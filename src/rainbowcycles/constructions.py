@@ -59,19 +59,14 @@ from .search import (
 )
 
 
-def _certify(c: EdgeColouring, k: int, expected_colours: int | None, label: str,
-             verify: bool = True, budget=None, verifier=None,
-             symmetries=()) -> EdgeColouring:
-    """Check the colour count, then self-verify with ``verifier`` (default
+def _certify(c: EdgeColouring, k: int, label: str, verify: bool = True, budget=None,
+             verifier=None, symmetries=()) -> EdgeColouring:
+    """Self-verify with ``verifier`` (default
     verify_k_rainbow_cycle_colouring, looked up when called), which checks
     the vertex permutations in ``symmetries`` and adds each witness's images
     under the ones that map c onto itself up to a renaming of colours; a
     verified colouring comes back carrying the report's witnesses, images
     included."""
-    if expected_colours is not None and c.r != expected_colours:
-        raise ConstructionRejected(
-            f"{label}: produced {c.r} colours, theorem says {expected_colours}"
-        )
     if verify:
         report = (verifier or verify_k_rainbow_cycle_colouring)(c, k, budget,
                                                                  symmetries=symmetries)
@@ -201,7 +196,7 @@ def colour_wheel(n: int, k: int, verify: bool = True, budget=None) -> EdgeColour
     for (u, v), c in cols.items():
         colour_of[g.edge_id(u, v)] = c
     out = EdgeColouring(g, tuple(colour_of), r)
-    return _certify(out, k, r, f"colour_wheel(n={n}, k={k})", verify, budget)
+    return _certify(out, k, f"colour_wheel(n={n}, k={k})", verify, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +230,7 @@ def colour_complete_2rainbow(n: int, verify: bool = True, budget=None) -> EdgeCo
             col[(a, u)], col[(b, u)] = free
     g = complete(n)
     out = EdgeColouring(g, tuple(col[e] for e in g.edges), 3)
-    return _certify(out, 2, 3, f"colour_complete_2rainbow(n={n})", verify, budget)
+    return _certify(out, 2, f"colour_complete_2rainbow(n={n})", verify, budget)
 
 
 def _random_until_certified(g: Graph, k: int, r: int, seed, max_attempts: int,
@@ -386,7 +381,7 @@ def colour_bipartite(m: int, n: int, k: int, regime: str = "auto",
     for (i, j), c in col.items():
         colour_of[g.edge_id(i, m + j)] = c
     out = EdgeColouring(g, tuple(colour_of), r)
-    return _certify(out, k, r, f"colour_bipartite(m={m}, n={n}, k={k}, {regime})",
+    return _certify(out, k, f"colour_bipartite(m={m}, n={n}, k={k}, {regime})",
                     verify, budget, symmetries=_twin_shifts(g, colour_of) if verify else ())
 
 
@@ -411,7 +406,7 @@ def colour_multipartite_blowup(sizes, verify: bool = True, budget=None) -> EdgeC
         cls.extend([idx] * s)
     colour_of = tuple(base[(cls[u], cls[v])] for u, v in g.edges)
     out = EdgeColouring(g, colour_of, 3)
-    return _certify(out, 1, 3, f"colour_multipartite_blowup({sizes})", verify, budget,
+    return _certify(out, 1, f"colour_multipartite_blowup({sizes})", verify, budget,
                     symmetries=_twin_shifts(g, colour_of) if verify else ())
 
 
@@ -450,6 +445,8 @@ def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouri
     rainbow Hamilton cycle holds every subset."""
     if n < 2:
         raise InvalidParameter("need n >= 2")
+    if not 1 <= k <= 1 << n:
+        raise InvalidParameter(f"k must lie in 1..{1 << n}, the vertices of Q_{n}")
     if not (k in (1, 2, 3) or k >= 1 << (n - 1)):
         raise RegimeUnsupported(
             f"crx_{k}(Q_{n}) for 4 <= k < 2^(n-1) needs colour_cube_recursive"
@@ -481,7 +478,7 @@ def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouri
         r = size
     out = EdgeColouring(g, tuple(colour_of), r)
     translations = _family_symmetries("hypercube", n) if verify and k in (2, 3) else []
-    return _certify(out, k, r, f"colour_cube(n={n}, k={k})", verify, budget,
+    return _certify(out, k, f"colour_cube(n={n}, k={k})", verify, budget,
                     symmetries=translations)
 
 
@@ -514,11 +511,13 @@ def colour_cube_recursive(n: int, k: int, block: int) -> EdgeColouring:
         raise InvalidParameter("need block K >= 2")
     if k < 4:
         raise InvalidParameter("use colour_cube for k <= 3")
+    if k > 1 << n:
+        raise InvalidParameter(f"k must lie in 4..{1 << n}, the vertices of Q_{n}")
     g = hypercube(n)
     if n <= 2 * block - 1:
         return rainbow_colouring(g)
     split = CubeSplit(n - block, block)
-    hat = colour_cube_recursive(n - block, k, block)
+    hat = colour_cube_recursive(n - block, 4, block)  # the layers do not depend on k
     tilde = rainbow_colouring(hypercube(block))
     shift = hat.r
     colour_of = []
@@ -560,6 +559,8 @@ def recursive_cube_walk(n: int, block: int, s, colouring: EdgeColouring | None =
     reuse; a graph of another size raises InvalidParameter. Without one, each
     dimension's cube is built once and shared by every call (_cube).
     """
+    if block < 2:
+        raise InvalidParameter("need block K >= 2")
     s = tuple(s)
     budget = Budget.of(budget)
     if colouring is None:
@@ -645,7 +646,7 @@ def colour_save_one_crx1(g: Graph, verify: bool = True, budget=None) -> EdgeColo
         seen = {}
         colour_of = [seen.setdefault(c, len(seen)) for c in colour_of]
     out = EdgeColouring(g, tuple(colour_of), m - 1)
-    return _certify(out, 1, m - 1, "colour_save_one_crx1", verify, budget)
+    return _certify(out, 1, "colour_save_one_crx1", verify, budget)
 
 
 def colour_save_one_crx2(g: Graph, verify: bool = True, budget=None) -> EdgeColouring:
@@ -667,7 +668,7 @@ def colour_save_one_crx2(g: Graph, verify: bool = True, budget=None) -> EdgeColo
             nxt += 1
     colour_of[removable] = 0
     out = EdgeColouring(g, tuple(colour_of), g.e - 1)
-    return _certify(out, 2, g.e - 1, "colour_save_one_crx2", verify, budget)
+    return _certify(out, 2, "colour_save_one_crx2", verify, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +695,7 @@ def colour_join_rxk(k: int, t: int, verify: bool = True, budget=None) -> EdgeCol
     for i in range(c):
         colour_of[g.edge_id(p + i, p + (i + 1) % c)] = k * k - 2
     out = EdgeColouring(g, tuple(colour_of), k * k - 1)
-    return _certify(out, k, None, f"colour_join_rxk(k={k}, t={t})", verify, budget,
+    return _certify(out, k, f"colour_join_rxk(k={k}, t={t})", verify, budget,
                     verify_k_rainbow_index_colouring)
 
 

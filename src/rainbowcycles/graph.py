@@ -712,13 +712,14 @@ class _WitnessCover:
     below[p], for p >= 2, has bit i set for each kept witness i that holds
     every vertex below p. uncovered(k) walks every k-subset in colex order;
     covers(s) answers for one subset, for passes in any other order.
-    add_images keeps a witness's images under vertex permutations, each
+    add keeps a witness and its images under vertex permutations, each
     unless its vertex set is held.
     """
 
-    __slots__ = ("masks", "holding", "below", "held")
+    __slots__ = ("masks", "holding", "below", "held", "identity")
 
     def __init__(self, n: int):
+        self.identity = list(range(n))  # the witness itself, as add's first image
         self.masks = []
         self.holding = [0] * n  # per vertex: a bit for each witness on it
         self.below = [0] * (n + 1)
@@ -732,26 +733,14 @@ class _WitnessCover:
             held &= holding[v]
         return held != 0
 
-    def add(self, vertices) -> None:
-        """Keep a witness whose vertex set is vertices."""
-        holding, bit, mask = self.holding, 1 << len(self.masks), 0
-        for v in vertices:
-            holding[v] |= bit
-            mask |= 1 << v
-        self.masks.append(mask)
-        self.held.add(mask)
-        below = self.below
-        for q in range(2, (~mask & (mask + 1)).bit_length()):  # it holds range(q)
-            below[q] |= bit
-
-    def add_images(self, vertices, perms) -> list:
-        """Keep the image of a witness on vertices under each permutation p
-        in perms (vertex v goes to p[v]) whose vertex set no kept witness,
-        earlier image included, already has. Return the indices into perms
-        of the images kept, in order."""
+    def add(self, vertices, perms=()) -> list:
+        """Keep a witness whose vertex set is vertices, then its image under
+        each permutation p in perms (vertex v goes to p[v]), each one unless
+        a kept witness, earlier image included, already has its vertex set.
+        Return the indices into perms of the images kept, in order."""
         holding, masks, held, below = self.holding, self.masks, self.held, self.below
         new = []
-        for i, p in enumerate(perms):
+        for i, p in enumerate((self.identity, *perms), -1):
             mask = 0
             for v in vertices:
                 mask |= 1 << p[v]
@@ -764,7 +753,8 @@ class _WitnessCover:
                 below[q] |= bit
             masks.append(mask)
             held.add(mask)
-            new.append(i)
+            if i >= 0:
+                new.append(i)
         return new
 
     def uncovered(self, k: int):
@@ -833,10 +823,17 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
 
     The DFS anchors at s[0] and takes neighbours in ascending order, so the
     first cycle found is deterministic. Each limit in ``limits`` is tried in
-    turn. One node is one DFS state entered: the anchor alone at the start
-    of a limit, or a path extended by one vertex. A state that a cut rule
-    ends at once still counts, so a rule can lower the count of a search
-    but never change what it finds.
+    turn, except those below the floor, which are skipped without a node.
+    No cycle through s is shorter than the floor: such a cycle has at least
+    len(s) edges and holds the closed walk anchor -> m -> m2 -> anchor for
+    any vertices m, m2 of s besides the anchor (m2 = m gives 2 dist(anchor,
+    m)). The floor is infinite when the anchor cannot reach a vertex of s,
+    or when a vertex of s besides the anchor has fewer than two edges, which
+    the forced-vertex test would find at the root of every level. One node
+    is one DFS state entered: the anchor alone at the start of a limit, or
+    a path extended by one vertex. A state that a cut rule ends at once
+    still counts, so a rule can lower the count of a search but never
+    change what it finds.
 
     A state entered by putting w on the path with an edge of colour col is
     first tried as the end of the cycle (w's edge to the anchor closes it).
@@ -875,7 +872,10 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
 
     The set-up builds only what depends on s: the anchor's closing edges
     are kept per anchor (_closing_edges), and below s = V the distance rows
-    of s and their row-wise largest detour ``top``. The bound is taken on
+    of s and their row-wise largest detour ``top``. The floor's walks are
+    read off those rows, by a loop over the pairs only when s has two
+    vertices or more besides the anchor. At s = V the floor is n, or a
+    larger 2 dist(anchor, m). The bound is taken on
     demand: a child pays one lookup in ``top``, and only where that could
     cut is the exact bound taken, by a loop over the missing vertices. At
     s = V only the distance to the anchor is checked: the exact bound needs
@@ -916,17 +916,21 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     # without a colouring each colour is one edge, the one just taken, which
     # touches no missing vertex, so by_colour is None
     by_colour = None if colouring is None else [()] * palette
-    root_short = root_lb = 0
+    root_short, floor = 0, len(s)  # a cycle through s has at least len(s) edges
     for m, dm in rest:
         in_rest[m] = 1
         live[m] = len(adj[m])
         root_short += live[m] < 2
-        root_lb = max(root_lb, 2 * dm)  # the longest detour to rest and back
+        floor = max(floor, 2 * dm)  # the walk to m and back
         for y, eid, col in adj[m]:
             near[y] += ((m, eid, col),)
             if by_colour is not None:
                 by_colour[col] += ((m, y),)
     near[anchor] = ()  # the anchor never becomes interior
+    if len(detours) > 1:  # the walk anchor -> m2 -> m -> anchor
+        floor = max(floor, max(row[m2] + dm2 for _, row in detours for m2, dm2 in rest))
+    if root_short:  # some m has fewer than two edges
+        floor = INF
     cut_closing = cut_sides = cut_short = 0
     found = []  # (vertex, edge id) from the closing edge back to the anchor
     left = b.limit - b.used  # nodes still allowed; Budget.used is set on exit
@@ -1016,11 +1020,12 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
 
     try:
         for limit in limits:
+            if limit < floor:  # no cycle through s is this short
+                continue
             left -= 1
             if left < 0:
                 raise BudgetExceeded(b.limit)
-            if root_lb <= limit and extend(anchor, 0, len(rest), len(adj[anchor]),
-                                           root_short):
+            if extend(anchor, 0, len(rest), len(adj[anchor]), root_short):
                 found.reverse()
                 return (anchor,) + tuple(w for w, _ in found[:-1]), tuple(e for _, e in found)
         return None
@@ -1094,6 +1099,5 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
         found = _anchored_cycle(g, s, b, (g.n,))
         if found is None:
             return False
-        cover.add(found[0])
-        cover.add_images(found[0], shifts)
+        cover.add(found[0], shifts)
     return True

@@ -69,37 +69,12 @@ def min_cycle_length_through(g: Graph, s, budget=None):
 
     Iterative deepening: level L is a complete search over cycles of length
     at most L, so the first level that yields a cycle is the exact minimum.
+    The kernel skips the levels below its distance floor without a node
+    (graph._anchored_cycle).
     """
     s = _vertex_ids(g, s)
-    b = Budget.of(budget)
-    cycle = _shortest_cycle_through(g, s, b)
-    return None if cycle is None else len(cycle)
-
-
-def _shortest_cycle_through(g: Graph, s, b: Budget, best: int = 0):
-    """The vertex tuple of the first shortest simple cycle through every
-    vertex of the non-empty sorted sequence s, or None if there is none.
-
-    Iterative deepening from the distance floor lb0. An incumbent best
-    above lb0 makes best the first level, which admits every cycle of
-    length at most best: the cycle returned is then the first one found
-    within best, not always a shortest one. A cycle found at a later level
-    L is still the exact minimum, as every length below L was refuted. So
-    a result no longer than best shows only that s cannot raise best, and
-    a longer one is exact.
-    """
-    anchor = s[0]
-    dist = {v: _bfs_distances(g, v) for v in s}
-    if any(dist[v][anchor] is INF for v in s[1:]):
-        return None
-    lb0 = 3
-    for v in s[1:]:
-        lb0 = max(lb0, 2 * int(dist[v][anchor]))
-        for w in s[1:]:
-            if w > v and dist[w][v] is not INF:
-                lb0 = max(lb0, 2 * int(dist[w][v]))
-    found = _anchored_cycle(g, s, b, range(max(lb0, best), g.n + 1))
-    return None if found is None else found[0]
+    found = _anchored_cycle(g, s, Budget.of(budget), range(3, g.n + 1))
+    return None if found is None else len(found[0])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +214,7 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind,
     kept, followed by its images under the symmetries that pass
     _colour_symmetries; the other symmetries are dropped. An image whose
     vertex set a kept witness already has is skipped
-    (_WitnessCover.add_images). k must lie in 1..n.
+    (_WitnessCover.add). k must lie in 1..n.
 
     The kept witnesses start as those of type kind that c carries
     (EdgeColouring.witnesses) and pass check_cycle_witness or
@@ -272,9 +247,8 @@ def _verify_each_subset(c: EdgeColouring, k: int, b: Budget, kind,
             rank = sum(math.comb(v, i + 1) for i, v in enumerate(s))
             return VerificationReport("counterexample", s, rank + 1, searched, b.used,
                                       tuple(witnesses))
-        kept.add(w.vertices)
         witnesses.append(w)
-        for i in kept.add_images(w.vertices, perms):
+        for i in kept.add(w.vertices, perms):
             witnesses.append(_witness_image(w, *symmetries[i]))
     return VerificationReport("certified", None, math.comb(n, k), searched, b.used,
                               tuple(witnesses))

@@ -26,6 +26,7 @@ from .generators import _family_symmetries, wheel
 from .graph import (
     Budget,
     Graph,
+    _anchored_cycle,
     _is_cycle_graph,
     _twin_classes,
     _twin_shifts,
@@ -38,7 +39,6 @@ from .graph import (
     in_family_Fk,
     is_connected,
 )
-from .search import _shortest_cycle_through
 
 # The node budget of an exact solve given none. A solve with budget N walks
 # at most N + 1 nodes and builds a cover table of at most
@@ -357,24 +357,25 @@ def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certif
     A partial maximisation is still a valid lower bound.
 
     Branch and bound against the incumbent best, the largest minimum so
-    far: a subset is searched first with limit best (see
-    _shortest_cycle_through), and any cycle found there settles it, as it
-    cannot raise best. Only a subset with no cycle within best costs the
-    deeper levels, and the cycle they find is its exact minimum. Every
-    cycle found is kept. Its length is at most the best bound from then on,
-    so a later subset inside it has a cycle no longer than the bound and
-    needs no search. The pass order is the same either way, a subset is
-    passed over only when it has a cycle no longer than best, and a record
-    needs a strict gain, so the bound, its colex-first subset and the mode
-    do not change. ``b.cuts["incumbent"]`` counts the settled subsets.
+    far: a subset's iterative deepening (graph._anchored_cycle) starts at
+    limit best, which admits every cycle no longer than best, and any cycle
+    found there settles it, as it cannot raise best. Only a subset with no
+    cycle within best costs the deeper levels, and the cycle they find is
+    its exact minimum. Every cycle found is kept. Its length is at most the
+    best bound from then on, so a later subset inside it has a cycle no
+    longer than the bound and needs no search. The pass order is the same
+    either way, a subset is passed over only when it has a cycle no longer
+    than best, and a record needs a strict gain, so the bound, its
+    colex-first subset and the mode do not change. ``b.cuts["incumbent"]``
+    counts the settled subsets.
 
     Every cycle found also brings its images under the twin shifts of g
     (graph._twin_shifts) and, on a wheel, cube or complete graph, the
     family's automorphisms (generators._family_symmetries), so the pass
     searches about one subset per orbit. An image is as long as its cycle,
     at most best once it is kept, so it too hides only subsets that cannot
-    set a record. crx_lower_bound_distance(wheel(12), 3) takes 1,009
-    nodes, 1,740 with the identity alone."""
+    set a record. crx_lower_bound_distance(wheel(12), 3) takes 909
+    nodes, 1,570 with the identity alone."""
     return _distance_bound(g, k, Budget.of(budget), _detect_family(g))
 
 
@@ -397,12 +398,11 @@ def _distance_bound(g: Graph, k: int, b: Budget, family) -> tuple[int, Certifica
     best, best_set, settled = 0, None, 0
     try:
         for s in pool:
-            cycle = _shortest_cycle_through(g, s, b, best)
-            if cycle is not None:
-                kept.add(cycle)
-                kept.add_images(cycle, perms)
-                if len(cycle) > best:
-                    best, best_set = len(cycle), s
+            found = _anchored_cycle(g, s, b, range(max(3, best), g.n + 1))
+            if found is not None:
+                kept.add(found[0], perms)
+                if len(found[0]) > best:
+                    best, best_set = len(found[0]), s
                 else:
                     settled += 1
     except BudgetExceeded:

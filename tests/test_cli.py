@@ -1,6 +1,8 @@
 import io
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -458,6 +460,10 @@ class TestPipelines:
         assert code == 2 and err.startswith("error:") and not out
 
     _COLOUR_BEYOND_R = dict(_TRIANGLE, colouring={"colours": [0, 1, 3], "r": 3})
+    # W_5 with every label moved up by one, so the centre is 0: gen's
+    # metadata, but not gen's graph
+    _RELABELLED_W5 = {"n": 6, "edges": [[(u + 1) % 6, (v + 1) % 6] for u, v in gen.wheel(5).edges],
+                      "metadata": {"family": "wheel", "params": {"n": 5}}}
     _SQUARE_AS_Q2 = {"n": 4, "edges": [[0, 1], [0, 2], [1, 3], [2, 3]],
                      "metadata": {"family": "hypercube", "params": {"n": 2}}}
 
@@ -486,12 +492,25 @@ class TestPipelines:
         (["colour", "join-rxk", "--k", "4"], ["gen", "path-cycle-join", "k=2", "t=2"]),
         (["colour", "complete-random", "--k", "3", "--seed", "1", "--attempts", "-3"],
          ["gen", "complete", "n=6"]),
+        # a cube --k outside 1..2^n, verified or not
+        (["colour", "cube", "--k", "100", "--no-verify"], ["gen", "hypercube", "n=3"]),
+        (["colour", "cube", "--k", "0"], ["gen", "hypercube", "n=3"]),
+        (["colour", "cube-recursive", "--k", "99", "--block", "2"], ["gen", "hypercube", "n=4"]),
+        # a key the family does not take, or one given twice
+        (["gen", "wheel", "n=5", "k=2"], None),
+        (["gen", "petersen", "n=7"], None),
+        (["gen", "wheel", "n=5", "n=6"], None),
+        (["colour", "wheel", "--k", "2"], _RELABELLED_W5),
+        (["colour", "multipartite-random", "--k", "2", "--seed", "1"],
+         ["gen", "complete-multipartite", "sizes=2,2,3"]),
     ], ids=["param-word", "param-empty-size", "input-dir", "output-dir", "version-str",
             "version-7", "version-bool", "dot-colour-beyond-r", "solve-colour-beyond-r",
             "cube-recursive-no-block", "save-one-on-cycle", "unknown-construction",
             "verify-uncoloured", "rx-interval", "complete-2rainbow-k5", "complete-2rainbow-k0",
             "save-one-crx2-k3",
-            "blowup-k2", "save-one-crx1-k2", "join-rxk-above-join-k", "negative-attempts"])
+            "blowup-k2", "save-one-crx1-k2", "join-rxk-above-join-k", "negative-attempts",
+            "cube-k100", "cube-k0", "cube-recursive-k99", "gen-extra-key", "gen-petersen-key",
+            "gen-repeated-key", "graph-not-the-constructions", "multipartite-random-unbalanced"])
     def test_malformed_input_exit_2(self, argv, doc, tmp_path, monkeypatch, capsys):
         # a bad parameter, an unreadable file or document, one error line each
         argv = [str(tmp_path) if a == "{dir}" else a for a in argv]
@@ -732,6 +751,33 @@ class TestCachedParser:
                      ["gen", "complete-multipartite", "sizes=1,2"],
                      ["gen", "petersen"]):
             assert vars(cli._PARSER.parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _readme_pipelines():
+    """The pipelines of README's CLI section, each a list of argv lists, one
+    per stage; a stage's output redirect is dropped."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    pipelines = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.strip() and not line.lstrip().startswith("#"):
+            stages = [shlex.split(stage.split(">")[0]) for stage in line.split("|")]
+            assert all(argv[0] == "rainbowcycles" for argv in stages), line
+            pipelines.append([argv[1:] for argv in stages])
+    return pipelines
+
+
+def test_readme_pipelines_exit_0(monkeypatch, capsys):
+    pipelines = _readme_pipelines()
+    assert ["export-dot"] in (stages[-1] for stages in pipelines)
+    for stages in pipelines:
+        text = ""
+        for argv in stages:
+            code, text, err = run_cli(argv, text, monkeypatch, capsys)
+            assert code == 0, (argv, err)
+        if stages[-1] == ["export-dot"]:
+            assert text.startswith("graph G {")
 
 
 def test_cli_import_does_not_load_multiprocessing():

@@ -48,21 +48,13 @@ class TestWheel:
 
 
 class TestSelfVerification:
-    def test_wrong_colour_count_rejected(self):
-        from rainbowcycles.colouring import rainbow_colouring
-        from rainbowcycles.errors import ConstructionRejected
-
-        c = rainbow_colouring(gen.wheel(4))
-        with pytest.raises(ConstructionRejected):
-            cons._certify(c, 1, expected_colours=3, label="probe", verify=False)
-
     def test_bad_colouring_rejected_with_counterexample(self):
         from rainbowcycles.errors import ConstructionRejected
 
         g = gen.wheel(4)
         bad = EdgeColouring(g, (0,) * (g.e - 1) + (1,), 2)
         with pytest.raises(ConstructionRejected) as exc:
-            cons._certify(bad, 2, expected_colours=2, label="probe")
+            cons._certify(bad, 2, label="probe")
         assert exc.value.bad_set is not None
 
 
@@ -181,6 +173,12 @@ class TestCube:
         with pytest.raises(RegimeUnsupported):
             cons.colour_cube(4, 4)
 
+    @pytest.mark.parametrize("k", [-1, 0, 9, 100])
+    def test_k_outside_the_vertices_refused(self, k):
+        # Q_3 has 8 vertices; k = 0 used to be blamed on the regime
+        with pytest.raises(InvalidParameter, match="1..8"):
+            cons.colour_cube(3, k, verify=False)
+
     def test_gray_code_route(self):
         c = cons.colour_cube(3, 4)  # k = 2^{n-1}
         assert c.r == 8
@@ -269,6 +267,18 @@ class TestCubeRecursive:
         for part, adj, counts, dist in graphs:
             assert len(counts) == 12 and set(counts) == {1}
             assert dist == tuple(tuple(bin(p ^ q).count("1") for q in range(8)) for p in range(8))
+
+    def test_k_above_the_vertices_refused(self):
+        assert cons.colour_cube_recursive(4, 16, 2).r == cons.recursive_cube_colour_count(4, 2)
+        with pytest.raises(InvalidParameter, match="4..16"):
+            cons.colour_cube_recursive(4, 99, 2)
+
+    @pytest.mark.parametrize("block", [-1, 0, 1])
+    def test_walk_refuses_a_block_below_2(self, block):
+        # before any search: block 0 recursed without end, block 1 searched a
+        # Q_1 base, and block -1 built ever larger cubes
+        with pytest.raises(InvalidParameter, match="block"):
+            cons.recursive_cube_walk(4, block, (0, 3, 5))
 
     def test_walk_rejects_a_colouring_of_another_size(self):
         c = cons.colour_cube_recursive(6, 4, 3)

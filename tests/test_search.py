@@ -34,6 +34,7 @@ from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily
 from rainbowcycles.graph import (
     Budget,
     Graph,
+    _anchored_cycle,
     circumference,
     colex_subsets,
     cycle_through_exists,
@@ -554,12 +555,35 @@ class TestGoldenNodeCounts:
         assert (report.subsets_searched, report.search_nodes) == (searched, nodes)
 
     def test_far_pair_cut_at_the_anchor(self):
-        # a cycle through antipodes of Q_4 needs 8 edges, more than 5 colours
+        # a cycle through antipodes of Q_4 needs 8 edges, more than 5 colours,
+        # so the limit 5 lies below the kernel's distance floor and is
+        # skipped without a node (1 before: the anchor's own state)
         q = gen.hypercube(4)
         b = Budget()
         assert rainbow_cycle_through(EdgeColouring(q, tuple(i % 5 for i in range(q.e)), 5),
                                      (0, 15), b) is None
-        assert b.used == 1
+        assert b.used == 0
+
+    def test_pendant_vertex_ends_every_level(self):
+        # vertex 6 hangs off W_5's vertex 0: no cycle holds it, which the
+        # forced-vertex test finds at the root of each level; the floor skips
+        # the levels instead (5 nodes before, one per level 3..7)
+        g = Graph(7, gen.wheel(5).edges + ((0, 6),))
+        b = Budget()
+        assert min_cycle_length_through(g, (0, 6), b) is None
+        assert b.used == 0
+
+    def test_hamilton_levels_below_n_skipped(self):
+        # a cycle through every vertex has n edges, so only level n runs. The
+        # search keeps no distance rows at s = V, so a path could close one
+        # edge past its level: from level 3 the search used to return this
+        # 5-cycle the other way round, (0, 4, 1, 2, 3), at level 4 and after
+        # 10 nodes
+        g = Graph(5, ((0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4)))
+        for limits in ((5,), range(3, 6)):
+            b = Budget()
+            assert _anchored_cycle(g, range(5), b, limits)[0] == (0, 3, 2, 1, 4)
+            assert b.used == 6
 
     def test_colex_bipartite_cycle(self):
         c = cons.colour_bipartite(3, 38, 2, verify=False)
@@ -578,10 +602,13 @@ class TestGoldenNodeCounts:
         assert b.cuts == {"closing": 30, "sides": 14, "short": 22}
 
     # each id ends in the case's node count before the forced-vertex test
-    # (W_10's fell from 261), which keeps the ids of the earlier pins
+    # (W_10's fell from 261), which keeps the ids of the earlier pins; W_10's
+    # fell from 222 to 176 once the distance floor took the closed walk
+    # 1 -> 4 -> 8 -> 1, of length 6, so its search starts at level 6, where
+    # twice the largest pairwise distance started it at 4
     @pytest.mark.parametrize("g, s, length, nodes", [
         (gen.hypercube(5), (0, 5, 26), 10, 218),
-        (gen.wheel(10), (1, 4, 8), 8, 222),
+        (gen.wheel(10), (1, 4, 8), 8, 176),
     ], ids=["g0-s0-10-218", "g1-s1-8-261"])
     def test_min_cycle_length(self, g, s, length, nodes):
         b = Budget()

@@ -364,19 +364,20 @@ class TestLowerBoundDistance:
         assert bound == 3
 
     def test_golden_w12_triples(self):
-        # 911 search nodes after the 13 of the F_3 precheck (996 before the
-        # cycle search's forced-vertex test, whose states it ended or
-        # narrowed replace those of the closing-edge and two-sides rules,
-        # 17 and 47 before); a triple inside a cycle already found, or
-        # inside its image under a rim rotation or reflection, is not
-        # searched, so no triple is left to be settled by a cycle within the
-        # incumbent bound (1,727 search nodes and 11 settled triples with
-        # the cycles found alone, 10,433 without the incumbent either, and
-        # one search per triple spent 70,837 before the cycle search's cut
-        # rules)
+        # 896 search nodes after the 13 of the F_3 precheck (911 before the
+        # cycle kernel skipped the deepening levels below its distance floor
+        # without a node, 996 before the cycle search's forced-vertex test,
+        # whose states it ended or narrowed replace those of the closing-edge
+        # and two-sides rules, 17 and 47 before); a triple inside a cycle
+        # already found, or inside its image under a rim rotation or
+        # reflection, is not searched, so no triple is left to be settled by
+        # a cycle within the incumbent bound (1,557 search nodes and 11
+        # settled triples with the cycles found alone, 8,458 without the
+        # incumbent either, and one search per triple spent 70,837 before the
+        # cycle search's cut rules)
         b = Budget()
         bound, cert = solver.crx_lower_bound_distance(gen.wheel(12), 3, b)
-        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 924)
+        assert (bound, cert.payload["mode"], b.used) == (10, "exhaustive", 909)  # 924 before
         assert cert.payload["subset"] == (0, 4, 8)
         assert b.cuts == {"closing": 14, "sides": 0, "short": 114, "incumbent": 0}
 
