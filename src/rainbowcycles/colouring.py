@@ -178,22 +178,25 @@ def check_cover(c: EdgeColouring, k: int, witnesses) -> bool:
     return True
 
 
+_NO_EDGE = object()
+
+
 def check_cycle_witness(g: Graph, w: CycleWitness, colouring: EdgeColouring | None = None,
                         require_rainbow: bool = False, containing=()) -> bool:
     """Re-validate a cycle witness against graph, colouring and required set."""
     vs = w.vertices
-    if len(vs) < 3 or len(set(vs)) != len(vs):
+    if len(vs) < 3 or len(set(vs)) != len(vs) or len(w.edge_ids) != len(vs):
         return False
-    if len(w.edge_ids) != len(vs):
-        return False
-    for (a, b), eid in zip(zip(vs, vs[1:] + vs[:1]), w.edge_ids):
-        if not g.has_edge(a, b) or g.edge_id(a, b) != eid:
+    index = g.edge_index
+    for a, b, eid in zip(vs, vs[1:] + vs[:1], w.edge_ids):
+        # a pair that is no edge finds _NO_EDGE, which equals no witness id
+        if index.get((a, b) if a < b else (b, a), _NO_EDGE) != eid:
             return False
-    if not set(containing) <= set(vs):
+    if containing and not set(containing) <= set(vs):
         return False
     if require_rainbow:
-        cols = [colouring.colour_of[eid] for eid in w.edge_ids]
-        if len(set(cols)) != len(cols):
+        colour_of = colouring.colour_of
+        if len({colour_of[eid] for eid in w.edge_ids}) != len(vs):
             return False
     return True
 

@@ -13,6 +13,13 @@ each: a cycle as its vertex sequence ("0 5 2 6"), a tree as its edges
 written as vertex pairs ("0-5 5-2"), or a lone vertex ("3"). Both forms
 name vertices, not edge ids, so they survive the canonicalisation. They are
 hints: verification re-checks every one and drops those that fail.
+
+``emit`` writes a document on one line with ``json.dumps`` and no
+``indent``: any ``indent`` makes ``json`` fall back from its C encoder to the
+pure-Python one, which writes one line per integer. ``parse`` reads any JSON
+layout, so indented documents written by earlier versions still load. The
+reports of ``verify``, ``solve`` and ``analyze`` are small and read by
+people, so the CLI still indents them.
 """
 
 from __future__ import annotations
@@ -65,6 +72,7 @@ def _parse_witnesses(g: Graph, entry) -> tuple:
     other check is left to verification."""
     if not isinstance(entry, dict) or not set(entry) <= {"cycles", "trees"}:
         raise InvalidParameter("witnesses must be an object with lists cycles and trees")
+    index = g.edge_index
     out = []
     for kind, items in entry.items():
         if not isinstance(items, list) or not all(isinstance(x, str) for x in items):
@@ -72,21 +80,24 @@ def _parse_witnesses(g: Graph, entry) -> tuple:
         for item in items:
             try:
                 if kind == "cycles":
-                    vs = tuple(int(x) for x in item.split())
+                    vs = tuple(map(int, item.split()))
                     pairs = zip(vs, vs[1:] + vs[:1])
                 else:
-                    tokens = [tuple(int(x) for x in t.split("-")) for t in item.split()]
+                    tokens = [tuple(map(int, t.split("-"))) for t in item.split()]
                     pairs = [t for t in tokens if len(t) == 2]
                     vs = frozenset(v for t in tokens for v in t)
             except ValueError:
                 raise InvalidParameter(f"bad witness entry {item!r}") from None
-            eids = tuple(g.edge_index.get((a, b) if a < b else (b, a), -1) for a, b in pairs)
+            eids = tuple(index.get((a, b) if a < b else (b, a), -1) for a, b in pairs)
             if -1 not in eids:
                 out.append(CycleWitness(vs, eids) if kind == "cycles" else TreeWitness(eids, vs))
     return tuple(out)
 
 
 def emit(doc: GraphDocument) -> str:
+    """The document as one line of JSON plus a newline, written by the C
+    encoder of ``json`` (an ``indent`` would force the pure-Python one).
+    ``parse`` reads this layout and any other."""
     g, c = doc.graph, doc.colouring
     payload = {
         "format_version": FORMAT_VERSION,
@@ -99,7 +110,7 @@ def emit(doc: GraphDocument) -> str:
             payload["colouring"]["witnesses"] = _witness_strings(c)
     if doc.metadata:
         payload["metadata"] = doc.metadata
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload) + "\n"
 
 
 def is_ints(values) -> bool:

@@ -115,6 +115,37 @@ class TestDocument:
                                   "colouring": {"colours": [0, 1, 2], "r": 3,
                                                 "witnesses": bad}}))
 
+    @staticmethod
+    def _layout_docs(g, name):
+        """g bare, rainbow-coloured, and rainbow-coloured carrying a cycle
+        witness (where g has a cycle), a one-edge tree and a one-vertex tree."""
+        c = rainbow_colouring(g)
+        witnesses = [TreeWitness((0,), frozenset(g.edges[0])), TreeWitness((), frozenset({0}))]
+        cycles = gr.enumerate_simple_cycles(g)
+        if cycles:
+            witnesses.insert(0, CycleWitness(cycles[0], gr.cycle_vertices_to_edge_ids(g, cycles[0])))
+        meta = {"family": name}
+        return [document_from_graph(g, metadata=meta), document_from_graph(g, c, meta),
+                document_from_graph(g, replace(c, witnesses=tuple(witnesses)), meta)]
+
+    def test_emit_writes_one_line(self, corpus):
+        for name, g in corpus:
+            for doc in self._layout_docs(g, name):
+                text = emit(doc)
+                assert text.endswith("\n") and text.count("\n") == 1, name
+
+    def test_parse_reads_the_indented_layout(self, corpus):
+        # every earlier version wrote json.dumps(payload, indent=2)
+        for name, g in corpus:
+            for doc in self._layout_docs(g, name):
+                text = emit(doc)
+                indented = json.dumps(json.loads(text), indent=2)
+                back, old = parse(text), parse(indented)
+                assert old == back == doc, name
+                if doc.colouring is not None:
+                    assert old.colouring.witnesses == back.colouring.witnesses \
+                        == doc.colouring.witnesses, name
+
     def test_export_dot_mentions_colours(self):
         g = gen.cycle(3)
         c = EdgeColouring(g, (0, 1, 2), 3)

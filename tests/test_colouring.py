@@ -76,6 +76,55 @@ class TestCycleWitness:
         assert not check_cycle_witness(g, w, containing=[4])
 
 
+# C_5 and W_5 share the rim cycle 0-1-2-3-4; vertex 5 is W_5's hub and no
+# vertex of C_5, so it is off the rim cycle in both graphs.
+_RIM = (0, 1, 2, 3, 4)
+
+
+def _rim_ids(g):
+    return tuple(g.edge_id(a, b) for a, b in zip(_RIM, _RIM[1:] + _RIM[:1]))
+
+
+def _swapped(ids):
+    return (ids[1], ids[0]) + ids[2:]
+
+
+# (name, witness from g, keyword arguments): every case must be refused
+_REFUSED_CYCLES = [
+    ("repeated vertex", lambda g: CycleWitness(
+        (0, 1, 2, 1), tuple(g.edge_id(*p) for p in ((0, 1), (1, 2), (2, 1), (1, 0)))), {}),
+    ("two ids swapped", lambda g: CycleWitness(_RIM, _swapped(_rim_ids(g))), {}),
+    ("non-edge with id None", lambda g: CycleWitness(
+        (0, 1, 2), (g.edge_id(0, 1), g.edge_id(1, 2), None)), {}),
+    ("non-edge with id -1", lambda g: CycleWitness(
+        (0, 1, 2), (g.edge_id(0, 1), g.edge_id(1, 2), -1)), {}),
+    ("two-vertex cycle", lambda g: CycleWitness((0, 1), (g.edge_id(0, 1),) * 2), {}),
+    ("repeated colour", lambda g: CycleWitness(_RIM, _rim_ids(g)), {"require_rainbow": True}),
+    ("containing off the cycle", lambda g: CycleWitness(_RIM, _rim_ids(g)),
+     {"containing": (0, 5)}),
+]
+
+
+def _rim_colouring(g):
+    """Colours every edge apart, except the rim edges 0-1 and 2-3."""
+    colours = list(range(g.e))
+    colours[g.edge_id(2, 3)] = colours[g.edge_id(0, 1)]
+    return EdgeColouring(g, tuple(colours), g.e, unused_ok=True)
+
+
+@pytest.mark.parametrize("g", [gen.cycle(5), gen.wheel(5)], ids=["C5", "W5"])
+class TestCycleWitnessRefusals:
+    def test_the_rim_cycle_is_accepted(self, g):
+        w = CycleWitness(_RIM, _rim_ids(g))
+        assert check_cycle_witness(g, w, rainbow_colouring(g), require_rainbow=True,
+                                   containing=(0, 2, 4))
+
+    @pytest.mark.parametrize("name,make,kwargs", _REFUSED_CYCLES,
+                             ids=[case[0] for case in _REFUSED_CYCLES])
+    def test_refused(self, g, name, make, kwargs):
+        assert not check_cycle_witness(g, make(g), _rim_colouring(g), **kwargs)
+
+
 class TestTreeWitness:
     def test_valid_path(self):
         g = gen.cycle(5)
