@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidParameter
-from .graph import Graph, _bfs_distances, _coloured_adjacency, colex_subsets
+from .graph import Graph, _bfs_distances, _Palette, colex_subsets
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,9 @@ class EdgeColouring:
             raise InvalidParameter("a quotient partition must give every vertex a part")
 
     @cached_property
-    def adjacency(self):
-        """adjacency[v] = ((neighbour, edge_id, colour), ...) in ascending
-        neighbour order."""
-        return _coloured_adjacency(self.graph, self.colour_of)
-
-    @cached_property
-    def _toward_rows(self) -> list:
-        """Coloured adjacency ordered toward each target, filled on first use
-        by graph._neighbours_toward; its readers must not modify a row."""
-        return [None] * self.graph.n
-
-    @cached_property
-    def _closing_rows(self) -> list:
-        """The coloured closing edges at each anchor, filled on first use by
-        graph._closing_edges; its readers must not modify a row."""
-        return [None] * self.graph.n
+    def _palette(self) -> _Palette:
+        """What the search kernels read of this colouring (graph._Palette)."""
+        return _Palette(self.graph, self.colour_of, self.r)
 
     @cached_property
     def _quotient_graphs(self) -> tuple:
@@ -246,9 +233,10 @@ def check_tree_witness(g: Graph, w: TreeWitness, colouring: EdgeColouring | None
 
 def check_walk_witness(g: Graph, w: WalkWitness, colouring: EdgeColouring | None = None,
                        require_rainbow: bool = False) -> bool:
-    """Re-validate an S-subdivided closed walk, including the repeat rules."""
+    """Re-validate an S-subdivided closed walk, including the repeat rules.
+    An anchor outside 0..n-1 fails, even on a trivial path."""
     k = len(w.anchors)
-    if k < 1 or len(w.paths) != k:
+    if k < 1 or len(w.paths) != k or not all(0 <= a < g.n for a in w.anchors):
         return False
     anchor_set = set(w.anchors)
     internals_seen = set()

@@ -149,16 +149,7 @@ def _wheel_colours_k3(n):
     return cols, n - 2
 
 
-def _wheel_colours_k_ge4(n, k):
-    if n < 2 * k:
-        # rainbow Hamilton cycle centre, v_0, ..., v_{n-1}, centre;
-        # the unused rim edge and spokes reuse colour 0
-        cols = {(0, n): 0, (n - 1, n): n, (n - 1, 0): 0}
-        for i in range(1, n):
-            cols[(i - 1, i)] = i
-        for i in range(1, n - 1):
-            cols[(i, n)] = 0
-        return cols, n + 1
+def _wheel_colours_k_ge4(n, k):  # n >= 2k
     cols = {}
     for i in range(1, n + 1):
         cols[((i - 1) % n, i % n)] = i - 1
@@ -182,6 +173,10 @@ def colour_wheel(n: int, k: int, verify: bool = True, budget=None) -> EdgeColour
     if n < 3 or not 1 <= k <= n + 1:
         raise InvalidParameter("wheel colouring needs n >= 3 and 1 <= k <= n+1")
     g = wheel(n)
+    label = f"colour_wheel(n={n}, k={k})"
+    if k >= 4 and n < 2 * k:  # the Hamilton cycle centre, v_0, ..., v_{n-1}
+        out = EdgeColouring(g, _rainbow_hamilton_colours(g, (n, *range(n))), n + 1)
+        return _certify(out, k, label, verify, budget)
     if k == 1:
         cols, r = _wheel_colours_k1(n)
     elif k in (2, 3) and n == 3:
@@ -196,7 +191,18 @@ def colour_wheel(n: int, k: int, verify: bool = True, budget=None) -> EdgeColour
     for (u, v), c in cols.items():
         colour_of[g.edge_id(u, v)] = c
     out = EdgeColouring(g, tuple(colour_of), r)
-    return _certify(out, k, f"colour_wheel(n={n}, k={k})", verify, budget)
+    return _certify(out, k, label, verify, budget)
+
+
+def _rainbow_hamilton_colours(g: Graph, cycle) -> tuple:
+    """colour_of with colour i on the i-th edge of the Hamilton cycle of g
+    given by its vertex sequence (cycle[i] to cycle[i + 1], cyclically) and
+    colour 0 on every other edge: a rainbow Hamilton cycle in n colours
+    holds every vertex set."""
+    colour_of = [0] * g.e
+    for i, eid in enumerate(cycle_vertices_to_edge_ids(g, cycle)):
+        colour_of[eid] = i
+    return tuple(colour_of)
 
 
 # ---------------------------------------------------------------------------
@@ -467,15 +473,9 @@ def colour_cube(n: int, k: int, verify: bool = True, budget=None) -> EdgeColouri
             _q2_face_colour(u, v) if (u ^ v) <= 2 else 0 for u, v in g.edges
         ]
         r = 4
-    else:
-        size = 1 << n
-        gray = [i ^ (i >> 1) for i in range(size)]
-        ham = {}
-        for i in range(size):
-            a, b = gray[i], gray[(i + 1) % size]
-            ham[(min(a, b), max(a, b))] = i
-        colour_of = [ham.get(e, 0) for e in g.edges]
-        r = size
+    else:  # the Gray-code Hamilton cycle
+        colour_of = _rainbow_hamilton_colours(g, [i ^ (i >> 1) for i in range(1 << n)])
+        r = 1 << n
     out = EdgeColouring(g, tuple(colour_of), r)
     translations = _family_symmetries("hypercube", n) if verify and k in (2, 3) else []
     return _certify(out, k, f"colour_cube(n={n}, k={k})", verify, budget,
@@ -542,7 +542,8 @@ def colour_cube_recursive(n: int, k: int, block: int) -> EdgeColouring:
 @functools.cache
 def _cube(n: int) -> Graph:
     """One Q_n per dimension for recursive_cube_walk, so that the distance
-    and toward rows its base searches read are computed once per process."""
+    rows and the own palette (graph._Palette) its base searches read are
+    built once per process."""
     return hypercube(n)
 
 

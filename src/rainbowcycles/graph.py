@@ -96,27 +96,15 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
-    def _own_colour_adjacency(self):
-        """Adjacency as (neighbour, edge_id, colour) triples with each edge
-        its own colour: the uncoloured input of the search kernels."""
-        return _coloured_adjacency(self, range(self.e))
+    def _own_palette(self) -> _Palette:
+        """The palette with each edge its own colour: what the search
+        kernels read of an uncoloured graph."""
+        return _Palette(self)
 
     @cached_property
     def _distance_rows(self) -> list:
         """BFS distance rows by source, each filled on first use by
         _bfs_distances; its readers must not modify a row."""
-        return [None] * self.n
-
-    @cached_property
-    def _toward_rows(self) -> list:
-        """Uncoloured adjacency ordered toward each target, filled on first
-        use by _neighbours_toward; its readers must not modify a row."""
-        return [None] * self.n
-
-    @cached_property
-    def _closing_rows(self) -> list:
-        """The uncoloured closing edges at each anchor, filled on first use
-        by _closing_edges; its readers must not modify a row."""
         return [None] * self.n
 
     @cached_property
@@ -181,53 +169,62 @@ def _bfs_distances(g: Graph, source: int) -> list:
     return dist
 
 
-def _coloured_adjacency(g: Graph, colour_of):
-    """adj[v] = ((neighbour, edge_id, colour), ...) in ascending neighbour order."""
-    return tuple(tuple((w, eid, colour_of[eid]) for w, eid in nbrs) for nbrs in g.adjacency)
+class _Palette:
+    """The colour view of a graph that the search kernels read.
+
+    adjacency[v] = ((neighbour, edge id, colour), ...) in ascending
+    neighbour order, and colours is the number of colours. Without
+    colour_of each edge is its own colour (g.e colours): the view of an
+    uncoloured search. The rows of toward and closing are built on first
+    use and kept; their readers must not modify a row. A palette holds no
+    reference to its graph, so a graph that keeps its own palette forms no
+    reference cycle.
+    """
+
+    __slots__ = ("adjacency", "colours", "own", "_toward", "_closing")
+
+    def __init__(self, g: Graph, colour_of=None, colours=None):
+        self.own = colour_of is None
+        if self.own:
+            colour_of, colours = range(g.e), g.e
+        self.adjacency = tuple(tuple((w, eid, colour_of[eid]) for w, eid in nbrs)
+                               for nbrs in g.adjacency)
+        self.colours = colours
+        self._toward = [None] * g.n
+        self._closing = [None] * g.n
+
+    def toward(self, target: int, dist):
+        """Each vertex's triples ordered by (distance to target, neighbour),
+        dist being the graph's distance row of target: the sort is stable
+        and adjacency lists neighbours in ascending order."""
+        row = self._toward[target]
+        if row is None:
+            row = self._toward[target] = tuple(
+                tuple(sorted(nbrs, key=lambda t: dist[t[0]])) for nbrs in self.adjacency
+            )
+        return row
+
+    def closing(self, anchor: int):
+        """(closing, at_anchor) for a search anchored at anchor: closing[v]
+        is the (edge id, colour) of the edge v-anchor, or None, and
+        at_anchor[col] the anchor's neighbours by an edge of colour col. It
+        is None in the own palette, where each colour is one edge."""
+        row = self._closing[anchor]
+        if row is None:
+            closing = [None] * len(self.adjacency)
+            at_anchor = None if self.own else [()] * self.colours
+            for w, eid, col in self.adjacency[anchor]:
+                closing[w] = (eid, col)
+                if at_anchor is not None:
+                    at_anchor[col] += (w,)
+            row = self._closing[anchor] = (closing, at_anchor)
+        return row
 
 
-def _kernel_adjacency(g: Graph, colouring):
-    """(coloured adjacency, number of colours) that a search kernel reads:
-    the EdgeColouring's, or without one each edge as its own colour."""
-    if colouring is None:
-        return g._own_colour_adjacency, g.e
-    return colouring.adjacency, colouring.r
-
-
-def _neighbours_toward(g: Graph, colouring, target: int):
-    """Each vertex's (neighbour, edge id, colour) triples of the kernel
-    adjacency, ordered by (distance to target, neighbour): the sort is stable
-    and the adjacency lists neighbours in ascending order. Sorted once per
-    target and kept by the graph, or by the colouring when there is one."""
-    rows = g._toward_rows if colouring is None else colouring._toward_rows
-    row = rows[target]
-    if row is None:
-        adj, _ = _kernel_adjacency(g, colouring)
-        dist = _bfs_distances(g, target)
-        row = rows[target] = tuple(
-            tuple(sorted(nbrs, key=lambda t: dist[t[0]])) for nbrs in adj
-        )
-    return row
-
-
-def _closing_edges(g: Graph, colouring, anchor: int):
-    """(closing, at_anchor) for a search kernel anchored at anchor:
-    closing[v] is the (edge id, colour) of the edge v-anchor, or None, and
-    at_anchor[col] the anchor's neighbours by an edge of colour col (None
-    without a colouring). Built once per anchor and kept by the graph, or
-    by the colouring when there is one; its readers must not modify it."""
-    rows = g._closing_rows if colouring is None else colouring._closing_rows
-    row = rows[anchor]
-    if row is None:
-        adj, palette = _kernel_adjacency(g, colouring)
-        closing = [None] * g.n
-        at_anchor = None if colouring is None else [()] * palette
-        for w, eid, col in adj[anchor]:
-            closing[w] = (eid, col)
-            if at_anchor is not None:
-                at_anchor[col] += (w,)
-        row = rows[anchor] = (closing, at_anchor)
-    return row
+def _kernel_palette(g: Graph, colouring) -> _Palette:
+    """The palette a search kernel reads: the EdgeColouring's, or without
+    one g's own."""
+    return g._own_palette if colouring is None else colouring._palette
 
 
 def _bipartition(g: Graph):
@@ -871,7 +868,7 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     are to ``b.used``.
 
     The set-up builds only what depends on s: the anchor's closing edges
-    are kept per anchor (_closing_edges), and below s = V the distance rows
+    are kept per anchor (_Palette.closing), and below s = V the distance rows
     of s and their row-wise largest detour ``top``. The floor's walks are
     read off those rows, by a loop over the pairs only when s has two
     vertices or more besides the anchor. At s = V the floor is n, or a
@@ -886,9 +883,10 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     With an EdgeColouring ``colouring`` the cycle must also be rainbow.
     Without one, each edge is its own colour. That rules out nothing,
     because a simple cycle never repeats an edge, so both cases run the
-    same loop.
+    same loop on the palette that _kernel_palette picks.
     """
-    adj, palette = _kernel_adjacency(g, colouring)
+    palette = _kernel_palette(g, colouring)
+    adj = palette.adjacency
     anchor = s[0]
     dist_anchor = _bfs_distances(g, anchor)
     rest = [(m, dist_anchor[m]) for m in s[1:]]  # (vertex, its distance to the anchor)
@@ -905,8 +903,8 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
         top = row if top is dist_anchor else list(map(max, top, row))
     on_path = bytearray(g.n)
     on_path[anchor] = 1
-    used = bytearray(palette)
-    closing, at_anchor = _closing_edges(g, colouring, anchor)
+    used = bytearray(palette.colours)
+    closing, at_anchor = palette.closing(anchor)
     in_rest = bytearray(g.n)
     # live[m], for m in rest: the edges a completion may still enter or
     # leave m by, while m is off the path
@@ -915,7 +913,7 @@ def _anchored_cycle(g: Graph, s, b: Budget, limits, colouring=None):
     # colour -> ((m, other end), ...) for the edges at rest in that colour;
     # without a colouring each colour is one edge, the one just taken, which
     # touches no missing vertex, so by_colour is None
-    by_colour = None if colouring is None else [()] * palette
+    by_colour = None if at_anchor is None else [()] * palette.colours
     root_short, floor = 0, len(s)  # a cycle through s has at least len(s) edges
     for m, dm in rest:
         in_rest[m] = 1

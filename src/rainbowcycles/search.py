@@ -43,8 +43,7 @@ from .graph import (
     _anchored_cycle,
     _bfs_distances,
     _bipartition,
-    _kernel_adjacency,
-    _neighbours_toward,
+    _kernel_palette,
     _vertex_ids,
     _WitnessCover,
     in_family_Fk,
@@ -302,8 +301,11 @@ def colour_class_collision(c: EdgeColouring, k: int, mode: str = "auto"):
     mode "vector": identical colour vectors indexed by the small class U.
     mode "palette": identical incident colour sets, padded to |U| with the
     smallest absent colours -- the pigeonhole form used when 2k > |U|, where
-    any cycle through the k vertices must repeat a colour.
+    any cycle through the k vertices must repeat a colour. A k below 1
+    raises InvalidParameter.
     """
+    if k < 1:
+        raise InvalidParameter("k must be positive")
     g = c.graph
     if g.n < 2 or not is_connected(g):
         raise InvalidParameter("not a complete bipartite graph")
@@ -400,10 +402,11 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     if not segments:
         return WalkWitness(s, tuple(paths))
 
-    palette = _kernel_adjacency(g, colouring)[1]
-    # per target: its distance row, and the adjacency ordered toward it
-    toward = {bv: (_bfs_distances(g, bv), _neighbours_toward(g, colouring, bv))
-              for _, _, bv in segments}
+    palette = _kernel_palette(g, colouring)
+    toward = {}  # per target: its distance row, and the adjacency ordered toward it
+    for _, _, bv in segments:
+        dist = _bfs_distances(g, bv)
+        toward[bv] = dist, palette.toward(bv, dist)
     rest_lb = [0]  # rest_lb[j]: the fewest edges of the paths from j on
     for _, a, bv in reversed(segments):
         d = toward[bv][0][a]
@@ -412,8 +415,8 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
         rest_lb.insert(0, rest_lb[0] + max(2, int(d)))
 
     # a walk repeats no colour, and without a colouring no edge, as no two
-    # paths share one: it has at most palette edges
-    cap = min(g.n - len(anchor_set) + len(segments), palette)
+    # paths share one: it has at most palette.colours edges
+    cap = min(g.n - len(anchor_set) + len(segments), palette.colours)
     if rest_lb[0] > cap:
         return None
     if colouring is not None and colouring.quotients:
@@ -424,7 +427,7 @@ def find_subdivided_closed_walk(g: Graph, s, colouring: EdgeColouring | None = N
     marks = bytearray(g.n)  # the anchors and the internal vertices of the paths
     for v in anchor_set:
         marks[v] = 1
-    used = bytearray(palette)
+    used = bytearray(palette.colours)
     left = b.limit - b.used  # nodes still allowed; Budget.used is set on exit
     trail = []  # on success: a path's target, then its internal vertices backwards
 

@@ -124,7 +124,8 @@ def crx_exact(g: Graph, k: int, budget=None) -> CrxResult:
     structures that must be rainbow are the simple cycles. Without a budget
     it runs on DEFAULT_EXACT_BUDGET nodes. A budget spent after the F_k
     precheck and before the first pass, or too small for the cover table
-    (see _reserve_table), gives the interval [max(k, girth), e]."""
+    (see _reserve_table), gives the interval [max(k, girth), e]; one spent
+    inside the precheck raises BudgetExceeded, with no interval."""
     b = Budget.of(budget, DEFAULT_EXACT_BUDGET)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
@@ -492,17 +493,15 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeCol
         ham = None
     if ham is None:
         return rainbow_colouring(g)
-    colour_of = [0] * g.e
-    for i, eid in enumerate(cycle_vertices_to_edge_ids(g, ham)):
-        colour_of[eid] = i
-    return EdgeColouring(g, tuple(colour_of), g.n)
+    return EdgeColouring(g, cons._rainbow_hamilton_colours(g, ham), g.n)
 
 
 def crx_interval(g: Graph, k: int, budget=None, seed=0) -> CrxResult:
     """Bound crx_k without enumeration: best certificate lower bound versus
     best applicable constructor upper bound; exact when they meet. The
-    distance bound runs the F_k precheck. The witness is a colouring of g,
-    in any labelling, with upper colours. A cycle found is at least the
+    distance bound runs the F_k precheck, and a budget spent inside it
+    raises BudgetExceeded, with no interval. The witness is a colouring of
+    g, in any labelling, with upper colours. A cycle found is at least the
     girth, so the girth is computed only when the bound found none."""
     b = Budget.of(budget)
     family = _detect_family(g)

@@ -534,6 +534,8 @@ class TestPipelines:
         (["colour", "wheel", "--k", "2"], _RELABELLED_W5),
         (["colour", "multipartite-random", "--k", "2", "--seed", "1"],
          ["gen", "complete-multipartite", "sizes=2,2,3"]),
+        # a budget that runs out in the F_k precheck leaves no interval
+        (["solve", "--k", "3", "--budget", "10"], ["gen", "petersen"]),
     ], ids=["param-word", "param-empty-size", "input-dir", "output-dir", "version-str",
             "version-7", "version-bool", "dot-colour-beyond-r", "solve-colour-beyond-r",
             "cube-recursive-no-block", "save-one-on-cycle", "unknown-construction",
@@ -541,7 +543,8 @@ class TestPipelines:
             "save-one-crx2-k3",
             "blowup-k2", "save-one-crx1-k2", "join-rxk-above-join-k", "negative-attempts",
             "cube-k100", "cube-k0", "cube-recursive-k99", "gen-extra-key", "gen-petersen-key",
-            "gen-repeated-key", "graph-not-the-constructions", "multipartite-random-unbalanced"])
+            "gen-repeated-key", "graph-not-the-constructions", "multipartite-random-unbalanced",
+            "solve-precheck-budget-out"])
     def test_malformed_input_exit_2(self, argv, doc, tmp_path, monkeypatch, capsys):
         # a bad parameter, an unreadable file or document, one error line each
         argv = [str(tmp_path) if a == "{dir}" else a for a in argv]

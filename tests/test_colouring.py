@@ -142,7 +142,19 @@ class TestTreeWitness:
         assert not check_tree_witness(g, w)
 
 
+# (name, walk witness): each is refused on C_5
+_REFUSED_WALKS = [
+    ("anchor above n, trivial path", WalkWitness((99,), ((99,),))),
+    ("anchor -1, trivial paths", WalkWitness((-1, -1), ((-1,), (-1,)))),
+    ("anchor -1, non-trivial path", WalkWitness((-1, 1), ((-1, 0, 1), (1, 2, 3, 4, -1)))),
+]
+
+
 class TestWalkWitness:
+    @pytest.mark.parametrize("name,w", _REFUSED_WALKS, ids=[case[0] for case in _REFUSED_WALKS])
+    def test_refused(self, name, w):
+        assert not check_walk_witness(gen.cycle(5), w)
+
     def test_trivial_paths_must_match_repeats(self):
         g = gen.hypercube(3)
         good = WalkWitness((0, 0, 3), ((0,), (0, 1, 3), (3, 2, 0)))

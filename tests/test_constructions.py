@@ -47,6 +47,20 @@ class TestWheel:
             cons.colour_wheel(4, 6)  # k > n + 1
 
 
+class TestRainbowHamiltonColourings:
+    """The constructions that colour the i-th edge of a Hamilton cycle i and
+    every other edge 0, each pinned to its colour map."""
+
+    def test_wheel_beyond_half_the_rim(self):
+        # W_8 at k = 5 > 8 / 2: the cycle centre, v_0, ..., v_7
+        c = cons.colour_wheel(8, 5)
+        assert (c.r, c.colour_of) == (9, (1, 0, 0, 2, 0, 3, 0, 4, 0, 5, 0, 6, 0, 7, 0, 8))
+
+    def test_cube_gray_code(self):
+        c = cons.colour_cube(3, 4)
+        assert (c.r, c.colour_of) == (8, (0, 0, 7, 1, 0, 2, 3, 0, 6, 0, 5, 4))
+
+
 class TestSelfVerification:
     def test_bad_colouring_rejected_with_counterexample(self):
         from rainbowcycles.errors import ConstructionRejected

@@ -269,6 +269,14 @@ class TestColourClassCollision:
         with pytest.raises(InvalidParameter, match="^not a complete bipartite graph$"):
             colour_class_collision(rainbow_colouring(Graph(4, ((0, 1), (2, 3)))), 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_k_below_one(self, k):
+        # refused before the graph is looked at, as by every other entry point
+        with pytest.raises(InvalidParameter, match="^k must be positive$"):
+            colour_class_collision(rainbow_colouring(gen.complete_bipartite(3, 10)), k)
+        with pytest.raises(InvalidParameter, match="^k must be positive$"):
+            colour_class_collision(rainbow_colouring(gen.complete(4)), k)
+
 
 class TestSubdividedWalks:
     def test_even_face_order_in_q3(self):
@@ -364,6 +372,9 @@ def test_searches_leave_no_cyclic_garbage():
         lambda: find_hamilton_cycle(gen.petersen()),
         lambda: ear_decomposition(gen.wheel(5)),
         lambda: circumference(gen.petersen()),
+        # each palette is built while the cyclic collector is off
+        lambda: find_subdivided_closed_walk(gen.hypercube(3), (0, 3, 5, 6)),
+        lambda: rainbow_cycle_through(cons.colour_cube(3, 2, verify=False), (0, 7)),
     ]
     for call in calls:
         gc.collect()
@@ -373,6 +384,36 @@ def test_searches_leave_no_cyclic_garbage():
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _outcome(search, *args):
+    """(result or the exception type, Budget.used, Budget.cuts) of search
+    run on a fresh budget of 20,000 nodes, passed last."""
+    b = Budget(20_000)
+    try:
+        result = search(*args, b)
+    except BudgetExceeded:
+        result = BudgetExceeded
+    return result, b.used, b.cuts
+
+
+@pytest.mark.parametrize("g", [gen.wheel(8), gen.hypercube(4), gen.petersen(),
+                               gen.complete_bipartite(3, 6), gen.complete(6)],
+                         ids=["W8", "Q4", "Petersen", "K3,6", "K6"])
+def test_uncoloured_search_equals_the_rainbow_colouring(g):
+    """Without a colouring the kernels read the graph's own palette, each
+    edge its own colour; under rainbow_colouring they read the colouring's.
+    Both must give the same answer, nodes and cuts."""
+    c = rainbow_colouring(g)
+    rng = random.Random(g.n * 1000 + g.e)
+    for _ in range(60):
+        s = sorted(rng.sample(range(g.n), rng.randint(1, 5)))
+        for limits in ((g.n,), range(3, g.n + 1)):
+            assert (_outcome(lambda b: _anchored_cycle(g, s, b, limits))
+                    == _outcome(lambda b: _anchored_cycle(g, s, b, limits, c))), (s, limits)
+        walk = tuple(rng.choice(range(g.n)) for _ in range(rng.randint(2, 5)))
+        assert (_outcome(partial(find_subdivided_closed_walk, g, walk, None))
+                == _outcome(partial(find_subdivided_closed_walk, g, walk, c))), walk
 
 
 class TestGoldenNodeCounts:

@@ -553,6 +553,21 @@ class TestInterval:
             assert iv.lower <= ex.value <= iv.upper
 
 
+def test_hamilton_fallback_colours_the_found_cycle():
+    # a relabelled wheel is no detected family, so its upper bound is the
+    # fallback: the Hamilton cycle found, edge i in colour i, the rest 0
+    res = solver.crx_interval(_relabelled(gen.wheel(9), 0), 1)
+    assert (res.lower, res.upper) == (3, 10)
+    assert res.witness.colour_of == (0, 0, 9, 4, 5, 0, 1, 0, 2, 3, 0, 0, 0, 0, 6, 0, 7, 8)
+
+
+@pytest.mark.parametrize("solve", [solver.crx_exact, solver.crx_interval])
+def test_budget_out_in_the_precheck_raises(solve):
+    # 10 nodes do not settle Petersen's F_3 membership: no interval comes back
+    with pytest.raises(BudgetExceeded):
+        solve(gen.petersen(), 3, Budget(10))
+
+
 class TestFamilyDetection:
     def test_detects(self):
         detect = solver._detect_family
