@@ -69,13 +69,7 @@ def _write(args, text: str):
 
 
 def _report(args, payload: dict):
-    _write(args, json.dumps(payload, indent=2, default=_jsonable) + "\n")
-
-
-def _jsonable(obj):
-    if isinstance(obj, (tuple, set, frozenset)):
-        return list(obj)
-    raise TypeError(f"not JSON-serialisable: {obj!r}")
+    _write(args, json.dumps(payload) + "\n")
 
 
 def cmd_gen(args) -> int:

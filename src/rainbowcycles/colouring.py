@@ -94,9 +94,6 @@ class EdgeColouring:
         cut = all(any(part[u] != part[v] for part, *_ in out) for u, v in self.graph.edges)
         return tuple(out), cut
 
-    def used_colours(self) -> frozenset:
-        return frozenset(self.colour_of)
-
 
 def rainbow_colouring(g: Graph) -> EdgeColouring:
     """Every edge its own colour (colour id = edge id)."""
@@ -170,7 +167,9 @@ _NO_EDGE = object()
 
 def check_cycle_witness(g: Graph, w: CycleWitness, colouring: EdgeColouring | None = None,
                         require_rainbow: bool = False, containing=()) -> bool:
-    """Re-validate a cycle witness against graph, colouring and required set."""
+    """Re-validate a cycle witness against graph, colouring and required set.
+    Without a colouring each edge is its own colour, as in the search
+    kernels, so require_rainbow adds nothing to the distinct-edge test."""
     vs = w.vertices
     if len(vs) < 3 or len(set(vs)) != len(vs) or len(w.edge_ids) != len(vs):
         return False
@@ -181,7 +180,7 @@ def check_cycle_witness(g: Graph, w: CycleWitness, colouring: EdgeColouring | No
             return False
     if containing and not set(containing) <= set(vs):
         return False
-    if require_rainbow:
+    if require_rainbow and colouring is not None:
         colour_of = colouring.colour_of
         if len({colour_of[eid] for eid in w.edge_ids}) != len(vs):
             return False
@@ -190,8 +189,9 @@ def check_cycle_witness(g: Graph, w: CycleWitness, colouring: EdgeColouring | No
 
 def check_tree_witness(g: Graph, w: TreeWitness, colouring: EdgeColouring | None = None,
                        require_rainbow: bool = False, containing=()) -> bool:
-    """Acyclic, connected, spans the requested vertices, rainbow if claimed.
-    A tree without edges is one vertex of g."""
+    """Acyclic, connected, spans the requested vertices, rainbow if claimed
+    (each edge its own colour without a colouring, as for
+    check_cycle_witness). A tree without edges is one vertex of g."""
     eids = list(w.edge_ids)
     if not eids:
         return (len(w.vertices) == 1 and all(0 <= v < g.n for v in w.vertices)
@@ -224,7 +224,7 @@ def check_tree_witness(g: Graph, w: TreeWitness, colouring: EdgeColouring | None
                 stack.append(y)
     if seen != verts:
         return False
-    if require_rainbow:
+    if require_rainbow and colouring is not None:
         cols = [colouring.colour_of[eid] for eid in eids]
         if len(set(cols)) != len(cols):
             return False
@@ -233,12 +233,15 @@ def check_tree_witness(g: Graph, w: TreeWitness, colouring: EdgeColouring | None
 
 def check_walk_witness(g: Graph, w: WalkWitness, colouring: EdgeColouring | None = None,
                        require_rainbow: bool = False) -> bool:
-    """Re-validate an S-subdivided closed walk, including the repeat rules.
-    An anchor outside 0..n-1 fails, even on a trivial path."""
+    """Re-validate an S-subdivided closed walk, including the repeat rules,
+    rainbow if claimed (each edge its own colour without a colouring, as for
+    check_cycle_witness). An anchor outside 0..n-1 fails, even on a trivial
+    path."""
     k = len(w.anchors)
     if k < 1 or len(w.paths) != k or not all(0 <= a < g.n for a in w.anchors):
         return False
     anchor_set = set(w.anchors)
+    index = g.edge_index
     internals_seen = set()
     edge_ids = []
     for i, path in enumerate(w.paths):
@@ -252,16 +255,17 @@ def check_walk_witness(g: Graph, w: WalkWitness, colouring: EdgeColouring | None
         if len(set(path)) != len(path):
             return False
         for x, y in zip(path, path[1:]):
-            if not g.has_edge(x, y):
+            eid = index.get((x, y) if x < y else (y, x))
+            if eid is None:
                 return False
-            edge_ids.append(g.edge_id(x, y))
+            edge_ids.append(eid)
         inner = set(path[1:-1])
         if inner & anchor_set or inner & internals_seen:
             return False
         internals_seen |= inner
     if len(set(edge_ids)) != len(edge_ids):
         return False
-    if require_rainbow:
+    if require_rainbow and colouring is not None:
         cols = [colouring.colour_of[eid] for eid in edge_ids]
         if len(set(cols)) != len(cols):
             return False

@@ -241,12 +241,13 @@ def colour_complete_2rainbow(n: int, verify: bool = True, budget=None) -> EdgeCo
 
 def _random_until_certified(g: Graph, k: int, r: int, seed, max_attempts: int,
                             budget, label: str) -> EdgeColouring:
-    """Samples until one verifies; the F_k precheck and every try spend one budget."""
+    """Samples until one verifies. A certified sample proves that g is in
+    F_k, so the F_k test runs only once every sample has failed, to choose
+    between NotInFamily and AttemptsExhausted. The samples' verifications
+    and that test spend one budget."""
     if max_attempts < 1:
         raise InvalidParameter("need max_attempts >= 1")
     b = Budget.of(budget)
-    if not in_family_Fk(g, k, b):
-        raise NotInFamily(k)
     rng = random.Random(seed)
     for _ in range(max_attempts):
         colours = tuple(rng.randrange(r) for _ in range(g.e))
@@ -254,6 +255,8 @@ def _random_until_certified(g: Graph, k: int, r: int, seed, max_attempts: int,
         report = verify_k_rainbow_cycle_colouring(c, k, b, check_family=False)
         if report.certified:
             return replace(c, witnesses=report.witnesses)
+    if not in_family_Fk(g, k, b):
+        raise NotInFamily(k)
     raise AttemptsExhausted(max_attempts, f"{label}: {max_attempts} samples all failed")
 
 
@@ -600,8 +603,7 @@ def recursive_cube_walk(n: int, block: int, s, colouring: EdgeColouring | None =
         tail = [split.combine(x, tb) for x in lpath[2:]]
         paths.append(tuple(head + mid + tail))
     witness = WalkWitness(s, tuple(paths))
-    if not check_walk_witness(g, witness, colouring,
-                              require_rainbow=colouring is not None):
+    if not check_walk_witness(g, witness, colouring, require_rainbow=True):
         raise ConstructionRejected(f"spliced walk for {s} failed validation")
     return witness
 
@@ -630,22 +632,16 @@ def colour_save_one_crx1(g: Graph, verify: bool = True, budget=None) -> EdgeColo
         before = Graph(g.n, tuple(uv for i, uv in enumerate(g.edges) if i not in ear_edges))
         ret = _bfs_path(before, last[0], {last[-1]})
         off_limits = ear_edges | {g.edge_id(a, b) for a, b in zip(ret, ret[1:])}
-        colour_of = [0] * m
-        nxt = 0
-        for eid in range(m):
-            if eid != e0:
-                colour_of[eid] = nxt
-                nxt += 1
+        colour_of = [i - (i > e0) for i in range(m)]
         colour_of[e0] = min(
             colour_of[eid] for eid in range(m) if eid != e0 and eid not in off_limits
         )
     else:
         dec = block_decomposition(g)
         edged = [b for b in dec.blocks if b.edge_ids]
-        colour_of = list(range(m))
-        colour_of[min(edged[1].edge_ids)] = colour_of[min(edged[0].edge_ids)]
-        seen = {}
-        colour_of = [seen.setdefault(c, len(seen)) for c in colour_of]
+        skip = min(edged[1].edge_ids)
+        colour_of = [i - (i > skip) for i in range(m)]
+        colour_of[skip] = colour_of[min(edged[0].edge_ids)]
     out = EdgeColouring(g, tuple(colour_of), m - 1)
     return _certify(out, 1, "colour_save_one_crx1", verify, budget)
 
@@ -661,12 +657,7 @@ def colour_save_one_crx2(g: Graph, verify: bool = True, budget=None) -> EdgeColo
     )
     if removable is None:
         raise MinimallyTwoConnected("every edge is essential; crx_2 = e(G)")
-    colour_of = [0] * g.e
-    nxt = 0
-    for eid in range(g.e):
-        if eid != removable:
-            colour_of[eid] = nxt
-            nxt += 1
+    colour_of = [i - (i > removable) for i in range(g.e)]
     colour_of[removable] = 0
     out = EdgeColouring(g, tuple(colour_of), g.e - 1)
     return _certify(out, 2, "colour_save_one_crx2", verify, budget)

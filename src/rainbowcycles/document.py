@@ -18,8 +18,8 @@ hints: verification re-checks every one and drops those that fail.
 ``indent``: any ``indent`` makes ``json`` fall back from its C encoder to the
 pure-Python one, which writes one line per integer. ``parse`` reads any JSON
 layout, so indented documents written by earlier versions still load. The
-reports of ``verify``, ``solve`` and ``analyze`` are small and read by
-people, so the CLI still indents them.
+CLI writes the reports of ``verify``, ``solve`` and ``analyze`` on one line
+the same way.
 """
 
 from __future__ import annotations
@@ -96,8 +96,9 @@ def _parse_witnesses(g: Graph, entry) -> tuple:
 
 def emit(doc: GraphDocument) -> str:
     """The document as one line of JSON plus a newline, written by the C
-    encoder of ``json`` (an ``indent`` would force the pure-Python one).
-    ``parse`` reads this layout and any other."""
+    encoder of ``json`` (an ``indent`` would force the pure-Python one), the
+    layout of the CLI's reports too. ``parse`` reads this layout and any
+    other."""
     g, c = doc.graph, doc.colouring
     payload = {
         "format_version": FORMAT_VERSION,
@@ -140,9 +141,8 @@ def parse(text: str) -> GraphDocument:
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 2 and is_ints(item)):
             raise InvalidParameter(f"bad edge entry {item!r}")
-        u, v = item
-        given.append((u, v) if u < v else (v, u))
-    g = Graph(n, tuple(given))  # sorts edges canonically
+        given.append(tuple(item))
+    g = Graph(n, tuple(given))  # normalises and sorts edges canonically
     c = None
     if "colouring" in payload:
         col = payload["colouring"]

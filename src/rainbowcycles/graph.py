@@ -569,9 +569,11 @@ def find_hamilton_cycle(g: Graph, budget=None):
     vertex, or None. That cycle is lexicographically least, so path[1] <
     path[-1] holds. A vertex of degree below 2, or a bipartite graph with
     classes of different sizes (a cycle alternates between the classes),
-    gives None without a search. The search's distance rule reads only the
-    row of the anchor, vertex 0, which is_connected has already built."""
-    if g.n < 3 or not is_connected(g):
+    gives None without a search node, and so does a disconnected graph, whose
+    distance floor is infinite (_anchored_cycle). The search's distance rule
+    reads only the row of the anchor, vertex 0, which _bipartition has
+    already built."""
+    if g.n < 3:
         return None
     if any(g.degree(v) < 2 for v in range(g.n)):
         return None

