@@ -105,28 +105,29 @@ def cmd_colour(args) -> int:
     doc = _read_doc(args)
     g = doc.graph
     verify = not args.no_verify
+    b = gr.Budget(args.budget)  # refuses a negative --budget, verified or not
     name = args.construction
     if name == "wheel":
         p = _expect_family(doc, "wheel")
-        c = cons.colour_wheel(p["n"], args.k, verify=verify, budget=args.budget)
+        c = cons.colour_wheel(p["n"], args.k, verify=verify, budget=b)
     elif name == "complete-2rainbow":
         p = _expect_family(doc, "complete")
         _certified_up_to(args, 2)
-        c = cons.colour_complete_2rainbow(p["n"], verify=verify, budget=args.budget)
+        c = cons.colour_complete_2rainbow(p["n"], verify=verify, budget=b)
     elif name == "complete-random":
         p = _expect_family(doc, "complete")
         _sampler_args(args)
         c = cons.colour_complete_random(p["n"], args.k, args.seed, args.attempts,
-                                        budget=args.budget)
+                                        budget=b)
     elif name == "bipartite":
         p = _expect_family(doc, "complete-bipartite")
         c = cons.colour_bipartite(p["m"], p["n"], args.k, regime=args.regime,
-                                  verify=verify, budget=args.budget)
+                                  verify=verify, budget=b)
     elif name == "multipartite-blowup":
         p = _expect_family(doc, "complete-multipartite")
         _certified_up_to(args, 1)
         c = cons.colour_multipartite_blowup(tuple(p["sizes"]), verify=verify,
-                                            budget=args.budget)
+                                            budget=b)
     elif name == "multipartite-random":
         p = _expect_family(doc, "complete-multipartite")
         _sampler_args(args)
@@ -134,11 +135,11 @@ def cmd_colour(args) -> int:
         if len(set(sizes)) != 1:
             raise InvalidParameter("multipartite-random needs balanced classes")
         c = cons.colour_balanced_multipartite_random(
-            len(sizes), sizes[0], args.k, args.seed, args.attempts, budget=args.budget
+            len(sizes), sizes[0], args.k, args.seed, args.attempts, budget=b
         )
     elif name == "cube":
         p = _expect_family(doc, "hypercube")
-        c = cons.colour_cube(p["n"], args.k, verify=verify, budget=args.budget)
+        c = cons.colour_cube(p["n"], args.k, verify=verify, budget=b)
     elif name == "cube-recursive":
         p = _expect_family(doc, "hypercube")
         if args.block is None:
@@ -146,14 +147,14 @@ def cmd_colour(args) -> int:
         c = cons.colour_cube_recursive(p["n"], args.k, args.block)
     elif name == "save-one-crx1":
         _certified_up_to(args, 1)
-        c = cons.colour_save_one_crx1(g, verify=verify, budget=args.budget)
+        c = cons.colour_save_one_crx1(g, verify=verify, budget=b)
     elif name == "save-one-crx2":
         _certified_up_to(args, 2)
-        c = cons.colour_save_one_crx2(g, verify=verify, budget=args.budget)
+        c = cons.colour_save_one_crx2(g, verify=verify, budget=b)
     elif name == "join-rxk":
         p = _expect_family(doc, "path-cycle-join")
         _certified_up_to(args, p["k"])
-        c = cons.colour_join_rxk(p["k"], p["t"], verify=verify, budget=args.budget)
+        c = cons.colour_join_rxk(p["k"], p["t"], verify=verify, budget=b)
     else:
         raise InvalidParameter(f"unknown construction {name!r}")
     if c.graph != g:
@@ -287,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a named graph family")
     p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("params", nargs="*", help="key=value parameters, e.g. n=5 or sizes=1,2,3")
-    p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("colour", help="apply a named colouring construction")
     p.add_argument("construction")
@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--block", type=int, default=None, help="K for cube-recursive")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--no-verify", action="store_true")
-    p.set_defaults(fn=cmd_colour)
 
     p = sub.add_parser("verify", help="verify a coloured document")
     p.add_argument("--k", type=int, required=True)
@@ -306,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted and ignored: verification runs in this process")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("solve", help="compute crx/rx exactly or as an interval")
     p.add_argument("--k", type=int, required=True)
@@ -316,14 +314,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"search nodes (default {solver.DEFAULT_EXACT_BUDGET:,} in exact "
                         f"mode, {gr.DEFAULT_BUDGET:,} in interval mode)")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("analyze", help="structural report: blocks, girth, F_k, ...")
     p.add_argument("--budget", type=int, default=None)
-    p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("export-dot", help="emit DOT with display colours")
-    p.set_defaults(fn=cmd_export_dot)
     return parser
 
 
@@ -335,8 +330,10 @@ def main(argv=None) -> int:
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
+    # looked up at each call, so a cmd_* replaced after the parser was built runs
+    fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return fn(args)
     except ConstructionRejected as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COUNTEREXAMPLE

@@ -175,8 +175,9 @@ def check_cycle_witness(g: Graph, w: CycleWitness, colouring: EdgeColouring | No
         return False
     index = g.edge_index
     for a, b, eid in zip(vs, vs[1:] + vs[:1], w.edge_ids):
-        # a pair that is no edge finds _NO_EDGE, which equals no witness id
-        if index.get((a, b) if a < b else (b, a), _NO_EDGE) != eid:
+        # either order finds the edge; a pair that is no edge finds
+        # _NO_EDGE, which equals no witness id
+        if index.get((a, b), _NO_EDGE) != eid:
             return False
     if containing and not set(containing) <= set(vs):
         return False
@@ -255,7 +256,7 @@ def check_walk_witness(g: Graph, w: WalkWitness, colouring: EdgeColouring | None
         if len(set(path)) != len(path):
             return False
         for x, y in zip(path, path[1:]):
-            eid = index.get((x, y) if x < y else (y, x))
+            eid = index.get((x, y))
             if eid is None:
                 return False
             edge_ids.append(eid)

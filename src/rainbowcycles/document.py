@@ -88,7 +88,7 @@ def _parse_witnesses(g: Graph, entry) -> tuple:
                     vs = frozenset(v for t in tokens for v in t)
             except ValueError:
                 raise InvalidParameter(f"bad witness entry {item!r}") from None
-            eids = tuple(index.get((a, b) if a < b else (b, a), -1) for a, b in pairs)
+            eids = tuple(index.get(pair, -1) for pair in pairs)
             if -1 not in eids:
                 out.append(CycleWitness(vs, eids) if kind == "cycles" else TreeWitness(eids, vs))
     return tuple(out)

@@ -135,10 +135,6 @@ class CubeSplit:
     p: int
     q: int
 
-    @property
-    def n(self) -> int:
-        return self.p + self.q
-
     def split(self, v: int) -> tuple[int, int]:
         return v & ((1 << self.p) - 1), v >> self.p
 

@@ -109,13 +109,19 @@ class Graph:
 
     @cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
-        return {uv: eid for eid, uv in enumerate(self.edges)}
+        """Edge id by endpoint pair, keyed by (u, v) and (v, u) alike; built
+        on the first lookup."""
+        index = {}
+        for eid, (u, v) in enumerate(self.edges):
+            index[u, v] = index[v, u] = eid
+        return index
 
     def edge_id(self, u: int, v: int) -> int:
-        return self.edge_index[(u, v) if u < v else (v, u)]
+        """The id of edge uv, in either endpoint order; KeyError if no edge."""
+        return self.edge_index[(u, v)]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edge_index
+        return (u, v) in self.edge_index
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
@@ -483,7 +489,7 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
         )
         a, b = g.edges[eid]
         if a in covered_v and b in covered_v:
-            ear = (min(a, b), max(a, b))
+            ear = (a, b)
         else:
             u, x = (a, b) if a in covered_v else (b, a)
             tail = _bfs_path(g, x, covered_v - {u}, covered_v)

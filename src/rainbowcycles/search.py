@@ -165,7 +165,7 @@ def _colour_symmetries(c: EdgeColouring, perms) -> list:
     eid's image; the others are dropped.
 
     p is kept iff it is a permutation of range(n), it maps every edge onto
-    an edge (one lookup each in edge_index, keyed by both orientations),
+    an edge (one lookup each in g.edge_index, which answers either order),
     and the pairs (colour of e, colour of e's image) name each colour of c
     once, so the renaming is a map. It is one-to-one too: p maps the edges
     one-to-one onto the edges, so the renaming is onto the colours used, of
@@ -175,8 +175,7 @@ def _colour_symmetries(c: EdgeColouring, perms) -> list:
         return []
     g = c.graph
     vertices = set(range(g.n))
-    index = dict(g.edge_index)
-    index.update(((v, u), eid) for (u, v), eid in g.edge_index.items())
+    index = g.edge_index
     tails = tuple(u for u, _ in g.edges)
     heads = tuple(v for _, v in g.edges)
     colour_of = c.colour_of

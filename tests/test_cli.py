@@ -22,7 +22,7 @@ from rainbowcycles.colouring import (
     rainbow_colouring,
 )
 from rainbowcycles.document import document_from_graph, emit, export_dot, parse
-from rainbowcycles.errors import InvalidParameter
+from rainbowcycles.errors import ConstructionRejected, InvalidParameter
 from rainbowcycles.graph import Graph
 from rainbowcycles.search import verify_k_rainbow_cycle_colouring, verify_k_rainbow_index_colouring
 
@@ -252,6 +252,20 @@ class TestPipelines:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "non-negative" in err
 
+    @pytest.mark.parametrize("gen_argv, colour_argv", [
+        (["hypercube", "n=4"], ["cube-recursive", "--k", "5", "--block", "2"]),
+        (["wheel", "n=5"], ["wheel", "--k", "2", "--no-verify"]),
+        (["wheel", "n=5"], ["wheel", "--k", "2"]),
+    ])
+    def test_colour_refuses_a_negative_budget(self, gen_argv, colour_argv, monkeypatch,
+                                              capsys):
+        # refused whether or not a verification would spend the budget
+        _, doc_text, _ = run_cli(["gen"] + gen_argv, "", monkeypatch, capsys)
+        code, out, err = run_cli(["colour"] + colour_argv + ["--budget", "-5"], doc_text,
+                                 monkeypatch, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: a node budget must be non-negative, got -5\n"
+
     def test_analyze_petersen(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "petersen"], "", monkeypatch, capsys)
         code, report, _ = run_cli(["analyze"], doc_text, monkeypatch, capsys)
@@ -260,6 +274,14 @@ class TestPipelines:
         assert rep["e"] == 15
         assert rep["is_hypohamiltonian"] is True
         assert rep["girth"] == 5
+
+    def test_analyze_budget_out_keeps_the_girth(self, monkeypatch, capsys):
+        # the girth is known before the circumference's search runs out
+        _, doc_text, _ = run_cli(["gen", "petersen"], "", monkeypatch, capsys)
+        code, report, _ = run_cli(["analyze", "--budget", "50"], doc_text, monkeypatch, capsys)
+        rep = json.loads(report)
+        assert code == 0
+        assert rep["budget_exhausted"] is True and rep["girth"] == 5
 
     def test_analyze_spends_one_budget(self, monkeypatch, capsys):
         # the invariants and the hypohamiltonian test share --budget, and
@@ -302,6 +324,22 @@ class TestPipelines:
         code, report, _ = run_cli(["verify", "--k", "2"], doc_text, monkeypatch, capsys)
         assert code == 1
         assert json.loads(report)["status"] == "counterexample"
+
+    def test_verify_outside_f3_exit_2(self, monkeypatch, capsys):
+        g = gen.complete_bipartite(2, 3)
+        doc_text = emit(document_from_graph(g, rainbow_colouring(g)))
+        code, out, err = run_cli(["verify", "--k", "3"], doc_text, monkeypatch, capsys)
+        assert (code, out, err) == (2, "", "error: graph is not in F_3\n")
+
+    def test_construction_rejected_exit_1(self, monkeypatch, capsys):
+        def rejected(*args, **kwargs):
+            raise ConstructionRejected("colour_wheel: self-verification found bad 2-set (0, 1)")
+
+        _, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
+        monkeypatch.setattr(cons, "colour_wheel", rejected)
+        code, out, err = run_cli(["colour", "wheel", "--k", "2"], doc_text, monkeypatch, capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: colour_wheel: self-verification found bad 2-set (0, 1)\n"
 
     def test_verify_k_beyond_n_exit_2(self, monkeypatch, capsys):
         # K_4 has no 9-subsets, so neither index can certify them
@@ -732,6 +770,15 @@ class TestCachedParser:
         run_cli(["gen", "wheel", "n=4"], "", monkeypatch, capsys)
         assert cli._PARSER is parser
         assert parser.format_help() == build_parser().format_help()
+
+    def test_command_is_looked_up_per_call(self, monkeypatch, capsys):
+        _, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
+        _, doc_text, _ = run_cli(["colour", "wheel", "--k", "2"], doc_text, monkeypatch, capsys)
+        assert run_cli(["verify", "--k", "2"], doc_text, monkeypatch, capsys)[0] == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args.k) or 7)
+        assert run_cli(["verify", "--k", "2"], doc_text, monkeypatch, capsys)[0] == 7
+        assert seen == [2]
 
     def test_seed_does_not_stick(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "complete", "n=6"], "", monkeypatch, capsys)

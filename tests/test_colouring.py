@@ -29,7 +29,7 @@ class TestEdgeColouring:
         g = gen.cycle(3)
         with pytest.raises(InvalidParameter):
             EdgeColouring(g, (0, 0, 1), 3)
-        c = EdgeColouring(g, (0, 0, 1), 3, unused_ok=True)
+        EdgeColouring(g, (0, 0, 1), 3, unused_ok=True)
 
     def test_rainbow(self):
         c = rainbow_colouring(gen.complete(4))

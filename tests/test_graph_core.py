@@ -51,6 +51,21 @@ class TestGraph:
         assert g.edges == ((0, 1), (0, 2), (1, 3))
         assert g.edge_id(1, 3) == 2 and g.edge_id(3, 1) == 2
 
+    @pytest.mark.parametrize("g", [gen.cycle(7), gen.wheel(6), gen.hypercube(4),
+                                   gen.complete_bipartite(3, 5), gen.petersen()],
+                             ids=["C7", "W6", "Q4", "K3,5", "Petersen"])
+    def test_edge_index_answers_either_order(self, g):
+        index = g.edge_index
+        assert len(index) == 2 * g.e
+        for eid, (u, v) in enumerate(g.edges):
+            assert index[(v, u)] == index[(u, v)] == g.edge_id(v, u) == eid
+        non_edge = next((u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                        if (u, v) not in g.edges)
+        for pair in (non_edge, non_edge[::-1], (0, 0), (0, g.n), (g.n, 0), (-1, 0)):
+            assert pair not in index and not g.has_edge(*pair)
+            with pytest.raises(KeyError):
+                g.edge_id(*pair)
+
     def test_rejects_loops_duplicates_range(self):
         with pytest.raises(InvalidParameter):
             Graph(3, ((1, 1),))
@@ -520,6 +535,16 @@ class TestFamilyMembership:
 
     def test_two_triangles_in_f1_not_f2(self):
         g = two_triangles()
+        assert in_family_Fk(g, 1)
+        assert not in_family_Fk(g, 2)
+
+    def test_disjoint_triangles_in_f1_not_f2(self):
+        # each triangle is a 2-connected block, so F_1 holds; the graph is
+        # not connected, and that alone keeps it out of F_2: neither
+        # component has a cut vertex
+        g = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+        assert not block_decomposition(g).cut_vertices
+        assert not is_k_connected(g, 2)
         assert in_family_Fk(g, 1)
         assert not in_family_Fk(g, 2)
 

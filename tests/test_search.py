@@ -166,6 +166,14 @@ class TestVerify:
         with pytest.raises(NotInFamily):
             verify_k_rainbow_cycle_colouring(rainbow_colouring(g), 1)
 
+    def test_not_in_f3_after_a_counterexample(self):
+        # K_{2,3} is in F_2, so verification runs; its three-vertex side
+        # lies on no cycle, and the F_3 test after the counterexample says so
+        c = rainbow_colouring(gen.complete_bipartite(2, 3))
+        with pytest.raises(NotInFamily) as exc:
+            verify_k_rainbow_cycle_colouring(c, 3)
+        assert exc.value.k == 3
+
     def test_counterexample_is_colex_least(self):
         # worst wheel colouring: everything colour 0 except one edge
         g = gen.wheel(5)
