@@ -715,8 +715,7 @@ class _WitnessCover:
     holding[v] has bit i set for each kept witness i through vertex v, so
     the witnesses that hold a set of vertices are one AND of these rows.
     below[p], for p >= 2, has bit i set for each kept witness i that holds
-    every vertex below p. uncovered(k) walks every k-subset in colex order;
-    covers(s) answers for one subset, for passes in any other order.
+    every vertex below p. uncovered(k) walks every k-subset in colex order.
     add keeps a witness and its images under vertex permutations, each
     unless its vertex set is held.
     """
@@ -729,14 +728,6 @@ class _WitnessCover:
         self.holding = [0] * n  # per vertex: a bit for each witness on it
         self.below = [0] * (n + 1)
         self.held = set()  # the distinct masks
-
-    def covers(self, s) -> bool:
-        """Does a kept witness hold every vertex of the non-empty tuple s?"""
-        holding = self.holding
-        held = holding[s[0]]
-        for v in s[1:]:
-            held &= holding[v]
-        return held != 0
 
     def add(self, vertices, perms=()) -> list:
         """Keep a witness whose vertex set is vertices, then its image under

@@ -10,11 +10,10 @@ partition number S(e, r).
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 from . import constructions as cons
-from .colouring import EdgeColouring, rainbow_colouring
+from .colouring import CycleWitness, EdgeColouring, rainbow_colouring
 from .errors import (
     AttemptsExhausted,
     BudgetExceeded,
@@ -39,6 +38,7 @@ from .graph import (
     in_family_Fk,
     is_connected,
 )
+from .search import _witness_image
 
 # The node budget of an exact solve given none. A solve with budget N walks
 # at most N + 1 nodes and builds a cover table of at most
@@ -49,7 +49,6 @@ from .graph import (
 # 0.8 us and 11 bytes (crx_2(K_9), where most cycles cover most pairs).
 DEFAULT_EXACT_BUDGET = 250_000
 _TABLE_CELLS_PER_NODE = 16
-MAX_EXHAUSTIVE_SUBSETS = 20_000  # crx_lower_bound_distance samples beyond this
 SAMPLER_ATTEMPTS = 200  # samples a randomised constructor in crx_interval may draw
 
 
@@ -62,9 +61,9 @@ class Certificate:
     (for crx the shortest cycle through it, for rx the smallest tree
     containing it), so a rainbow one needs that many colours. ``mode`` says
     how the bound was found: ``exhaustive`` (the most over every k-subset),
-    ``sampled`` (over a seeded sample), either with ``-partial`` when the
-    budget ran out during the pass, ``girth`` (no cycle is shorter than the
-    girth) or ``subset-size`` (a tree holding k vertices has k - 1 edges).
+    ``exhaustive-partial`` (the most over the k-subsets before the budget
+    ran out), ``girth`` (no cycle is shorter than the girth) or
+    ``subset-size`` (a tree holding k vertices has k - 1 edges).
     exhaustion: every one of the ``candidates`` canonical ``r``-colourings
     was refuted by the search.
     """
@@ -353,9 +352,8 @@ def _uncovers(killed, live, subsets_of, cov):
 
 def crx_lower_bound_distance(g: Graph, k: int, budget=None) -> tuple[int, Certificate]:
     """Best shortest-cycle lower bound: max of min_cycle_length_through over
-    all k-subsets when there are at most MAX_EXHAUSTIVE_SUBSETS of them,
-    else over a seeded sample.
-    A partial maximisation is still a valid lower bound.
+    all k-subsets, in one colex pass. A pass the budget cuts short is a
+    partial maximisation, still a valid lower bound.
 
     Branch and bound against the incumbent best, the largest minimum so
     far: a subset's iterative deepening (graph._anchored_cycle) starts at
@@ -388,17 +386,10 @@ def _distance_bound(g: Graph, k: int, b: Budget, family) -> tuple[int, Certifica
     if family is not None:
         perms += _family_symmetries(*family[:2])
     kept = _WitnessCover(g.n)
-    if math.comb(g.n, k) <= MAX_EXHAUSTIVE_SUBSETS:
-        pool = kept.uncovered(k)
-        mode = "exhaustive"
-    else:
-        rng = random.Random(0)
-        sample = (tuple(sorted(rng.sample(range(g.n), k))) for _ in range(2000))
-        pool = (s for s in sample if not kept.covers(s))
-        mode = "sampled"
+    mode = "exhaustive"
     best, best_set, settled = 0, None, 0
     try:
-        for s in pool:
+        for s in kept.uncovered(k):
             found = _anchored_cycle(g, s, b, range(max(3, best), g.n + 1))
             if found is not None:
                 kept.add(found[0], perms)
@@ -450,12 +441,14 @@ def _detect_family(g: Graph):
 
 def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeColouring:
     """A colouring of g by the best applicable constructor; its r is the
-    upper bound. A family constructor colours the canonical graph, carried
-    onto g through the order of family (g's _detect_family); its witnesses
-    name canonical vertices and are kept on the identity order only.
-    Samplers may fail, unsupported regimes raise, and a self-verification
-    may run out of the budget: each falls through to the Hamilton or
-    rainbow fallback. A ConstructionRejected (transcription error) propagates."""
+    upper bound. A family constructor colours the canonical graph, and one
+    edge map built from the order of family (g's _detect_family) carries
+    its colours and its witnesses onto g, in any labelling the class finder
+    recognises. Samplers may fail, unsupported regimes raise, and a
+    self-verification may run out of the budget: each falls through to the
+    Hamilton fallback, whose one witness is its rainbow Hamilton cycle, or
+    to the plain rainbow colouring. A ConstructionRejected (transcription
+    error) propagates."""
     soft = (AttemptsExhausted, RegimeUnsupported, InvalidParameter, BudgetExceeded)
     kind, param, order = family or (None, None, None)
     c = None
@@ -478,13 +471,13 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeCol
                 len(param), param[0], k, seed, SAMPLER_ATTEMPTS, budget)
     except soft:
         pass
-    if c is not None and order == tuple(range(g.n)):
-        return c
     if c is not None:
+        edge_map = [g.edge_id(order[u], order[v]) for u, v in c.graph.edges]
         colour_of = [0] * g.e
-        for (u, v), col in zip(c.graph.edges, c.colour_of):
-            colour_of[g.edge_id(order[u], order[v])] = col
-        return EdgeColouring(g, tuple(colour_of), c.r, c.unused_ok)
+        for eid, col in zip(edge_map, c.colour_of):
+            colour_of[eid] = col
+        witnesses = tuple(_witness_image(w, order, edge_map) for w in c.witnesses)
+        return EdgeColouring(g, tuple(colour_of), c.r, c.unused_ok, witnesses)
     # fallback: a rainbow Hamilton cycle when one is found within the
     # budget, else rainbow all, which is always a valid upper bound
     try:
@@ -493,7 +486,8 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeCol
         ham = None
     if ham is None:
         return rainbow_colouring(g)
-    return EdgeColouring(g, cons._rainbow_hamilton_colours(g, ham), g.n)
+    return EdgeColouring(g, cons._rainbow_hamilton_colours(g, ham), g.n,
+                         witnesses=(CycleWitness(ham, cycle_vertices_to_edge_ids(g, ham)),))
 
 
 def crx_interval(g: Graph, k: int, budget=None, seed=0) -> CrxResult:

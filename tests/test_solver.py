@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import (brute_all_cycles, brute_cycle_index, brute_is_k_connected,
                       brute_rainbow_index, brute_subtrees, random_connected_graph, theta)
+from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily
-from rainbowcycles.colouring import rainbow_colouring
-from rainbowcycles.graph import Budget, Graph, find_hamilton_cycle, in_family_Fk
+from rainbowcycles.colouring import CycleWitness, EdgeColouring, check_cover, rainbow_colouring
+from rainbowcycles.graph import (Budget, Graph, cycle_vertices_to_edge_ids, find_hamilton_cycle,
+                                 in_family_Fk)
 from rainbowcycles.search import (min_cycle_length_through, verify_k_rainbow_cycle_colouring,
                                   verify_k_rainbow_index_colouring)
 
@@ -404,14 +406,10 @@ class TestLowerBoundDistance:
         bound, cert = solver.crx_lower_bound_distance(g, k)
         assert (bound, cert.payload["subset"]) == (best, best_set)
 
-    @pytest.mark.parametrize("sampled", [False, True], ids=["exhaustive", "sampled"])
-    def test_matches_brute_oracle(self, monkeypatch, sampled):
+    def test_matches_brute_oracle(self):
         # the oracle is a maximum over brute_all_cycles; a record needs a
-        # strict gain, so the subset is the first to reach the bound in the
-        # pass order: colex, or the seeded sample, taken here with the
-        # sampler's seed and call sequence
-        if sampled:
-            monkeypatch.setattr(solver, "MAX_EXHAUSTIVE_SUBSETS", 1)
+        # strict gain, so the subset is the first to reach the bound in
+        # colex order
         rng = random.Random(13)
         checked = 0
         while checked < 24:
@@ -429,18 +427,24 @@ class TestLowerBoundDistance:
                     with pytest.raises(NotInFamily):
                         solver.crx_lower_bound_distance(g, k)
                     continue
-                if sampled:
-                    draw = random.Random(0)
-                    order = [tuple(sorted(draw.sample(range(n), k))) for _ in range(2000)]
-                else:
-                    order = sorted(shortest, key=lambda s: s[::-1])
+                order = sorted(shortest, key=lambda s: s[::-1])
                 best, best_set = 0, None
                 for s in order:
                     if shortest[s] > best:
                         best, best_set = shortest[s], s
                 bound, cert = solver.crx_lower_bound_distance(g, k)
                 assert (bound, cert.payload["subset"]) == (best, best_set), (g, k)
-                assert cert.payload["mode"] == ("sampled" if sampled else "exhaustive")
+                assert cert.payload["mode"] == "exhaustive"
+
+    def test_full_pass_on_a_tight_budget(self):
+        # W_60 has 34,220 3-subsets; the colex pass reaches a bound of 23
+        # before 200,000 nodes run out, and the interval keeps it
+        g = gen.wheel(60)
+        bound, cert = solver.crx_lower_bound_distance(g, 3, Budget(200_000))
+        assert (bound, cert.payload) == (
+            23, {"subset": (0, 1, 21), "length": 23, "mode": "exhaustive-partial"})
+        res = solver.crx_interval(g, 3, Budget(200_000))
+        assert (res.lower, res.evidence) == (23, (cert,))
 
 
 class TestInterval:
@@ -545,6 +549,63 @@ class TestInterval:
                 assert res.witness.graph == g, (g, k)
                 assert res.witness.r == res.upper
                 assert verify_k_rainbow_cycle_colouring(res.witness, k).certified, (g, k)
+
+    def test_witness_is_a_colouring_of_g_itself(self):
+        for g in (gen.complete(5), gen.cycle(5), gen.wheel(6), gen.hypercube(3),
+                  gen.complete_bipartite(2, 3), gen.complete_multipartite((1, 2, 3)),
+                  gen.petersen()):
+            assert solver.crx_interval(g, 2).witness.graph is g
+
+    def test_witnesses_cover_g_in_any_labelling(self, monkeypatch):
+        # every constructor or Hamilton witness list covers the k-subsets of
+        # g, relabelled or not; only the plain rainbow fallback carries none
+        # (K_{3,4} at k = 2: no construction, no Hamilton cycle). On the
+        # identity order the constructor's colours and witnesses come back
+        # as it made them.
+        made = []
+
+        class Recorder:
+            def __getattr__(self, name):
+                def call(*args, **kwargs):
+                    made.append(getattr(cons, name)(*args, **kwargs))
+                    return made[-1]
+                return call
+
+        monkeypatch.setattr(solver, "cons", Recorder())
+        for sizes in ((2, 4), (2, 3), (3, 3), (3, 4), (4, 4), (1, 1, 2), (2, 2, 2),
+                      (1, 2, 3), (1, 1, 1, 2), (1, 2, 2, 2), (2, 2, 2, 2)):
+            for seed in (None, 1, 2, 3):
+                g = (gen.complete_bipartite(*sizes) if len(sizes) == 2
+                     else gen.complete_multipartite(sizes))
+                if seed is not None:
+                    g = _relabelled(g, seed)
+                for k in (1, 2):
+                    made.clear()
+                    c = solver.crx_interval(g, k).witness
+                    if not c.witnesses:
+                        assert (sizes, k) == ((3, 4), 2)
+                        assert c == rainbow_colouring(g)
+                        continue
+                    assert check_cover(c, k, c.witnesses), (sizes, seed, k)
+                    if seed is None and made and isinstance(made[-1], EdgeColouring):
+                        assert c.colour_of == made[-1].colour_of
+                        assert c.witnesses == made[-1].witnesses
+
+    @pytest.mark.parametrize("g, k, bounds", [
+        (_relabelled(gen.wheel(9), 0), 1, (3, 10)),
+        (_relabelled(gen.hypercube(4), 0), 2, (8, 16)),
+    ], ids=["W_9", "Q_4"])
+    def test_hamilton_fallback_carries_its_cycle(self, g, k, bounds):
+        res = solver.crx_interval(g, k)
+        ham = find_hamilton_cycle(g)
+        assert (res.lower, res.upper) == bounds
+        assert res.witness.witnesses == (CycleWitness(ham, cycle_vertices_to_edge_ids(g, ham)),)
+        assert check_cover(res.witness, k, res.witness.witnesses)
+
+    def test_petersen_stays_rainbow(self):
+        g = gen.petersen()
+        res = solver.crx_interval(g, 2)
+        assert (res.witness, res.witness.witnesses) == (rainbow_colouring(g), ())
 
     def test_exactness_matches_solver_on_small(self):
         for g, k in [(gen.complete(4), 2), (gen.wheel(4), 2)]:
