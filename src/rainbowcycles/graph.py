@@ -26,8 +26,10 @@ class Budget:
     ``short``, the states whose children its forced-vertex test cut down to
     none or to one. The solver's rules add their own key once they run:
     ``incumbent``, the subsets the distance bound settled within its best
-    bound so far (solver.crx_lower_bound_distance), and ``leaves``, the
-    subtrees not grown past k leaves (solver._grow_subtrees). The walk
+    bound so far (solver.crx_lower_bound_distance), ``leaves``, the
+    subtrees not grown past k leaves (solver._grow_subtrees), and
+    ``length``, the cycles and subtrees the exact solver's listing deferred
+    past its length bound (_rooted_cycles, solver._grow_subtrees). The walk
     search adds ``quotient``, the walks its block-quotient bound proved
     absent, once that bound runs (search.find_subdivided_closed_walk).
     """
@@ -505,18 +507,37 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
 # Cycles: enumeration, girth, circumference, Hamiltonicity
 
 
-def _rooted_cycles(g: Graph, b: Budget, roots=None):
+def _rooted_cycles(g: Graph, b: Budget, starts=None, bound=None, deferred=None):
     """Every simple cycle once per direction, as a vertex tuple that starts
-    at its least vertex, in DFS order with neighbours ascending; with roots,
-    only the cycles whose least vertex is in roots. One budget node is
-    charged per path entered, the root alone included."""
+    at its least vertex, in DFS order with neighbours ascending. The search
+    extends each path of starts, a vertex tuple from its least vertex, the
+    root, through vertices above the root; by default starts holds every
+    vertex alone. One budget node is charged per path entered, each start
+    included.
+
+    With a bound L, only the cycles with at most L edges are listed: a path
+    whose edge count plus the distance from its end back to its root
+    exceeds L is not entered, as every cycle through it is that long. It is
+    deferred instead: appended to deferred[d], d being that sum, and
+    ``b.cuts["length"]`` counts it. Passing deferred paths back as starts,
+    with a bound at least their d, resumes the search from them; so over a
+    first search and its resumptions every path is entered at most once,
+    and each resumption lists exactly the cycles within its bound that no
+    earlier search listed."""
     adj = g.adjacency
     on_path = bytearray(g.n)
-    for root in range(g.n) if roots is None else roots:
+    if bound is not None:
+        b.cuts.setdefault("length", 0)
+    dist = dist_root = None
+    for start in ((v,) for v in range(g.n)) if starts is None else starts:
         b.spend()
-        path = [root]
-        on_path[root] = 1
-        stack = [iter(adj[root])]  # per path vertex: its neighbours not yet tried
+        root = start[0]
+        if bound is not None and root != dist_root:
+            dist, dist_root = _bfs_distances(g, root), root
+        path = list(start)
+        for v in path:
+            on_path[v] = 1
+        stack = [iter(adj[path[-1]])]  # per path vertex: its neighbours not yet tried
         while stack:
             for w, _ in stack[-1]:
                 if w <= root:
@@ -524,6 +545,10 @@ def _rooted_cycles(g: Graph, b: Budget, roots=None):
                         yield tuple(path)
                     continue
                 if on_path[w]:
+                    continue
+                if dist is not None and len(path) + dist[w] > bound:
+                    deferred.setdefault(len(path) + dist[w], []).append((*path, w))
+                    b.cuts["length"] += 1
                     continue
                 b.spend()
                 path.append(w)
@@ -533,6 +558,8 @@ def _rooted_cycles(g: Graph, b: Budget, roots=None):
             else:
                 stack.pop()
                 on_path[path.pop()] = 0
+        for v in path:
+            on_path[v] = 0
 
 
 def enumerate_simple_cycles(g: Graph, budget=None):
@@ -573,18 +600,22 @@ def girth(g: Graph):
 def find_hamilton_cycle(g: Graph, budget=None):
     """First Hamilton cycle of the anchored-cycle search through every
     vertex, or None. That cycle is lexicographically least, so path[1] <
-    path[-1] holds. A vertex of degree below 2, or a bipartite graph with
-    classes of different sizes (a cycle alternates between the classes),
-    gives None without a search node, and so does a disconnected graph, whose
-    distance floor is infinite (_anchored_cycle). The search's distance rule
-    reads only the row of the anchor, vertex 0, which _bipartition has
-    already built."""
+    path[-1] holds. None comes without a search node in four cases: a vertex
+    of degree below 2; a bipartite graph with classes of different sizes (a
+    cycle alternates between the classes); a twin class (_twin_classes) of
+    more than n/2 vertices, as open twins are never adjacent, so the class
+    is independent, and a cycle through every vertex holds at most n/2 of
+    an independent set; and a disconnected graph, whose distance floor is
+    infinite (_anchored_cycle). The search's distance rule reads only the
+    row of the anchor, vertex 0, which _bipartition has already built."""
     if g.n < 3:
         return None
     if any(g.degree(v) < 2 for v in range(g.n)):
         return None
     classes = _bipartition(g)
     if classes is not None and len(classes[0]) != len(classes[1]):
+        return None
+    if 2 * max(map(len, _twin_classes(g))) > g.n:
         return None
     b = Budget.of(budget)
     found = _anchored_cycle(g, range(g.n), b, (g.n,))
@@ -596,7 +627,7 @@ def enumerate_hamilton_cycles(g: Graph, budget=None):
     vertex 0, direction path[1] < path[-1]. Every one holds vertex 0, so
     only the root-0 pass of that rooted cycle DFS runs."""
     b = Budget.of(budget)
-    return [c for c in _rooted_cycles(g, b, range(min(g.n, 1)))
+    return [c for c in _rooted_cycles(g, b, [(v,) for v in range(min(g.n, 1))])
             if len(c) == g.n and c[1] < c[-1]]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 from . import constructions as cons
 from .colouring import CycleWitness, EdgeColouring, rainbow_colouring
@@ -30,9 +31,10 @@ from .graph import (
     _twin_classes,
     _twin_shifts,
     _WitnessCover,
+    _bfs_distances,
+    _rooted_cycles,
     colex_subsets,
     cycle_vertices_to_edge_ids,
-    enumerate_simple_cycles,
     find_hamilton_cycle,
     girth,
     in_family_Fk,
@@ -43,10 +45,12 @@ from .search import _witness_image
 # The node budget of an exact solve given none. A solve with budget N walks
 # at most N + 1 nodes and builds a cover table of at most
 # _TABLE_CELLS_PER_NODE * N cells (see _reserve_table). Measured per unit
-# (Python 3.11, 2 vCPUs): a propagator node up to about 210 us
-# (rx_exact(wheel(8), 5), about 45 s at this default), a structure-listing
-# node about 0.5 KB (rx_exact(hypercube(4), 2)), a table cell up to about
-# 0.8 us and 11 bytes (crx_2(K_9), where most cycles cover most pairs).
+# (Python 3.11, 2 vCPUs): a propagator node up to about 160 us
+# (rx_exact(wheel(8), 5), about 40 s at this default), a structure-listing
+# node up to about 0.9 KB, as the listing keeps the states it deferred
+# (rx_exact(hypercube(5), 3); crx_exact(hypercube(5), 2) about 0.5 KB), a
+# table cell about 0.1 us and 7 bytes (rx_exact(hypercube(4), 3), 1.0 M
+# cells) and up to about 1 us where its structure covers its subset.
 DEFAULT_EXACT_BUDGET = 250_000
 _TABLE_CELLS_PER_NODE = 16
 SAMPLER_ATTEMPTS = 200  # samples a randomised constructor in crx_interval may draw
@@ -62,8 +66,11 @@ class Certificate:
     containing it), so a rainbow one needs that many colours. ``mode`` says
     how the bound was found: ``exhaustive`` (the most over every k-subset),
     ``exhaustive-partial`` (the most over the k-subsets before the budget
-    ran out), ``girth`` (no cycle is shorter than the girth) or
-    ``subset-size`` (a tree holding k vertices has k - 1 edges).
+    ran out), ``girth`` (no cycle is shorter than the girth),
+    ``diameter`` (``subset`` holds two vertices at distance d, the
+    diameter, so a tree through it has at least d edges and a cycle 2d) or
+    ``subset-size`` (a cycle through k vertices has k edges, a tree holding
+    them k - 1).
     exhaustion: every one of the ``candidates`` canonical ``r``-colourings
     was refuted by the search.
     """
@@ -120,23 +127,20 @@ def canonical_colourings(e: int, r: int):
 
 def crx_exact(g: Graph, k: int, budget=None) -> CrxResult:
     """Exact k-rainbow cycle index by canonical enumeration (see _exact); the
-    structures that must be rainbow are the simple cycles. Without a budget
-    it runs on DEFAULT_EXACT_BUDGET nodes. A budget spent after the F_k
-    precheck and before the first pass, or too small for the cover table
-    (see _reserve_table), gives the interval [max(k, girth), e]; one spent
-    inside the precheck raises BudgetExceeded, with no interval."""
+    structures that must be rainbow are the simple cycles, listed by
+    length (_cycle_lister) from the largest of 3, k and, for k >= 2, twice
+    the diameter. Without a budget it runs on DEFAULT_EXACT_BUDGET nodes. A
+    budget spent after the F_k precheck and before the distance bound is
+    known, or too small for the cover table (see _reserve_table), gives the
+    interval [start, e], start being the largest of the girth and those
+    terms, with its certificate (_start_certificate); one spent inside the
+    precheck raises BudgetExceeded, with no interval."""
     b = Budget.of(budget, DEFAULT_EXACT_BUDGET)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
-    try:
-        _reserve_table(g, k, b)
-        cycles = [(cycle_vertices_to_edge_ids(g, c), frozenset(), frozenset(c))
-                  for c in enumerate_simple_cycles(g, b)]
-        _reserve_table(g, k, b, len(cycles))
-    except BudgetExceeded:
-        cert = _distance_certificate(tuple(range(k)), girth(g), "girth")
-        return _budget_out(g, max(k, cert.payload["length"]), (cert,))
-    return _exact(g, k, b, cycles)
+    diameter = _diameter(g)[0] if k >= 2 else 0
+    return _exact(g, k, b, _cycle_lister(g, b), max(3, k, 2 * diameter),
+                  lambda: _start_certificate(g, k, cycles=True))
 
 
 def rx_exact(g: Graph, k: int, budget=None) -> CrxResult:
@@ -144,10 +148,12 @@ def rx_exact(g: Graph, k: int, budget=None) -> CrxResult:
 
     The structures that must be rainbow are the subtrees with at most k
     leaves, each covering the k-subsets that hold its leaves: pruning the
-    leaves outside S from a rainbow tree through S leaves one of them.
-    Without a budget it runs on DEFAULT_EXACT_BUDGET nodes. A budget spent
-    before the first pass, or too small for the cover table (see
-    _reserve_table), gives the interval [k - 1, e].
+    leaves outside S from a rainbow tree through S leaves one of them. They
+    are listed by edge count (_subtree_lister) from the larger of k - 1 and
+    the diameter. Without a budget it runs on DEFAULT_EXACT_BUDGET nodes. A
+    budget spent before the distance bound is known, or too small for the
+    cover table (see _reserve_table), gives the interval [start, e], start
+    being that larger term, with its certificate (_start_certificate).
     """
     if not is_connected(g):
         raise InvalidParameter("rx needs a connected graph")
@@ -156,26 +162,50 @@ def rx_exact(g: Graph, k: int, budget=None) -> CrxResult:
     if k == 1:
         return CrxResult("exact", 0, 0, None, ())
     b = Budget.of(budget, DEFAULT_EXACT_BUDGET)
-    adj, trees = g.adjacency, []
-    try:
-        _reserve_table(g, k, b)
-        for root in range(g.n):
-            frontier = [(eid, x) for x, eid in adj[root] if x > root]
-            _grow_subtrees(adj, root, k, b, {root}, (), frontier, trees)
-        _reserve_table(g, k, b, len(trees))
-    except BudgetExceeded:
-        cert = _distance_certificate(tuple(range(k)), k - 1, "subset-size")
-        return _budget_out(g, k - 1, (cert,))
-    return _exact(g, k, b, trees)
+    return _exact(g, k, b, _subtree_lister(g, k, b), max(k - 1, _diameter(g)[0]),
+                  lambda: _start_certificate(g, k, cycles=False))
+
+
+def _diameter(g: Graph) -> tuple[int, tuple]:
+    """The diameter of the connected graph g and the lexicographically least
+    pair of vertices at that distance."""
+    diameter, pair = 0, ()
+    for u in range(g.n):
+        row = _bfs_distances(g, u)
+        far = max(row)
+        if far > diameter:
+            diameter, pair = far, (u, row.index(far))
+    return diameter, pair
+
+
+def _start_certificate(g: Graph, k: int, cycles: bool) -> Certificate:
+    """A lower bound on the distance bound of _exact found without a search,
+    as a certificate whose mode names the term that gives it, the first of
+    the largest: for cycles the girth, k (a cycle through k vertices has k
+    edges) and for k >= 2 twice the diameter (a cycle through two vertices
+    at distance d has at least 2d edges); for trees k - 1 and the diameter.
+    Its subset is the least k-subset holding the diametral pair of
+    _diameter for the diameter, else range(k)."""
+    diameter, pair = _diameter(g) if k >= 2 else (0, ())
+    if cycles:
+        terms = [("girth", girth(g)), ("subset-size", k), ("diameter", 2 * diameter)]
+    else:
+        terms = [("subset-size", k - 1), ("diameter", diameter)]
+    mode, length = max(terms, key=lambda term: term[1])
+    subset = tuple(range(k))
+    if mode == "diameter":
+        subset = tuple(sorted([*pair, *[v for v in range(g.n) if v not in pair][:k - 2]]))
+    return _distance_certificate(subset, length, mode)
 
 
 def _reserve_table(g: Graph, k: int, b: Budget, structures: int = 1):
     """Raise BudgetExceeded when the cover table of _exact, a row of one cell
-    per structure for each k-subset, would have more than
-    _TABLE_CELLS_PER_NODE cells per node of b's limit. The build tests and
-    may store every cell before the first pass node, and no node counts it,
-    so this test stands in for that count; it spends nothing, and no node
-    count changes. Made with one structure before the listing, it stops a
+    per structure listed so far for each k-subset, would have more than
+    _TABLE_CELLS_PER_NODE cells per node of b's limit. Adding structures to
+    the table tests and may store every cell of theirs, and no node counts
+    it, so this test, made after each listing and before its structures are
+    added, stands in for that count; it spends nothing, and no node count
+    changes. Made with one structure before the first listing, it stops a
     solve whose rows alone are too many without listing anything."""
     if math.comb(g.n, k) * structures > _TABLE_CELLS_PER_NODE * b.limit:
         raise BudgetExceeded(b.limit)
@@ -185,93 +215,162 @@ def _distance_certificate(subset, length: int, mode: str) -> Certificate:
     return Certificate("distance_bound", {"subset": subset, "length": length, "mode": mode})
 
 
-def _grow_subtrees(adj, root, k, b, verts, eids, frontier, out, deg=None, leaves=0):
-    """Append to out, as (edge ids, leaves, vertices), each subtree with an
-    edge and at most k leaves that has least vertex root and extends the tree
-    (verts, eids) by (edge id, new vertex) pairs of frontier. The first pair
-    is excluded, then included, so each subtree is reached once. One call is
-    one budget node.
+def _ready(deferred, bound) -> list:
+    """Remove from deferred, a dict from a length to the states deferred at
+    it, and return the states whose length is at most bound."""
+    return [state for length in sorted(deferred) if length <= bound
+            for state in deferred.pop(length)]
 
-    deg[v] is the degree of v in the tree and leaves its count of vertices
-    of degree 1; the defaults are those of a tree with no edge. Growing a
-    tree never lowers its leaves: the first edge gives two, and a new
-    vertex hung on a leaf keeps the count, on an inner vertex adds one. So
-    every tree on the way to one with at most k leaves has at most k, and
-    an inclusion that would give more than k lists nothing; it is not
-    made, and ``b.cuts["leaves"]`` counts it. The trees listed and their
-    order are as without the cut."""
-    if deg is None:
-        deg = [0] * len(adj)
-        b.cuts.setdefault("leaves", 0)
+
+def _cycle_lister(g: Graph, b: Budget):
+    """The lister of crx_exact for _exact: called with L, it returns the
+    simple cycles with at most L edges that no earlier call returned, as
+    (edge ids, frozenset(), vertices). It resumes graph._rooted_cycles from
+    the paths the earlier calls deferred, so no path is entered twice."""
+    deferred = {0: [(v,) for v in range(g.n)]}
+
+    def upto(bound):
+        starts = _ready(deferred, bound)
+        return [(cycle_vertices_to_edge_ids(g, c), frozenset(), frozenset(c))
+                for c in _rooted_cycles(g, b, starts, bound, deferred) if c[1] < c[-1]]
+
+    return upto
+
+
+def _subtree_lister(g: Graph, k: int, b: Budget):
+    """The lister of rx_exact for _exact: called with L, it returns the
+    subtrees with an edge, at most k leaves and at most L edges that no
+    earlier call returned, as (edge ids, leaves, vertices). It resumes
+    _grow_subtrees from the inclusions the earlier calls deferred, so no
+    call is made twice."""
+    adj = g.adjacency
+    deferred = {0: [(root, frozenset((root,)), (), [(eid, x) for x, eid in adj[root] if x > root],
+                     frozenset()) for root in range(g.n)]}
+    b.cuts.setdefault("leaves", 0)
+    b.cuts.setdefault("length", 0)
+
+    def upto(bound):
+        trees = []
+        for state in _ready(deferred, bound):
+            _grow_subtrees(adj, k, b, bound, *state, trees, deferred)
+        return trees
+
+    return upto
+
+
+def _grow_subtrees(adj, k, b, bound, root, verts, eids, frontier, ends, out, deferred):
+    """Append to out, as (edge ids, leaves, vertices), each subtree with an
+    edge, at most k leaves and at most bound edges that has least vertex
+    root and extends the tree (verts, eids), whose leaves are ends, by (edge
+    id, new vertex) pairs of frontier. The first pair is excluded, then
+    included, so each subtree is reached once. One call is one budget node.
+
+    Growing a tree never lowers its leaves: the first edge gives two, and a
+    new vertex hung on a leaf keeps the count, on an inner vertex adds one.
+    So every tree on the way to one with at most k leaves has at most k,
+    and an inclusion that would give more than k lists nothing; it is not
+    made, and ``b.cuts["leaves"]`` counts it. An inclusion that would give
+    bound + 1 edges is deferred: the arguments of its call from root to
+    ends are appended to deferred[bound + 1], and ``b.cuts["length"]``
+    counts it. Making those calls with a larger bound resumes the listing,
+    so over the first calls and their resumptions no call is made twice,
+    and each resumption lists exactly the subtrees with more edges than the
+    earlier bound and at most its own."""
     b.spend()
     if frontier:
         (eid, w), rest = frontier[0], frontier[1:]
-        _grow_subtrees(adj, root, k, b, verts, eids, rest, out, deg, leaves)
+        _grow_subtrees(adj, k, b, bound, root, verts, eids, rest, ends, out, deferred)
         p = next(x for x, e2 in adj[w] if e2 == eid)  # w hangs on p
-        grown_leaves = leaves + 1 + (deg[p] == 0) - (deg[p] == 1)
-        if grown_leaves > k:
+        if not eids:
+            grown_ends = frozenset((p, w))
+        elif p in ends:
+            grown_ends = ends - {p} | {w}
+        else:
+            grown_ends = ends | {w}
+        if len(grown_ends) > k:
             b.cuts["leaves"] += 1
             return
         grown = [f for f in rest if f[1] != w]
         grown += [(e2, x) for x, e2 in adj[w] if x > root and x not in verts]
-        deg[p] += 1
-        deg[w] = 1
-        _grow_subtrees(adj, root, k, b, verts | {w}, eids + (eid,), grown, out, deg,
-                       grown_leaves)
-        deg[p] -= 1
-        deg[w] = 0
+        state = (root, verts | {w}, eids + (eid,), grown, grown_ends)
+        if len(eids) == bound:
+            deferred.setdefault(bound + 1, []).append(state)
+            b.cuts["length"] += 1
+        else:
+            _grow_subtrees(adj, k, b, bound, *state, out, deferred)
     elif eids:
-        out.append((eids, frozenset(v for v in verts if deg[v] == 1), frozenset(verts)))
+        out.append((eids, ends, verts))
 
 
-def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
+def _exact(g: Graph, k: int, b: Budget, lister, first: int, start) -> CrxResult:
     """The least r admitting a canonical r-colouring in which every k-subset
     S is covered by a rainbow structure, with evidence for each smaller r.
 
-    A structure (edge ids, must, vertices) covers S iff must <= S <= vertices.
-    r starts at the distance bound: the largest, over S, of the fewest edges
-    of a structure covering S. For each r the surjective canonical
+    A structure (edge ids, must, vertices) covers S iff must <= S <=
+    vertices. lister(L) returns the structures with at most L edges that
+    no earlier call returned, for L rising from call to call. first is at
+    most the distance bound, the largest, over S, of the fewest edges of a
+    structure covering S. The structures are listed up to first, then one
+    edge count more at a time until every S has one: that count is the
+    distance bound, with the colex-first S that needs it. A listing that
+    resumes where the last one stopped enters the same states whatever
+    bounds it passed through, so where it starts changes no node count.
+
+    r starts at the distance bound. For each r the surjective canonical
     r-colourings are walked depth-first; a partial colouring is abandoned
     only when some S already has every covering structure spoiled by a
     repeated colour, which holds for all completions. The first feasible
     colouring found is the canonically least witness.
 
     Structure si is bit si of the int bitsets cov[t], the structures covering
-    the t-th k-subset in colex order, and tmask[eid], the kept ones through
-    edge eid. The pass for r keeps only the structures with at most r edges,
-    a prefix of the table sorted by edge count that grows with r. This is
-    exact: a structure with more than r edges is never rainbow in an
-    r-colouring, so dropping it changes no colouring's feasibility. The walk
-    order is the same and only subtrees without a feasible completion are
-    cut, so the witness and every refuted r are the same as over the full
-    table. Every S has a covering structure (the F_k precheck for crx,
-    connectivity for rx), so from the distance bound on every S keeps one.
+    the t-th k-subset in colex order, and tmask[eid], those through edge
+    eid. Before the pass for r the structures with exactly r edges are
+    listed and added, so the pass holds exactly those with at most r edges.
+    This is exact: a structure with more than r edges is never rainbow in
+    an r-colouring, so leaving it out changes no colouring's feasibility.
+    The walk order is the same and only subtrees without a feasible
+    completion are cut, so the witness and every refuted r are the same as
+    over the full table.
+
+    A budget spent before the distance bound is known, or a table too large
+    for it (see _reserve_table), gives the interval [length, e] with the
+    certificate start() as its evidence, a lower bound on the distance
+    bound of that length, at least first; one spent later, in the pass for
+    r or the listing before it, gives [r, e] with the evidence so far.
     """
-    structures = sorted(structures, key=lambda st: len(st[0]))
-    subsets_of = [[] for _ in structures]  # the k-subsets each structure covers
-    cov = []
-    bound, bound_set = 0, None
-    for ti, s in enumerate(colex_subsets(g.n, k)):
-        ss = set(s)
-        cover = [si for si, (_, must, verts) in enumerate(structures) if must <= ss <= verts]
-        if not cover:
-            raise InvalidParameter(f"no structure covers the {k}-subset {s}")
-        for si in cover:
-            subsets_of[si].append(ti)
-        cov.append(_bitset(cover))
-        size = len(structures[cover[0]][0])  # the table is sorted by edge count
-        if size > bound:
-            bound, bound_set = size, s
+    subsets_of, tmask = [], [0] * g.e
+
+    def extend(bound):
+        batch = lister(bound)
+        if not batch:
+            return 0
+        _reserve_table(g, k, b, len(subsets_of) + len(batch))
+        return _add_rows(masks, batch, tmask, subsets_of, cov, shortest)
+
+    listed = first
+    try:
+        _reserve_table(g, k, b)
+        masks = _colex_masks(g.n, k)
+        cov, shortest = [0] * len(masks), [0] * len(masks)
+        uncovered = len(masks) - extend(listed)
+        while uncovered:
+            listed += 1
+            if listed > g.e:
+                s = next(s for s, c in zip(colex_subsets(g.n, k), cov) if not c)
+                raise InvalidParameter(f"no structure covers the {k}-subset {s}")
+            uncovered -= extend(listed)
+    except BudgetExceeded:
+        cert = start()
+        return _budget_out(g, cert.payload["length"], (cert,))
+    bound = max(shortest)
+    bound_set = next(islice(colex_subsets(g.n, k), shortest.index(bound), None))
     evidence = [_distance_certificate(bound_set, bound, "exhaustive")]
-    tmask = [0] * g.e
-    kept = 0
     for r in range(bound, g.e + 1):
-        while kept < len(structures) and len(structures[kept][0]) <= r:
-            for eid in structures[kept][0]:
-                tmask[eid] |= 1 << kept
-            kept += 1
         try:
-            witness = _search_r(g, r, b, tmask, subsets_of, cov, (1 << kept) - 1)
+            if r > listed:
+                listed = r
+                extend(r)
+            witness = _search_r(g, r, b, tmask, subsets_of, cov, (1 << len(subsets_of)) - 1)
         except BudgetExceeded:
             return _budget_out(g, r, tuple(evidence))
         if witness is not None:
@@ -280,9 +379,60 @@ def _exact(g: Graph, k: int, b: Budget, structures) -> CrxResult:
     raise InvalidParameter(f"no feasible colouring with up to {g.e} colours")
 
 
+def _add_rows(masks, batch, tmask, subsets_of, cov, shortest) -> int:
+    """Add the structures of batch to _exact's cover table, sorted by edge
+    count, as the next bits of tmask and cov, each with the list of the
+    subsets it covers in subsets_of. masks[t] is the t-th k-subset in colex
+    order as a vertex bitmask. shortest[t] takes the edge count of the first
+    structure to cover that subset. Returns how many subsets batch covers
+    first."""
+    base = len(subsets_of)
+    batch = sorted(batch, key=lambda st: len(st[0]))
+    through = [[] for _ in tmask]
+    covers = {}  # t -> the structures of batch covering the t-th subset, ascending
+    for si, (eids, must, verts) in enumerate(batch, base):
+        for eid in eids:
+            through[eid].append(si)
+        outside = ~sum(1 << v for v in verts)
+        held = sum(1 << v for v in must)
+        rows = [t for t, m in enumerate(masks) if not m & outside and m & held == held]
+        subsets_of.append(rows)
+        for t in rows:
+            covers.setdefault(t, []).append(si)
+    for eid, sis in enumerate(through):
+        if sis:
+            tmask[eid] |= _bitset(sis)
+    first = 0
+    for t, sis in covers.items():
+        if not cov[t]:
+            shortest[t] = len(batch[sis[0] - base][0])
+            first += 1
+        cov[t] |= _bitset(sis)
+    return first
+
+
+def _colex_masks(n: int, k: int) -> list:
+    """The k-subsets of range(n), k >= 1, as vertex bitmasks in colex order,
+    which is their numeric order: each is the next larger int with k bits
+    set (Gosper's hack)."""
+    masks, m = [], (1 << k) - 1
+    while m < 1 << n:
+        masks.append(m)
+        low = m & -m
+        up = m + low
+        m = (((up ^ m) >> 2) // low) | up
+    return masks
+
+
 def _bitset(indices) -> int:
     """The int with bit i set for each i of the ascending list indices, in
-    time linear in its length and width (a sum of shifts is quadratic)."""
+    time linear in its length and width (a sum of shifts is quadratic, but
+    faster for a few)."""
+    if len(indices) <= 4:
+        bits = 0
+        for i in indices:
+            bits |= 1 << i
+        return bits
     bits = bytearray((indices[-1] >> 3) + 1)
     for i in indices:
         bits[i >> 3] |= 1 << (i & 7)
@@ -444,7 +594,9 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeCol
     upper bound. A family constructor colours the canonical graph, and one
     edge map built from the order of family (g's _detect_family) carries
     its colours and its witnesses onto g, in any labelling the class finder
-    recognises. Samplers may fail, unsupported regimes raise, and a
+    recognises. A cycle's bound is its rainbow colouring, whose one witness
+    is the whole cycle, walked from vertex 0 to its lesser neighbour.
+    Samplers may fail, unsupported regimes raise, and a
     self-verification may run out of the budget: each falls through to the
     Hamilton fallback, whose one witness is its rainbow Hamilton cycle, or
     to the plain rainbow colouring. A ConstructionRejected (transcription
@@ -454,7 +606,12 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeCol
     c = None
     try:
         if kind == "cycle":
-            return rainbow_colouring(g)
+            cycle = [0, g.adjacency[0][0][0]]
+            while len(cycle) < g.n:
+                cycle.append(next(w for w, _ in g.adjacency[cycle[-1]] if w != cycle[-2]))
+            cycle = tuple(cycle)
+            return EdgeColouring(g, tuple(range(g.e)), g.e, witnesses=(
+                CycleWitness(cycle, cycle_vertices_to_edge_ids(g, cycle)),))
         if kind == "complete":
             c = (cons.colour_complete_2rainbow(param, budget=budget) if k <= 2 else
                  cons.colour_complete_random(param, k, seed, SAMPLER_ATTEMPTS, budget))

@@ -232,12 +232,14 @@ class TestPipelines:
         assert (rep["kind"], rep["value"], rep["witness"]["colours"]) == ("exact", 5, [0, 1, 2, 3, 4])
 
     def test_solve_reports_its_nodes(self, monkeypatch, capsys):
-        # the golden count of crx_2(W_5), spent in the default exact budget
+        # the golden count of crx_2(W_5), spent in the default exact budget,
+        # and the paths its cycle listing deferred past the length bound
         _, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
         code, report, _ = run_cli(["solve", "--k", "2"], doc_text, monkeypatch, capsys)
         rep = json.loads(report)
         assert code == 0 and rep["result"]["value"] == 5
-        assert (rep["search_nodes"], rep["cuts"]) == (135, {"closing": 0, "sides": 0, "short": 0})
+        assert (rep["search_nodes"], rep["cuts"]) == (
+            107, {"closing": 0, "sides": 0, "short": 0, "length": 40})
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--k", "2", "--budget", "-5"],
@@ -879,7 +881,7 @@ _README_REPORTS = [
                 "evidence": [{"kind": "distance_bound",
                               "payload": {"length": 5, "mode": "exhaustive", "subset": [0]}}],
                 "witness": {"colours": [0, 1, 2, 3, 4], "r": 5}},
-     "search_nodes": 25, "cuts": {"closing": 0, "sides": 0, "short": 0}},
+     "search_nodes": 25, "cuts": {"closing": 0, "sides": 0, "short": 0, "length": 7}},
     {"command": "analyze", "n": 10, "e": 15, "blocks": [list(range(15))], "cut_vertices": [],
      "is_2_connected": True, "is_minimally_2_connected": False, "in_F1": True,
      "in_F2": True, "girth": 5, "circumference": 9, "is_hamiltonian": False,

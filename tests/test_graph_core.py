@@ -420,6 +420,27 @@ class TestHamiltonCycles:
         assert find_hamilton_cycle(gen.complete_bipartite(m, n), b) is None
         assert b.used == 0
 
+    @pytest.mark.parametrize("g, nodes_before", [
+        (gen.complete_multipartite((1, 1, 1, 1, 1, 12)), 885_725),
+        (gen.complete_multipartite((3, 3, 7)), 1_580_905),
+        (gen.complete_multipartite((2, 2, 9)), 8_359),
+        # K_{2,9} with its two hubs joined: not complete multipartite
+        (Graph(11, ((0, 1),) + tuple((h, v) for h in (0, 1) for v in range(2, 11))), None),
+    ], ids=["K_1,1,1,1,1,12", "K_3,3,7", "K_2,2,9", "joined K_2,9"])
+    def test_large_twin_class_needs_no_search(self, g, nodes_before):
+        # open twins are never adjacent, so a twin class is independent, and
+        # a cycle through every vertex holds at most n/2 of an independent
+        # set; the search proved it in nodes_before nodes
+        b = Budget()
+        assert find_hamilton_cycle(g, b) is None
+        assert b.used == 0
+
+    def test_twin_class_of_half_the_vertices_is_searched(self):
+        # n/2 twins alternate with the other vertices on a cycle
+        b = Budget()
+        cycle = find_hamilton_cycle(gen.complete_multipartite((2, 2, 4)), b)
+        assert len(cycle) == 8 and b.used == 180
+
     @pytest.mark.parametrize("g", [
         Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5))),
         Graph(6, tuple((i, (i + 1) % 5) for i in range(5))),

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_all_cycles, brute_cycle_index, brute_is_k_connected,
-                      brute_rainbow_index, brute_subtrees, random_connected_graph, theta)
+                      brute_rainbow_index, brute_subtrees, random_connected_graph, small_corpus,
+                      theta)
 from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
 from rainbowcycles import solver
@@ -126,31 +127,54 @@ class TestCrxExact:
             solver.crx_exact(Graph(4, ((0, 1), (1, 2), (2, 3))), 1)
 
     def test_default_budget_confirms_the_paper(self):
-        # crx_2(K_n) = 3 and crx_2(W_n) = ceil(n/2) + 2, both past 16 edges;
-        # crx_2(Q_4) = 8 takes 126,014 nodes, about 1.4 s, too slow for here
-        for g, value, nodes in [(gen.complete(7), 3, 2_466), (gen.wheel(12), 8, 3_269)]:
+        # crx_2(K_n) = 3, crx_2(W_n) = ceil(n/2) + 2 and crx_k(Q_n) = 2^(n-1)
+        # for k = 2 and n >= 4, 4 for k = 1, all past 16 edges; listing
+        # every cycle first took 2,466, 3,269 and 126,014 nodes on the first
+        # three and ran out of this budget on Q_5. rx_2(Q_n) = n is the
+        # rainbow connection number (Chartrand, Johns, McKeon & Zhang 2008);
+        # listing every subtree first ran out of this budget on Q_4
+        for solve, g, k, value, nodes in [(solver.crx_exact, gen.complete(7), 2, 3, 192),
+                                          (solver.crx_exact, gen.wheel(12), 2, 8, 2_231),
+                                          (solver.crx_exact, gen.hypercube(4), 2, 8, 4_388),
+                                          (solver.crx_exact, gen.hypercube(5), 1, 4, 593),
+                                          (solver.rx_exact, gen.hypercube(4), 2, 4, 5_392)]:
             b = Budget.of(None, solver.DEFAULT_EXACT_BUDGET)
-            res = solver.crx_exact(g, 2, b)
+            res = solve(g, k, b)
             assert (res.kind, res.value, b.used) == ("exact", value, nodes)
-            assert verify_k_rainbow_cycle_colouring(res.witness, 2).certified
-            assert solver.crx_exact(g, 2).witness == res.witness
+            verify = (verify_k_rainbow_index_colouring if solve is solver.rx_exact
+                      else verify_k_rainbow_cycle_colouring)
+            assert verify(res.witness, k).certified
+            assert solve(g, k).witness == res.witness
 
     def test_default_budget_out_is_a_certified_interval(self):
-        # Q_5 has too many cycles to list in the default budget; the girth
-        # is the lower bound, and its certificate says so
+        # Q_5 has too many cycles of up to 10 edges to list in the default
+        # budget; the start of the listing, twice the diameter, is the lower
+        # bound (the girth, 4, was until the listing started there), and
+        # its certificate names the antipodal pair it reads
         b = Budget.of(None, solver.DEFAULT_EXACT_BUDGET)
         res = solver.crx_exact(gen.hypercube(5), 2, b)
-        assert (res.kind, res.lower, res.upper) == ("interval", 4, 80)
+        assert (res.kind, res.lower, res.upper) == ("interval", 10, 80)
         assert b.used <= solver.DEFAULT_EXACT_BUDGET + 1
         assert [(c.kind, c.payload) for c in res.evidence] == [
-            ("distance_bound", {"subset": (0, 1), "length": 4, "mode": "girth"})]
+            ("distance_bound", {"subset": (0, 31), "length": 10, "mode": "diameter"})]
         assert solver.crx_exact(gen.hypercube(5), 2).evidence == res.evidence
 
     def test_rx_budget_out_is_certified_by_the_subset_size(self):
-        res = solver.rx_exact(gen.hypercube(4), 3, budget=1_000)  # out while listing
-        assert (res.kind, res.lower, res.upper) == ("interval", 2, 32)
+        # out while listing: on K_6 a tree holding 4 vertices has 3 edges,
+        # more than the diameter, 1
+        res = solver.rx_exact(gen.complete(6), 4, budget=50)
+        assert (res.kind, res.lower, res.upper) == ("interval", 3, 15)
         assert [(c.kind, c.payload) for c in res.evidence] == [
-            ("distance_bound", {"subset": (0, 1, 2), "length": 2, "mode": "subset-size"})]
+            ("distance_bound", {"subset": (0, 1, 2, 3), "length": 3, "mode": "subset-size"})]
+
+    def test_rx_budget_out_is_certified_by_the_diameter(self):
+        # on Q_4 a tree through the antipodal pair (0, 15) has 4 edges, more
+        # than the 2 of a tree holding 3 vertices (the bound was 2 until the
+        # listing started at the diameter)
+        res = solver.rx_exact(gen.hypercube(4), 3, budget=1_000)  # out while listing
+        assert (res.kind, res.lower, res.upper) == ("interval", 4, 32)
+        assert [(c.kind, c.payload) for c in res.evidence] == [
+            ("distance_bound", {"subset": (0, 1, 15), "length": 4, "mode": "diameter"})]
 
     def test_cover_table_beyond_the_budget_is_not_built(self, monkeypatch):
         # C(300, 3) = 4,455,100 table rows already exceed 16 cells per node of
@@ -159,8 +183,8 @@ class TestCrxExact:
         def no_listing(*args):
             raise AssertionError("the structures were listed")
 
-        monkeypatch.setattr(solver, "enumerate_simple_cycles", no_listing)
-        monkeypatch.setattr(solver, "_exact", no_listing)
+        monkeypatch.setattr(solver, "_rooted_cycles", no_listing)
+        monkeypatch.setattr(solver, "_add_rows", no_listing)
         res = solver.crx_exact(gen.cycle(300), 3)
         assert (res.kind, res.value) == ("exact", 300)
         assert res.witness.colour_of == tuple(range(300))
@@ -172,28 +196,31 @@ class TestCrxExact:
         def no_table(*args):
             raise AssertionError("the cover table was built")
 
-        monkeypatch.setattr(solver, "_exact", no_table)
+        monkeypatch.setattr(solver, "_add_rows", no_table)
         b = Budget.of(None, solver.DEFAULT_EXACT_BUDGET)
         res = solver.crx_exact(gen.complete_bipartite(2, 100), 2, b)
         assert (res.kind, res.lower, res.upper) == ("interval", 4, 200)
         assert [(c.kind, c.payload) for c in res.evidence] == [
             ("distance_bound", {"subset": (0, 1), "length": 4, "mode": "girth"})]
         assert b.used < solver.DEFAULT_EXACT_BUDGET
-        # rx: the 100-vertex path has 4,950 pairs and 4,950 subpaths
+        # rx: the 100-vertex path has 4,950 pairs and 4,950 subpaths; the
+        # listing starts at the diameter, 99, which is e, so the bounds meet
+        # (with the bound k - 1 they were [1, 99])
         path = Graph(100, tuple((i, i + 1) for i in range(99)))
         res = solver.rx_exact(path, 2)
-        assert (res.kind, res.lower, res.upper) == ("interval", 1, 99)
-        assert [c.payload["mode"] for c in res.evidence] == ["subset-size"]
+        assert (res.kind, res.lower, res.upper) == ("exact", 99, 99)
+        assert [c.payload for c in res.evidence] == [
+            {"subset": (0, 99), "length": 99, "mode": "diameter"}]
 
     @pytest.mark.parametrize("index, g, k, value, colours, nodes", [
-        ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 135),
+        ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 107),
         # K_5 at k = 3 includes 5 nodes of the F_3 precheck's Hamilton shortcut
-        ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 176),
-        ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 642),
-        ("crx", gen.complete_bipartite(3, 4), 2, 4, (0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1), 3_619),
+        ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 152),
+        ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 522),
+        ("crx", gen.complete_bipartite(3, 4), 2, 4, (0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1), 3_547),
         # includes a refuted r = 4 pass
         ("crx", gen.complete_bipartite(3, 5), 2, 5,
-         (0, 0, 1, 1, 2, 0, 2, 0, 3, 4, 3, 1, 4, 2, 4), 55_473),
+         (0, 0, 1, 1, 2, 0, 2, 0, 3, 4, 3, 1, 4, 2, 4), 55_313),
     ])
     def test_golden_node_counts(self, index, g, k, value, colours, nodes):
         b = Budget()
@@ -204,19 +231,20 @@ class TestCrxExact:
         # the distance bound reads the shortest covering structure, so a
         # k-subset without one must raise, not read another subset's
         with pytest.raises(InvalidParameter):
-            solver._exact(gen.cycle(4), 2, Budget(), [])
+            solver._exact(gen.cycle(4), 2, Budget(), lambda bound: [], 3, None)
 
     def test_long_structures_are_dropped(self):
         # without dropping the structures with more than r edges, W_9 at k = 2
         # runs out of this budget with the interval [6, 18], and rx_5(Q_3)
-        # takes 9,006 nodes
+        # takes 9,006 nodes; listing every structure first and then dropping
+        # took 878 and 2,733
         b = Budget(2_000)
         res = solver.crx_exact(gen.wheel(9), 2, b)
-        assert (res.kind, res.value, b.used) == ("exact", 7, 878)
+        assert (res.kind, res.value, b.used) == ("exact", 7, 573)
         assert verify_k_rainbow_cycle_colouring(res.witness, 2).certified
         b = Budget()
         res = solver.rx_exact(gen.hypercube(3), 5, b)
-        assert (res.kind, res.value, b.used) == ("exact", 5, 2_733)
+        assert (res.kind, res.value, b.used) == ("exact", 5, 1_565)
         assert verify_k_rainbow_index_colouring(res.witness, 5).certified
 
     def test_matches_brute_oracle(self):
@@ -254,15 +282,83 @@ class TestCrxExact:
         res = solver.crx_exact(gen.wheel(4), 2, budget=5)
         assert res.kind == "interval"
         assert res.lower <= 4 <= res.upper
-        for g, k, value in [(gen.cycle(5), 3, 3), (gen.hypercube(3), 2, 3)]:
+        # the listing starts at k - 1 on C_5 and at the diameter, 3, on Q_3
+        for g, k, start, value in [(gen.cycle(5), 3, 2, 3), (gen.hypercube(3), 2, 3, 3)]:
             # out of budget while listing the subtrees
             res = solver.rx_exact(g, k, budget=5)
-            assert (res.kind, res.lower, res.upper) == ("interval", k - 1, g.e)
+            assert (res.kind, res.lower, res.upper) == ("interval", start, g.e)
             # out of budget at the last node of the colouring search
             spent = Budget()
             solver.rx_exact(g, k, spent)
             res = solver.rx_exact(g, k, budget=spent.used - 1)
             assert (res.kind, res.lower, res.upper) == ("interval", value, g.e)
+
+
+def _listing_graphs():
+    """The tier-1 corpus and seeded random connected graphs."""
+    rng = random.Random(36)
+    return [g for _, g in small_corpus()] + [
+        random_connected_graph(rng, rng.randint(4, 8), rng.randint(0, 5)) for _ in range(12)]
+
+
+def _leaves(g, eids):
+    return frozenset(v for e in eids for v in g.edges[e]
+                     if sum(v in g.edges[e2] for e2 in eids) == 1)
+
+
+class TestBoundedListing:
+    """The listers of _exact against the brute-force oracles, at every bound
+    and across each resume from L to L + 1."""
+
+    def test_cycles(self):
+        for g in _listing_graphs():
+            cycles = [(tuple(sorted(eids)), verts) for verts, eids in brute_all_cycles(g)]
+            b_resumed = Budget()
+            resumed = solver._cycle_lister(g, b_resumed)
+            for bound in range(0, g.n + 1):
+                b = Budget()
+                fresh = solver._cycle_lister(g, b)(bound)
+                got = [(tuple(sorted(eids)), verts) for eids, must, verts in fresh]
+                assert all(not must for _, must, _ in fresh)
+                assert sorted(got, key=repr) == sorted(
+                    [c for c in cycles if len(c[0]) <= bound], key=repr), (g, bound)
+                step = [(tuple(sorted(eids)), verts) for eids, _, verts in resumed(bound)]
+                assert sorted(step, key=repr) == sorted(
+                    [c for c in cycles if len(c[0]) == bound], key=repr), (g, bound)
+                # the resumptions entered each path once: as many as one listing
+                assert b_resumed.used == b.used, (g, bound)
+
+    def test_subtrees(self):
+        for g in _listing_graphs():
+            trees = [(tuple(sorted(eids)), _leaves(g, eids), verts)
+                     for verts, eids in brute_subtrees(g)]
+            for k in sorted({2, 3, g.n}):
+                b_resumed = Budget()
+                resumed = solver._subtree_lister(g, k, b_resumed)
+                for bound in range(0, g.n):
+                    b = Budget()
+                    fresh = solver._subtree_lister(g, k, b)(bound)
+                    got = [(tuple(sorted(eids)), ends, verts) for eids, ends, verts in fresh]
+                    assert sorted(got, key=repr) == sorted(
+                        [t for t in trees if len(t[0]) <= bound and len(t[1]) <= k],
+                        key=repr), (g, k, bound)
+                    step = [(tuple(sorted(eids)), ends, verts)
+                            for eids, ends, verts in resumed(bound)]
+                    assert sorted(step, key=repr) == sorted(
+                        [t for t in trees if len(t[0]) == bound and len(t[1]) <= k],
+                        key=repr), (g, k, bound)
+                    assert b_resumed.used == b.used, (g, k, bound)
+
+    def test_length_cut_counts_the_deferred_paths(self):
+        # Q_3 at k = 2 lists the 84 paths of at most 3 edges, the diameter,
+        # and 72 inclusions of a fourth edge wait; its 6 faces, the cycles
+        # of at most 4 edges, leave 24 paths waiting
+        b = Budget()
+        listed = solver._subtree_lister(gen.hypercube(3), 2, b)(3)
+        assert (len(listed), b.cuts["length"]) == (84, 72)
+        b = Budget()
+        listed = solver._cycle_lister(gen.hypercube(3), b)(4)
+        assert (len(listed), b.cuts["length"]) == (6, 24)
 
 
 class TestRxExact:
@@ -294,11 +390,7 @@ class TestRxExact:
         for g in (gen.hypercube(3), gen.complete(5), theta(2, 3, 4)):
             trees = brute_subtrees(g)
             for k in range(1, g.n + 1):
-                listed = []
-                for root in range(g.n):
-                    frontier = [(eid, x) for x, eid in g.adjacency[root] if x > root]
-                    solver._grow_subtrees(g.adjacency, root, k, Budget(), {root}, (), frontier,
-                                          listed)
+                listed = solver._subtree_lister(g, k, Budget())(g.n - 1)
                 expected = []
                 for verts, eids in trees:
                     ends = {v for v in verts if sum(v in g.edges[e] for e in eids) == 1}
@@ -319,14 +411,15 @@ class TestRxExact:
     def test_golden_q3_pair_listing(self):
         # an inclusion that would give a third leaf is not made: listing every
         # subtree and then keeping those with at most two leaves took 2,504 nodes
-        g, b, listed = gen.hypercube(3), Budget(), []
-        for root in range(g.n):
-            frontier = [(eid, x) for x, eid in g.adjacency[root] if x > root]
-            solver._grow_subtrees(g.adjacency, root, 2, b, {root}, (), frontier, listed)
-        assert (len(listed), b.used, b.cuts["leaves"]) == (444, 983, 87)
+        g, b = gen.hypercube(3), Budget()
+        listed = solver._subtree_lister(g, 2, b)(g.n - 1)
+        assert (len(listed), b.used, b.cuts["leaves"], b.cuts["length"]) == (444, 983, 87, 0)
+        # the solve lists the 84 paths of at most 3 edges, the diameter: 996
+        # nodes when it listed all 444 first
         b = Budget()
         assert solver.rx_exact(g, 2, b).value == 3
-        assert (b.used, b.cuts) == (996, {"closing": 0, "sides": 0, "short": 0, "leaves": 87})
+        assert (b.used, b.cuts) == (288, {"closing": 0, "sides": 0, "short": 0, "leaves": 27,
+                                          "length": 72})
 
     def test_golden_q3(self):
         # witness recorded from the colouring-by-colouring search this solver
@@ -601,6 +694,18 @@ class TestInterval:
         assert (res.lower, res.upper) == bounds
         assert res.witness.witnesses == (CycleWitness(ham, cycle_vertices_to_edge_ids(g, ham)),)
         assert check_cover(res.witness, k, res.witness.witnesses)
+
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_cycle_carries_itself(self, n):
+        # a cycle's bound is its rainbow colouring, and the whole cycle is
+        # its one witness, in any labelling
+        for g in (gen.cycle(n), _relabelled(gen.cycle(n), n)):
+            for k in range(1, 4):
+                res = solver.crx_interval(g, k)
+                assert (res.kind, res.value, res.witness) == ("exact", n, rainbow_colouring(g))
+                (w,) = res.witness.witnesses
+                assert w.vertices[0] == 0 and w.vertices[1] < w.vertices[-1]
+                assert check_cover(res.witness, k, res.witness.witnesses)
 
     def test_petersen_stays_rainbow(self):
         g = gen.petersen()
