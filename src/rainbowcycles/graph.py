@@ -28,10 +28,10 @@ class Budget:
     ``incumbent``, the subsets the distance bound settled within its best
     bound so far (solver.crx_lower_bound_distance), ``leaves``, the
     subtrees not grown past k leaves (solver._grow_subtrees), and
-    ``length``, the cycles and subtrees the exact solver's listing deferred
-    past its length bound (_rooted_cycles, solver._grow_subtrees). The walk
-    search adds ``quotient``, the walks its block-quotient bound proved
-    absent, once that bound runs (search.find_subdivided_closed_walk).
+    ``length``, the paths and subtree inclusions the exact solver's listing
+    held back past its length bound (_rooted_cycles, solver._grow_subtrees).
+    The walk search adds ``quotient``, the walks its block-quotient bound
+    proved absent, once that bound runs (search.find_subdivided_closed_walk).
     """
 
     __slots__ = ("limit", "used", "cuts")
@@ -510,26 +510,28 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
 def _rooted_cycles(g: Graph, b: Budget, starts=None, bound=None, deferred=None):
     """Every simple cycle once per direction, as a vertex tuple that starts
     at its least vertex, in DFS order with neighbours ascending. The search
-    extends each path of starts, a vertex tuple from its least vertex, the
-    root, through vertices above the root; by default starts holds every
-    vertex alone. One budget node is charged per path entered, each start
-    included.
+    extends the paths that starts gives (_fresh_starts), each a vertex tuple
+    from its least vertex, the root, through vertices above the root; by
+    default every vertex alone. One budget node is charged per path entered.
 
     With a bound L, only the cycles with at most L edges are listed: a path
     whose edge count plus the distance from its end back to its root
-    exceeds L is not entered, as every cycle through it is that long. It is
-    deferred instead: appended to deferred[d], d being that sum, and
-    ``b.cuts["length"]`` counts it. Passing deferred paths back as starts,
-    with a bound at least their d, resumes the search from them; so over a
-    first search and its resumptions every path is entered at most once,
-    and each resumption lists exactly the cycles within its bound that no
-    earlier search listed."""
+    exceeds L is not entered, as every cycle through it is that long, and
+    ``b.cuts["length"]`` counts it. Its parent is kept instead: (parent, L)
+    is appended once to deferred[d], d being the least such sum over the
+    parent's children. Passing kept pairs back as starts, with a bound at
+    least their d, resumes the search from their children. So over a first
+    search and its resumptions every path is entered at most once, at most
+    one pair is kept per path entered, and each resumption lists exactly
+    the cycles within its bound that no earlier search listed."""
     adj = g.adjacency
     on_path = bytearray(g.n)
     if bound is not None:
         b.cuts.setdefault("length", 0)
     dist = dist_root = None
-    for start in ((v,) for v in range(g.n)) if starts is None else starts:
+    low = {}  # path length -> the least sum of a child of that path not entered
+    for start in (((v,) for v in range(g.n)) if starts is None
+                  else _fresh_starts(g, starts, bound, deferred)):
         b.spend()
         root = start[0]
         if bound is not None and root != dist_root:
@@ -547,7 +549,8 @@ def _rooted_cycles(g: Graph, b: Budget, starts=None, bound=None, deferred=None):
                 if on_path[w]:
                     continue
                 if dist is not None and len(path) + dist[w] > bound:
-                    deferred.setdefault(len(path) + dist[w], []).append((*path, w))
+                    if len(path) + dist[w] < low.get(len(path), INF):
+                        low[len(path)] = len(path) + dist[w]
                     b.cuts["length"] += 1
                     continue
                 b.spend()
@@ -557,9 +560,35 @@ def _rooted_cycles(g: Graph, b: Budget, starts=None, bound=None, deferred=None):
                 break
             else:
                 stack.pop()
+                if low and len(path) in low:
+                    deferred.setdefault(low.pop(len(path)), []).append((tuple(path), bound))
                 on_path[path.pop()] = 0
         for v in path:
             on_path[v] = 0
+
+
+def _fresh_starts(g: Graph, starts, bound, deferred):
+    """The paths _rooted_cycles enters from starts, pairs (path, tried): a
+    path not yet entered, given with tried None, itself; for a path kept
+    with its bound tried, its children, in neighbour order, whose sum (edge
+    count plus distance back to the root, as in _rooted_cycles) lies above
+    tried and within bound. A kept path with children whose sum is still
+    above bound is kept again, under the least of those sums."""
+    adj = g.adjacency
+    for path, tried in starts:
+        if tried is None:
+            yield path
+            continue
+        root, dist = path[0], _bfs_distances(g, path[0])
+        low = INF
+        for w, _ in adj[path[-1]]:
+            if w > root and len(path) + dist[w] > tried and w not in path:
+                if len(path) + dist[w] <= bound:
+                    yield (*path, w)
+                elif len(path) + dist[w] < low:
+                    low = len(path) + dist[w]
+        if low < INF:
+            deferred.setdefault(low, []).append((path, bound))
 
 
 def enumerate_simple_cycles(g: Graph, budget=None):
@@ -627,7 +656,7 @@ def enumerate_hamilton_cycles(g: Graph, budget=None):
     vertex 0, direction path[1] < path[-1]. Every one holds vertex 0, so
     only the root-0 pass of that rooted cycle DFS runs."""
     b = Budget.of(budget)
-    return [c for c in _rooted_cycles(g, b, [(v,) for v in range(min(g.n, 1))])
+    return [c for c in _rooted_cycles(g, b, [((v,), None) for v in range(min(g.n, 1))])
             if len(c) == g.n and c[1] < c[-1]]
 
 

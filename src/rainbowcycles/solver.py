@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 from . import constructions as cons
 from .colouring import CycleWitness, EdgeColouring, rainbow_colouring
@@ -33,7 +32,6 @@ from .graph import (
     _WitnessCover,
     _bfs_distances,
     _rooted_cycles,
-    colex_subsets,
     cycle_vertices_to_edge_ids,
     find_hamilton_cycle,
     girth,
@@ -47,10 +45,12 @@ from .search import _witness_image
 # _TABLE_CELLS_PER_NODE * N cells (see _reserve_table). Measured per unit
 # (Python 3.11, 2 vCPUs): a propagator node up to about 160 us
 # (rx_exact(wheel(8), 5), about 40 s at this default), a structure-listing
-# node up to about 0.9 KB, as the listing keeps the states it deferred
-# (rx_exact(hypercube(5), 3); crx_exact(hypercube(5), 2) about 0.5 KB), a
-# table cell about 0.1 us and 7 bytes (rx_exact(hypercube(4), 3), 1.0 M
-# cells) and up to about 1 us where its structure covers its subset.
+# node up to about 0.25 KB, as the listing keeps at most one entry per path
+# or tree it walks besides the structures it lists (crx_exact(hypercube(5),
+# 2); rx_exact(hypercube(5), 3) about 0.17 KB, and on complete(40) at
+# k = 2 and 3 at most 0.24 KB for crx and 0.09 KB for rx), a table cell
+# about 0.1 us and 7 bytes (rx_exact(hypercube(4), 3), 1.0 M cells) and up
+# to about 1 us where its structure covers its subset.
 DEFAULT_EXACT_BUDGET = 250_000
 _TABLE_CELLS_PER_NODE = 16
 SAMPLER_ATTEMPTS = 200  # samples a randomised constructor in crx_interval may draw
@@ -129,18 +129,16 @@ def crx_exact(g: Graph, k: int, budget=None) -> CrxResult:
     """Exact k-rainbow cycle index by canonical enumeration (see _exact); the
     structures that must be rainbow are the simple cycles, listed by
     length (_cycle_lister) from the largest of 3, k and, for k >= 2, twice
-    the diameter. Without a budget it runs on DEFAULT_EXACT_BUDGET nodes. A
-    budget spent after the F_k precheck and before the distance bound is
-    known, or too small for the cover table (see _reserve_table), gives the
-    interval [start, e], start being the largest of the girth and those
-    terms, with its certificate (_start_certificate); one spent inside the
-    precheck raises BudgetExceeded, with no interval."""
+    the diameter (_start). Without a budget it runs on DEFAULT_EXACT_BUDGET
+    nodes. A budget spent after the F_k precheck and before the distance
+    bound is known, or too small for the cover table (see _reserve_table),
+    gives the interval [start, e], start being the largest of the girth
+    and those terms, with its certificate; one spent inside the precheck
+    raises BudgetExceeded, with no interval."""
     b = Budget.of(budget, DEFAULT_EXACT_BUDGET)
     if not in_family_Fk(g, k, b):
         raise NotInFamily(k)
-    diameter = _diameter(g)[0] if k >= 2 else 0
-    return _exact(g, k, b, _cycle_lister(g, b), max(3, k, 2 * diameter),
-                  lambda: _start_certificate(g, k, cycles=True))
+    return _exact(g, k, b, _cycle_lister(g, b), *_start(g, k, cycles=True))
 
 
 def rx_exact(g: Graph, k: int, budget=None) -> CrxResult:
@@ -150,10 +148,10 @@ def rx_exact(g: Graph, k: int, budget=None) -> CrxResult:
     leaves, each covering the k-subsets that hold its leaves: pruning the
     leaves outside S from a rainbow tree through S leaves one of them. They
     are listed by edge count (_subtree_lister) from the larger of k - 1 and
-    the diameter. Without a budget it runs on DEFAULT_EXACT_BUDGET nodes. A
-    budget spent before the distance bound is known, or too small for the
-    cover table (see _reserve_table), gives the interval [start, e], start
-    being that larger term, with its certificate (_start_certificate).
+    the diameter (_start). Without a budget it runs on DEFAULT_EXACT_BUDGET
+    nodes. A budget spent before the distance bound is known, or too small
+    for the cover table (see _reserve_table), gives the interval [start, e],
+    start being that larger term, with its certificate.
     """
     if not is_connected(g):
         raise InvalidParameter("rx needs a connected graph")
@@ -162,8 +160,7 @@ def rx_exact(g: Graph, k: int, budget=None) -> CrxResult:
     if k == 1:
         return CrxResult("exact", 0, 0, None, ())
     b = Budget.of(budget, DEFAULT_EXACT_BUDGET)
-    return _exact(g, k, b, _subtree_lister(g, k, b), max(k - 1, _diameter(g)[0]),
-                  lambda: _start_certificate(g, k, cycles=False))
+    return _exact(g, k, b, _subtree_lister(g, k, b), *_start(g, k, cycles=False))
 
 
 def _diameter(g: Graph) -> tuple[int, tuple]:
@@ -178,24 +175,32 @@ def _diameter(g: Graph) -> tuple[int, tuple]:
     return diameter, pair
 
 
-def _start_certificate(g: Graph, k: int, cycles: bool) -> Certificate:
-    """A lower bound on the distance bound of _exact found without a search,
-    as a certificate whose mode names the term that gives it, the first of
-    the largest: for cycles the girth, k (a cycle through k vertices has k
-    edges) and for k >= 2 twice the diameter (a cycle through two vertices
-    at distance d has at least 2d edges); for trees k - 1 and the diameter.
-    Its subset is the least k-subset holding the diametral pair of
-    _diameter for the diameter, else range(k)."""
+def _start(g: Graph, k: int, cycles: bool) -> tuple:
+    """Where _exact's listing starts, a lower bound on its distance bound
+    found without a search, and a function giving the certificate of that
+    lower bound with the girth added for cycles. The terms: for cycles the
+    girth, k (a cycle through k vertices has k edges) and for k >= 2 twice
+    the diameter (a cycle through two vertices at distance d has at least
+    2d edges), the listing starting at least at 3 in place of the girth,
+    which costs a search; for trees k - 1 and the diameter. The
+    certificate's mode names the first largest term, and its subset is the
+    least k-subset holding the diametral pair of _diameter for the
+    diameter, else range(k)."""
     diameter, pair = _diameter(g) if k >= 2 else (0, ())
     if cycles:
-        terms = [("girth", girth(g)), ("subset-size", k), ("diameter", 2 * diameter)]
+        terms = [("subset-size", k), ("diameter", 2 * diameter)]
     else:
         terms = [("subset-size", k - 1), ("diameter", diameter)]
-    mode, length = max(terms, key=lambda term: term[1])
-    subset = tuple(range(k))
-    if mode == "diameter":
-        subset = tuple(sorted([*pair, *[v for v in range(g.n) if v not in pair][:k - 2]]))
-    return _distance_certificate(subset, length, mode)
+
+    def certificate():
+        lead = [("girth", girth(g))] if cycles else []
+        mode, length = max(lead + terms, key=lambda term: term[1])
+        subset = tuple(range(k))
+        if mode == "diameter":
+            subset = tuple(sorted([*pair, *[v for v in range(g.n) if v not in pair][:k - 2]]))
+        return _distance_certificate(subset, length, mode)
+
+    return max(3 if cycles else 0, *(length for _, length in terms)), certificate
 
 
 def _reserve_table(g: Graph, k: int, b: Budget, structures: int = 1):
@@ -225,14 +230,17 @@ def _ready(deferred, bound) -> list:
 def _cycle_lister(g: Graph, b: Budget):
     """The lister of crx_exact for _exact: called with L, it returns the
     simple cycles with at most L edges that no earlier call returned, as
-    (edge ids, frozenset(), vertices). It resumes graph._rooted_cycles from
-    the paths the earlier calls deferred, so no path is entered twice."""
-    deferred = {0: [(v,) for v in range(g.n)]}
+    (edge ids, (), vertex tuple), and the least edge count a cycle not
+    yet returned may have, None when none is left. It resumes
+    graph._rooted_cycles from the paths the earlier calls kept, so no path
+    is entered twice."""
+    deferred = {0: [((v,), None) for v in range(g.n)]}
 
     def upto(bound):
         starts = _ready(deferred, bound)
-        return [(cycle_vertices_to_edge_ids(g, c), frozenset(), frozenset(c))
-                for c in _rooted_cycles(g, b, starts, bound, deferred) if c[1] < c[-1]]
+        cycles = [(cycle_vertices_to_edge_ids(g, c), (), c)
+                  for c in _rooted_cycles(g, b, starts, bound, deferred) if c[1] < c[-1]]
+        return cycles, min(deferred, default=None)
 
     return upto
 
@@ -240,9 +248,10 @@ def _cycle_lister(g: Graph, b: Budget):
 def _subtree_lister(g: Graph, k: int, b: Budget):
     """The lister of rx_exact for _exact: called with L, it returns the
     subtrees with an edge, at most k leaves and at most L edges that no
-    earlier call returned, as (edge ids, leaves, vertices). It resumes
-    _grow_subtrees from the inclusions the earlier calls deferred, so no
-    call is made twice."""
+    earlier call returned, as (edge ids, leaves, vertices), and the least
+    edge count a subtree not yet returned may have, None when none is left.
+    It resumes _grow_subtrees from the trees the earlier calls kept, so no
+    tree is walked twice."""
     adj = g.adjacency
     deferred = {0: [(root, frozenset((root,)), (), [(eid, x) for x, eid in adj[root] if x > root],
                      frozenset()) for root in range(g.n)]}
@@ -252,34 +261,41 @@ def _subtree_lister(g: Graph, k: int, b: Budget):
     def upto(bound):
         trees = []
         for state in _ready(deferred, bound):
-            _grow_subtrees(adj, k, b, bound, *state, trees, deferred)
-        return trees
+            _grow_subtrees(adj, k, b, bound, trees, deferred, *state)
+        return trees, min(deferred, default=None)
 
     return upto
 
 
-def _grow_subtrees(adj, k, b, bound, root, verts, eids, frontier, ends, out, deferred):
+def _grow_subtrees(adj, k, b, bound, out, deferred, root, verts, eids, frontier, ends, walked=False):
     """Append to out, as (edge ids, leaves, vertices), each subtree with an
     edge, at most k leaves and at most bound edges that has least vertex
     root and extends the tree (verts, eids), whose leaves are ends, by (edge
-    id, new vertex) pairs of frontier. The first pair is excluded, then
-    included, so each subtree is reached once. One call is one budget node.
+    id, new vertex) pairs of frontier. Each pair is included with only the
+    pairs after it left to grow by, so each subtree is reached once.
+    Walking the tree appends it to out and charges one budget node for it
+    and one per pair of frontier.
 
     Growing a tree never lowers its leaves: the first edge gives two, and a
     new vertex hung on a leaf keeps the count, on an inner vertex adds one.
     So every tree on the way to one with at most k leaves has at most k,
     and an inclusion that would give more than k lists nothing; it is not
-    made, and ``b.cuts["leaves"]`` counts it. An inclusion that would give
-    bound + 1 edges is deferred: the arguments of its call from root to
-    ends are appended to deferred[bound + 1], and ``b.cuts["length"]``
-    counts it. Making those calls with a larger bound resumes the listing,
-    so over the first calls and their resumptions no call is made twice,
-    and each resumption lists exactly the subtrees with more edges than the
-    earlier bound and at most its own."""
-    b.spend()
-    if frontier:
-        (eid, w), rest = frontier[0], frontier[1:]
-        _grow_subtrees(adj, k, b, bound, root, verts, eids, rest, ends, out, deferred)
+    made, and ``b.cuts["leaves"]`` counts it. A tree with bound edges makes
+    no inclusion: ``b.cuts["length"]`` counts those it would make, and if
+    there are any its arguments from root to ends are appended once, with
+    walked True, to deferred[bound + 1]. Passing them back with a larger
+    bound resumes the listing from its inclusions, so over the first calls
+    and their resumptions no tree is walked twice, at most one entry is
+    kept per tree walked, and each resumption lists exactly the subtrees
+    with more edges than the earlier bound and at most its own."""
+    if not walked:
+        for _ in range(len(frontier) + 1):
+            b.spend()
+        if eids:
+            out.append((eids, ends, verts))
+    kept = False
+    for i in reversed(range(len(frontier))):
+        eid, w = frontier[i]
         p = next(x for x, e2 in adj[w] if e2 == eid)  # w hangs on p
         if not eids:
             grown_ends = frozenset((p, w))
@@ -288,33 +304,37 @@ def _grow_subtrees(adj, k, b, bound, root, verts, eids, frontier, ends, out, def
         else:
             grown_ends = ends | {w}
         if len(grown_ends) > k:
-            b.cuts["leaves"] += 1
-            return
-        grown = [f for f in rest if f[1] != w]
-        grown += [(e2, x) for x, e2 in adj[w] if x > root and x not in verts]
-        state = (root, verts | {w}, eids + (eid,), grown, grown_ends)
+            if not walked:
+                b.cuts["leaves"] += 1
+            continue
         if len(eids) == bound:
-            deferred.setdefault(bound + 1, []).append(state)
             b.cuts["length"] += 1
-        else:
-            _grow_subtrees(adj, k, b, bound, *state, out, deferred)
-    elif eids:
-        out.append((eids, ends, verts))
+            kept = True
+            continue
+        grown = [f for f in frontier[i + 1:] if f[1] != w]
+        grown += [(e2, x) for x, e2 in adj[w] if x > root and x not in verts]
+        _grow_subtrees(adj, k, b, bound, out, deferred, root, verts | {w}, eids + (eid,), grown,
+                       grown_ends)
+    if kept:
+        deferred.setdefault(bound + 1, []).append((root, verts, eids, frontier, ends, True))
 
 
-def _exact(g: Graph, k: int, b: Budget, lister, first: int, start) -> CrxResult:
+def _exact(g: Graph, k: int, b: Budget, lister, first: int, certificate) -> CrxResult:
     """The least r admitting a canonical r-colouring in which every k-subset
     S is covered by a rainbow structure, with evidence for each smaller r.
 
-    A structure (edge ids, must, vertices) covers S iff must <= S <=
-    vertices. lister(L) returns the structures with at most L edges that
-    no earlier call returned, for L rising from call to call. first is at
-    most the distance bound, the largest, over S, of the fewest edges of a
-    structure covering S. The structures are listed up to first, then one
-    edge count more at a time until every S has one: that count is the
-    distance bound, with the colex-first S that needs it. A listing that
-    resumes where the last one stopped enters the same states whatever
-    bounds it passed through, so where it starts changes no node count.
+    A structure (edge ids, must, vertices) covers S iff S holds every
+    vertex of must and lies within vertices. lister(L) returns the
+    structures with at most L edges that no earlier call returned, for L
+    rising from call to call, and the least edge count a structure not yet
+    returned may have (None when none is left). first is at most the
+    distance bound, the largest, over S, of the fewest edges of a structure
+    covering S. The structures are listed up to first, then up to that
+    least count until every S has one, which skips the bounds that list
+    nothing: the largest count read is the distance bound, with the
+    colex-first S that needs it. A listing that resumes where the last one
+    stopped enters the same states whatever bounds it passed through, so
+    where it starts changes no node count.
 
     r starts at the distance bound. For each r the surjective canonical
     r-colourings are walked depth-first; a partial colouring is abandoned
@@ -324,8 +344,8 @@ def _exact(g: Graph, k: int, b: Budget, lister, first: int, start) -> CrxResult:
 
     Structure si is bit si of the int bitsets cov[t], the structures covering
     the t-th k-subset in colex order, and tmask[eid], those through edge
-    eid. Before the pass for r the structures with exactly r edges are
-    listed and added, so the pass holds exactly those with at most r edges.
+    eid. Before the pass for r the structures with at most r edges not yet
+    listed are added, so the pass holds exactly those with at most r edges.
     This is exact: a structure with more than r edges is never rainbow in
     an r-colouring, so leaving it out changes no colouring's feasibility.
     The walk order is the same and only subtrees without a feasible
@@ -334,42 +354,41 @@ def _exact(g: Graph, k: int, b: Budget, lister, first: int, start) -> CrxResult:
 
     A budget spent before the distance bound is known, or a table too large
     for it (see _reserve_table), gives the interval [length, e] with the
-    certificate start() as its evidence, a lower bound on the distance
-    bound of that length, at least first; one spent later, in the pass for
-    r or the listing before it, gives [r, e] with the evidence so far.
+    certificate() as its evidence, a lower bound on the distance bound of
+    that length, at least first; one spent later, in the pass for r or the
+    listing before it, gives [r, e] with the evidence so far.
     """
     subsets_of, tmask = [], [0] * g.e
 
     def extend(bound):
-        batch = lister(bound)
+        """List up to bound and add the structures; returns how many subsets
+        they cover first and the lister's least count left."""
+        batch, later = lister(bound)
         if not batch:
-            return 0
+            return 0, later
         _reserve_table(g, k, b, len(subsets_of) + len(batch))
-        return _add_rows(masks, batch, tmask, subsets_of, cov, shortest)
+        return _add_rows(masks, batch, tmask, subsets_of, cov, shortest), later
 
-    listed = first
     try:
         _reserve_table(g, k, b)
         masks = _colex_masks(g.n, k)
         cov, shortest = [0] * len(masks), [0] * len(masks)
-        uncovered = len(masks) - extend(listed)
+        uncovered, later = len(masks), first
         while uncovered:
-            listed += 1
-            if listed > g.e:
-                s = next(s for s, c in zip(colex_subsets(g.n, k), cov) if not c)
+            if later is None:
+                s = _members(masks[cov.index(0)])
                 raise InvalidParameter(f"no structure covers the {k}-subset {s}")
-            uncovered -= extend(listed)
+            covered, later = extend(later)
+            uncovered -= covered
     except BudgetExceeded:
-        cert = start()
+        cert = certificate()
         return _budget_out(g, cert.payload["length"], (cert,))
     bound = max(shortest)
-    bound_set = next(islice(colex_subsets(g.n, k), shortest.index(bound), None))
-    evidence = [_distance_certificate(bound_set, bound, "exhaustive")]
+    evidence = [_distance_certificate(_members(masks[shortest.index(bound)]), bound, "exhaustive")]
     for r in range(bound, g.e + 1):
         try:
-            if r > listed:
-                listed = r
-                extend(r)
+            if later is not None and later <= r:
+                later = extend(r)[1]
             witness = _search_r(g, r, b, tmask, subsets_of, cov, (1 << len(subsets_of)) - 1)
         except BudgetExceeded:
             return _budget_out(g, r, tuple(evidence))
@@ -377,6 +396,11 @@ def _exact(g: Graph, k: int, b: Budget, lister, first: int, start) -> CrxResult:
             return CrxResult("exact", r, r, witness, tuple(evidence))
         evidence.append(Certificate("exhaustion", {"r": r, "candidates": stirling2(g.e, r)}))
     raise InvalidParameter(f"no feasible colouring with up to {g.e} colours")
+
+
+def _members(mask: int) -> tuple:
+    """The vertices of a vertex bitmask, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _add_rows(masks, batch, tmask, subsets_of, cov, shortest) -> int:
@@ -426,9 +450,11 @@ def _colex_masks(n: int, k: int) -> list:
 
 def _bitset(indices) -> int:
     """The int with bit i set for each i of the ascending list indices, in
-    time linear in its length and width (a sum of shifts is quadratic, but
-    faster for a few)."""
-    if len(indices) <= 4:
+    time linear in its length and width. Up to 16 indices it ORs shifts,
+    which is quadratic but faster there: measured per call (Python 3.11),
+    shifts cost less at every width up to 20,000 bits for 16 indices, and
+    the bytearray's fixed cost is about 1 us."""
+    if len(indices) <= 16:
         bits = 0
         for i in indices:
             bits |= 1 << i

@@ -13,8 +13,8 @@ from rainbowcycles import generators as gen
 from rainbowcycles import solver
 from rainbowcycles.errors import BudgetExceeded, InvalidParameter, NotInFamily
 from rainbowcycles.colouring import CycleWitness, EdgeColouring, check_cover, rainbow_colouring
-from rainbowcycles.graph import (Budget, Graph, cycle_vertices_to_edge_ids, find_hamilton_cycle,
-                                 in_family_Fk)
+from rainbowcycles.graph import (INF, Budget, Graph, _rooted_cycles, cycle_vertices_to_edge_ids,
+                                 find_hamilton_cycle, in_family_Fk)
 from rainbowcycles.search import (min_cycle_length_through, verify_k_rainbow_cycle_colouring,
                                   verify_k_rainbow_index_colouring)
 
@@ -231,7 +231,7 @@ class TestCrxExact:
         # the distance bound reads the shortest covering structure, so a
         # k-subset without one must raise, not read another subset's
         with pytest.raises(InvalidParameter):
-            solver._exact(gen.cycle(4), 2, Budget(), lambda bound: [], 3, None)
+            solver._exact(gen.cycle(4), 2, Budget(), lambda bound: ([], None), 3, None)
 
     def test_long_structures_are_dropped(self):
         # without dropping the structures with more than r edges, W_9 at k = 2
@@ -306,6 +306,14 @@ def _leaves(g, eids):
                      if sum(v in g.edges[e2] for e2 in eids) == 1)
 
 
+def _left_after(structures, bound, later):
+    """later, what a lister gives as the least edge count left after
+    listing up to bound, is None when no structure is left and otherwise
+    no more than any left."""
+    left = [len(st[0]) for st in structures if len(st[0]) > bound]
+    return later is None and not left or later is not None and later <= min(left, default=INF)
+
+
 class TestBoundedListing:
     """The listers of _exact against the brute-force oracles, at every bound
     and across each resume from L to L + 1."""
@@ -317,16 +325,52 @@ class TestBoundedListing:
             resumed = solver._cycle_lister(g, b_resumed)
             for bound in range(0, g.n + 1):
                 b = Budget()
-                fresh = solver._cycle_lister(g, b)(bound)
-                got = [(tuple(sorted(eids)), verts) for eids, must, verts in fresh]
+                fresh, later = solver._cycle_lister(g, b)(bound)
+                got = [(tuple(sorted(eids)), frozenset(verts)) for eids, must, verts in fresh]
                 assert all(not must for _, must, _ in fresh)
                 assert sorted(got, key=repr) == sorted(
                     [c for c in cycles if len(c[0]) <= bound], key=repr), (g, bound)
-                step = [(tuple(sorted(eids)), verts) for eids, _, verts in resumed(bound)]
+                assert _left_after(cycles, bound, later), (g, bound)
+                step, later = resumed(bound)
+                step = [(tuple(sorted(eids)), frozenset(verts)) for eids, _, verts in step]
                 assert sorted(step, key=repr) == sorted(
                     [c for c in cycles if len(c[0]) == bound], key=repr), (g, bound)
+                assert _left_after(cycles, bound, later), (g, bound)
                 # the resumptions entered each path once: as many as one listing
                 assert b_resumed.used == b.used, (g, bound)
+
+    def test_cycles_resumed_past_bounds(self):
+        # a resumption that skips bounds lists what the skipped ones would
+        # have, with the same nodes
+        for g in _listing_graphs():
+            cycles = [(tuple(sorted(eids)), verts) for verts, eids in brute_all_cycles(g)]
+            b_skipping = Budget()
+            skipping = solver._cycle_lister(g, b_skipping)
+            listed = 0
+            for bound in (3, g.n // 2 + 2, g.n):
+                step, later = skipping(bound)
+                got = [(tuple(sorted(eids)), frozenset(verts)) for eids, _, verts in step]
+                assert sorted(got, key=repr) == sorted(
+                    [c for c in cycles if listed < len(c[0]) <= bound], key=repr), (g, bound)
+                assert _left_after(cycles, bound, later), (g, bound)
+                listed = bound
+            b = Budget()
+            solver._cycle_lister(g, b)(g.n)
+            assert b_skipping.used == b.used, g
+
+    def test_kept_paths_are_bounded_by_the_paths_entered(self):
+        # on K_8 at bound 3 the 110 paths of 3 vertices with a child above
+        # their root are each kept once, under 4, not once per child: their
+        # 420 children are counted, not stored
+        g = gen.complete(8)
+        b = Budget()
+        deferred = {}
+        cycles = list(_rooted_cycles(g, b, None, 3, deferred))
+        assert (len(cycles), b.used, b.cuts["length"]) == (2 * 56, 148, 420)
+        assert list(deferred) == [4]
+        kept = [path for path, _ in deferred[4]]
+        assert len(kept) == len(set(kept)) == 110
+        assert all(len(path) == 3 and tried == 3 for path, tried in deferred[4])
 
     def test_subtrees(self):
         for g in _listing_graphs():
@@ -337,28 +381,43 @@ class TestBoundedListing:
                 resumed = solver._subtree_lister(g, k, b_resumed)
                 for bound in range(0, g.n):
                     b = Budget()
-                    fresh = solver._subtree_lister(g, k, b)(bound)
+                    fresh, later = solver._subtree_lister(g, k, b)(bound)
                     got = [(tuple(sorted(eids)), ends, verts) for eids, ends, verts in fresh]
+                    kept = [t for t in trees if len(t[1]) <= k]
                     assert sorted(got, key=repr) == sorted(
-                        [t for t in trees if len(t[0]) <= bound and len(t[1]) <= k],
-                        key=repr), (g, k, bound)
-                    step = [(tuple(sorted(eids)), ends, verts)
-                            for eids, ends, verts in resumed(bound)]
+                        [t for t in kept if len(t[0]) <= bound], key=repr), (g, k, bound)
+                    assert _left_after(kept, bound, later), (g, k, bound)
+                    step, later = resumed(bound)
+                    step = [(tuple(sorted(eids)), ends, verts) for eids, ends, verts in step]
                     assert sorted(step, key=repr) == sorted(
-                        [t for t in trees if len(t[0]) == bound and len(t[1]) <= k],
-                        key=repr), (g, k, bound)
+                        [t for t in kept if len(t[0]) == bound], key=repr), (g, k, bound)
+                    assert _left_after(kept, bound, later), (g, k, bound)
                     assert b_resumed.used == b.used, (g, k, bound)
+
+    def test_kept_trees_are_bounded_by_the_trees_walked(self):
+        # on K_6 at k = 3 and bound 2 the 30 trees of 2 edges from vertex 0
+        # are each kept once, not once per inclusion: the 160 inclusions
+        # they would make are counted, not stored
+        g = gen.complete(6)
+        adj, b, out, deferred = g.adjacency, Budget(), [], {}
+        b.cuts.update(leaves=0, length=0)
+        solver._grow_subtrees(adj, 3, b, 2, out, deferred, 0, frozenset((0,)), (),
+                              [(eid, x) for x, eid in adj[0] if x > 0], frozenset())
+        assert (len(out), b.used, b.cuts["length"]) == (35, 231, 160)
+        assert list(deferred) == [3]
+        assert len({(eids, walked) for _, _, eids, _, _, walked in deferred[3]}) == 30
+        assert all(len(eids) == 2 and walked for _, _, eids, _, _, walked in deferred[3])
 
     def test_length_cut_counts_the_deferred_paths(self):
         # Q_3 at k = 2 lists the 84 paths of at most 3 edges, the diameter,
         # and 72 inclusions of a fourth edge wait; its 6 faces, the cycles
         # of at most 4 edges, leave 24 paths waiting
         b = Budget()
-        listed = solver._subtree_lister(gen.hypercube(3), 2, b)(3)
-        assert (len(listed), b.cuts["length"]) == (84, 72)
+        listed, later = solver._subtree_lister(gen.hypercube(3), 2, b)(3)
+        assert (len(listed), later, b.cuts["length"]) == (84, 4, 72)
         b = Budget()
-        listed = solver._cycle_lister(gen.hypercube(3), b)(4)
-        assert (len(listed), b.cuts["length"]) == (6, 24)
+        listed, later = solver._cycle_lister(gen.hypercube(3), b)(4)
+        assert (len(listed), later, b.cuts["length"]) == (6, 6, 24)
 
 
 class TestRxExact:
@@ -390,7 +449,8 @@ class TestRxExact:
         for g in (gen.hypercube(3), gen.complete(5), theta(2, 3, 4)):
             trees = brute_subtrees(g)
             for k in range(1, g.n + 1):
-                listed = solver._subtree_lister(g, k, Budget())(g.n - 1)
+                listed, later = solver._subtree_lister(g, k, Budget())(g.n - 1)
+                assert later is None
                 expected = []
                 for verts, eids in trees:
                     ends = {v for v in verts if sum(v in g.edges[e] for e in eids) == 1}
@@ -412,7 +472,7 @@ class TestRxExact:
         # an inclusion that would give a third leaf is not made: listing every
         # subtree and then keeping those with at most two leaves took 2,504 nodes
         g, b = gen.hypercube(3), Budget()
-        listed = solver._subtree_lister(g, 2, b)(g.n - 1)
+        listed, _ = solver._subtree_lister(g, 2, b)(g.n - 1)
         assert (len(listed), b.used, b.cuts["leaves"], b.cuts["length"]) == (444, 983, 87, 0)
         # the solve lists the 84 paths of at most 3 edges, the diameter: 996
         # nodes when it listed all 444 first
