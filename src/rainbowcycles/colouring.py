@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InvalidParameter
-from .graph import Graph, _bfs_distances, _Palette, colex_subsets
+from .graph import Graph, _bfs_distances, _colex_masks, _members, _Palette
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,9 @@ def check_cover(c: EdgeColouring, k: int, witnesses) -> bool:
             return False
         for v in w.vertices:
             holding[v] |= 1 << i
-    for s in colex_subsets(g.n, k):
-        held = holding[s[0]]
-        for v in s[1:]:
+    for mask in _colex_masks(g.n, k):
+        held = -1
+        for v in _members(mask):
             held &= holding[v]
         if not held:
             return False

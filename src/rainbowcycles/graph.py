@@ -28,8 +28,9 @@ class Budget:
     ``incumbent``, the subsets the distance bound settled within its best
     bound so far (solver.crx_lower_bound_distance), ``leaves``, the
     subtrees not grown past k leaves (solver._grow_subtrees), and
-    ``length``, the paths and subtree inclusions the exact solver's listing
-    held back past its length bound (_rooted_cycles, solver._grow_subtrees).
+    ``length``, the paths a cycle listing did not enter past its length
+    bound, n for a full enumeration (_rooted_cycles), and the subtree
+    inclusions the exact solver's listing held back (solver._grow_subtrees).
     The walk search adds ``quotient``, the walks its block-quotient bound
     proved absent, once that bound runs (search.find_subdivided_closed_walk).
     """
@@ -508,33 +509,36 @@ def ear_decomposition(g: Graph) -> EarDecomposition:
 
 
 def _rooted_cycles(g: Graph, b: Budget, starts=None, bound=None, deferred=None):
-    """Every simple cycle once per direction, as a vertex tuple that starts
-    at its least vertex, in DFS order with neighbours ascending. The search
-    extends the paths that starts gives (_fresh_starts), each a vertex tuple
-    from its least vertex, the root, through vertices above the root; by
-    default every vertex alone. One budget node is charged per path entered.
+    """Every simple cycle once, as a vertex tuple from its least vertex, the
+    root, with path[1] < path[-1], in DFS order with neighbours ascending.
+    The search extends the paths that starts gives (_fresh_starts), each a
+    vertex tuple from its root through vertices above the root; by default
+    every vertex alone. One budget node is charged per path entered.
 
-    With a bound L, only the cycles with at most L edges are listed: a path
-    whose edge count plus the distance from its end back to its root
-    exceeds L is not entered, as every cycle through it is that long, and
-    ``b.cuts["length"]`` counts it. Its parent is kept instead: (parent, L)
-    is appended once to deferred[d], d being the least such sum over the
-    parent's children. Passing kept pairs back as starts, with a bound at
-    least their d, resumes the search from their children. So over a first
-    search and its resumptions every path is entered at most once, at most
-    one pair is kept per path entered, and each resumption lists exactly
-    the cycles within its bound that no earlier search listed."""
+    Only the cycles with at most L edges are listed, L being bound capped at
+    n (no simple cycle is longer), n without a bound: a path whose edge
+    count plus the distance from its end back to its root exceeds L is not
+    entered, as every cycle through it is that long, and
+    ``b.cuts["length"]`` counts it. Where that sum is at most n, its parent
+    is kept instead: (parent, L) is appended once to deferred[d], d being
+    the least such sum over the parent's children. Passing kept pairs back
+    as starts, with a bound at least their d, resumes the search from their
+    children. So over a first search and its resumptions every path is
+    entered at most once, at most one pair is kept per path entered, and
+    each resumption lists exactly the cycles within its bound that no
+    earlier search listed; one at n keeps nothing.
+    """
     adj = g.adjacency
     on_path = bytearray(g.n)
-    if bound is not None:
-        b.cuts.setdefault("length", 0)
-    dist = dist_root = None
-    low = {}  # path length -> the least sum of a child of that path not entered
+    bound = g.n if bound is None else min(bound, g.n)
+    b.cuts.setdefault("length", 0)
+    dist_root = None
+    low = {}  # path length -> the least sum at most n of a child of that path not entered
     for start in (((v,) for v in range(g.n)) if starts is None
                   else _fresh_starts(g, starts, bound, deferred)):
         b.spend()
         root = start[0]
-        if bound is not None and root != dist_root:
+        if root != dist_root:
             dist, dist_root = _bfs_distances(g, root), root
         path = list(start)
         for v in path:
@@ -543,13 +547,13 @@ def _rooted_cycles(g: Graph, b: Budget, starts=None, bound=None, deferred=None):
         while stack:
             for w, _ in stack[-1]:
                 if w <= root:
-                    if w == root and len(path) >= 3:
+                    if w == root and path[1] < path[-1]:
                         yield tuple(path)
                     continue
                 if on_path[w]:
                     continue
-                if dist is not None and len(path) + dist[w] > bound:
-                    if len(path) + dist[w] < low.get(len(path), INF):
+                if len(path) + dist[w] > bound:
+                    if len(path) + dist[w] < low.get(len(path), g.n + 1):
                         low[len(path)] = len(path) + dist[w]
                     b.cuts["length"] += 1
                     continue
@@ -572,30 +576,29 @@ def _fresh_starts(g: Graph, starts, bound, deferred):
     path not yet entered, given with tried None, itself; for a path kept
     with its bound tried, its children, in neighbour order, whose sum (edge
     count plus distance back to the root, as in _rooted_cycles) lies above
-    tried and within bound. A kept path with children whose sum is still
-    above bound is kept again, under the least of those sums."""
+    tried and within bound. A kept path with children whose sum lies above
+    bound and within n is kept again, under the least of those sums."""
     adj = g.adjacency
     for path, tried in starts:
         if tried is None:
             yield path
             continue
         root, dist = path[0], _bfs_distances(g, path[0])
-        low = INF
+        low = g.n + 1
         for w, _ in adj[path[-1]]:
             if w > root and len(path) + dist[w] > tried and w not in path:
                 if len(path) + dist[w] <= bound:
                     yield (*path, w)
                 elif len(path) + dist[w] < low:
                     low = len(path) + dist[w]
-        if low < INF:
+        if low <= g.n:
             deferred.setdefault(low, []).append((path, bound))
 
 
 def enumerate_simple_cycles(g: Graph, budget=None):
     """All simple cycles, each once: rooted at its minimum vertex, direction
     fixed by second-vertex < last-vertex. Returns vertex tuples."""
-    b = Budget.of(budget)
-    return [c for c in _rooted_cycles(g, b) if c[1] < c[-1]]
+    return list(_rooted_cycles(g, Budget.of(budget)))
 
 
 def cycle_vertices_to_edge_ids(g: Graph, cycle) -> tuple[int, ...]:
@@ -657,7 +660,7 @@ def enumerate_hamilton_cycles(g: Graph, budget=None):
     only the root-0 pass of that rooted cycle DFS runs."""
     b = Budget.of(budget)
     return [c for c in _rooted_cycles(g, b, [((v,), None) for v in range(min(g.n, 1))])
-            if len(c) == g.n and c[1] < c[-1]]
+            if len(c) == g.n]
 
 
 def circumference(g: Graph, budget=None) -> int:
@@ -745,24 +748,21 @@ def _twin_shifts(g: Graph, colour_of=None) -> list:
 # k-subsets in colex order, and the witnesses that cover them
 
 
-def colex_subsets(n: int, k: int):
-    """All k-subsets of range(n) in colexicographic order, as sorted tuples.
+def _colex_masks(n: int, k: int):
+    """The k-subsets of range(n), k >= 1, as vertex bitmasks in colex order,
+    which is their numeric order: each is the next larger int with k bits
+    set (Gosper's hack)."""
+    m = (1 << k) - 1
+    while m < 1 << n:
+        yield m
+        low = m & -m
+        up = m + low
+        m = (((up ^ m) >> 2) // low) | up
 
-    Each one follows from the last by the colex successor: raise the lowest
-    element that can rise by one, then reset the elements below it to 0, 1, ...
-    """
-    if k > n:
-        return
-    c = list(range(k))
-    while True:
-        yield tuple(c)
-        i = 0
-        while i + 1 < k and c[i] + 1 == c[i + 1]:
-            i += 1
-        if k == 0 or c[i] + 1 == n:
-            return
-        c[i] += 1
-        c[:i] = range(i)
+
+def _members(mask: int) -> tuple:
+    """The vertices of a vertex bitmask, ascending."""
+    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 class _WitnessCover:

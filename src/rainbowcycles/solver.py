@@ -31,6 +31,8 @@ from .graph import (
     _twin_shifts,
     _WitnessCover,
     _bfs_distances,
+    _colex_masks,
+    _members,
     _rooted_cycles,
     cycle_vertices_to_edge_ids,
     find_hamilton_cycle,
@@ -220,51 +222,48 @@ def _distance_certificate(subset, length: int, mode: str) -> Certificate:
     return Certificate("distance_bound", {"subset": subset, "length": length, "mode": mode})
 
 
-def _ready(deferred, bound) -> list:
-    """Remove from deferred, a dict from a length to the states deferred at
-    it, and return the states whose length is at most bound."""
-    return [state for length in sorted(deferred) if length <= bound
-            for state in deferred.pop(length)]
-
-
-def _cycle_lister(g: Graph, b: Budget):
-    """The lister of crx_exact for _exact: called with L, it returns the
-    simple cycles with at most L edges that no earlier call returned, as
-    (edge ids, (), vertex tuple), and the least edge count a cycle not
-    yet returned may have, None when none is left. It resumes
-    graph._rooted_cycles from the paths the earlier calls kept, so no path
-    is entered twice."""
-    deferred = {0: [((v,), None) for v in range(g.n)]}
+def _lister(deferred, walk):
+    """A lister for _exact: called with L, it takes from deferred, a dict
+    from a length to the states kept at it, the states kept at lengths up
+    to L, and returns walk(those states, L), the structures with at most L
+    edges that no earlier call returned, and the least length still kept,
+    None when nothing is: no structure not yet returned is shorter."""
 
     def upto(bound):
-        starts = _ready(deferred, bound)
-        cycles = [(cycle_vertices_to_edge_ids(g, c), (), c)
-                  for c in _rooted_cycles(g, b, starts, bound, deferred) if c[1] < c[-1]]
-        return cycles, min(deferred, default=None)
+        ready = [state for length in sorted(deferred) if length <= bound
+                 for state in deferred.pop(length)]
+        return walk(ready, bound), min(deferred, default=None)
 
     return upto
 
 
+def _cycle_lister(g: Graph, b: Budget):
+    """The lister of crx_exact: the simple cycles as (edge ids, (), vertex
+    tuple), resuming graph._rooted_cycles from the paths the earlier calls
+    kept, so no path is entered twice."""
+    deferred = {0: [((v,), None) for v in range(g.n)]}
+    return _lister(deferred, lambda starts, bound: [
+        (cycle_vertices_to_edge_ids(g, c), (), c)
+        for c in _rooted_cycles(g, b, starts, bound, deferred)])
+
+
 def _subtree_lister(g: Graph, k: int, b: Budget):
-    """The lister of rx_exact for _exact: called with L, it returns the
-    subtrees with an edge, at most k leaves and at most L edges that no
-    earlier call returned, as (edge ids, leaves, vertices), and the least
-    edge count a subtree not yet returned may have, None when none is left.
-    It resumes _grow_subtrees from the trees the earlier calls kept, so no
-    tree is walked twice."""
+    """The lister of rx_exact: the subtrees with an edge and at most k
+    leaves as (edge ids, leaves, vertices), resuming _grow_subtrees from the
+    trees the earlier calls kept, so no tree is walked twice."""
     adj = g.adjacency
     deferred = {0: [(root, frozenset((root,)), (), [(eid, x) for x, eid in adj[root] if x > root],
                      frozenset()) for root in range(g.n)]}
     b.cuts.setdefault("leaves", 0)
     b.cuts.setdefault("length", 0)
 
-    def upto(bound):
+    def walk(states, bound):
         trees = []
-        for state in _ready(deferred, bound):
+        for state in states:
             _grow_subtrees(adj, k, b, bound, trees, deferred, *state)
-        return trees, min(deferred, default=None)
+        return trees
 
-    return upto
+    return _lister(deferred, walk)
 
 
 def _grow_subtrees(adj, k, b, bound, out, deferred, root, verts, eids, frontier, ends, walked=False):
@@ -329,23 +328,25 @@ def _exact(g: Graph, k: int, b: Budget, lister, first: int, certificate) -> CrxR
     rising from call to call, and the least edge count a structure not yet
     returned may have (None when none is left). first is at most the
     distance bound, the largest, over S, of the fewest edges of a structure
-    covering S. The structures are listed up to first, then up to that
-    least count until every S has one, which skips the bounds that list
-    nothing: the largest count read is the distance bound, with the
-    colex-first S that needs it. A listing that resumes where the last one
-    stopped enters the same states whatever bounds it passed through, so
-    where it starts changes no node count.
+    covering S.
 
-    r starts at the distance bound. For each r the surjective canonical
-    r-colourings are walked depth-first; a partial colouring is abandoned
+    One loop runs over r from first. Whenever the least count left is at
+    most r, the structures up to r are listed. While some S is uncovered, r
+    jumps to the least count left, which skips the bounds that list
+    nothing. So the r at which the last S is covered is the distance bound,
+    with the colex-first S that needs it as its certificate, and no smaller
+    r can be feasible. A listing that resumes where the last one stopped
+    enters the same states whatever bounds it passed through, so where it
+    starts changes no node count. Then the pass for r walks the surjective
+    canonical r-colourings depth-first; a partial colouring is abandoned
     only when some S already has every covering structure spoiled by a
     repeated colour, which holds for all completions. The first feasible
-    colouring found is the canonically least witness.
+    colouring found is the canonically least witness. The pass at r = e
+    finds the rainbow colouring if none before it found one.
 
     Structure si is bit si of the int bitsets cov[t], the structures covering
     the t-th k-subset in colex order, and tmask[eid], those through edge
-    eid. Before the pass for r the structures with at most r edges not yet
-    listed are added, so the pass holds exactly those with at most r edges.
+    eid. The pass for r holds exactly the structures with at most r edges.
     This is exact: a structure with more than r edges is never rainbow in
     an r-colouring, so leaving it out changes no colouring's feasibility.
     The walk order is the same and only subtrees without a feasible
@@ -358,49 +359,38 @@ def _exact(g: Graph, k: int, b: Budget, lister, first: int, certificate) -> CrxR
     that length, at least first; one spent later, in the pass for r or the
     listing before it, gives [r, e] with the evidence so far.
     """
-    subsets_of, tmask = [], [0] * g.e
-
-    def extend(bound):
-        """List up to bound and add the structures; returns how many subsets
-        they cover first and the lister's least count left."""
-        batch, later = lister(bound)
-        if not batch:
-            return 0, later
-        _reserve_table(g, k, b, len(subsets_of) + len(batch))
-        return _add_rows(masks, batch, tmask, subsets_of, cov, shortest), later
-
+    subsets_of, tmask, evidence = [], [0] * g.e, []
+    r = later = first
     try:
         _reserve_table(g, k, b)
-        masks = _colex_masks(g.n, k)
+        masks = list(_colex_masks(g.n, k))
         cov, shortest = [0] * len(masks), [0] * len(masks)
-        uncovered, later = len(masks), first
-        while uncovered:
-            if later is None:
-                s = _members(masks[cov.index(0)])
-                raise InvalidParameter(f"no structure covers the {k}-subset {s}")
-            covered, later = extend(later)
-            uncovered -= covered
+        uncovered = len(masks)
+        while True:
+            if later is not None and later <= r:
+                batch, later = lister(r)
+                if batch:
+                    _reserve_table(g, k, b, len(subsets_of) + len(batch))
+                    uncovered -= _add_rows(masks, batch, tmask, subsets_of, cov, shortest)
+            if uncovered:
+                if later is None:
+                    s = _members(masks[cov.index(0)])
+                    raise InvalidParameter(f"no structure covers the {k}-subset {s}")
+                r = later
+                continue
+            if not evidence:
+                evidence.append(_distance_certificate(
+                    _members(masks[shortest.index(r)]), r, "exhaustive"))
+            witness = _search_r(g, r, b, tmask, subsets_of, cov, (1 << len(subsets_of)) - 1)
+            if witness is not None:
+                return CrxResult("exact", r, r, witness, tuple(evidence))
+            evidence.append(Certificate("exhaustion", {"r": r, "candidates": stirling2(g.e, r)}))
+            r += 1
     except BudgetExceeded:
+        if evidence:
+            return _budget_out(g, r, tuple(evidence))
         cert = certificate()
         return _budget_out(g, cert.payload["length"], (cert,))
-    bound = max(shortest)
-    evidence = [_distance_certificate(_members(masks[shortest.index(bound)]), bound, "exhaustive")]
-    for r in range(bound, g.e + 1):
-        try:
-            if later is not None and later <= r:
-                later = extend(r)[1]
-            witness = _search_r(g, r, b, tmask, subsets_of, cov, (1 << len(subsets_of)) - 1)
-        except BudgetExceeded:
-            return _budget_out(g, r, tuple(evidence))
-        if witness is not None:
-            return CrxResult("exact", r, r, witness, tuple(evidence))
-        evidence.append(Certificate("exhaustion", {"r": r, "candidates": stirling2(g.e, r)}))
-    raise InvalidParameter(f"no feasible colouring with up to {g.e} colours")
-
-
-def _members(mask: int) -> tuple:
-    """The vertices of a vertex bitmask, ascending."""
-    return tuple(v for v in range(mask.bit_length()) if mask >> v & 1)
 
 
 def _add_rows(masks, batch, tmask, subsets_of, cov, shortest) -> int:
@@ -433,19 +423,6 @@ def _add_rows(masks, batch, tmask, subsets_of, cov, shortest) -> int:
             first += 1
         cov[t] |= _bitset(sis)
     return first
-
-
-def _colex_masks(n: int, k: int) -> list:
-    """The k-subsets of range(n), k >= 1, as vertex bitmasks in colex order,
-    which is their numeric order: each is the next larger int with k bits
-    set (Gosper's hack)."""
-    masks, m = [], (1 << k) - 1
-    while m < 1 << n:
-        masks.append(m)
-        low = m & -m
-        up = m + low
-        m = (((up ^ m) >> 2) // low) | up
-    return masks
 
 
 def _bitset(indices) -> int:
@@ -481,7 +458,11 @@ def _search_r(g, r, b, tmask, subsets_of, cov, live):
     live, passed down the recursion, holds the structures with no repeated
     colour; has[c], read only through live, those with an edge of colour c.
     Giving edge i colour c kills tmask[i] & live & has[c], and only the
-    k-subsets of killed structures can lose their last live cover.
+    k-subsets of killed structures can lose their last live cover. No node
+    is cut for having fewer edges left than colours unused: fresh colours
+    on those edges would give a feasible colouring with fewer than r
+    colours, which no pass of _exact meets, as r starts at the distance
+    bound and rises only past refuted values.
     """
     m = g.e
     has = [0] * r
@@ -489,8 +470,6 @@ def _search_r(g, r, b, tmask, subsets_of, cov, live):
 
     def rec(i, used, live):
         b.spend()
-        if m - i < r - used:
-            return None
         if i == m:
             return tuple(colour) if used == r else None
         through = tmask[i]
@@ -625,19 +604,22 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeCol
     Samplers may fail, unsupported regimes raise, and a
     self-verification may run out of the budget: each falls through to the
     Hamilton fallback, whose one witness is its rainbow Hamilton cycle, or
-    to the plain rainbow colouring. A ConstructionRejected (transcription
-    error) propagates."""
+    to the plain rainbow colouring. A budget already run out skips the
+    constructors and the fallback, which would each spend a node only to
+    raise. A ConstructionRejected (transcription error) propagates."""
     soft = (AttemptsExhausted, RegimeUnsupported, InvalidParameter, BudgetExceeded)
     kind, param, order = family or (None, None, None)
+    if kind == "cycle":
+        cycle = [0, g.adjacency[0][0][0]]
+        while len(cycle) < g.n:
+            cycle.append(next(w for w, _ in g.adjacency[cycle[-1]] if w != cycle[-2]))
+        cycle = tuple(cycle)
+        return EdgeColouring(g, tuple(range(g.e)), g.e, witnesses=(
+            CycleWitness(cycle, cycle_vertices_to_edge_ids(g, cycle)),))
+    if budget.used > budget.limit:
+        return rainbow_colouring(g)
     c = None
     try:
-        if kind == "cycle":
-            cycle = [0, g.adjacency[0][0][0]]
-            while len(cycle) < g.n:
-                cycle.append(next(w for w, _ in g.adjacency[cycle[-1]] if w != cycle[-2]))
-            cycle = tuple(cycle)
-            return EdgeColouring(g, tuple(range(g.e)), g.e, witnesses=(
-                CycleWitness(cycle, cycle_vertices_to_edge_ids(g, cycle)),))
         if kind == "complete":
             c = (cons.colour_complete_2rainbow(param, budget=budget) if k <= 2 else
                  cons.colour_complete_random(param, k, seed, SAMPLER_ATTEMPTS, budget))
@@ -664,7 +646,7 @@ def _upper_bound_construction(g: Graph, k: int, budget, seed, family) -> EdgeCol
     # fallback: a rainbow Hamilton cycle when one is found within the
     # budget, else rainbow all, which is always a valid upper bound
     try:
-        ham = find_hamilton_cycle(g, budget)
+        ham = None if budget.used > budget.limit else find_hamilton_cycle(g, budget)
     except BudgetExceeded:
         ham = None
     if ham is None:

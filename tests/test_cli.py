@@ -290,7 +290,8 @@ class TestPipelines:
         # the latter takes G's Hamiltonicity from the circumference: one
         # Hamilton search on G (82 nodes), then one per vertex-deleted graph;
         # the report cost 702 nodes, with a 142-node search on G, before
-        # the forced-vertex test
+        # the forced-vertex test, and 632 before the cycle listing stopped
+        # at n edges
         budgets, searched = [], []
 
         class Recorded(gr.Budget):
@@ -307,14 +308,14 @@ class TestPipelines:
         monkeypatch.setattr(gr, "Budget", Recorded)
         monkeypatch.setattr(gr, "find_hamilton_cycle", counted)
         _, doc_text, _ = run_cli(["gen", "petersen"], "", monkeypatch, capsys)
-        code, report, _ = run_cli(["analyze", "--budget", "632"], doc_text, monkeypatch, capsys)
+        code, report, _ = run_cli(["analyze", "--budget", "608"], doc_text, monkeypatch, capsys)
         rep = json.loads(report)
         assert code == 0 and "budget_exhausted" not in rep
         assert rep["is_hamiltonian"] is False and rep["is_hypohamiltonian"] is True
         assert searched == [10] + [9] * 10
-        assert sum(b.used for b in budgets) == 632
-        # one node fewer runs out: 632 is what the whole report costs
-        code, report, _ = run_cli(["analyze", "--budget", "631"], doc_text, monkeypatch, capsys)
+        assert sum(b.used for b in budgets) == 608
+        # one node fewer runs out: 608 is what the whole report costs
+        code, report, _ = run_cli(["analyze", "--budget", "607"], doc_text, monkeypatch, capsys)
         rep = json.loads(report)
         assert code == 0 and rep["budget_exhausted"] is True
         assert "is_hypohamiltonian" not in rep
@@ -596,6 +597,30 @@ class TestPipelines:
         assert code == 2 and not out
         assert len(err.splitlines()) == 1 and err.startswith("error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, doc, message", [
+        (["gen", "cycle", "5"], None, "expected key=value, got '5'"),
+        (["-i", "{file}", "analyze"], [], "document must be a JSON object"),
+        (["analyze"], {"n": "3", "edges": []}, "bad types for n / edges"),
+        (["analyze"], dict(_TRIANGLE, metadata=[]), "metadata must be an object"),
+        (["verify", "--k", "1"], dict(_TRIANGLE, colouring={"colours": [0, 0, 0], "r": 0}),
+         "need at least one colour"),
+        (["analyze"], {"n": -1, "edges": []}, "vertex count must be non-negative"),
+        (["gen", "complete", "n=0"], None, "complete graph needs n >= 1"),
+        (["gen", "complete-bipartite", "m=0", "n=2"], None, "complete bipartite needs m, n >= 1"),
+        (["gen", "complete-multipartite", "sizes=0,2"], None,
+         "need at least two classes of positive size"),
+    ], ids=["param-without-eq", "input-file-not-object", "n-not-int", "metadata-not-object",
+            "no-colours", "negative-n", "complete-n0", "bipartite-m0", "sizes-not-positive"])
+    def test_input_guard_names_the_fault(self, argv, doc, message, tmp_path, monkeypatch, capsys):
+        # each guard on outside input: a document read from --input FILE or
+        # stdin, or gen's parameters; exit 2 with the guard's own message
+        text = "" if doc is None else json.dumps(doc)
+        if "{file}" in argv:
+            path = tmp_path / "doc.json"
+            path.write_text(text, encoding="utf-8")
+            argv, text = [str(path) if a == "{file}" else a for a in argv], ""
+        assert run_cli(argv, text, monkeypatch, capsys) == (2, "", f"error: {message}\n")
 
 
 def _mutated(text, mutate):

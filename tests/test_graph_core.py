@@ -319,8 +319,10 @@ class TestInvariants:
         assert exc.value.partial == {"girth": 5}
 
     @pytest.mark.parametrize("g, count, nodes", [
-        (gen.petersen(), 57, 459), (gen.complete(7), 1172, 2372), (gen.wheel(9), 73, 787),
-    ])
+        # the ids keep the counts from before the listing stopped at n
+        # edges: Petersen 459, W_9 787
+        (gen.petersen(), 57, 435), (gen.complete(7), 1172, 2372), (gen.wheel(9), 73, 775),
+    ], ids=["g0-57-459", "g1-1172-2372", "g2-73-787"])
     def test_cycle_enumeration_golden_nodes(self, g, count, nodes):
         b = Budget()
         assert len(enumerate_simple_cycles(g, b)) == count
@@ -333,22 +335,41 @@ class TestInvariants:
     def test_circumference_golden_nodes(self):
         b = Budget()
         assert circumference(gen.petersen(), b) == 9
-        assert b.used == 541  # 601 before the forced-vertex test
+        # 601 before the forced-vertex test, 541 before the listing stopped
+        # at n edges
+        assert b.used == 517
         # the invariants take Hamiltonicity from the circumference: one
         # Hamilton search of 82 nodes (142 before), not two
         b = Budget()
         assert not graph_invariants(gen.petersen(), b).is_hamiltonian
-        assert b.used == 541
+        assert b.used == 517
 
-    def test_brute_cycle_oracle(self):
-        from conftest import brute_all_cycles
+    def test_brute_cycle_oracle(self, corpus):
+        # each enumeration lists what the oracle does and enters no more
+        # paths than the listing without a length bound, which entered
+        # every path from a root through vertices above it
+        from conftest import _oriented_cycles
 
-        for g in (gen.complete(4), gen.wheel(4), gen.hypercube(3)):
-            cycles = brute_all_cycles(g)
-            lengths = [len(e) for _, e in cycles]
-            assert girth(g) == min(lengths)
-            assert circumference(g) == max(lengths)
-            assert len(enumerate_simple_cycles(g)) == len(cycles)
+        def rooted_paths(g, roots):
+            def count(path):
+                return 1 + sum(count(path + (w,)) for w in g.neighbours(path[-1])
+                               if w > path[0] and w not in path)
+            return sum(count((v,)) for v in roots)
+
+        for name, g in [("K4", gen.complete(4)), ("W4", gen.wheel(4)), *corpus]:
+            cycles = sorted(c for _, _, c in _oriented_cycles(g))
+            lengths = [len(c) for c in cycles]
+            assert girth(g) == min(lengths, default=None), name
+            b = Budget()
+            assert sorted(enumerate_simple_cycles(g, b)) == cycles, name
+            assert b.used <= rooted_paths(g, range(g.n)), name
+            b = Budget()
+            assert enumerate_hamilton_cycles(g, b) == [c for c in cycles if len(c) == g.n], name
+            assert b.used <= rooted_paths(g, range(min(g.n, 1))), name
+            b, ham = Budget(), Budget()
+            assert circumference(g, b) == max(lengths, default=0), name
+            find_hamilton_cycle(g, ham)
+            assert b.used <= ham.used + rooted_paths(g, range(g.n)), name
 
 
 @st.composite
@@ -454,12 +475,13 @@ class TestHamiltonCycles:
 
     def test_w8_enumeration_golden(self):
         # every Hamilton cycle holds vertex 0, so only the root-0 pass of
-        # the rooted cycle DFS runs: 514 nodes with every root
+        # the rooted cycle DFS runs: 504 nodes with every root (261 and 514
+        # before the listing stopped at n edges)
         b = Budget()
         cycles = enumerate_hamilton_cycles(gen.wheel(8), b)
-        assert len(cycles) == 8 and b.used == 261
+        assert len(cycles) == 8 and b.used == 251
         assert cycles == brute_hamilton_cycles(gen.wheel(8))
-        short = Budget(260)
+        short = Budget(250)
         with pytest.raises(BudgetExceeded):
             enumerate_hamilton_cycles(gen.wheel(8), short)
 

@@ -319,11 +319,13 @@ class TestBoundedListing:
     and across each resume from L to L + 1."""
 
     def test_cycles(self):
+        # no cycle has more than n edges, so a listing past n lists what the
+        # listing at n does, and none is left after it
         for g in _listing_graphs():
             cycles = [(tuple(sorted(eids)), verts) for verts, eids in brute_all_cycles(g)]
             b_resumed = Budget()
             resumed = solver._cycle_lister(g, b_resumed)
-            for bound in range(0, g.n + 1):
+            for bound in range(0, g.n + 3):
                 b = Budget()
                 fresh, later = solver._cycle_lister(g, b)(bound)
                 got = [(tuple(sorted(eids)), frozenset(verts)) for eids, must, verts in fresh]
@@ -336,23 +338,26 @@ class TestBoundedListing:
                 assert sorted(step, key=repr) == sorted(
                     [c for c in cycles if len(c[0]) == bound], key=repr), (g, bound)
                 assert _left_after(cycles, bound, later), (g, bound)
+                assert later is None or bound < g.n, (g, bound)
                 # the resumptions entered each path once: as many as one listing
                 assert b_resumed.used == b.used, (g, bound)
 
     def test_cycles_resumed_past_bounds(self):
         # a resumption that skips bounds lists what the skipped ones would
-        # have, with the same nodes
+        # have, with the same nodes; one past n, as a pass at r = e asks,
+        # enters no node and lists nothing
         for g in _listing_graphs():
             cycles = [(tuple(sorted(eids)), verts) for verts, eids in brute_all_cycles(g)]
             b_skipping = Budget()
             skipping = solver._cycle_lister(g, b_skipping)
             listed = 0
-            for bound in (3, g.n // 2 + 2, g.n):
+            for bound in (3, g.n // 2 + 2, g.n, max(g.e, g.n + 1)):
                 step, later = skipping(bound)
                 got = [(tuple(sorted(eids)), frozenset(verts)) for eids, _, verts in step]
                 assert sorted(got, key=repr) == sorted(
                     [c for c in cycles if listed < len(c[0]) <= bound], key=repr), (g, bound)
                 assert _left_after(cycles, bound, later), (g, bound)
+                assert later is None or bound < g.n, (g, bound)
                 listed = bound
             b = Budget()
             solver._cycle_lister(g, b)(g.n)
@@ -366,7 +371,7 @@ class TestBoundedListing:
         b = Budget()
         deferred = {}
         cycles = list(_rooted_cycles(g, b, None, 3, deferred))
-        assert (len(cycles), b.used, b.cuts["length"]) == (2 * 56, 148, 420)
+        assert (len(cycles), b.used, b.cuts["length"]) == (56, 148, 420)
         assert list(deferred) == [4]
         kept = [path for path, _ in deferred[4]]
         assert len(kept) == len(set(kept)) == 110
@@ -630,8 +635,9 @@ class TestInterval:
     @pytest.mark.parametrize("share, lower", [(0.25, 7), (0.5, 8), (0.999, 9)])
     def test_budget_out_keeps_the_partial_lower_bound(self, share, lower):
         # the distance bound overruns a budget of this share of its full run;
-        # the wheel constructor's self-verification then runs out at once
-        # and falls through to the rainbow colouring instead of raising
+        # the spent budget then skips the wheel constructor and the Hamilton
+        # fallback, and the interval falls through to the rainbow colouring
+        # instead of raising
         g = gen.wheel(12)
         bound_only = Budget()
         solver.crx_lower_bound_distance(g, 3, bound_only)
@@ -652,6 +658,26 @@ class TestInterval:
         res = solver.crx_interval(g, 3, Budget(bound_only.used + 10))
         assert res.evidence[0].payload["mode"] == "exhaustive"
         assert (res.lower, res.upper, res.witness) == (10, g.e, rainbow_colouring(g))
+
+    @pytest.mark.parametrize("g, k, results", [
+        (gen.wheel(12), 3, {60: ("interval", 5, 24), 81: ("interval", 6, 24),
+                            186: ("interval", 7, 24), 375: ("interval", 8, 24)}),
+        (gen.petersen(), 2, {60: ("interval", 5, 15)}),
+        (gen.hypercube(4), 2, {60: ("interval", 6, 32), 67: ("interval", 8, 32),
+                               88: ("exact", 8, 8)}),
+        (gen.complete_bipartite(3, 6), 2, {60: ("interval", 4, 18)}),
+    ], ids=["W12", "petersen", "Q4", "K3,6"])
+    def test_spent_budget_is_not_spent_again(self, g, k, results):
+        # a budget spent in the distance bound or in a constructor skips the
+        # searches after it: each spent one node more before it raised, so a
+        # budget of N took up to N + 3 nodes (103 of 100 on W_12), with these
+        # same results, keyed by the least N giving each
+        for limit in range(60, 397, 7):
+            b = Budget(limit)
+            res = solver.crx_interval(g, k, b)
+            kind, lower, upper = results[max(n for n in results if n <= limit)]
+            assert (res.kind, res.lower, res.upper, res.witness.r) == (kind, lower, upper, upper)
+            assert b.used <= limit + 1, limit
 
     def test_w9_k2(self):
         res = solver.crx_interval(gen.wheel(9), 2)
