@@ -51,7 +51,7 @@ class EdgeColouring:
             raise InvalidParameter("colouring must cover every edge")
         if self.r < 1 and self.graph.e > 0:
             raise InvalidParameter("need at least one colour")
-        if any(c < 0 or c >= self.r for c in self.colour_of):
+        if self.colour_of and (min(self.colour_of) < 0 or max(self.colour_of) >= self.r):
             raise InvalidParameter("colour id out of range")
         if not self.unused_ok and self.graph.e > 0:
             if len(set(self.colour_of)) != self.r:

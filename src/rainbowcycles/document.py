@@ -4,9 +4,10 @@ A document is a Graph, an optional EdgeColouring of it that carries its
 witnesses, and metadata. The edge array in the JSON text defines the edge
 ids of the colour array next to it. On load, edges are canonicalised to the
 library's sorted order and the colour array is remapped along, so semantics
-survive the round trip even for documents produced elsewhere. ``parse``
-builds the Graph and the EdgeColouring once, so a malformed colouring is
-refused whatever the command.
+survive the round trip even for documents produced elsewhere. A document
+already in that order, as ``emit`` writes it, keeps its colour array as
+written. ``parse`` builds the Graph and the EdgeColouring once, so a
+malformed colouring is refused whatever the command.
 
 A colouring may carry the witnesses of its self-verification, one string
 each: a cycle as its vertex sequence ("0 5 2 6"), a tree as its edges
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 from .colouring import CycleWitness, EdgeColouring, TreeWitness
 from .errors import InvalidParameter
@@ -120,6 +122,15 @@ def is_ints(values) -> bool:
 
 
 def parse(text: str) -> GraphDocument:
+    """The document of a JSON text, in any layout; InvalidParameter names
+    what is malformed.
+
+    The edge array is checked in one pass over its entries and one over
+    their endpoints. Only when that fails does a pass entry by entry find
+    the first bad one to name. A colour array whose edges are already in
+    canonical order is taken as it is; any other order is remapped through
+    the graph's edge index.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -137,12 +148,13 @@ def parse(text: str) -> GraphDocument:
     raw_edges = payload["edges"]
     if not is_ints([n]) or not isinstance(raw_edges, list):
         raise InvalidParameter("bad types for n / edges")
-    given = []
-    for item in raw_edges:
-        if not (isinstance(item, list) and len(item) == 2 and is_ints(item)):
-            raise InvalidParameter(f"bad edge entry {item!r}")
-        given.append(tuple(item))
-    g = Graph(n, tuple(given))  # normalises and sorts edges canonically
+    if not (all(type(item) is list and len(item) == 2 for item in raw_edges)
+            and is_ints(chain.from_iterable(raw_edges))):
+        for item in raw_edges:  # find the entry to name
+            if not (isinstance(item, list) and len(item) == 2 and is_ints(item)):
+                raise InvalidParameter(f"bad edge entry {item!r}")
+    given = tuple(map(tuple, raw_edges))
+    g = Graph(n, given)  # normalises and sorts edges canonically
     c = None
     if "colouring" in payload:
         col = payload["colouring"]
@@ -150,12 +162,15 @@ def parse(text: str) -> GraphDocument:
         if not (isinstance(arr, list) and len(arr) == len(given) and is_ints(arr + [r])):
             raise InvalidParameter("colouring must be an object listing one int colour "
                                    "per edge plus r")
-        # remap document edge order onto canonical edge ids
-        colours = [0] * len(given)
-        for pos, pair in enumerate(given):
-            colours[g.edge_id(*pair)] = arr[pos]
+        if g.edges == given:  # the canonical order, which emit writes
+            colours = tuple(arr)
+        else:  # remap document edge order onto canonical edge ids
+            colours = [0] * len(given)
+            for pos, pair in enumerate(given):
+                colours[g.edge_id(*pair)] = arr[pos]
+            colours = tuple(colours)
         witnesses = _parse_witnesses(g, col["witnesses"]) if "witnesses" in col else ()
-        c = EdgeColouring(g, tuple(colours), r, unused_ok=True, witnesses=witnesses)
+        c = EdgeColouring(g, colours, r, unused_ok=True, witnesses=witnesses)
     meta = payload.get("metadata", {})
     if not isinstance(meta, dict):
         raise InvalidParameter("metadata must be an object")

@@ -91,12 +91,16 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """adjacency[v] = ((neighbour, edge_id), ...) in ascending neighbour order."""
+        """adjacency[v] = ((neighbour, edge_id), ...) in ascending neighbour order.
+
+        The rows need no sort: the sorted edge list gives v first its
+        edges (w, v), w < v, in ascending w, and then its edges (v, w),
+        w > v, in ascending w."""
         adj = [[] for _ in range(self.n)]
         for eid, (u, v) in enumerate(self.edges):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        return tuple(tuple(sorted(a)) for a in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _own_palette(self) -> _Palette:
@@ -182,12 +186,13 @@ class _Palette:
     """The colour view of a graph that the search kernels read.
 
     adjacency[v] = ((neighbour, edge id, colour), ...) in ascending
-    neighbour order, and colours is the number of colours. Without
-    colour_of each edge is its own colour (g.e colours): the view of an
-    uncoloured search. The rows of toward and closing are built on first
-    use and kept; their readers must not modify a row. A palette holds no
-    reference to its graph, so a graph that keeps its own palette forms no
-    reference cycle.
+    neighbour order, and colours is the number of colours. The rows are
+    filled from the sorted edge list, as Graph.adjacency's are, so they
+    come out in that order with no sort. Without colour_of each edge is its
+    own colour (g.e colours): the view of an uncoloured search. The rows of
+    toward and closing are built on first use and kept; their readers must
+    not modify a row. A palette holds no reference to its graph, so a graph
+    that keeps its own palette forms no reference cycle.
     """
 
     __slots__ = ("adjacency", "colours", "own", "_toward", "_closing")
@@ -196,8 +201,11 @@ class _Palette:
         self.own = colour_of is None
         if self.own:
             colour_of, colours = range(g.e), g.e
-        self.adjacency = tuple(tuple((w, eid, colour_of[eid]) for w, eid in nbrs)
-                               for nbrs in g.adjacency)
+        rows = [[] for _ in range(g.n)]
+        for eid, (u, v), col in zip(range(g.e), g.edges, colour_of):
+            rows[u].append((v, eid, col))
+            rows[v].append((u, eid, col))
+        self.adjacency = tuple(map(tuple, rows))
         self.colours = colours
         self._toward = [None] * g.n
         self._closing = [None] * g.n
@@ -320,22 +328,85 @@ def _max_vertex_disjoint_paths_at_least(g: Graph, s: int, t: int, k: int) -> boo
     return True
 
 
+def _lowpoint_test(g: Graph, cycles: bool) -> bool:
+    """One iterative lowpoint DFS (Hopcroft & Tarjan, CACM 1973), which
+    stops at the first vertex that fails, and builds no block.
+
+    cycles=False: is g connected with no cut vertex? The DFS runs from
+    vertex 0 alone. A vertex u other than the root is a cut vertex iff some
+    child v has low[v] >= disc[u]. When the root's first child returns, a
+    vertex not yet reached means a second child of the root, which makes
+    it a cut vertex, or a second component.
+
+    cycles=True: does every vertex lie on a cycle, that is, have an edge
+    that is no bridge? The tree edge from u to its child v is a bridge iff
+    low[v] > disc[u], and every other edge closes a cycle with tree edges.
+    A vertex with a back edge has a parent edge that is no bridge, and one
+    that a back edge reaches from below has such a child edge. So a vertex
+    fails when it returns with no child edge that is no bridge and a
+    parent edge that is one, or without a parent.
+    """
+    n = g.n
+    adj = g.adjacency
+    disc = [-1] * n
+    low = [0] * n
+    marked = bytearray(n)  # cycles=True: the vertex has an edge that is no bridge
+    timer = 0
+    for root in (range(n) if cycles else (0,)):
+        if disc[root] >= 0:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        path = [root]
+        stack = [iter(adj[root])]  # per path vertex: its neighbours not yet tried
+        while stack:
+            v = path[-1]
+            for w, _ in stack[-1]:
+                if disc[w] < 0:
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    path.append(w)
+                    stack.append(iter(adj[w]))
+                    break
+                if disc[w] < low[v] and w != path[-2]:  # a back edge above v
+                    low[v] = disc[w]
+            else:
+                stack.pop()
+                path.pop()
+                if not path:
+                    if cycles and not marked[v]:
+                        return False  # the root, alone or with bridges only
+                    break
+                u = path[-1]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if cycles:
+                    if low[v] <= disc[u]:
+                        marked[u] = marked[v] = 1
+                    elif not marked[v]:
+                        return False
+                elif low[v] >= disc[u] and (u != root or timer < n):
+                    return False
+    return timer == n
+
+
 def is_k_connected(g: Graph, k: int) -> bool:
     """True iff |V| > k and no vertex set of size <= k-1 disconnects g.
 
-    k = 2 is read off the block decomposition (no cut vertex); larger k
-    counts disjoint paths between every non-adjacent pair (Menger).
+    k = 2 is one lowpoint DFS that stops at the first cut vertex
+    (_lowpoint_test); larger k counts disjoint paths between every
+    non-adjacent pair (Menger).
     """
     if k < 1:
         raise InvalidParameter("k must be positive")
     if g.n <= k:
         return False
+    if k == 2:
+        return _lowpoint_test(g, cycles=False)
     if not is_connected(g):
         return False
     if k == 1:
         return True
-    if k == 2:
-        return not block_decomposition(g).cut_vertices
     for s in range(g.n):
         for t in range(s + 1, g.n):
             if g.has_edge(s, t):
@@ -361,10 +432,6 @@ class Block:
 
     edge_ids: frozenset
     vertices: frozenset
-
-    @property
-    def is_two_connected(self) -> bool:
-        return len(self.vertices) >= 3
 
 
 @dataclass(frozen=True)
@@ -721,6 +788,18 @@ def _twin_classes(g: Graph, colour_of=None) -> list:
                else tuple((w, colour_of[eid]) for w, eid in nbrs))
         classes.setdefault(key, []).append(v)
     return [tuple(c) for c in classes.values()]
+
+
+def _multipartite_classes(g: Graph):
+    """The parts of g, ascending tuples sorted by size (a stable sort of
+    _twin_classes), when g is complete multipartite with at least two
+    parts, else None. Open twins are never adjacent, so each twin class is
+    independent, and g is complete multipartite on them iff all the
+    (n^2 - sum |class|^2) / 2 pairs between classes are edges."""
+    classes = sorted(_twin_classes(g), key=len)
+    if len(classes) < 2 or 2 * g.e != g.n * g.n - sum(len(c) ** 2 for c in classes):
+        return None
+    return classes
 
 
 def _class_shifts(n: int, classes) -> list:
@@ -1115,10 +1194,14 @@ def cycle_through_exists(g: Graph, s, budget=None) -> bool:
 def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     """Membership in F_k: any k vertices lie on a common cycle.
 
-    k = 1 and k = 2 use the structural characterisations (2-connected blocks,
-    2-connectivity). For k >= 3 a Hamilton cycle settles it: that is the
-    anchored-cycle search through all n vertices (71 nodes on Q_6), and its
-    nodes, at most 2 M of them, count against ``budget`` too. Without one,
+    k = 1 and k = 2 use the structural characterisations, both read off one
+    lowpoint DFS (_lowpoint_test) with no block built: every vertex has an
+    edge that is no bridge, and 2-connectivity. For k >= 3 a Hamilton cycle
+    settles it. A complete multipartite graph (_multipartite_classes) with
+    no part of more than n/2 vertices has one, so it is in F_k without a
+    search node. Otherwise the Hamilton cycle is the anchored-cycle search
+    through all n vertices (71 nodes on Q_6), and its nodes, at most 2 M
+    of them, count against ``budget`` too. Without one,
     every k-subset is checked, which is exponential. The subsets are visited
     in colex order, and one inside a cycle found for an earlier subset, or
     inside its image under a shift of twins (_twin_shifts), needs no search.
@@ -1128,15 +1211,13 @@ def in_family_Fk(g: Graph, k: int, budget=None) -> bool:
     if k > g.n:
         return False
     if k == 1:
-        dec = block_decomposition(g)
-        good = set()
-        for blk in dec.blocks:
-            if blk.is_two_connected:
-                good.update(blk.vertices)
-        return len(good) == g.n
+        return _lowpoint_test(g, cycles=True)
     if not is_k_connected(g, 2):
         return False
     if k == 2:
+        return True
+    classes = _multipartite_classes(g)
+    if classes is not None and 2 * len(classes[-1]) <= g.n:
         return True
     b = Budget.of(budget)
     # the shortcut may give up after 2 M nodes; what it spends and cuts is

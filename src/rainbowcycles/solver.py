@@ -27,7 +27,7 @@ from .graph import (
     Graph,
     _anchored_cycle,
     _is_cycle_graph,
-    _twin_classes,
+    _multipartite_classes,
     _twin_shifts,
     _WitnessCover,
     _bfs_distances,
@@ -565,10 +565,9 @@ def _distance_bound(g: Graph, k: int, b: Budget, family) -> tuple[int, Certifica
 def _detect_family(g: Graph):
     """(kind, param, order) for a named family, else None: vertex order[i]
     of g plays vertex i of the family's canonical labelling (see generators).
-    Complete (multi)partite graphs are found in any labelling: their classes
-    are the (independent) twin classes, at least two, joined by all
-    (n^2 - sum |class|^2) / 2 pairs between them; a stable sort by size
-    keeps the identity order on a canonical input. The other families get
+    Complete (multi)partite graphs are found in any labelling by
+    _multipartite_classes, whose stable sort of the classes by size keeps
+    the identity order on a canonical input. The other families get
     the identity order: cubes and wheels are found in gen's labelling, and
     complete graphs and cycles in any (a cycle's bound, the rainbow
     colouring of g, needs no order)."""
@@ -587,8 +586,8 @@ def _detect_family(g: Graph):
     if n >= 5 and g.degree(n - 1) == n - 1 and all(g.degree(v) == 3 for v in range(n - 1)):
         if g.edges == wheel(n - 1).edges:
             return ("wheel", n - 1, identity)
-    classes = sorted(_twin_classes(g), key=len)
-    if len(classes) < 2 or 2 * g.e != n * n - sum(len(c) ** 2 for c in classes):
+    classes = _multipartite_classes(g)
+    if classes is None:
         return None
     kind = "complete_bipartite" if len(classes) == 2 else "complete_multipartite"
     return (kind, tuple(map(len, classes)), tuple(v for c in classes for v in c))

@@ -138,6 +138,52 @@ def brute_is_k_connected(g: Graph, k: int) -> bool:
     return True
 
 
+def brute_on_a_cycle(g: Graph, v: int) -> bool:
+    """Definitional check: v lies on a cycle iff, for some edge vw, a BFS
+    from v that never takes that edge still reaches w."""
+    for w, eid in g.adjacency[v]:
+        seen = {v}
+        queue = [v]
+        for x in queue:
+            for y, e in g.adjacency[x]:
+                if e != eid and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if w in seen:
+            return True
+    return False
+
+
+def random_pieced_graph(rng: random.Random, n: int) -> Graph:
+    """A graph on n vertices made of pieces under a random relabelling:
+    cycles with chords, trees and single vertices. Each piece after the
+    first is left apart, glued to the graph at a shared vertex, hung on it
+    by a bridge, or joined to it by two edges, so the result may be
+    disconnected and have cut vertices, bridges and pendant trees."""
+    edges = set()
+    placed = 0
+    while placed < n:
+        kind = rng.choice(("cycle", "cycle", "cycle", "tree", "vertex"))
+        size = 1 if kind == "vertex" else min(n - placed, rng.randint(1, 8))
+        fresh = list(range(placed, placed + size))
+        join = rng.choice(("apart", "glue", "bridge", "two edges")) if placed else "apart"
+        piece = [rng.randrange(placed)] + fresh if join == "glue" else fresh
+        if kind == "cycle" and len(piece) >= 3:
+            edges.update(zip(piece, piece[1:] + piece[:1]))
+            for _ in range(rng.randrange(len(piece))):
+                edges.add(tuple(rng.sample(piece, 2)))
+        else:  # a tree, one vertex alone included
+            edges.update((piece[rng.randrange(i)], piece[i]) for i in range(1, len(piece)))
+        if join == "bridge":
+            edges.add((rng.randrange(placed), rng.choice(fresh)))
+        elif join == "two edges":
+            edges.update(((rng.randrange(placed), fresh[0]), (rng.randrange(placed), fresh[-1])))
+        placed += len(fresh)
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph(n, tuple({tuple(sorted((label[a], label[b]))) for a, b in edges}))
+
+
 _ALL_CYCLES = {}  # (n, edges) -> _list_all_cycles(g); the tests reuse a few graphs often
 
 

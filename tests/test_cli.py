@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import shlex
 from dataclasses import replace
 from pathlib import Path
@@ -70,6 +71,30 @@ class TestDocument:
         assert c.colour_of[g.edge_id(1, 2)] == 5
         assert c.colour_of[g.edge_id(0, 1)] == 6
         assert c.colour_of[g.edge_id(0, 2)] == 7
+        # a canonical document (its colours taken as written) and a copy
+        # with the edges shuffled and each pair reversed (its colours
+        # remapped) parse to equal colourings and witnesses
+        for c in (cons.colour_wheel(6, 2), cons.colour_join_rxk(2, 3)):
+            payload = json.loads(emit(document_from_graph(c.graph, c)))
+            order = random.Random(c.graph.e).sample(range(c.graph.e), c.graph.e)
+            foreign = dict(payload, edges=[payload["edges"][i][::-1] for i in order])
+            foreign["colouring"] = dict(payload["colouring"], colours=[
+                payload["colouring"]["colours"][i] for i in order])
+            assert foreign["edges"] != payload["edges"]
+            canonical, shuffled = parse(json.dumps(payload)), parse(json.dumps(foreign))
+            assert canonical == shuffled == document_from_graph(c.graph, c)
+            assert canonical.colouring.witnesses == shuffled.colouring.witnesses == c.witnesses
+
+    @pytest.mark.parametrize("bad", [[True, 1], [0, 1.0], [0, 1, 2], "0 1", 3],
+                             ids=["bool", "float", "three items", "string", "int"])
+    @pytest.mark.parametrize("at", [0, 2, 4], ids=["first", "middle", "last"])
+    def test_bad_edge_entry_is_named(self, bad, at):
+        # wherever it stands, the message names the first bad entry
+        edges = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        edges.insert(at, bad)
+        with pytest.raises(InvalidParameter) as exc:
+            parse(json.dumps({"n": 4, "edges": edges}))
+        assert str(exc.value) == f"bad edge entry {bad!r}"
 
     def test_round_trip_with_witnesses(self):
         for c in (cons.colour_wheel(6, 2), cons.colour_join_rxk(2, 3)):

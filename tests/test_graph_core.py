@@ -5,11 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    brute_all_cycles,
     brute_colex_cover_pass,
     brute_hamilton_cycles,
     brute_is_k_connected,
     brute_lex_shortest_path,
+    brute_on_a_cycle,
     random_connected_graph,
+    random_pieced_graph,
     theta,
     two_triangles,
 )
@@ -639,8 +642,6 @@ class TestFamilyMembership:
         assert b.used == 5_652
 
     def test_matches_brute(self, corpus):
-        from conftest import brute_all_cycles
-
         for name, g in corpus:
             if g.n > 8:
                 continue
@@ -650,6 +651,57 @@ class TestFamilyMembership:
                                for s in itertools.combinations(range(g.n), k))
                 assert in_family_Fk(g, k) == expected, (name, k)
 
+    def test_f1_and_f2_match_independent_oracles(self):
+        # beyond the n <= 8 corpus: 250 graphs on 1 to 30 vertices, pieced
+        # from cycles, trees and lone vertices, some disconnected, some
+        # joined by bridges or at cut vertices
+        rng = random.Random(38)
+        seen = set()
+        for _ in range(250):
+            g = random_pieced_graph(rng, rng.randint(1, 30))
+            f1 = all(brute_on_a_cycle(g, v) for v in range(g.n))
+            f2 = brute_is_k_connected(g, 2)
+            assert in_family_Fk(g, 1) == f1, g
+            assert is_k_connected(g, 2) == in_family_Fk(g, 2) == f2, g
+            seen.add((f1, f2, 0 in map(g.degree, range(g.n))))
+        # every answer, and isolated vertices, came up
+        assert {(False, False, True), (False, False, False), (True, False, False),
+                (True, True, False)} <= seen
+
+    @pytest.mark.parametrize("sizes", [(7, 7, 7), (8, 8, 8, 8, 8)],
+                             ids=["K_7,7,7", "K_8,8,8,8,8"])
+    def test_complete_multipartite_needs_no_hamilton_search(self, sizes):
+        # no class holds more than n/2 vertices, so the graph is Hamiltonian
+        # and in every F_k; the shortcut's search ran out of its 2 M nodes
+        # on both (2,000,213 nodes on K_{7,7,7} and 2,000,699 on K_{8,8,8,8,8})
+        b = Budget()
+        assert in_family_Fk(gen.complete_multipartite(sizes), 3, b)
+        assert b.used == 0
+
+    def test_complete_multipartite_matches_brute(self):
+        # every class-size tuple with n <= 7, K_n included, at k = 3..n,
+        # in the generator's labelling and in a shuffled one
+        def sizes_summing_to(n, least):
+            for first in range(least, n // 2 + 1):
+                for rest in sizes_summing_to(n - first, first):
+                    yield (first, *rest)
+            yield (n,)
+
+        rng = random.Random(9)
+        for n in range(3, 8):
+            for sizes in sizes_summing_to(n, 1):
+                if len(sizes) < 2:
+                    continue
+                g = gen.complete_multipartite(sizes)
+                label = rng.sample(range(n), n)
+                shuffled = Graph(n, tuple((label[u], label[v]) for u, v in g.edges))
+                for h in (g, shuffled):
+                    cycles = brute_all_cycles(h)
+                    for k in range(3, n + 1):
+                        expected = all(any(set(s) <= verts for verts, _ in cycles)
+                                       for s in itertools.combinations(range(n), k))
+                        assert in_family_Fk(h, k) == expected, (sizes, k)
+
     def test_monotone_in_k(self, corpus):
         for name, g in corpus:
             for k in range(2, min(g.n, 5) + 1):
@@ -657,8 +709,6 @@ class TestFamilyMembership:
                     assert in_family_Fk(g, k - 1), (name, k)
 
     def test_cycle_through_matches_brute(self, corpus):
-        from conftest import brute_all_cycles
-
         rng = random.Random(3)
         for name, g in corpus:
             if g.n > 8:
@@ -761,12 +811,14 @@ class TestBudgets:
 
     def test_spent_budget_reaches_the_family_shortcut(self):
         # the F_3 Hamilton shortcut gets the nodes left, clamped at 0 on a
-        # budget that has run out; the caller's budget then raises
+        # budget that has run out; the caller's budget then raises. W_5 is
+        # Hamiltonian but not complete multipartite, so it reaches the
+        # shortcut (K_5 is settled with no node before it)
         b = Budget(0)
         with pytest.raises(BudgetExceeded):
             b.spend()
         with pytest.raises(BudgetExceeded):
-            in_family_Fk(gen.complete(5), 3, b)
+            in_family_Fk(gen.wheel(5), 3, b)
 
     def test_hamilton_budget(self):
         with pytest.raises(BudgetExceeded):

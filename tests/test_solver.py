@@ -214,8 +214,11 @@ class TestCrxExact:
 
     @pytest.mark.parametrize("index, g, k, value, colours, nodes", [
         ("crx", gen.wheel(5), 2, 5, (0, 0, 1, 0, 2, 3, 2, 4, 0, 1), 107),
-        # K_5 at k = 3 includes 5 nodes of the F_3 precheck's Hamilton shortcut
-        ("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 152),
+        # K_5 at k = 3: its F_3 precheck needs no node, as K_5 is complete
+        # multipartite (152 with the 5 nodes of the Hamilton shortcut, kept
+        # in its id)
+        pytest.param("crx", gen.complete(5), 3, 4, (0, 0, 1, 1, 2, 0, 1, 3, 3, 2), 147,
+                     id="crx-g1-3-4-colours1-152"),
         ("rx", gen.complete_bipartite(2, 5), 2, 3, (0, 0, 0, 1, 1, 0, 1, 2, 0, 1), 522),
         ("crx", gen.complete_bipartite(3, 4), 2, 4, (0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1), 3_547),
         # includes a refuted r = 4 pass
