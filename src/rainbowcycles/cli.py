@@ -3,13 +3,25 @@
 Documents flow through stdin/stdout as JSON, so commands compose into
 pipelines. Exit codes: 0 certified/solved, 1 counterexample found,
 2 budget exhausted or regime unsupported (or a schema error).
+
+Arguments are read from one table per command (``_COMMANDS``, under
+``_TOP`` for -i/-o): its positionals and each option's flags, dest,
+converter or choices, default, required flag and help. ``main`` reads an
+argv with them in one pass and builds no parser, so repeated in-process
+calls pay only for the reading. Every argv is read as argparse read it:
+``--opt value`` and ``--opt=value``, ``-ovalue``, a unique prefix of a long
+flag (looked up only when the exact flag misses), negative numbers as
+values, the last of repeated options, and "--" before positional texts. An
+argv argparse refused exits 2 with a ``usage:`` and an ``error:`` line on
+stderr; -h/--help prints the usage and option list and exits 0.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
 
 from . import constructions as cons
 from . import generators as gen
@@ -276,61 +288,311 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rainbowcycles",
-        description="Construct, verify and exactly solve k-rainbow cycle colourings.",
-    )
-    parser.add_argument("--input", "-i", default="-", help="input document (default stdin)")
-    parser.add_argument("--output", "-o", default="-", help="output file (default stdout)")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Arg:
+    """One row of a command's table: an option when it has flags, else a
+    positional. ``convert`` turns a text into the value, None marking a flag
+    that takes no text and stores True. ``nargs`` is "1", "*" (the texts up
+    to the next option) or "..." (a command's name and every text after it,
+    which that command's table reads)."""
 
-    p = sub.add_parser("gen", help="generate a named graph family")
-    p.add_argument("family", choices=sorted(_FAMILIES))
-    p.add_argument("params", nargs="*", help="key=value parameters, e.g. n=5 or sizes=1,2,3")
+    __slots__ = ("flags", "dest", "convert", "choices", "default", "required", "help", "nargs")
 
-    p = sub.add_parser("colour", help="apply a named colouring construction")
-    p.add_argument("construction")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--attempts", type=int, default=500)
-    p.add_argument("--regime", default="auto", help="bipartite regime override")
-    p.add_argument("--block", type=int, default=None, help="K for cube-recursive")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--no-verify", action="store_true")
-
-    p = sub.add_parser("verify", help="verify a coloured document")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--index", choices=("crx", "rx"), default="crx")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted and ignored: verification runs in this process")
-
-    p = sub.add_parser("solve", help="compute crx/rx exactly or as an interval")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--index", choices=("crx", "rx"), default="crx")
-    p.add_argument("--mode", choices=("exact", "interval"), default="exact")
-    p.add_argument("--budget", type=int, default=None,
-                   help=f"search nodes (default {solver.DEFAULT_EXACT_BUDGET:,} in exact "
-                        f"mode, {gr.DEFAULT_BUDGET:,} in interval mode)")
-    p.add_argument("--seed", type=int, default=None)
-
-    p = sub.add_parser("analyze", help="structural report: blocks, girth, F_k, ...")
-    p.add_argument("--budget", type=int, default=None)
-
-    p = sub.add_parser("export-dot", help="emit DOT with display colours")
-    return parser
+    def __init__(self, flags: tuple, dest: str, convert=str, choices=None, default=None,
+                 required=False, help="", nargs="1"):
+        self.flags, self.dest, self.convert, self.choices = flags, dest, convert, choices
+        self.default, self.required, self.help, self.nargs = default, required, help, nargs
 
 
-_PARSER = None  # build_parser(), made by the first call of main and reused
+_HELP = _Arg(("-h", "--help"), "help", None, help="show this help message and exit")
+
+# the texts each kind of positional takes, as a pattern over the kinds of the
+# texts from where it starts: A a positional text, O an option, - the "--"
+# after which every text is positional
+_NARGS = {"1": "(-*A-*)", "*": "(-*[A-]*)", "...": "(-*A[-AO]*)"}
+
+
+class _Table:
+    """A command's rows and the lookups built from them once: ``flags`` maps
+    each flag, -h and --help included, to its row; ``prefixes`` maps each
+    proper prefix of a long flag to (row, flag), or to None where it starts
+    more than one long flag; ``patterns[r]`` matches the last r positionals,
+    then fewer of them, as argparse tried them."""
+
+    def __init__(self, prog: str, help: str, *args: _Arg):
+        self.prog, self.help, self.args = prog, help, args
+        self.defaults = {row.dest: row.default for row in args}
+        self.required = tuple(row for row in args if row.required)
+        self.positionals = tuple(row for row in args if not row.flags)
+        self.flags, self.prefixes = {}, {}
+        for row in (_HELP,) + args:
+            for flag in row.flags:
+                self.flags[flag] = row
+                if flag.startswith("--"):
+                    for end in range(2, len(flag)):
+                        prefix = flag[:end]
+                        self.prefixes[prefix] = None if prefix in self.prefixes else (row, flag)
+        self.patterns = {
+            r: [re.compile("".join(_NARGS[row.nargs] for row in self.positionals[-r:][:m]))
+                for m in range(r, 0, -1)]
+            for r in range(1, len(self.positionals) + 1)
+        }
+
+
+def _opt(flag, dest, convert=int, **kw) -> _Arg:
+    return _Arg((flag,), dest, convert, **kw)
+
+
+_K = _opt("--k", "k", required=True,
+         help="every k vertices lie on a rainbow cycle, or on a rainbow tree for --index rx")
+_INDEX = _opt("--index", "index", str, choices=("crx", "rx"), default="crx",
+              help="crx, rainbow cycles, or rx, rainbow trees (default crx)")
+_BUDGET = _opt("--budget", "budget",
+               help=f"search nodes at most (default {gr.DEFAULT_BUDGET:,})")
+
+_COMMANDS = {table.prog.split()[1]: table for table in (
+    _Table("rainbowcycles gen", "generate a named graph family",
+           _Arg((), "family", choices=tuple(sorted(_FAMILIES)), help="the graph family"),
+           _Arg((), "params", nargs="*", help="key=value parameters, e.g. n=5 or sizes=1,2,3")),
+    _Table("rainbowcycles colour", "apply a named colouring construction",
+           _Arg((), "construction", help="the construction's name"),
+           _opt("--k", "k", required=True,
+                help="the k for which the construction certifies its colouring"),
+           _opt("--seed", "seed", help="seed of a randomised construction"),
+           _opt("--attempts", "attempts", default=500,
+                help="samples a randomised construction draws at most (default 500)"),
+           _opt("--regime", "regime", str, default="auto", help="bipartite regime override"),
+           _opt("--block", "block", help="K for cube-recursive"),
+           _BUDGET,
+           _opt("--no-verify", "no_verify", None, default=False,
+                help="skip the search that certifies the colouring")),
+    _Table("rainbowcycles verify", "verify a coloured document",
+           _K, _INDEX, _BUDGET,
+           _opt("--workers", "workers", default=1,
+                help="accepted and ignored: verification runs in this process")),
+    _Table("rainbowcycles solve", "compute crx/rx exactly or as an interval",
+           _K, _INDEX,
+           _opt("--mode", "mode", str, choices=("exact", "interval"), default="exact",
+                help="an exact value, or bounds from one budget (default exact)"),
+           _opt("--budget", "budget",
+                help=f"search nodes (default {solver.DEFAULT_EXACT_BUDGET:,} in exact "
+                     f"mode, {gr.DEFAULT_BUDGET:,} in interval mode)"),
+           _opt("--seed", "seed", help="seed of the interval mode's upper bound (default 0)")),
+    _Table("rainbowcycles analyze", "structural report: blocks, girth, F_k, ...",
+           _opt("--budget", "budget",
+                help=f"search nodes for the whole report (default {gr.DEFAULT_BUDGET:,})")),
+    _Table("rainbowcycles export-dot", "emit DOT with display colours"),
+)}
+
+_TOP = _Table(
+    "rainbowcycles", "Construct, verify and exactly solve k-rainbow cycle colourings.",
+    _Arg(("-i", "--input"), "input", default="-", help="input document (default stdin)"),
+    _Arg(("-o", "--output"), "output", default="-", help="output file (default stdout)"),
+    _Arg((), "command", choices=_COMMANDS, nargs="..."),
+)
+# a negative number is a positional text, since no flag looks like one
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _Refused(Exception):
+    """An argv that a table refuses; main prints it under that table's
+    usage and exits 2."""
+
+    def __init__(self, table: _Table, message: str):
+        super().__init__(message)
+        self.table = table
+
+
+def _name(row: _Arg) -> str:
+    return "/".join(row.flags) or row.dest
+
+
+def _metavar(row: _Arg) -> str:
+    if row.choices is not None:
+        return "{" + ",".join(row.choices) + "}"
+    return row.dest.upper() if row.flags else row.dest
+
+
+def _usage(table: _Table) -> str:
+    words = [table.prog]
+    for row in (_HELP,) + table.args:
+        shown = _metavar(row)
+        if row.flags:
+            shown = row.flags[0] if row.convert is None else f"{row.flags[0]} {shown}"
+            words.append(shown if row.required else f"[{shown}]")
+        else:
+            words.append({"1": shown, "*": f"[{shown} ...]", "...": f"{shown} ..."}[row.nargs])
+    return "usage: " + " ".join(words) + "\n"
+
+
+def _help(table: _Table) -> str:
+    """The usage, then one line per positional (per command, for the
+    command) and per option with its help text."""
+    positionals, options = [], []
+    for row in (_HELP,) + table.args:
+        if row.flags:
+            shown = ", ".join(row.flags)
+            options.append((shown if row.convert is None else f"{shown} {_metavar(row)}",
+                            row.help))
+        elif row.nargs == "...":
+            positionals += [(name, sub.help) for name, sub in row.choices.items()]
+        else:
+            shown = f" ({', '.join(row.choices)})" if row.choices else ""
+            positionals.append((row.dest, row.help + shown))
+    width = max(len(left) for left, _ in positionals + options) + 2
+    text = _usage(table) + f"\n{table.help}\n"
+    for title, lines in (("positional arguments", positionals), ("options", options)):
+        if lines:
+            text += f"\n{title}:\n" + "".join(f"  {left:{width}}{right}".rstrip() + "\n"
+                                                for left, right in lines)
+    return text
+
+
+def _classify(table: _Table, text: str):
+    """How ``table`` reads ``text``, as argparse did: None for a positional
+    text, else (row, flag, the text attached to the flag or None), with row
+    None for an option the table does not have."""
+    if not text or text[0] != "-":
+        return None
+    row = table.flags.get(text)
+    if row is not None:
+        return row, text, None
+    if len(text) == 1:
+        return None
+    head, eq, attached = text.partition("=")
+    if eq and head in table.flags:
+        return table.flags[head], head, attached
+    if text[1] == "-":
+        if head in table.prefixes:
+            hit = table.prefixes[head]
+            if hit is None:
+                matches = ", ".join(f for f in table.flags if f.startswith(head))
+                raise _Refused(table, f"ambiguous option: {text} could match {matches}")
+            return hit[0], hit[1], attached if eq else None
+    elif text[:2] in table.flags:
+        # a short flag with its text attached: -ifile
+        return table.flags[text[:2]], text[:2], text[2:]
+    elif _NEGATIVE.match(text):
+        return None
+    return None if " " in text else (None, text, None)
+
+
+def _convert(table: _Table, row: _Arg, text: str):
+    try:
+        value = row.convert(text)
+    except ValueError:
+        raise _Refused(table, f"argument {_name(row)}: invalid "
+                              f"{row.convert.__name__} value: {text!r}") from None
+    if row.choices is not None and value not in row.choices:
+        raise _Refused(table, f"argument {_name(row)}: invalid choice: {value!r} "
+                              f"(choose from {', '.join(map(repr, row.choices))})")
+    return value
+
+
+def _value(table: _Table, row: _Arg, texts: list):
+    """The value of ``row`` from its texts, the first "--" among them
+    dropped: one value, or a list when the row takes many texts or when no
+    text is left."""
+    if "--" in texts:
+        texts.remove("--")
+    if len(texts) == 1 and row.nargs == "1":
+        return _convert(table, row, texts[0])
+    return [_convert(table, row, text) for text in texts]
+
+
+def _read(table: _Table, argv: list, ns: dict) -> list:
+    """Read argv into ns with ``table`` as argparse did, a command's texts
+    with its own table. Return the texts no row took; raise _Refused for an
+    argv argparse refused. -h or --help prints the table's help and exits 0
+    once the reading reaches it."""
+    ns.update(table.defaults)
+    n = len(argv)
+    cut = argv.index("--") if "--" in argv else n
+    kinds = [_classify(table, text) for text in argv[:cut]]
+    pending, pattern = table.positionals, None
+    seen, extra, i = set(), [], 0
+    while i < n:
+        kind = kinds[i] if i < cut else None
+        if kind is None:
+            match = None
+            if pending:
+                # as many of the pending positionals as the texts from here fit
+                if pattern is None:
+                    pattern = "".join(["A" if k is None else "O" for k in kinds])
+                    if cut < n:
+                        pattern += "-" + "A" * (n - cut - 1)
+                for regex in table.patterns[len(pending)]:
+                    match = regex.match(pattern, i)
+                    if match:
+                        break
+            if match:
+                groups = match.groups()
+                for row, group in zip(pending, groups):
+                    texts = argv[i:i + len(group)]
+                    i += len(group)
+                    if row.nargs == "...":
+                        command = _convert(table, row, texts[0])
+                        ns[row.dest] = command
+                        extra += _read(row.choices[command], texts[1:], ns)
+                    else:
+                        ns[row.dest] = _value(table, row, texts)
+                pending = pending[len(groups):]
+                continue
+            j = next((j for j in range(i, cut) if kinds[j] is not None), n)
+            extra += argv[i:j]
+            i = j
+            continue
+        row, flag, attached = kind
+        if row is None:
+            extra.append(argv[i])
+            i += 1
+            continue
+        taken = []
+        while True:
+            if attached is None:
+                if row.convert is None:
+                    taken.append((row, None))
+                    i += 1
+                elif i + 1 < cut and kinds[i + 1] is None:
+                    taken.append((row, argv[i + 1]))
+                    i += 2
+                else:
+                    raise _Refused(table, f"argument {_name(row)}: expected one argument")
+                break
+            if row.convert is not None:
+                taken.append((row, attached))
+                i += 1
+                break
+            # a flag that takes no text, with more attached: -hi is -h -i
+            if flag[1] == "-" or not attached or "-" + attached[0] not in table.flags:
+                raise _Refused(table, f"argument {_name(row)}: ignored explicit argument "
+                                      f"{attached!r}")
+            taken.append((row, None))
+            flag, attached = "-" + attached[0], attached[1:] or None
+            row = table.flags[flag]
+        for row, text in taken:
+            seen.add(row)
+            if row is _HELP:
+                sys.stdout.write(_help(table))
+                raise SystemExit(0)
+            ns[row.dest] = True if row.convert is None else _value(table, row, [text])
+    if pending or not seen.issuperset(table.required):
+        missing = [_name(row) for row in table.args
+                   if row in pending or (row.required and row not in seen)]
+        raise _Refused(table, "the following arguments are required: " + ", ".join(missing))
+    return extra
 
 
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
-    # looked up at each call, so a cmd_* replaced after the parser was built runs
+    ns = {}
+    try:
+        extra = _read(_TOP, sys.argv[1:] if argv is None else list(argv), ns)
+        if extra:
+            raise _Refused(_TOP, "unrecognized arguments: " + " ".join(extra))
+    except _Refused as exc:
+        sys.stderr.write(f"{_usage(exc.table)}{exc.table.prog}: error: {exc}\n")
+        raise SystemExit(2) from None
+    args = SimpleNamespace(**ns)
+    # looked up at each call, so a cmd_* replaced after import runs
     fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return fn(args)

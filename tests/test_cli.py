@@ -1,18 +1,24 @@
+import argparse
 import io
 import json
 import random
 import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import loaded_by_cli_import
 from rainbowcycles import cli
 from rainbowcycles import constructions as cons
 from rainbowcycles import generators as gen
 from rainbowcycles import graph as gr
-from rainbowcycles.cli import build_parser, main
+from rainbowcycles import solver
+from rainbowcycles.cli import main
 from rainbowcycles.colouring import (
     CycleWitness,
     EdgeColouring,
@@ -387,9 +393,11 @@ class TestPipelines:
         g = gen.wheel(6)
         doc_text = emit(document_from_graph(g, colouring(g)))
         one = run_cli(["verify", "--k", "2"], doc_text, monkeypatch, capsys)
-        two = run_cli(["verify", "--k", "2", "--workers", "2"], doc_text, monkeypatch, capsys)
         assert one[0] == code
-        assert one[:2] == two[:2]
+        # the refute benchmark passes --workers 2, so every spelling of it parses
+        for workers in (["--workers", "2"], ["--workers=2"], ["--w", "2"]):
+            two = run_cli(["verify", "--k", "2", *workers], doc_text, monkeypatch, capsys)
+            assert one[:2] == two[:2]
 
     def test_unsupported_regime_exit_2(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(
@@ -812,16 +820,173 @@ class TestDocumentCovers:
         assert not check_cover(flipped.colouring, k, flipped.colouring.witnesses)
 
 
-class TestCachedParser:
-    """main builds its parser once per process; no option of one call may
-    reach a later one."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser the CLI was read with before its option tables:
+    the reference that main's reading of an argv is checked against."""
+    parser = argparse.ArgumentParser(
+        prog="rainbowcycles",
+        description="Construct, verify and exactly solve k-rainbow cycle colourings.",
+    )
+    parser.add_argument("--input", "-i", default="-", help="input document (default stdin)")
+    parser.add_argument("--output", "-o", default="-", help="output file (default stdout)")
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    def test_one_parser_serves_every_call(self, monkeypatch, capsys):
-        run_cli(["gen", "cycle", "n=4"], "", monkeypatch, capsys)
-        parser = cli._PARSER
-        run_cli(["gen", "wheel", "n=4"], "", monkeypatch, capsys)
-        assert cli._PARSER is parser
-        assert parser.format_help() == build_parser().format_help()
+    p = sub.add_parser("gen", help="generate a named graph family")
+    p.add_argument("family", choices=sorted(cli._FAMILIES))
+    p.add_argument("params", nargs="*", help="key=value parameters, e.g. n=5 or sizes=1,2,3")
+
+    p = sub.add_parser("colour", help="apply a named colouring construction")
+    p.add_argument("construction")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--attempts", type=int, default=500)
+    p.add_argument("--regime", default="auto", help="bipartite regime override")
+    p.add_argument("--block", type=int, default=None, help="K for cube-recursive")
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--no-verify", action="store_true")
+
+    p = sub.add_parser("verify", help="verify a coloured document")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--index", choices=("crx", "rx"), default="crx")
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and ignored: verification runs in this process")
+
+    p = sub.add_parser("solve", help="compute crx/rx exactly or as an interval")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--index", choices=("crx", "rx"), default="crx")
+    p.add_argument("--mode", choices=("exact", "interval"), default="exact")
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"search nodes (default {solver.DEFAULT_EXACT_BUDGET:,} in exact "
+                        f"mode, {gr.DEFAULT_BUDGET:,} in interval mode)")
+    p.add_argument("--seed", type=int, default=None)
+
+    p = sub.add_parser("analyze", help="structural report: blocks, girth, F_k, ...")
+    p.add_argument("--budget", type=int, default=None)
+
+    p = sub.add_parser("export-dot", help="emit DOT with display colours")
+    return parser
+
+
+_REFERENCE = build_parser()
+_SUBPARSERS = next(a for a in _REFERENCE._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _outcome(read, argv):
+    """(("args", vars of the namespace) or ("exit", code), stdout, stderr)
+    of read(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = ("args", vars(read(list(argv))))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+def _main_args(argv):
+    """The namespace main hands its command for argv, every command
+    replaced by a stub that keeps it."""
+    kept = []
+    stubs = {name: (lambda args: kept.append(args) or 0)
+             for name in vars(cli) if name.startswith("cmd_")}
+    with mock.patch.dict(vars(cli), stubs):
+        main(argv)
+    return kept[0]
+
+
+def _assert_read_as_reference(argv):
+    """main reads argv into the namespace the reference parser gives, or
+    exits as it does: 2 with a usage and an error line on stderr, or 0
+    after printing a usage for -h/--help."""
+    expected, _, _ = _outcome(_REFERENCE.parse_args, argv)
+    got, out, err = _outcome(_main_args, argv)
+    assert got == expected, argv
+    if expected == ("exit", 2):
+        usage, error = err.splitlines()[:2]
+        assert usage.startswith("usage: rainbowcycles") and ": error: " in error and not out
+    elif expected == ("exit", 0):
+        assert out.startswith("usage: rainbowcycles") and not err
+
+
+_LONG_FLAGS = sorted({flag for p in [_REFERENCE, *_SUBPARSERS.values()]
+                      for flag in p._option_string_actions if flag.startswith("--")})
+_VALUES = ["2", "-3", "0", "1.5", "+4", " 5", "x", "", "-", "--", "-x", "crx", "exact", "auto",
+           "doc.json", "n=5"]
+_WORDS = ["cycle", "wheel", "bogus", "n=5", "sizes=1,2", "-5", "-", "--", "-x", "-ix", "-hi",
+          "-hh", "-h=x", "--=x", "---k", "-x y", "-i f"]
+
+
+@st.composite
+def _option(draw, parser, flag, value):
+    """parser's option flag with value: spelled in full or as a unique
+    prefix, the value separate or after "=" (value None: a flag alone)."""
+    prefixes = [flag[:end] for end in range(3, len(flag) + 1)
+                if [f for f in parser._option_string_actions if f.startswith(flag[:end])] == [flag]]
+    spelled = draw(st.sampled_from(prefixes or [flag]))
+    if value is None:
+        return [spelled]
+    return draw(st.sampled_from([[spelled, value], [f"{spelled}={value}"]]))
+
+
+@st.composite
+def _noise(draw):
+    """A text or an option of any command, in any form, with any value."""
+    flag = draw(st.sampled_from(_LONG_FLAGS + ["-i", "-o", "-h"]))
+    if flag.startswith("--") and draw(st.booleans()):
+        flag = flag[:draw(st.integers(2, len(flag)))]
+    value = draw(st.sampled_from(_VALUES))
+    return draw(st.sampled_from([[flag, value], [f"{flag}={value}"], [flag + value], [flag],
+                                 [draw(st.sampled_from(_WORDS))]]))
+
+
+@st.composite
+def _argvs(draw):
+    """-i/-o before a command, or none; then the command's positionals and
+    options with values of their type, the last of a repeated one winning,
+    in any order; then maybe misplaced, unknown or ill-formed texts."""
+    argv = draw(st.sampled_from([[], ["-i", "doc.json"], ["-o", "out"], ["--input=x"], ["-ix"],
+                                 ["--out", "y"], ["--in", "-"], ["-i", "a", "-o", "b"]]))
+    command = draw(st.sampled_from([*_SUBPARSERS] * 3 + ["bogus", "-i"]))
+    argv.append(command)
+    parser = _SUBPARSERS.get(command)
+    parts = [{"gen": [draw(st.sampled_from(sorted(cli._FAMILIES))), "n=5"],
+              "colour": ["wheel"]}.get(command, [])]
+    for action in parser._actions[1:] if parser else []:
+        if not action.option_strings:
+            continue
+        times = draw(st.sampled_from([1, 1, 2] if action.required else [0, 0, 1, 2]))
+        for _ in range(times):
+            if action.nargs == 0:
+                value = None
+            elif action.choices:
+                value = draw(st.sampled_from(action.choices))
+            elif action.type is int:
+                value = str(draw(st.integers(-3, 20)))
+            else:
+                value = draw(st.sampled_from(["auto", "four", "-1"]))
+            parts.append(draw(_option(parser, action.option_strings[0], value)))
+    parts = draw(st.permutations(parts))
+    for noise in draw(st.lists(_noise(), max_size=2)):
+        parts.insert(draw(st.integers(0, len(parts))), noise)
+    return argv + [text for part in parts for text in part]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+@example(["verify"])  # --k missing
+@example(["colour", "wheel", "--b", "3"])  # a prefix of --block and of --budget
+@example(["gen", "cycle", "--", "n=4", "--"])
+@example(["colour", "--k=--", "--", "wheel"])
+@example(["-hi", "doc.json", "gen", "cycle"])  # -h and -i in one text
+def test_argv_read_as_the_reference_parser_reads_it(argv):
+    _assert_read_as_reference(argv)
+
+
+class TestCachedParser:
+    """main reads each argv from its option tables alone; no option of one
+    call may reach a later one."""
 
     def test_command_is_looked_up_per_call(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
@@ -867,13 +1032,35 @@ class TestCachedParser:
         with pytest.raises(SystemExit) as exc:
             main(["--help"])
         assert exc.value.code == 0
-        assert capsys.readouterr().out == build_parser().format_help()
+        out = capsys.readouterr().out
+        assert out.startswith("usage: rainbowcycles [-h] [-i INPUT] [-o OUTPUT]")
+        for name in _SUBPARSERS:
+            assert f"\n  {name} " in out
         code, out, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
         assert code == 0 and json.loads(out)["n"] == 5
 
+    @pytest.mark.parametrize("command", list(_SUBPARSERS))
+    def test_command_help_names_every_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith(f"usage: rainbowcycles {command} [-h]")
+        for action in _SUBPARSERS[command]._actions:
+            if not action.option_strings:
+                continue
+            flag = max(action.option_strings, key=len)
+            row = cli._COMMANDS[command].flags[flag]
+            # the line whose first column, before its help, names the flag
+            line = next(line for line in lines if line.startswith("  ")
+                        and flag in line[2:].split("  ")[0].replace(",", "").split())
+            assert row.help and line.endswith(row.help)
+            if action.help:
+                assert action.help in line
+
     def test_parse_matches_a_fresh_parser(self, monkeypatch, capsys):
-        # main's parser, after each parse before it, reads each argv as a
-        # parser that has parsed nothing does
+        # after a call before it, main reads each argv as the reference
+        # parser does
         run_cli(["gen", "cycle", "n=4"], "", monkeypatch, capsys)
         for argv in (["verify", "--k", "2"],
                      ["-i", "doc.json", "verify", "--k", "3", "--index", "rx", "--budget", "9"],
@@ -883,7 +1070,7 @@ class TestCachedParser:
                      ["solve", "--k", "2"],
                      ["gen", "complete-multipartite", "sizes=1,2"],
                      ["gen", "petersen"]):
-            assert vars(cli._PARSER.parse_args(argv)) == vars(build_parser().parse_args(argv))
+            assert vars(_main_args(argv)) == vars(_REFERENCE.parse_args(argv))
 
 
 def _readme_pipelines():
@@ -916,6 +1103,11 @@ def test_readme_pipelines_exit_0(monkeypatch, capsys):
 def test_cli_import_does_not_load_multiprocessing():
     # verification runs in one process
     assert not loaded_by_cli_import("multiprocessing")
+
+
+def test_cli_import_does_not_load_argparse():
+    # main reads its arguments from the option tables in cli
+    assert not loaded_by_cli_import("argparse")
 
 
 # the reports of README's pipelines, in order, as they decode
