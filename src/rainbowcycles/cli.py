@@ -7,19 +7,20 @@ pipelines. Exit codes: 0 certified/solved, 1 counterexample found,
 Arguments are read from one table per command (``_COMMANDS``, under
 ``_TOP`` for -i/-o): its positionals and each option's flags, dest,
 converter or choices, default, required flag and help. ``main`` reads an
-argv with them in one pass and builds no parser, so repeated in-process
-calls pay only for the reading. Every argv is read as argparse read it:
-``--opt value`` and ``--opt=value``, ``-ovalue``, a unique prefix of a long
-flag (looked up only when the exact flag misses), negative numbers as
-values, the last of repeated options, and "--" before positional texts. An
-argv argparse refused exits 2 with a ``usage:`` and an ``error:`` line on
-stderr; -h/--help prints the usage and option list and exits 0.
+argv in one of two ways. ``_read`` takes an argv made of a command name,
+exact flags of its table (``--k 2`` or ``--k=2``) and positional texts, no
+value or positional starting with "-": every README pipeline stage, and
+on these argv argparse reads each text as written. Every other argv goes
+to an argparse parser built from the same tables on first need: -h/--help,
+refusals (exit 2 with a ``usage:`` and an ``error:`` line on stderr), a
+unique prefix of a long flag, ``-ovalue``, "--", negative values. It also
+refuses an option value read as a list (``--k=--``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import re
 import sys
 from types import SimpleNamespace
 
@@ -291,51 +292,27 @@ def cmd_export_dot(args) -> int:
 class _Arg:
     """One row of a command's table: an option when it has flags, else a
     positional. ``convert`` turns a text into the value, None marking a flag
-    that takes no text and stores True. ``nargs`` is "1", "*" (the texts up
-    to the next option) or "..." (a command's name and every text after it,
-    which that command's table reads)."""
+    that takes no text and stores True. ``nargs`` is None for one text, or
+    "*" for a positional that takes every positional text left."""
 
     __slots__ = ("flags", "dest", "convert", "choices", "default", "required", "help", "nargs")
 
     def __init__(self, flags: tuple, dest: str, convert=str, choices=None, default=None,
-                 required=False, help="", nargs="1"):
+                 required=False, help="", nargs=None):
         self.flags, self.dest, self.convert, self.choices = flags, dest, convert, choices
         self.default, self.required, self.help, self.nargs = default, required, help, nargs
 
 
-_HELP = _Arg(("-h", "--help"), "help", None, help="show this help message and exit")
-
-# the texts each kind of positional takes, as a pattern over the kinds of the
-# texts from where it starts: A a positional text, O an option, - the "--"
-# after which every text is positional
-_NARGS = {"1": "(-*A-*)", "*": "(-*[A-]*)", "...": "(-*A[-AO]*)"}
-
-
 class _Table:
-    """A command's rows and the lookups built from them once: ``flags`` maps
-    each flag, -h and --help included, to its row; ``prefixes`` maps each
-    proper prefix of a long flag to (row, flag), or to None where it starts
-    more than one long flag; ``patterns[r]`` matches the last r positionals,
-    then fewer of them, as argparse tried them."""
+    """A command's rows and the lookups built from them once: ``flags``
+    maps each flag to its row (-h and --help are argparse's own)."""
 
     def __init__(self, prog: str, help: str, *args: _Arg):
         self.prog, self.help, self.args = prog, help, args
         self.defaults = {row.dest: row.default for row in args}
         self.required = tuple(row for row in args if row.required)
         self.positionals = tuple(row for row in args if not row.flags)
-        self.flags, self.prefixes = {}, {}
-        for row in (_HELP,) + args:
-            for flag in row.flags:
-                self.flags[flag] = row
-                if flag.startswith("--"):
-                    for end in range(2, len(flag)):
-                        prefix = flag[:end]
-                        self.prefixes[prefix] = None if prefix in self.prefixes else (row, flag)
-        self.patterns = {
-            r: [re.compile("".join(_NARGS[row.nargs] for row in self.positionals[-r:][:m]))
-                for m in range(r, 0, -1)]
-            for r in range(1, len(self.positionals) + 1)
-        }
+        self.flags = {flag: row for row in args for flag in row.flags}
 
 
 def _opt(flag, dest, convert=int, **kw) -> _Arg:
@@ -387,211 +364,116 @@ _TOP = _Table(
     "rainbowcycles", "Construct, verify and exactly solve k-rainbow cycle colourings.",
     _Arg(("-i", "--input"), "input", default="-", help="input document (default stdin)"),
     _Arg(("-o", "--output"), "output", default="-", help="output file (default stdout)"),
-    _Arg((), "command", choices=_COMMANDS, nargs="..."),
 )
-# a negative number is a positional text, since no flag looks like one
-_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
-class _Refused(Exception):
-    """An argv that a table refuses; main prints it under that table's
-    usage and exits 2."""
-
-    def __init__(self, table: _Table, message: str):
-        super().__init__(message)
-        self.table = table
-
-
-def _name(row: _Arg) -> str:
-    return "/".join(row.flags) or row.dest
-
-
-def _metavar(row: _Arg) -> str:
-    if row.choices is not None:
-        return "{" + ",".join(row.choices) + "}"
-    return row.dest.upper() if row.flags else row.dest
-
-
-def _usage(table: _Table) -> str:
-    words = [table.prog]
-    for row in (_HELP,) + table.args:
-        shown = _metavar(row)
-        if row.flags:
-            shown = row.flags[0] if row.convert is None else f"{row.flags[0]} {shown}"
-            words.append(shown if row.required else f"[{shown}]")
-        else:
-            words.append({"1": shown, "*": f"[{shown} ...]", "...": f"{shown} ..."}[row.nargs])
-    return "usage: " + " ".join(words) + "\n"
-
-
-def _help(table: _Table) -> str:
-    """The usage, then one line per positional (per command, for the
-    command) and per option with its help text."""
-    positionals, options = [], []
-    for row in (_HELP,) + table.args:
-        if row.flags:
-            shown = ", ".join(row.flags)
-            options.append((shown if row.convert is None else f"{shown} {_metavar(row)}",
-                            row.help))
-        elif row.nargs == "...":
-            positionals += [(name, sub.help) for name, sub in row.choices.items()]
-        else:
-            shown = f" ({', '.join(row.choices)})" if row.choices else ""
-            positionals.append((row.dest, row.help + shown))
-    width = max(len(left) for left, _ in positionals + options) + 2
-    text = _usage(table) + f"\n{table.help}\n"
-    for title, lines in (("positional arguments", positionals), ("options", options)):
-        if lines:
-            text += f"\n{title}:\n" + "".join(f"  {left:{width}}{right}".rstrip() + "\n"
-                                                for left, right in lines)
-    return text
-
-
-def _classify(table: _Table, text: str):
-    """How ``table`` reads ``text``, as argparse did: None for a positional
-    text, else (row, flag, the text attached to the flag or None), with row
-    None for an option the table does not have."""
-    if not text or text[0] != "-":
-        return None
-    row = table.flags.get(text)
-    if row is not None:
-        return row, text, None
-    if len(text) == 1:
-        return None
-    head, eq, attached = text.partition("=")
-    if eq and head in table.flags:
-        return table.flags[head], head, attached
-    if text[1] == "-":
-        if head in table.prefixes:
-            hit = table.prefixes[head]
-            if hit is None:
-                matches = ", ".join(f for f in table.flags if f.startswith(head))
-                raise _Refused(table, f"ambiguous option: {text} could match {matches}")
-            return hit[0], hit[1], attached if eq else None
-    elif text[:2] in table.flags:
-        # a short flag with its text attached: -ifile
-        return table.flags[text[:2]], text[:2], text[2:]
-    elif _NEGATIVE.match(text):
-        return None
-    return None if " " in text else (None, text, None)
-
-
-def _convert(table: _Table, row: _Arg, text: str):
-    try:
-        value = row.convert(text)
-    except ValueError:
-        raise _Refused(table, f"argument {_name(row)}: invalid "
-                              f"{row.convert.__name__} value: {text!r}") from None
+def _typed(row: _Arg, text: str):
+    """row's value for text; ValueError when the row refuses it."""
+    value = row.convert(text)
     if row.choices is not None and value not in row.choices:
-        raise _Refused(table, f"argument {_name(row)}: invalid choice: {value!r} "
-                              f"(choose from {', '.join(map(repr, row.choices))})")
+        raise ValueError(text)
     return value
 
 
-def _value(table: _Table, row: _Arg, texts: list):
-    """The value of ``row`` from its texts, the first "--" among them
-    dropped: one value, or a list when the row takes many texts or when no
-    text is left."""
-    if "--" in texts:
-        texts.remove("--")
-    if len(texts) == 1 and row.nargs == "1":
-        return _convert(table, row, texts[0])
-    return [_convert(table, row, text) for text in texts]
-
-
-def _read(table: _Table, argv: list, ns: dict) -> list:
-    """Read argv into ns with ``table`` as argparse did, a command's texts
-    with its own table. Return the texts no row took; raise _Refused for an
-    argv argparse refused. -h or --help prints the table's help and exits 0
-    once the reading reaches it."""
-    ns.update(table.defaults)
-    n = len(argv)
-    cut = argv.index("--") if "--" in argv else n
-    kinds = [_classify(table, text) for text in argv[:cut]]
-    pending, pattern = table.positionals, None
-    seen, extra, i = set(), [], 0
-    while i < n:
-        kind = kinds[i] if i < cut else None
-        if kind is None:
-            match = None
-            if pending:
-                # as many of the pending positionals as the texts from here fit
-                if pattern is None:
-                    pattern = "".join(["A" if k is None else "O" for k in kinds])
-                    if cut < n:
-                        pattern += "-" + "A" * (n - cut - 1)
-                for regex in table.patterns[len(pending)]:
-                    match = regex.match(pattern, i)
-                    if match:
-                        break
-            if match:
-                groups = match.groups()
-                for row, group in zip(pending, groups):
-                    texts = argv[i:i + len(group)]
-                    i += len(group)
-                    if row.nargs == "...":
-                        command = _convert(table, row, texts[0])
-                        ns[row.dest] = command
-                        extra += _read(row.choices[command], texts[1:], ns)
-                    else:
-                        ns[row.dest] = _value(table, row, texts)
-                pending = pending[len(groups):]
-                continue
-            j = next((j for j in range(i, cut) if kinds[j] is not None), n)
-            extra += argv[i:j]
-            i = j
-            continue
-        row, flag, attached = kind
-        if row is None:
-            extra.append(argv[i])
+def _read(argv: list):
+    """The namespace of argv, or None unless each text is a command name,
+    an exact flag of the table being read (_TOP's, then the command's) with
+    its value after "=" or in the next text, or a positional text; no value
+    or positional starts with "-", and nothing is left over or missing.
+    argparse reads such an argv text by text as written, so this is its
+    namespace; every other argv is argparse's to read."""
+    ns, table, texts, seen = dict(_TOP.defaults), _TOP, [], set()
+    i = 0
+    try:
+        while i < len(argv):
+            text = argv[i]
             i += 1
-            continue
-        taken = []
-        while True:
-            if attached is None:
-                if row.convert is None:
-                    taken.append((row, None))
-                    i += 1
-                elif i + 1 < cut and kinds[i + 1] is None:
-                    taken.append((row, argv[i + 1]))
-                    i += 2
+            if text[:1] != "-":
+                if table is not _TOP:
+                    texts.append(text)
+                elif text in _COMMANDS:
+                    table = _COMMANDS[text]
+                    ns.update(table.defaults, command=text)
                 else:
-                    raise _Refused(table, f"argument {_name(row)}: expected one argument")
-                break
-            if row.convert is not None:
-                taken.append((row, attached))
-                i += 1
-                break
-            # a flag that takes no text, with more attached: -hi is -h -i
-            if flag[1] == "-" or not attached or "-" + attached[0] not in table.flags:
-                raise _Refused(table, f"argument {_name(row)}: ignored explicit argument "
-                                      f"{attached!r}")
-            taken.append((row, None))
-            flag, attached = "-" + attached[0], attached[1:] or None
-            row = table.flags[flag]
-        for row, text in taken:
+                    return None
+                continue
+            flag, eq, value = text.partition("=")
+            row = table.flags.get(flag)
+            if row is None or (eq and row.convert is None):
+                return None
+            if row.convert is None:
+                ns[row.dest] = True
+            else:
+                if not eq:
+                    if i == len(argv):
+                        return None
+                    value = argv[i]
+                    i += 1
+                if value[:1] == "-":
+                    return None
+                ns[row.dest] = _typed(row, value)
             seen.add(row)
-            if row is _HELP:
-                sys.stdout.write(_help(table))
-                raise SystemExit(0)
-            ns[row.dest] = True if row.convert is None else _value(table, row, [text])
-    if pending or not seen.issuperset(table.required):
-        missing = [_name(row) for row in table.args
-                   if row in pending or (row.required and row not in seen)]
-        raise _Refused(table, "the following arguments are required: " + ", ".join(missing))
-    return extra
+        for row in table.positionals:
+            if row.nargs == "*":
+                ns[row.dest] = [_typed(row, text) for text in texts]
+                texts = []
+            elif texts:
+                ns[row.dest] = _typed(row, texts.pop(0))
+            else:
+                return None
+    except ValueError:
+        return None
+    if table is _TOP or texts or not seen.issuperset(table.required):
+        return None
+    return SimpleNamespace(**ns)
+
+
+@functools.cache
+def _parsers() -> dict:
+    """An argparse parser for _TOP and one for each command, keyed by
+    table, built from the rows on first need."""
+    import argparse
+
+    def add_rows(parser, table):
+        for row in table.args:
+            if not row.flags:
+                parser.add_argument(row.dest, type=row.convert, choices=row.choices,
+                                    nargs=row.nargs, help=row.help)
+            elif row.convert is None:
+                parser.add_argument(*row.flags, dest=row.dest, action="store_true",
+                                    help=row.help)
+            else:
+                parser.add_argument(*row.flags, dest=row.dest, type=row.convert,
+                                    choices=row.choices, default=row.default,
+                                    required=row.required, help=row.help)
+        return parser
+
+    top = add_rows(argparse.ArgumentParser(prog=_TOP.prog, description=_TOP.help), _TOP)
+    commands = top.add_subparsers(dest="command", required=True)
+    parsers = {_TOP: top}
+    for name, table in _COMMANDS.items():
+        parsers[table] = add_rows(commands.add_parser(name, prog=table.prog, help=table.help,
+                                                      description=table.help), table)
+    return parsers
+
+
+def _argparse_read(argv: list):
+    """argv read by argparse, which prints help and refuses what it does
+    not read. It reads an option's value "--" (``--k=--``) as the list [],
+    which is refused too, under the usage of the option's table."""
+    parsers = _parsers()
+    args = parsers[_TOP].parse_args(argv)
+    for table in (_TOP, _COMMANDS[args.command]):
+        for row in table.args:
+            if row.nargs is None and isinstance(getattr(args, row.dest), list):
+                parsers[table].error(f"argument {'/'.join(row.flags) or row.dest}: "
+                                     "expected one argument")
+    return args
 
 
 def main(argv=None) -> int:
-    ns = {}
-    try:
-        extra = _read(_TOP, sys.argv[1:] if argv is None else list(argv), ns)
-        if extra:
-            raise _Refused(_TOP, "unrecognized arguments: " + " ".join(extra))
-    except _Refused as exc:
-        sys.stderr.write(f"{_usage(exc.table)}{exc.table.prog}: error: {exc}\n")
-        raise SystemExit(2) from None
-    args = SimpleNamespace(**ns)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read(argv) or _argparse_read(argv)
     # looked up at each call, so a cmd_* replaced after import runs
     fn = globals()["cmd_" + args.command.replace("-", "_")]
     try:

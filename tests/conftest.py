@@ -26,15 +26,15 @@ def pytest_collection_modifyitems(config, items):
             item.add_marker(skip)
 
 
-def loaded_by_cli_import(module: str) -> bool:
-    """Is ``module`` in sys.modules after ``import rainbowcycles.cli`` in a
-    fresh interpreter?"""
+def loaded_by_cli_import(module: str, then: str = "") -> bool:
+    """Is ``module`` in sys.modules after ``import rainbowcycles.cli``, and
+    then the statements ``then``, in a fresh interpreter?"""
     import rainbowcycles
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(rainbowcycles.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = f"import sys, rainbowcycles.cli; print({module!r} in sys.modules)"
+    code = f"import sys, rainbowcycles.cli\n{then}\nprint({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     return out.stdout.strip() == "True"

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import random
+import re
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -896,16 +897,29 @@ def _main_args(argv):
     return kept[0]
 
 
+def _reference_outcome(argv):
+    """The reference parser's outcome for argv, except that a list where
+    one value belongs (argparse reads ``--k=--`` as []) exits 2."""
+    expected = _outcome(_REFERENCE.parse_args, argv)[0]
+    if expected[0] == "args":
+        ns = expected[1]
+        actions = _REFERENCE._actions + _SUBPARSERS[ns["command"]]._actions
+        if any(a.nargs is None and isinstance(ns[a.dest], list) for a in actions):
+            return ("exit", 2)
+    return expected
+
+
 def _assert_read_as_reference(argv):
     """main reads argv into the namespace the reference parser gives, or
-    exits as it does: 2 with a usage and an error line on stderr, or 0
-    after printing a usage for -h/--help."""
-    expected, _, _ = _outcome(_REFERENCE.parse_args, argv)
+    exits as it does: 2 with a usage (its first line) and an error (the
+    last) on stderr, or 0 after printing a usage for -h/--help."""
+    expected = _reference_outcome(argv)
     got, out, err = _outcome(_main_args, argv)
     assert got == expected, argv
     if expected == ("exit", 2):
-        usage, error = err.splitlines()[:2]
-        assert usage.startswith("usage: rainbowcycles") and ": error: " in error and not out
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: rainbowcycles") and not out
+        assert ": error: " in lines[-1]
     elif expected == ("exit", 0):
         assert out.startswith("usage: rainbowcycles") and not err
 
@@ -942,10 +956,51 @@ def _noise(draw):
 
 
 @st.composite
+def _exact_argvs(draw):
+    """An argv that cli._read takes: -i/-o before a command, or none; then
+    the command's positionals in order, and its options in any order among
+    them by their exact flags, each value separate or after "=" and none
+    starting with "-", each required option at least once."""
+    argv = draw(st.sampled_from([[], ["-i", "doc.json"], ["--output=out"], ["-o", "b", "-i=a"]]))
+    command = draw(st.sampled_from(list(_SUBPARSERS)))
+    argv.append(command)
+    texts = []
+    if command == "gen":
+        texts = [draw(st.sampled_from(sorted(cli._FAMILIES))),
+                 *draw(st.sampled_from([[], ["n=5"], ["m=2", "n=3"]]))]
+    elif command == "colour":
+        texts = ["wheel"]
+    options = []
+    for action in _SUBPARSERS[command]._actions:
+        if not action.option_strings or action.dest == "help":
+            continue
+        flag = action.option_strings[0]
+        for _ in range(draw(st.sampled_from([1, 2] if action.required else [0, 1, 2]))):
+            if action.nargs == 0:
+                options.append([flag])
+                continue
+            if action.choices:
+                value = draw(st.sampled_from(action.choices))
+            elif action.type is int:
+                value = str(draw(st.integers(0, 20)))
+            else:
+                value = draw(st.sampled_from(["auto", "four", "x=y", ""]))
+            options.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    for option in draw(st.permutations(options)):
+        while texts and draw(st.booleans()):
+            argv.append(texts.pop(0))
+        argv += option
+    return argv + texts
+
+
+@st.composite
 def _argvs(draw):
-    """-i/-o before a command, or none; then the command's positionals and
-    options with values of their type, the last of a repeated one winning,
-    in any order; then maybe misplaced, unknown or ill-formed texts."""
+    """An exact-flag argv, or: -i/-o before a command, or none; then the
+    command's positionals and options with values of their type, the last
+    of a repeated one winning, in any order; then maybe misplaced, unknown
+    or ill-formed texts."""
+    if draw(st.booleans()):
+        return draw(_exact_argvs())
     argv = draw(st.sampled_from([[], ["-i", "doc.json"], ["-o", "out"], ["--input=x"], ["-ix"],
                                  ["--out", "y"], ["--in", "-"], ["-i", "a", "-o", "b"]]))
     command = draw(st.sampled_from([*_SUBPARSERS] * 3 + ["bogus", "-i"]))
@@ -984,9 +1039,35 @@ def test_argv_read_as_the_reference_parser_reads_it(argv):
     _assert_read_as_reference(argv)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_exact_argvs())
+def test_exact_flag_argv_is_read_without_argparse(argv):
+    args = cli._read(argv)
+    assert args is not None and vars(args) == vars(_REFERENCE.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, prog, flag", [
+    (["verify", "--k=--"], "rainbowcycles verify", "--k"),
+    (["solve", "--k=--"], "rainbowcycles solve", "--k"),
+    (["colour", "--k=--", "wheel"], "rainbowcycles colour", "--k"),
+    (["verify", "--k", "2", "--budget=--"], "rainbowcycles verify", "--budget"),
+    (["--input=--", "gen", "cycle", "n=4"], "rainbowcycles", "-i/--input"),
+])
+def test_option_value_read_as_a_list_is_refused(argv, prog, flag, capsys):
+    # argparse reads "--k=--" as [], which no command can take
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert not out and lines[0].startswith(f"usage: {prog} [-h]")
+    assert lines[-1] == f"{prog}: error: argument {flag}: expected one argument"
+
+
 class TestCachedParser:
-    """main reads each argv from its option tables alone; no option of one
-    call may reach a later one."""
+    """main reads an exact-flag argv with cli._read and every other argv
+    (help, refusals, prefixes, "--", ...) with argparse parsers built from
+    the same tables; no option of one call may reach a later one."""
 
     def test_command_is_looked_up_per_call(self, monkeypatch, capsys):
         _, doc_text, _ = run_cli(["gen", "wheel", "n=5"], "", monkeypatch, capsys)
@@ -1034,8 +1115,9 @@ class TestCachedParser:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert out.startswith("usage: rainbowcycles [-h] [-i INPUT] [-o OUTPUT]")
-        for name in _SUBPARSERS:
-            assert f"\n  {name} " in out
+        text = " ".join(out.split())
+        for name, table in cli._COMMANDS.items():
+            assert f" {name} {table.help} " in text
         code, out, _ = run_cli(["gen", "cycle", "n=5"], "", monkeypatch, capsys)
         assert code == 0 and json.loads(out)["n"] == 5
 
@@ -1044,19 +1126,20 @@ class TestCachedParser:
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].startswith(f"usage: rainbowcycles {command} [-h]")
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: rainbowcycles {command} [-h]")
+        # argparse wraps the help, so it is read with whitespace normalised
+        text = " ".join(out.split())
         for action in _SUBPARSERS[command]._actions:
-            if not action.option_strings:
+            if not action.option_strings or action.dest == "help":
                 continue
             flag = max(action.option_strings, key=len)
             row = cli._COMMANDS[command].flags[flag]
-            # the line whose first column, before its help, names the flag
-            line = next(line for line in lines if line.startswith("  ")
-                        and flag in line[2:].split("  ")[0].replace(",", "").split())
-            assert row.help and line.endswith(row.help)
+            shown = " ".join(row.help.split())
+            # the flag, maybe its metavar, then its help
+            assert row.help and re.search(rf" {flag}( \S+)? {re.escape(shown)}", text)
             if action.help:
-                assert action.help in line
+                assert " ".join(action.help.split()) in shown
 
     def test_parse_matches_a_fresh_parser(self, monkeypatch, capsys):
         # after a call before it, main reads each argv as the reference
@@ -1108,6 +1191,41 @@ def test_cli_import_does_not_load_multiprocessing():
 def test_cli_import_does_not_load_argparse():
     # main reads its arguments from the option tables in cli
     assert not loaded_by_cli_import("argparse")
+
+
+# each form of argv the benchmark's workloads send
+_BENCH_ARGVS = [
+    ["gen", "wheel", "n=9"],
+    ["gen", "complete-bipartite", "m=2", "n=5"],
+    ["gen", "complete-multipartite", "sizes=2,2,2"],
+    ["colour", "wheel", "--k", "2"],
+    ["colour", "complete-random", "--k", "3", "--seed", "17", "--attempts", "200"],
+    ["verify", "--k", "2"],
+    ["verify", "--k", "2", "--workers", "2"],
+    ["solve", "--k", "2"],
+    ["solve", "--k", "2", "--index", "rx"],
+    ["solve", "--k", "3", "--mode", "interval"],
+]
+
+
+def _served_argvs():
+    return [argv for stages in _readme_pipelines() for argv in stages] + _BENCH_ARGVS
+
+
+def test_served_argv_take_the_exact_flag_reader():
+    for argv in _served_argvs():
+        args = cli._read(argv)
+        assert args is not None and vars(args) == vars(_REFERENCE.parse_args(argv)), argv
+
+
+def test_served_argv_do_not_load_argparse():
+    # every cmd_* is stubbed, so main only reads each argv
+    then = ("cli = rainbowcycles.cli\n"
+            "for name in [n for n in vars(cli) if n.startswith('cmd_')]:\n"
+            "    setattr(cli, name, lambda args: 0)\n"
+            f"for argv in {_served_argvs()!r}:\n"
+            "    assert cli.main(argv) == 0")
+    assert not loaded_by_cli_import("argparse", then)
 
 
 # the reports of README's pipelines, in order, as they decode
